@@ -296,6 +296,43 @@ func TestTracer(t *testing.T) {
 	}
 }
 
+// TestTracerForgetKeepsCreationOrder forgets traces at the middle and the
+// newest end of the order and checks eviction still takes the oldest
+// survivor first.
+func TestTracerForgetKeepsCreationOrder(t *testing.T) {
+	tr := NewTracer(3, 0)
+	emit := func(ids ...string) {
+		for _, id := range ids {
+			tr.Emit(Span{Trace: id, ID: "s"})
+		}
+	}
+	want := func(ids ...string) {
+		t.Helper()
+		if tr.Len() != len(ids) {
+			t.Fatalf("len = %d, want %v", tr.Len(), ids)
+		}
+		for _, id := range ids {
+			if tr.SpansFor(id) == nil {
+				t.Fatalf("trace %s missing, want %v", id, ids)
+			}
+		}
+	}
+	emit("a", "b", "c")
+	tr.Forget("b")
+	emit("d")
+	want("a", "c", "d")
+	emit("e")
+	want("c", "d", "e")
+	tr.Forget("e")
+	emit("f", "g")
+	want("d", "f", "g")
+	tr.Forget("d")
+	tr.Forget("f")
+	tr.Forget("g")
+	emit("b", "h", "i", "j")
+	want("h", "i", "j")
+}
+
 func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("conc_total", "x")

@@ -46,14 +46,18 @@ func (s Span) Duration() time.Duration {
 type Tracer struct {
 	mu        sync.Mutex
 	traces    map[string]*traceLog
-	order     []string // LRU order, oldest first
+	order     traceLog // sentinel of the creation-order ring; order.next is the oldest
 	maxTraces int
 	maxSpans  int
 	sink      func(Span)
 }
 
+// traceLog is one trace's spans, linked into the tracer's creation order so
+// eviction and Forget unlink it in O(1).
 type traceLog struct {
-	spans []Span
+	id         string
+	spans      []Span
+	prev, next *traceLog
 }
 
 // NewTracer builds a tracer retaining up to maxTraces traces of up to
@@ -65,11 +69,13 @@ func NewTracer(maxTraces, maxSpans int) *Tracer {
 	if maxSpans <= 0 {
 		maxSpans = 4096
 	}
-	return &Tracer{
+	t := &Tracer{
 		traces:    make(map[string]*traceLog),
 		maxTraces: maxTraces,
 		maxSpans:  maxSpans,
 	}
+	t.order.prev, t.order.next = &t.order, &t.order
+	return t
 }
 
 // SetSink installs a callback invoked synchronously for every emitted span,
@@ -88,9 +94,9 @@ func (t *Tracer) Emit(s Span) {
 	t.mu.Lock()
 	tl := t.traces[s.Trace]
 	if tl == nil {
-		tl = &traceLog{}
+		tl = &traceLog{id: s.Trace, prev: t.order.prev, next: &t.order}
+		tl.prev.next, t.order.prev = tl, tl
 		t.traces[s.Trace] = tl
-		t.order = append(t.order, s.Trace)
 		t.evictLocked()
 	}
 	tl.spans = append(tl.spans, s)
@@ -108,11 +114,16 @@ func (t *Tracer) Emit(s Span) {
 
 // evictLocked drops the least recently created traces beyond maxTraces.
 func (t *Tracer) evictLocked() {
-	for len(t.order) > t.maxTraces {
-		victim := t.order[0]
-		t.order = t.order[1:]
-		delete(t.traces, victim)
+	for len(t.traces) > t.maxTraces {
+		t.removeLocked(t.order.next)
 	}
+}
+
+// removeLocked unlinks tl and drops it from the index.
+func (t *Tracer) removeLocked(tl *traceLog) {
+	tl.prev.next, tl.next.prev = tl.next, tl.prev
+	tl.prev, tl.next = nil, nil
+	delete(t.traces, tl.id)
 }
 
 // SpansFor returns a copy of the spans recorded for the given trace, in
@@ -134,15 +145,8 @@ func (t *Tracer) SpansFor(trace string) []Span {
 func (t *Tracer) Forget(trace string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.traces[trace]; !ok {
-		return
-	}
-	delete(t.traces, trace)
-	for i, id := range t.order {
-		if id == trace {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
+	if tl := t.traces[trace]; tl != nil {
+		t.removeLocked(tl)
 	}
 }
 

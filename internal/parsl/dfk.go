@@ -97,8 +97,10 @@ type Config struct {
 	RunDir string
 	// MaxEvents bounds the monitoring log: when exceeded, the oldest events
 	// are discarded so a long-lived DFK (e.g. under the submission service)
-	// does not grow without bound. 0 selects the default of 65536; negative
-	// retains everything.
+	// does not grow without bound. It also bounds the task-state table:
+	// TaskStates reports every live task plus the MaxEvents most recently
+	// finished ones. 0 selects the default of 65536; negative retains
+	// everything.
 	MaxEvents int
 	// MaxLabels bounds how many distinct labels the per-label event index
 	// (EventsFor) holds; past it, the least-recently-active label is
@@ -131,7 +133,10 @@ type DFK struct {
 
 	mu        sync.Mutex
 	nextID    int
-	states    map[int]TaskState
+	states    map[int]TaskState // live tasks plus a window of finished ones
+	counts    [StateMemoHit + 1]int
+	finished  []int // ring of recently finished task IDs bounding states
+	finNext   int   // next ring slot to overwrite once finished is full
 	events    []TaskEvent
 	byLabel   map[string]*labelLog // per-label event index (EventsFor)
 	labelSeq  int64
@@ -270,7 +275,8 @@ func (d *DFK) Submit(app App, args Args, opts CallOpts) *AppFuture {
 	if d.cleaned {
 		// The DFK is shut down: fail fast instead of racing Cleanup's
 		// pending.Wait and the executors' shutdown.
-		d.states[id] = StateFailed
+		d.recordStateLocked(id, StateFailed)
+		d.retireLocked(id)
 		ev := TaskEvent{TaskID: id, App: app.Name(), State: StateFailed, Time: time.Now(), Label: opts.Label}
 		metTaskTransitions.With(StateFailed.String()).Inc()
 		d.appendEventLocked(ev)
@@ -282,7 +288,7 @@ func (d *DFK) Submit(app App, args Args, opts CallOpts) *AppFuture {
 		fut.complete(nil, fmt.Errorf("DFK is %w", ErrShutdown))
 		return fut
 	}
-	d.states[id] = StatePending
+	d.recordStateLocked(id, StatePending)
 	ev := TaskEvent{TaskID: id, App: app.Name(), State: StatePending, Time: time.Now(), Label: opts.Label}
 	d.pendingAt[id] = ev.Time
 	metTaskTransitions.With(StatePending.String()).Inc()
@@ -431,7 +437,7 @@ func (d *DFK) resolveAndLaunch(id int, app App, args Args, opts CallOpts, fut *A
 
 func (d *DFK) setState(id int, app, label string, s TaskState, tries int) {
 	d.mu.Lock()
-	d.states[id] = s
+	d.recordStateLocked(id, s)
 	ev := TaskEvent{TaskID: id, App: app, State: s, Time: time.Now(), Tries: tries, Label: label}
 	metTaskTransitions.With(s.String()).Inc()
 	switch s {
@@ -458,6 +464,7 @@ func (d *DFK) setState(id int, app, label string, s TaskState, tries int) {
 		}
 		delete(d.pendingAt, id)
 		delete(d.launchAt, id)
+		d.retireLocked(id)
 	}
 	d.appendEventLocked(ev)
 	hooks := d.hooks
@@ -470,6 +477,38 @@ func (d *DFK) setState(id int, app, label string, s TaskState, tries int) {
 // DefaultMaxEvents is the monitoring-log retention used when
 // Config.MaxEvents is 0.
 const DefaultMaxEvents = 65536
+
+// recordStateLocked moves task id to state s and keeps the per-state totals
+// exact, so StateCounts never depends on how many tasks states still holds.
+// Caller holds d.mu.
+func (d *DFK) recordStateLocked(id int, s TaskState) {
+	if old, ok := d.states[id]; ok {
+		d.counts[old]--
+	}
+	d.states[id] = s
+	d.counts[s]++
+}
+
+// retireLocked records that task id reached a terminal state. Once MaxEvents
+// finished tasks are remembered, the oldest one leaves the state table (its
+// state stays in the totals), so a long-lived DFK tracks live tasks plus a
+// bounded recent window. Caller holds d.mu.
+func (d *DFK) retireLocked(id int) {
+	limit := d.cfg.MaxEvents
+	if limit == 0 {
+		limit = DefaultMaxEvents
+	}
+	if limit < 0 {
+		return
+	}
+	if len(d.finished) < limit {
+		d.finished = append(d.finished, id)
+		return
+	}
+	delete(d.states, d.finished[d.finNext])
+	d.finished[d.finNext] = id
+	d.finNext = (d.finNext + 1) % limit
+}
 
 // DefaultMaxLabels is the per-label index retention used when
 // Config.MaxLabels is 0.
@@ -654,7 +693,8 @@ type IndexStats struct {
 	LabelEvents int
 	// MemoEntries is the memoization-table size.
 	MemoEntries int
-	// Tasks is how many tasks have recorded states.
+	// Tasks is how many tasks the state table holds: every live task plus
+	// the window of recently finished ones.
 	Tasks int
 }
 
@@ -676,7 +716,8 @@ func (d *DFK) IndexStats() IndexStats {
 	return st
 }
 
-// TaskStates returns a snapshot of task states.
+// TaskStates returns a snapshot of the state of every live task and of the
+// most recently finished ones (see Config.MaxEvents).
 func (d *DFK) TaskStates() map[int]TaskState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -694,13 +735,21 @@ func (d *DFK) Events() []TaskEvent {
 	return append([]TaskEvent{}, d.events...)
 }
 
-// StateCounts aggregates task states, like parsl's usage summary.
+// StateCounts aggregates the current state of every task ever submitted,
+// like parsl's usage summary.
 func (d *DFK) StateCounts() map[TaskState]int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.stateCountsLocked()
+}
+
+// stateCountsLocked returns the nonzero per-state totals. Caller holds d.mu.
+func (d *DFK) stateCountsLocked() map[TaskState]int {
 	out := map[TaskState]int{}
-	for _, s := range d.states {
-		out[s]++
+	for s, n := range d.counts {
+		if n > 0 {
+			out[TaskState(s)] = n
+		}
 	}
 	return out
 }
@@ -856,8 +905,8 @@ func (d *DFK) UsageSummary() string {
 		perApp[a] = n
 	}
 	finalState := map[string]int{}
-	for _, s := range d.states {
-		finalState[s.String()]++
+	for s, n := range d.stateCountsLocked() {
+		finalState[s.String()] = n
 	}
 	d.mu.Unlock()
 

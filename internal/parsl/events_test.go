@@ -1,6 +1,8 @@
 package parsl
 
 import (
+	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,6 +32,56 @@ func TestEventLogTruncation(t *testing.T) {
 	last := events[len(events)-1]
 	if last.State != StateDone {
 		t.Errorf("newest event = %v, want exec_done", last.State)
+	}
+}
+
+// TestTaskStatesBounded submits far more tasks than the retention cap — a mix
+// that finishes done, failed, dep_fail and memo_done — and checks the state
+// table holds only the recent window while StateCounts stays exact.
+func TestTaskStatesBounded(t *testing.T) {
+	const limit, rounds = 8, 100
+	dfk, err := Load(Config{
+		Executors: []Executor{NewThreadPoolExecutor("threads", 2)},
+		MaxEvents: limit,
+		Memoize:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dfk.Cleanup()
+	ok := NewGoApp("ok", func(Args) (any, error) { return nil, nil })
+	bad := NewGoApp("bad", func(Args) (any, error) { return nil, errors.New("boom") })
+	memo := NewGoApp("memo", func(Args) (any, error) { return 1, nil })
+	for i := 0; i < rounds; i++ {
+		dfk.Submit(ok, Args{}, CallOpts{NoMemo: true})
+		failed := dfk.Submit(bad, Args{"i": i}, CallOpts{})
+		dfk.Submit(ok, Args{"dep": failed}, CallOpts{NoMemo: true})
+		dfk.Submit(memo, Args{}, CallOpts{})
+	}
+	dfk.Wait()
+
+	if st := dfk.IndexStats(); st.Tasks > limit {
+		t.Errorf("state table holds %d tasks after %d finished, cap %d", st.Tasks, 4*rounds, limit)
+	}
+	if n := len(dfk.TaskStates()); n > limit {
+		t.Errorf("TaskStates returned %d tasks, cap %d", n, limit)
+	}
+	want := map[TaskState]int{
+		StateDone:    rounds + 1, // every ok task plus the one memo owner
+		StateFailed:  rounds,
+		StateDepFail: rounds,
+		StateMemoHit: rounds - 1,
+	}
+	counts := dfk.StateCounts()
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	if total != 4*rounds {
+		t.Errorf("StateCounts total = %d, want %d submitted: %v", total, 4*rounds, counts)
+	}
+	if !reflect.DeepEqual(counts, want) {
+		t.Errorf("StateCounts = %v, want %v", counts, want)
 	}
 }
 

@@ -124,6 +124,9 @@ type RunSnapshot struct {
 type runRecord struct {
 	snap RunSnapshot
 	done chan struct{}
+	// prev and next link the records in creation order, so eviction and
+	// rollback unlink a run in O(1).
+	prev, next *runRecord
 }
 
 // RunStore tracks every submitted run through the
@@ -131,20 +134,23 @@ type runRecord struct {
 // outputs and errors. Task-event logs stay in the DFK's per-label index
 // (events are attributed by CallOpts.Label == run ID) and are released via
 // the eviction callback. Terminal runs beyond the retention cap are evicted
-// oldest-first so a long-lived service does not grow without bound.
+// oldest-first so a long-lived service does not grow without bound; an
+// eviction costs O(active runs), never O(retained history).
 type RunStore struct {
 	mu       sync.Mutex
 	runs     map[string]*runRecord
-	order    []string // creation order, for retention eviction and List
-	retain   int      // max terminal runs kept; <= 0 means unbounded
-	terminal int      // current terminal-run count
+	order    runRecord // sentinel of the creation-order ring; order.next is the oldest run
+	retain   int       // max terminal runs kept; <= 0 means unbounded
+	terminal int       // current terminal-run count
 	onEvict  func(id string)
 }
 
 // NewRunStore returns an empty store retaining at most retain terminal runs
 // (retain <= 0 keeps everything).
 func NewRunStore(retain int) *RunStore {
-	return &RunStore{runs: map[string]*runRecord{}, retain: retain}
+	st := &RunStore{runs: map[string]*runRecord{}, retain: retain}
+	st.order.prev, st.order.next = &st.order, &st.order
+	return st
 }
 
 // SetOnEvict registers fn to be called (under the store lock — it must not
@@ -201,8 +207,20 @@ func (st *RunStore) Create(meta RunMeta) RunSnapshot {
 		done: make(chan struct{}),
 	}
 	st.runs[id] = rec
-	st.order = append(st.order, id)
+	st.pushLocked(rec)
 	return rec.snap
+}
+
+// pushLocked appends rec as the newest run. Caller holds st.mu.
+func (st *RunStore) pushLocked(rec *runRecord) {
+	rec.prev, rec.next = st.order.prev, &st.order
+	rec.prev.next, st.order.prev = rec, rec
+}
+
+// unlink removes rec from the creation order. Caller holds the store lock.
+func (rec *runRecord) unlink() {
+	rec.prev.next, rec.next.prev = rec.next, rec.prev
+	rec.prev, rec.next = nil, nil
 }
 
 // Restore inserts a run recovered from the persistence journal, preserving
@@ -219,7 +237,7 @@ func (st *RunStore) Restore(snap RunSnapshot) {
 	}
 	rec := &runRecord{snap: snap, done: make(chan struct{})}
 	st.runs[snap.ID] = rec
-	st.order = append(st.order, snap.ID)
+	st.pushLocked(rec)
 	if snap.State.Terminal() {
 		close(rec.done)
 		st.terminal++
@@ -232,16 +250,12 @@ func (st *RunStore) Restore(snap RunSnapshot) {
 func (st *RunStore) Delete(id string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, ok := st.runs[id]; !ok {
+	rec, ok := st.runs[id]
+	if !ok {
 		return
 	}
 	delete(st.runs, id)
-	for i, oid := range st.order {
-		if oid == id {
-			st.order = append(st.order[:i], st.order[i+1:]...)
-			break
-		}
-	}
+	rec.unlink()
 }
 
 // Get returns the current snapshot of a run.
@@ -260,10 +274,8 @@ func (st *RunStore) List() []RunSnapshot {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make([]RunSnapshot, 0, len(st.runs))
-	for _, id := range st.order {
-		if rec, ok := st.runs[id]; ok {
-			out = append(out, rec.snap)
-		}
+	for rec := st.order.next; rec != &st.order; rec = rec.next {
+		out = append(out, rec.snap)
 	}
 	return out
 }
@@ -317,29 +329,25 @@ func (st *RunStore) Finish(id string, outputs *yamlx.Map, runErr error, canceled
 	return rec.snap, true
 }
 
-// pruneLocked evicts the oldest terminal runs past the retention cap.
-// Caller holds st.mu.
+// pruneLocked evicts the oldest terminal runs past the retention cap. The
+// walk from the oldest run passes only queued or running runs before it
+// reaches an evictable one, so it costs O(active runs). Caller holds st.mu.
 func (st *RunStore) pruneLocked() {
-	if st.retain <= 0 || st.terminal <= st.retain {
+	if st.retain <= 0 {
 		return
 	}
-	kept := make([]string, 0, len(st.order))
-	for _, id := range st.order {
-		rec, ok := st.runs[id]
-		if !ok {
-			continue // rolled back; compact it out
-		}
-		if st.terminal > st.retain && rec.snap.State.Terminal() {
-			delete(st.runs, id)
+	for rec := st.order.next; rec != &st.order && st.terminal > st.retain; {
+		next := rec.next
+		if rec.snap.State.Terminal() {
+			rec.unlink()
+			delete(st.runs, rec.snap.ID)
 			st.terminal--
 			if st.onEvict != nil {
-				st.onEvict(id)
+				st.onEvict(rec.snap.ID)
 			}
-			continue
 		}
-		kept = append(kept, id)
+		rec = next
 	}
-	st.order = kept
 }
 
 // Done returns a channel closed when the run reaches a terminal state.
