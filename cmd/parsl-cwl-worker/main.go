@@ -1,8 +1,8 @@
 // Command parsl-cwl-worker is the execution endpoint of the Parsl+CWL
 // engine's out-of-process providers. It speaks the worker session protocol —
-// 4-byte big-endian length-prefixed JSON frames, a versioned hello/ack
-// handshake, concurrent run requests with responses in completion order, and
-// heartbeat/drain/bye session frames — over one of two transports:
+// 4-byte big-endian length-prefixed frames, a versioned JSON hello/ack
+// handshake, batched binary run requests with responses in completion order,
+// and heartbeat/drain/bye session frames — over one of two transports:
 //
 //   - Pipe mode (default): the engine's ProcessProvider launched this worker
 //     and owns its stdin/stdout. Closing stdin asks the worker to drain and
@@ -46,15 +46,7 @@ func main() {
 	reconnect := flag.Bool("reconnect", true, "redial the interchange when the connection breaks (network mode)")
 	reconnectWait := flag.Duration("reconnect-wait", 0, "initial delay between redial attempts, doubling to 30s with ±25% jitter (0 = default 1s)")
 	maxAttempts := flag.Int("max-attempts", 0, "consecutive failed sessions before giving up when reconnecting (0 = unlimited)")
-	noBatch := flag.Bool("no-batch", false, "do not offer the batched-frames capability (debugging; forces one frame per task)")
-	codec := flag.String("codec", "auto", "frame codec to offer: auto (binary when the engine accepts) or json")
 	flag.Parse()
-
-	if *codec != "auto" && *codec != "json" {
-		fmt.Fprintf(os.Stderr, "parsl-cwl-worker: -codec must be auto or json, got %q\n", *codec)
-		os.Exit(2)
-	}
-	noBinary := *codec == "json"
 
 	if *printVersion {
 		fmt.Printf("parsl-cwl-worker protocol %d\n", provider.ProtoVersion)
@@ -78,11 +70,7 @@ func main() {
 
 	var err error
 	if *connect == "" {
-		err = provider.RunPipeWorkerOpts(os.Stdin, os.Stdout, provider.PipeWorkerOptions{
-			Drain:         drain,
-			DisableBatch:  *noBatch,
-			DisableBinary: noBinary,
-		})
+		err = provider.RunPipeWorker(os.Stdin, os.Stdout, drain)
 	} else {
 		tlsConf, terr := clientTLS(*useTLS, *tlsCA, *tlsServerName, *tlsInsecure)
 		if terr != nil {
@@ -98,8 +86,6 @@ func main() {
 			ReconnectWait: *reconnectWait,
 			MaxAttempts:   *maxAttempts,
 			Drain:         drain,
-			DisableBatch:  *noBatch,
-			DisableBinary: noBinary,
 			Logf:          logger.Printf,
 		})
 	}

@@ -37,10 +37,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// providerNames lists every backend the corpus must agree across. The
-// "-json" variants force the legacy JSON codec on the worker transport so
-// both wire encodings are held to the same byte-identical outputs.
-var providerNames = []string{"local", "process", "process-json", "sim", "net", "net-json"}
+// providerNames lists every backend the corpus must agree across.
+var providerNames = []string{"local", "process", "sim", "net"}
 
 // netSecret authenticates the loopback conformance workers to the
 // interchange.
@@ -52,26 +50,22 @@ func buildProvider(t *testing.T, name string) provider.ExecutionProvider {
 	switch name {
 	case "local":
 		return &provider.LocalProvider{}
-	case "process", "process-json":
+	case "process":
 		exe, err := os.Executable()
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := provider.ProcessOptions{
+		return provider.NewProcessProvider(provider.ProcessOptions{
 			Command: []string{exe},
 			Env:     []string{"PARSL_CWL_WORKER_PROCESS=1"},
-		}
-		if name == "process-json" {
-			opts.Dispatch.Codec = provider.CodecJSON
-		}
-		return provider.NewProcessProvider(opts)
+		})
 	case "sim":
 		return provider.NewSimProvider(provider.SimOptions{
 			Nodes:        2,
 			CoresPerNode: 4,
 			TimeScale:    200 * time.Microsecond,
 		})
-	case "net", "net-json":
+	case "net":
 		// Loopback network fabric: each Launch spawns an in-process worker
 		// goroutine that dials the interchange over real TCP and
 		// authenticates with the shared secret, so every tool invocation
@@ -81,9 +75,6 @@ func buildProvider(t *testing.T, name string) provider.ExecutionProvider {
 			Secret:          netSecret,
 			HeartbeatPeriod: 50 * time.Millisecond,
 			AdoptTimeout:    10 * time.Second,
-		}
-		if name == "net-json" {
-			opts.Dispatch.Codec = provider.CodecJSON
 		}
 		var np *fabric.NetProvider
 		opts.Spawn = func(block int) error {

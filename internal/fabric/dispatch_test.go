@@ -2,92 +2,10 @@ package fabric
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/provider"
 )
-
-// TestMixedVersionFleet runs a legacy JSON-only worker and a current
-// binary-batched worker on one interchange at the same time. Each session
-// must use only what it negotiated, and both must produce identical results
-// for identical tasks — codecs are an encoding, not a semantic.
-func TestMixedVersionFleet(t *testing.T) {
-	opts := testOptions("s")
-	p, err := Listen(opts)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer p.Cancel()
-
-	startWorker(t, ConnectOptions{Addr: p.Addr(), Secret: "s", ID: "modern"})
-	startWorker(t, ConnectOptions{
-		Addr: p.Addr(), Secret: "s", ID: "legacy",
-		DisableBatch: true, DisableBinary: true,
-	})
-	waitFor(t, "both workers to register", func() bool { return p.RegisteredWorkers() == 2 })
-
-	h1, err := p.Launch(1)
-	if err != nil {
-		t.Fatalf("Launch 1: %v", err)
-	}
-	h2, err := p.Launch(2)
-	if err != nil {
-		t.Fatalf("Launch 2: %v", err)
-	}
-
-	// One block negotiated the binary codec, the other fell back to JSON —
-	// per connection, on the same engine.
-	st := p.Status()
-	var codecs []string
-	for _, block := range []int{1, 2} {
-		switch {
-		case strings.Contains(st[block].Detail, "codec "+provider.CodecBinary):
-			codecs = append(codecs, provider.CodecBinary)
-		case strings.Contains(st[block].Detail, "codec "+provider.CodecJSON):
-			codecs = append(codecs, provider.CodecJSON)
-		default:
-			t.Fatalf("block %d detail %q names no codec", block, st[block].Detail)
-		}
-	}
-	if !(codecs[0] == provider.CodecBinary && codecs[1] == provider.CodecJSON) &&
-		!(codecs[0] == provider.CodecJSON && codecs[1] == provider.CodecBinary) {
-		t.Fatalf("fleet codecs = %v, want one binary and one json", codecs)
-	}
-
-	// Identical concurrent workloads through both wire forms give identical
-	// answers.
-	var wg sync.WaitGroup
-	results := make([][]string, 2)
-	errs := make(chan error, 64)
-	for w, h := range []provider.ManagerHandle{h1, h2} {
-		results[w] = make([]string, 16)
-		for i := 0; i < 16; i++ {
-			wg.Add(1)
-			go func(w, i int, h provider.ManagerHandle) {
-				defer wg.Done()
-				res, err := h.Run(echoTask(t, i, map[string]any{"task": i}))
-				if err != nil {
-					errs <- fmt.Errorf("worker %d task %d: %w", w, i, err)
-					return
-				}
-				results[w][i] = fmt.Sprint(res)
-			}(w, i, h)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		if results[0][i] != results[1][i] || results[0][i] == "" {
-			t.Fatalf("task %d diverged across codecs: %q vs %q", i, results[0][i], results[1][i])
-		}
-	}
-}
 
 // TestNetProviderWarmPool: with a warm pool, Launch adopts a pre-registered
 // spare instantly and the pool refills in the background.

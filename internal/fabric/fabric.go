@@ -61,8 +61,9 @@ type Options struct {
 	// subprocess with -connect, a cloud instance, a batch job). A negative
 	// block id asks for a warm-pool spare not yet bound to any block.
 	Spawn func(block int) error
-	// Dispatch tunes frame batching and codec for worker sessions.
-	Dispatch provider.DispatchOptions
+	// BatchMax caps the tasks per dispatch frame on worker sessions (0 = the
+	// protocol default, 64).
+	BatchMax int
 	// WarmPool, when positive and Spawn is set, keeps this many registered
 	// spare workers on hand: Listen pre-spawns them, Launch adopts one
 	// instead of paying spawn+dial+hello latency, and each adoption (or
@@ -194,7 +195,7 @@ func (p *NetProvider) acceptLoop() {
 }
 
 // handleConn authenticates one inbound connection and registers its worker
-// session. A connection that fails TLS, protocol negotiation, or secret
+// session. A connection that fails TLS, the protocol version check, or secret
 // verification is rejected before any task frame is exchanged.
 func (p *NetProvider) handleConn(c net.Conn) {
 	_ = c.SetDeadline(time.Now().Add(p.opts.HelloTimeout))
@@ -211,7 +212,7 @@ func (p *NetProvider) handleConn(c net.Conn) {
 	sess, hello, err := provider.AcceptWorkerSession(fc, provider.AcceptOptions{
 		Secret:    p.opts.Secret,
 		Heartbeat: p.opts.HeartbeatPeriod,
-		Dispatch:  p.opts.Dispatch,
+		BatchMax:  p.opts.BatchMax,
 	})
 	if err != nil {
 		metRejects.With(rejectReason(err)).Inc()
@@ -583,7 +584,7 @@ func (h *netHandle) status() provider.BlockStatus {
 		return provider.BlockStatus{State: provider.BlockDead, Detail: fmt.Sprintf("worker %s at %s lost", id, h.wc.remote)}
 	default:
 		return provider.BlockStatus{State: provider.BlockRunning,
-			Detail: fmt.Sprintf("worker %s at %s, busy %d, codec %s", id, h.wc.remote, h.wc.sess.Busy(), h.wc.sess.Codec())}
+			Detail: fmt.Sprintf("worker %s at %s, busy %d", id, h.wc.remote, h.wc.sess.Busy())}
 	}
 }
 

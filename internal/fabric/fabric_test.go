@@ -173,6 +173,40 @@ func TestNetProviderWrongSecretRejected(t *testing.T) {
 	}
 }
 
+// A version-2 worker dialing a version-3 interchange is refused at hello,
+// and the refusal is counted under reason "proto".
+func TestNetProviderOldProtocolRejected(t *testing.T) {
+	p, err := Listen(testOptions("s"))
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer p.Cancel()
+	before := metRejects.With("proto").Value()
+
+	conn, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	fc := provider.NewFrameConn(conn, conn, conn)
+	if err := fc.Send(map[string]any{"proto": 2, "secret": "s"}); err != nil {
+		t.Fatalf("sending hello: %v", err)
+	}
+	body, err := fc.ReadRaw()
+	if err != nil {
+		t.Fatalf("reading ack: %v", err)
+	}
+	if !strings.Contains(string(body), `"ok":false`) {
+		t.Fatalf("ack = %s, want a rejection", body)
+	}
+	waitFor(t, "the proto reject to be counted", func() bool {
+		return metRejects.With("proto").Value() == before+1
+	})
+	if got := p.RegisteredWorkers(); got != 0 {
+		t.Fatalf("RegisteredWorkers = %d after a v2 hello, want 0", got)
+	}
+}
+
 // A rejected worker must not retry: the reconnect loop treats a hello
 // rejection as terminal even with Reconnect on.
 func TestNetWorkerRejectionIsTerminalDespiteReconnect(t *testing.T) {

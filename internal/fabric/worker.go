@@ -44,12 +44,6 @@ type ConnectOptions struct {
 	// in-flight tasks, send final responses and a bye, deregister, return
 	// nil. Wired to SIGTERM/SIGINT by the worker binary.
 	Drain <-chan struct{}
-	// DisableBatch/DisableBinary withhold the corresponding protocol
-	// capability from the hello, forcing the baseline wire form — how a
-	// legacy JSON-only worker is emulated in tests and how operators debug
-	// codec issues.
-	DisableBatch  bool
-	DisableBinary bool
 	// Logf, when set, receives connection lifecycle messages.
 	Logf func(format string, args ...any)
 }
@@ -152,13 +146,12 @@ func runSession(opts ConnectOptions, logf func(string, ...any)) error {
 		ID:       opts.ID,
 		Capacity: opts.Capacity,
 		Secret:   opts.Secret,
-		Caps:     provider.WorkerCaps(opts.DisableBatch, opts.DisableBinary),
 	})
 	if err != nil {
 		return err
 	}
 	_ = conn.SetDeadline(time.Time{})
 
-	logf("registered with %s as %s (heartbeat %dms, caps %v)", opts.Addr, opts.ID, ack.HeartbeatMs, ack.Caps)
+	logf("registered with %s as %s (heartbeat %dms, batch max %d)", opts.Addr, opts.ID, ack.HeartbeatMs, ack.BatchMax)
 	return provider.ServeWorkerSession(fc, provider.SessionOptionsFromAck(ack, opts.Drain))
 }

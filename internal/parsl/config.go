@@ -36,8 +36,6 @@ import (
 //	idle-timeout: 30s
 //	heartbeat-period: 5s
 //	batch-max: 64
-//	batch-linger: 1ms
-//	dispatch-codec: binary
 //	warm-pool: 2
 //	max-redispatch: 3
 //	task-walltime: 10m
@@ -83,13 +81,6 @@ type ConfigSpec struct {
 	// BatchMax caps tasks per dispatch frame for process/net workers
 	// (0 = protocol default, 64).
 	BatchMax int
-	// BatchLinger lets a partially filled dispatch batch wait this long for
-	// more tasks (0 = send greedily).
-	BatchLinger time.Duration
-	// DispatchCodec selects the worker wire codec: "" or "binary" prefers
-	// the compact binary codec when workers offer it; "json" forces the
-	// baseline JSON codec.
-	DispatchCodec string
 	// WarmPool keeps this many spare pre-started workers per provider so
 	// block launches skip exec/dial+hello latency (0 disables).
 	WarmPool int
@@ -179,14 +170,6 @@ func ParseConfig(data []byte) (ConfigSpec, error) {
 			spec.NetSpawn = m.GetBool(k, spec.NetSpawn)
 		case "batch-max", "batch_max":
 			spec.BatchMax = m.GetInt(k, spec.BatchMax)
-		case "batch-linger", "batch_linger":
-			d, err := parseDuration(val)
-			if err != nil {
-				return spec, fmt.Errorf("batch-linger: %w", err)
-			}
-			spec.BatchLinger = d
-		case "dispatch-codec", "dispatch_codec":
-			spec.DispatchCodec = fmt.Sprint(val)
 		case "warm-pool", "warm_pool":
 			spec.WarmPool = m.GetInt(k, spec.WarmPool)
 		case "max-redispatch", "max_redispatch":
@@ -289,14 +272,6 @@ func (s ConfigSpec) validate() error {
 	if s.BatchMax < 0 {
 		return fmt.Errorf("batch-max must be non-negative")
 	}
-	if s.BatchLinger < 0 {
-		return fmt.Errorf("batch-linger must be non-negative")
-	}
-	switch s.DispatchCodec {
-	case "", provider.CodecBinary, provider.CodecJSON:
-	default:
-		return fmt.Errorf("unknown dispatch-codec %q (want binary or json)", s.DispatchCodec)
-	}
 	if s.WarmPool < 0 {
 		return fmt.Errorf("warm-pool must be non-negative")
 	}
@@ -304,15 +279,6 @@ func (s ConfigSpec) validate() error {
 		return fmt.Errorf("task-walltime must be non-negative")
 	}
 	return nil
-}
-
-// dispatchOptions renders the spec's dispatch tuning for worker sessions.
-func (s ConfigSpec) dispatchOptions() provider.DispatchOptions {
-	return provider.DispatchOptions{
-		BatchMax:    s.BatchMax,
-		BatchLinger: s.BatchLinger,
-		Codec:       s.DispatchCodec,
-	}
 }
 
 // BuildProvider materializes the spec's provider selection ("" = local).
@@ -327,7 +293,7 @@ func (s ConfigSpec) BuildProvider(name string) (provider.ExecutionProvider, erro
 		}
 		return provider.NewProcessProvider(provider.ProcessOptions{
 			Command:  cmd,
-			Dispatch: s.dispatchOptions(),
+			BatchMax: s.BatchMax,
 			WarmPool: s.WarmPool,
 		}), nil
 	case "sim":
@@ -356,7 +322,7 @@ func (s ConfigSpec) buildNetProvider() (provider.ExecutionProvider, error) {
 		Secret:   s.NetSecret,
 		CertFile: s.NetCertFile,
 		KeyFile:  s.NetKeyFile,
-		Dispatch: s.dispatchOptions(),
+		BatchMax: s.BatchMax,
 	}
 	var np *fabric.NetProvider // late-bound: Spawn only runs after Listen returns
 	if s.NetSpawn {

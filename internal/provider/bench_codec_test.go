@@ -5,12 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkCodecEncode compares the cost of encoding full dispatch batches
-// (defaultBatchMax tasks each) as legacy JSON frames versus the compact
-// binary task-batch frame — the encode half of the throughput gap the binary
-// codec exists to close. Each op encodes codecEncodeRounds batches so the
-// single-shot CI run (-benchtime=1x) measures real work rather than timer
-// noise.
+// BenchmarkCodecEncode measures the cost of encoding full dispatch batches
+// (defaultBatchMax tasks each) as binary task-batch frames. Each op encodes
+// codecEncodeRounds batches so the single-shot CI run (-benchtime=1x)
+// measures real work rather than timer noise.
 func BenchmarkCodecEncode(b *testing.B) {
 	const codecEncodeRounds = 100
 	specs := make([]*RemoteSpec, defaultBatchMax)
@@ -25,25 +23,6 @@ func BenchmarkCodecEncode(b *testing.B) {
 		}
 		specs[i] = spec
 	}
-
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for round := 0; round < codecEncodeRounds; round++ {
-				records := make([][]byte, 0, len(specs))
-				for id, spec := range specs {
-					rec, err := encodeFrame(workerRequest{ID: int64(id), Spec: spec})
-					if err != nil {
-						b.Fatal(err)
-					}
-					records = append(records, rec)
-				}
-				if frame := jsonBatchFrame(records); len(frame) == 0 {
-					b.Fatal("empty frame")
-				}
-			}
-		}
-	})
 
 	b.Run("binary", func(b *testing.B) {
 		b.ReportAllocs()

@@ -1,40 +1,17 @@
 package provider
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 )
 
-// This file is the protocol's dispatch plane: the optional capabilities a
-// version-2 hello may negotiate on top of the baseline JSON single-frame
-// session — batched task/result frames and a compact binary codec — plus the
-// frameBatcher both sides use to coalesce queued records into frames. The
-// normative description of everything here lives in docs/PROTOCOL.md, which
-// a conformance test (docs_test.go) keeps in sync with these constants.
-
-// Capability names a worker may offer in its hello and the engine may grant
-// back in the ack. A session only uses a capability both sides named; an
-// empty intersection is the baseline protocol (one JSON frame per task),
-// which is how mixed fleets of old and new workers coexist on one engine.
-const (
-	// capBatch: task and result frames may carry multiple records.
-	capBatch = "batch"
-	// capBinary: frames use the compact binary codec instead of JSON.
-	capBinary = "binary"
-)
-
-// Codec names accepted by DispatchOptions.Codec.
-const (
-	// CodecBinary selects the compact binary codec (the default when the
-	// worker offers it).
-	CodecBinary = "binary"
-	// CodecJSON forces the baseline JSON codec even for workers that offer
-	// binary — a debugging escape hatch and the mixed-fleet fallback.
-	CodecJSON = "json"
-)
+// This file is the protocol's dispatch plane: the binary codec every
+// post-handshake frame uses, and the frameBatcher both sides use to coalesce
+// queued records into batch frames. The normative description of everything
+// here lives in docs/PROTOCOL.md, which a conformance test (docs_test.go)
+// keeps in sync with these constants.
 
 // defaultBatchMax is how many task or result records one frame may carry
 // when the engine does not configure a limit.
@@ -63,93 +40,6 @@ const (
 	// time a session ships a given document, cached by the worker after.
 	binFlagDocInline byte = 1 << 1
 )
-
-// DispatchOptions tunes how an engine-side session acceptor uses the
-// capabilities workers offer: frame batching, codec choice, and the
-// batch size/linger caps. The zero value grants everything a worker
-// offers with the default batch cap and no linger.
-type DispatchOptions struct {
-	// BatchMax caps how many tasks one frame may carry (default 64).
-	BatchMax int
-	// BatchLinger, when positive, lets a partially filled batch wait this
-	// long for more tasks before the frame is sent. 0 sends greedily: a
-	// frame carries whatever queued while the previous frame was in flight.
-	BatchLinger time.Duration
-	// Codec selects the frame codec: "" or CodecBinary prefers binary when
-	// the worker offers it; CodecJSON forces the baseline JSON codec.
-	Codec string
-	// NoBatch disables frame batching even for workers that offer it.
-	NoBatch bool
-}
-
-// sessionCaps is the negotiated result of one hello/ack exchange.
-type sessionCaps struct {
-	batch    bool
-	binary   bool
-	batchMax int
-	linger   time.Duration
-}
-
-// negotiateCaps intersects what the worker offered with what the engine's
-// dispatch options allow. Never grants a capability the worker did not
-// offer.
-func negotiateCaps(offered []string, d DispatchOptions) sessionCaps {
-	c := sessionCaps{batchMax: d.BatchMax, linger: d.BatchLinger}
-	if c.batchMax <= 0 {
-		c.batchMax = defaultBatchMax
-	}
-	c.batch = hasCap(offered, capBatch) && !d.NoBatch
-	c.binary = hasCap(offered, capBinary) && d.Codec != CodecJSON
-	return c
-}
-
-// list renders the granted capabilities for the hello ack.
-func (c sessionCaps) list() []string {
-	var out []string
-	if c.batch {
-		out = append(out, capBatch)
-	}
-	if c.binary {
-		out = append(out, capBinary)
-	}
-	return out
-}
-
-func hasCap(caps []string, name string) bool {
-	for _, c := range caps {
-		if c == name {
-			return true
-		}
-	}
-	return false
-}
-
-// WorkerCaps is the capability list a worker of this build announces in its
-// hello, minus any the caller withholds. Withholding a capability is how a
-// legacy JSON-only worker is emulated in tests and how operators force the
-// baseline wire form for debugging.
-func WorkerCaps(noBatch, noBinary bool) []string {
-	var caps []string
-	if !noBatch {
-		caps = append(caps, capBatch)
-	}
-	if !noBinary {
-		caps = append(caps, capBinary)
-	}
-	return caps
-}
-
-// SessionOptionsFromAck derives the serve options a granted hello ack
-// implies: heartbeat interval plus the capabilities the engine granted.
-func SessionOptionsFromAck(ack HelloAck, drain <-chan struct{}) WorkerSessionOptions {
-	return WorkerSessionOptions{
-		Heartbeat: time.Duration(ack.HeartbeatMs) * time.Millisecond,
-		Drain:     drain,
-		Batch:     hasCap(ack.Caps, capBatch),
-		Binary:    hasCap(ack.Caps, capBinary),
-		BatchMax:  ack.BatchMax,
-	}
-}
 
 // --- binary codec: encoding ---
 
@@ -226,7 +116,9 @@ func binBeatFrame(busy int) []byte {
 // --- binary codec: decoding ---
 
 // binReader is a cursor over one binary frame body; the first decode error
-// sticks and every later read returns zero values.
+// sticks and every later read returns zero values. The decoders built on it
+// are strict — canonical varints, known flag bits, no trailing bytes — so
+// every frame they accept has exactly one encoding.
 type binReader struct {
 	b   []byte
 	off int
@@ -235,21 +127,33 @@ type binReader struct {
 
 func (r *binReader) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("binary frame truncated reading %s at offset %d", what, r.off)
+		r.err = fmt.Errorf("malformed binary frame reading %s at offset %d", what, r.off)
 	}
 }
 
+// uvarint reads one canonical uvarint. An overlong encoding (a zero final
+// byte past the first) decodes, but no encoder emits it, so it is refused.
 func (r *binReader) uvarint(what string) uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.b[r.off+n-1] == 0) {
 		r.fail(what)
 		return 0
 	}
 	r.off += n
 	return v
+}
+
+// count reads a record count; one too large for an int is malformed.
+func (r *binReader) count() int {
+	n := int(r.uvarint("record count"))
+	if n < 0 {
+		r.fail("record count")
+		return 0
+	}
+	return n
 }
 
 func (r *binReader) byte(what string) byte {
@@ -263,13 +167,14 @@ func (r *binReader) byte(what string) byte {
 }
 
 // lenBytes reads a length-prefixed byte string; the result aliases the
-// frame body.
+// frame body. The bound is checked against the bytes remaining, never as
+// r.off+n, which overflows for lengths near 2^63.
 func (r *binReader) lenBytes(what string) []byte {
 	n := int(r.uvarint(what))
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.b) {
+	if n < 0 || n > len(r.b)-r.off {
 		r.fail(what)
 		return nil
 	}
@@ -278,58 +183,49 @@ func (r *binReader) lenBytes(what string) []byte {
 	return v
 }
 
-func (r *binReader) done() bool { return r.err != nil || r.off >= len(r.b) }
+// end reports the first decode error, or an error if bytes remain unread.
+func (r *binReader) end() error {
+	if r.err == nil && r.off != len(r.b) {
+		r.err = fmt.Errorf("binary frame has %d trailing bytes", len(r.b)-r.off)
+	}
+	return r.err
+}
 
 // decodeRequests parses one engine → worker frame body into its requests.
-// body aliases the connection scratch buffer; the binary path copies it
-// first (task goroutines hold payload slices across frames), and the JSON
-// path relies on json.Unmarshal copying everything it keeps. docs is the
-// worker's per-session shared-document cache, owned by the read goroutine.
-func decodeRequests(body []byte, binaryCodec bool, docs map[string][]byte) ([]workerRequest, error) {
-	if !binaryCodec {
-		var req workerRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		if req.Kind != frameKindBatch {
-			return []workerRequest{req}, nil
-		}
-		reqs := make([]workerRequest, 0, len(req.Items))
-		for _, item := range req.Items {
-			var r workerRequest
-			if err := json.Unmarshal(item, &r); err != nil {
-				return nil, err
-			}
-			reqs = append(reqs, r)
-		}
-		return reqs, nil
-	}
+// body aliases the connection scratch buffer, so it is copied first (task
+// goroutines hold payload slices across frames). docs is the worker's
+// per-session shared-document cache, owned by the read goroutine.
+func decodeRequests(body []byte, docs map[string][]byte) ([]workerRequest, error) {
 	if len(body) == 0 {
 		return nil, fmt.Errorf("empty binary frame")
 	}
-	buf := append([]byte(nil), body...)
-	switch buf[0] {
+	r := &binReader{b: append([]byte(nil), body...), off: 1}
+	var reqs []workerRequest
+	switch body[0] {
 	case binKindDrain:
-		return []workerRequest{{Kind: frameKindDrain}}, nil
+		reqs = []workerRequest{{Kind: frameKindDrain}}
 	case binKindTaskBatch:
-		r := &binReader{b: buf, off: 1}
-		count := int(r.uvarint("record count"))
-		if r.err != nil {
-			return nil, r.err
-		}
-		reqs := make([]workerRequest, 0, min(count, 4096))
-		for i := 0; i < count; i++ {
+		count := r.count()
+		reqs = make([]workerRequest, 0, min(count, 4096))
+		for i := 0; i < count && r.err == nil; i++ {
 			id := r.uvarint("task id")
 			kind := string(r.lenBytes("task kind"))
 			flags := r.byte("task flags")
+			if flags&^(binFlagSharedDoc|binFlagDocInline) != 0 || flags == binFlagDocInline {
+				r.fail("task flags")
+			}
 			payload := r.lenBytes("task payload")
 			req := workerRequest{ID: int64(id), Spec: &RemoteSpec{Kind: kind, Payload: payload}}
 			if flags&binFlagSharedDoc != 0 {
 				hash := string(r.lenBytes("document hash"))
+				if hash == "" {
+					r.fail("document hash")
+				}
+				req.Spec.DocHash = hash
 				if flags&binFlagDocInline != 0 {
 					// The document outlives this frame in the session cache;
 					// detach it so the cache does not pin whole frames.
-					doc := append([]byte(nil), r.lenBytes("document")...)
+					doc := bytes.Clone(r.lenBytes("document"))
 					if r.err == nil {
 						docs[hash] = doc
 						req.Spec.Doc = doc
@@ -340,89 +236,63 @@ func decodeRequests(body []byte, binaryCodec bool, docs map[string][]byte) ([]wo
 					req.DocErr = fmt.Sprintf("shared document %s is not in the session cache", hash)
 				}
 			}
-			if r.err != nil {
-				return nil, r.err
-			}
 			reqs = append(reqs, req)
 		}
-		return reqs, nil
 	default:
-		return nil, fmt.Errorf("unknown binary frame kind 0x%02x", buf[0])
+		return nil, fmt.Errorf("unknown binary frame kind 0x%02x", body[0])
 	}
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	return reqs, nil
 }
 
 // decodeResponses parses one worker → engine frame body into its responses.
 // Copying discipline mirrors decodeRequests.
-func decodeResponses(body []byte, binaryCodec bool) ([]workerResponse, error) {
-	if !binaryCodec {
-		var resp workerResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
-			return nil, err
-		}
-		if resp.Kind != frameKindBatch {
-			return []workerResponse{resp}, nil
-		}
-		resps := make([]workerResponse, 0, len(resp.Items))
-		for _, item := range resp.Items {
-			var r workerResponse
-			if err := json.Unmarshal(item, &r); err != nil {
-				return nil, err
-			}
-			resps = append(resps, r)
-		}
-		return resps, nil
-	}
+func decodeResponses(body []byte) ([]workerResponse, error) {
 	if len(body) == 0 {
 		return nil, fmt.Errorf("empty binary frame")
 	}
-	buf := append([]byte(nil), body...)
-	switch buf[0] {
+	r := &binReader{b: append([]byte(nil), body...), off: 1}
+	var resps []workerResponse
+	switch body[0] {
 	case binKindBye:
-		return []workerResponse{{Kind: frameKindBye}}, nil
+		resps = []workerResponse{{Kind: frameKindBye}}
 	case binKindBeat:
-		r := &binReader{b: buf, off: 1}
-		busy := int(r.uvarint("busy count"))
-		if r.err != nil {
-			return nil, r.err
-		}
-		return []workerResponse{{Kind: frameKindBeat, Busy: busy}}, nil
+		resps = []workerResponse{{Kind: frameKindBeat, Busy: int(r.uvarint("busy count"))}}
 	case binKindRespBatch:
-		r := &binReader{b: buf, off: 1}
-		count := int(r.uvarint("record count"))
-		if r.err != nil {
-			return nil, r.err
-		}
-		resps := make([]workerResponse, 0, min(count, 4096))
-		for i := 0; i < count; i++ {
-			id := r.uvarint("response id")
+		count := r.count()
+		resps = make([]workerResponse, 0, min(count, 4096))
+		for i := 0; i < count && r.err == nil; i++ {
+			resp := workerResponse{ID: int64(r.uvarint("response id"))}
 			status := r.byte("response status")
 			bodyBytes := r.lenBytes("response body")
-			if r.err != nil {
-				return nil, r.err
-			}
-			resp := workerResponse{ID: int64(id)}
-			if status == 1 {
+			switch status {
+			case 1:
 				resp.OK = true
 				resp.Result = bodyBytes
-			} else {
+			case 0:
 				resp.Error = string(bodyBytes)
+			default:
+				r.fail("response status")
 			}
 			resps = append(resps, resp)
 		}
-		return resps, nil
 	default:
-		return nil, fmt.Errorf("unknown binary frame kind 0x%02x", buf[0])
+		return nil, fmt.Errorf("unknown binary frame kind 0x%02x", body[0])
 	}
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	return resps, nil
 }
 
 // --- frame batching ---
 
 // batcherConfig configures one frameBatcher.
 type batcherConfig struct {
-	binary bool
-	kind   byte // binary batch frame kind (task or response)
-	max    int
-	linger time.Duration
+	kind byte // batch frame kind (task or response)
+	max  int
 	// onDead, when set, runs once after a frame write fails; queued and
 	// future records are dropped (the session is over).
 	onDead func()
@@ -517,14 +387,14 @@ func (b *frameBatcher) run() {
 	}
 }
 
-// take dequeues up to max records whose combined size (plus base) stays
-// under the frame cap. A single over-budget record is still taken alone;
-// the per-record cap (maxRecordBytes) keeps it frameable.
-func (b *frameBatcher) take(max, base int) [][]byte {
+// take dequeues up to cfg.max records whose combined size stays under the
+// frame cap. A single over-budget record is still taken alone; the
+// per-record cap (maxRecordBytes) keeps it frameable.
+func (b *frameBatcher) take() [][]byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n, size := 0, base
-	for n < len(b.queue) && n < max {
+	n, size := 0, 0
+	for n < len(b.queue) && n < b.cfg.max {
 		size += len(b.queue[n]) + 2*binary.MaxVarintLen64
 		if n > 0 && size > maxRecordBytes {
 			break
@@ -540,26 +410,12 @@ func (b *frameBatcher) take(max, base int) [][]byte {
 // the writer must exit.
 func (b *frameBatcher) flush() bool {
 	for {
-		recs := b.take(b.cfg.max, 0)
+		recs := b.take()
 		if len(recs) == 0 {
 			return true
 		}
-		if b.cfg.linger > 0 && len(recs) < b.cfg.max {
-			size := 0
-			for _, r := range recs {
-				size += len(r)
-			}
-			time.Sleep(b.cfg.linger)
-			recs = append(recs, b.take(b.cfg.max-len(recs), size)...)
-		}
-		var frame []byte
-		if b.cfg.binary {
-			frame = binBatchFrame(b.cfg.kind, recs)
-		} else {
-			frame = jsonBatchFrame(recs)
-		}
-		observeBatch(len(recs), b.cfg.binary)
-		if err := b.fc.SendEncoded(frame); err != nil {
+		observeBatch(len(recs))
+		if err := b.fc.SendEncoded(binBatchFrame(b.cfg.kind, recs)); err != nil {
 			b.mu.Lock()
 			b.dead = true
 			b.queue = nil
@@ -571,22 +427,4 @@ func (b *frameBatcher) flush() bool {
 		}
 		metFramesSent.Inc()
 	}
-}
-
-// jsonBatchFrame assembles a JSON batch envelope by concatenating the
-// pre-encoded records: {"kind":"batch","items":[r1,r2,...]}.
-func jsonBatchFrame(records [][]byte) []byte {
-	size := len(`{"kind":"batch","items":[]}`) + len(records)
-	for _, r := range records {
-		size += len(r)
-	}
-	dst := make([]byte, 0, size)
-	dst = append(dst, `{"kind":"batch","items":[`...)
-	for i, r := range records {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, r...)
-	}
-	return append(dst, `]}`...)
 }

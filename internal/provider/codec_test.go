@@ -12,46 +12,10 @@ import (
 	"time"
 )
 
-func TestNegotiateCaps(t *testing.T) {
-	full := WorkerCaps(false, false)
-	cases := []struct {
-		name     string
-		offered  []string
-		opts     DispatchOptions
-		batch    bool
-		binary   bool
-		batchMax int
-	}{
-		{"full offer, default options", full, DispatchOptions{}, true, true, defaultBatchMax},
-		{"legacy worker offers nothing", nil, DispatchOptions{}, false, false, defaultBatchMax},
-		{"engine forces json", full, DispatchOptions{Codec: CodecJSON}, true, false, defaultBatchMax},
-		{"engine disables batching", full, DispatchOptions{NoBatch: true}, false, true, defaultBatchMax},
-		{"worker withholds binary", WorkerCaps(false, true), DispatchOptions{}, true, false, defaultBatchMax},
-		{"worker withholds batch", WorkerCaps(true, false), DispatchOptions{}, false, true, defaultBatchMax},
-		{"custom batch cap", full, DispatchOptions{BatchMax: 7}, true, true, 7},
-		// The engine must never grant what was not offered, whatever its
-		// own preferences say.
-		{"engine wants binary, worker cannot", []string{capBatch}, DispatchOptions{Codec: CodecBinary}, true, false, defaultBatchMax},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := negotiateCaps(tc.offered, tc.opts)
-			if c.batch != tc.batch || c.binary != tc.binary || c.batchMax != tc.batchMax {
-				t.Fatalf("negotiateCaps(%v, %+v) = %+v", tc.offered, tc.opts, c)
-			}
-			// The ack list round-trips through SessionOptionsFromAck.
-			so := SessionOptionsFromAck(HelloAck{Caps: c.list(), BatchMax: c.batchMax}, nil)
-			if so.Batch != tc.batch || so.Binary != tc.binary {
-				t.Fatalf("ack round trip lost caps: %+v", so)
-			}
-		})
-	}
-}
-
 func TestBinaryTaskRecordRoundTrip(t *testing.T) {
 	docs := map[string][]byte{}
 	rec := appendBinaryTask(nil, 42, KindEcho, []byte(`{"a":1}`), "", nil)
-	reqs, err := decodeRequests(binBatchFrame(binKindTaskBatch, [][]byte{rec}), true, docs)
+	reqs, err := decodeRequests(binBatchFrame(binKindTaskBatch, [][]byte{rec}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +36,7 @@ func TestBinarySharedDocCache(t *testing.T) {
 	// Third references a hash the session never transferred.
 	third := appendBinaryTask(nil, 3, KindCWLTool, slim, "missing", nil)
 
-	reqs, err := decodeRequests(binBatchFrame(binKindTaskBatch, [][]byte{first, second, third}), true, docs)
+	reqs, err := decodeRequests(binBatchFrame(binKindTaskBatch, [][]byte{first, second, third}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +55,7 @@ func TestBinarySharedDocCache(t *testing.T) {
 
 	// The cache survives across frames — the point of the amortization.
 	later := appendBinaryTask(nil, 4, KindCWLTool, slim, "h1", nil)
-	reqs, err = decodeRequests(binBatchFrame(binKindTaskBatch, [][]byte{later}), true, docs)
+	reqs, err = decodeRequests(binBatchFrame(binKindTaskBatch, [][]byte{later}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +71,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		appendBinaryResponse(nil, ok),
 		appendBinaryResponse(nil, bad),
 	})
-	resps, err := decodeResponses(frame, true)
+	resps, err := decodeResponses(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,64 +85,51 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		t.Fatalf("error response mangled: %+v", resps[1])
 	}
 
-	if resps, err = decodeResponses(binBeatFrame(5), true); err != nil || resps[0].Kind != frameKindBeat || resps[0].Busy != 5 {
+	if resps, err = decodeResponses(binBeatFrame(5)); err != nil || resps[0].Kind != frameKindBeat || resps[0].Busy != 5 {
 		t.Fatalf("beat frame: %+v, %v", resps, err)
 	}
-	if resps, err = decodeResponses([]byte{binKindBye}, true); err != nil || resps[0].Kind != frameKindBye {
+	if resps, err = decodeResponses([]byte{binKindBye}); err != nil || resps[0].Kind != frameKindBye {
 		t.Fatalf("bye frame: %+v, %v", resps, err)
 	}
 }
 
 func TestBinaryDecodeRejectsCorruptFrames(t *testing.T) {
+	// A length varint of 2^63-1 overflows a naive off+n bounds check; the
+	// record must be refused, not sliced.
+	const huge = 1<<63 - 1
+	hugeResp := appendUvarint([]byte{binKindRespBatch, 1, 0, 1}, huge)
+	hugeTask := appendUvarint([]byte{binKindTaskBatch, 1, 0}, huge)
 	for _, body := range [][]byte{
 		{},                       // empty
 		{0x7f},                   // unknown kind
 		{binKindTaskBatch},       // missing count
 		{binKindTaskBatch, 2},    // count without records
 		{binKindRespBatch, 1, 9}, // truncated record
+		append(hugeResp, "x"...), // response body length near 2^63
+		append(hugeTask, "x"...), // task kind length near 2^63
+		// Decodable but non-canonical: each has another, canonical encoding.
+		{binKindRespBatch, 0x80, 0x00},                      // overlong varint
+		{binKindBye, 0},                                     // trailing byte
+		{binKindRespBatch, 1, 0, 2, 0},                      // status neither 0 nor 1
+		{binKindTaskBatch, 1, 0, 0, 0x04, 0},                // unknown flag bit
+		{binKindTaskBatch, 1, 0, 0, binFlagDocInline, 0, 0}, // inline doc without a hash
+		{binKindTaskBatch, 1, 0, 0, binFlagSharedDoc, 0, 0}, // empty document hash
 	} {
 		// Every one of these is malformed for both directions (a task-batch
 		// kind is unknown to the response decoder and vice versa).
-		if _, err := decodeRequests(body, true, map[string][]byte{}); err == nil {
+		if _, err := decodeRequests(body, map[string][]byte{}); err == nil {
 			t.Errorf("decodeRequests(%v) accepted a corrupt frame", body)
 		}
-		if _, err := decodeResponses(body, true); err == nil {
+		if _, err := decodeResponses(body); err == nil {
 			t.Errorf("decodeResponses(%v) accepted a corrupt frame", body)
 		}
-	}
-}
-
-func TestJSONBatchEnvelopeRoundTrip(t *testing.T) {
-	r1, _ := json.Marshal(workerRequest{ID: 1, Spec: &RemoteSpec{Kind: KindEcho, Payload: json.RawMessage(`"a"`)}})
-	r2, _ := json.Marshal(workerRequest{ID: 2, Spec: &RemoteSpec{Kind: KindEcho, Payload: json.RawMessage(`"b"`)}})
-	reqs, err := decodeRequests(jsonBatchFrame([][]byte{r1, r2}), false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 2 || reqs[0].ID != 1 || reqs[1].ID != 2 || string(reqs[1].Spec.Payload) != `"b"` {
-		t.Fatalf("request envelope mangled: %+v", reqs)
-	}
-
-	p1, _ := json.Marshal(workerResponse{ID: 1, OK: true, Result: json.RawMessage(`"r"`)})
-	resps, err := decodeResponses(jsonBatchFrame([][]byte{p1}), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resps) != 1 || !resps[0].OK || string(resps[0].Result) != `"r"` {
-		t.Fatalf("response envelope mangled: %+v", resps)
-	}
-
-	// A plain (non-batch) frame still decodes as a single item.
-	single, err := decodeRequests(r1, false, nil)
-	if err != nil || len(single) != 1 || single[0].ID != 1 {
-		t.Fatalf("single frame: %+v, %v", single, err)
 	}
 }
 
 func TestFrameBatcherCoalesces(t *testing.T) {
 	var buf bytes.Buffer
 	fc := NewFrameConn(bytes.NewReader(nil), &buf, nil)
-	b := newFrameBatcher(fc, batcherConfig{binary: true, kind: binKindTaskBatch, max: 8})
+	b := newFrameBatcher(fc, batcherConfig{kind: binKindTaskBatch, max: 8})
 	const n = 20
 	for i := 0; i < n; i++ {
 		if !b.enqueue(appendBinaryTask(nil, int64(i), KindEcho, []byte(`1`), "", nil)) {
@@ -194,7 +145,7 @@ func TestFrameBatcherCoalesces(t *testing.T) {
 		if err != nil {
 			break
 		}
-		reqs, err := decodeRequests(body, true, map[string][]byte{})
+		reqs, err := decodeRequests(body, map[string][]byte{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +177,7 @@ func (w *errWriter) Write(p []byte) (int, error) {
 func TestFrameBatcherWriteFailureRunsOnDead(t *testing.T) {
 	died := make(chan struct{})
 	fc := NewFrameConn(bytes.NewReader(nil), &errWriter{}, nil)
-	b := newFrameBatcher(fc, batcherConfig{binary: true, kind: binKindTaskBatch, max: 8,
+	b := newFrameBatcher(fc, batcherConfig{kind: binKindTaskBatch, max: 8,
 		onDead: func() { close(died) }})
 	if !b.enqueue([]byte{0x01}) {
 		t.Fatal("first enqueue refused")
@@ -247,52 +198,17 @@ func TestFrameBatcherWriteFailureRunsOnDead(t *testing.T) {
 	}
 }
 
-func TestFrameBatcherLingerFillsFrames(t *testing.T) {
-	var buf bytes.Buffer
-	fc := NewFrameConn(bytes.NewReader(nil), &buf, nil)
-	b := newFrameBatcher(fc, batcherConfig{binary: true, kind: binKindTaskBatch, max: 64,
-		linger: 50 * time.Millisecond})
-	// Sequential enqueue: all 16 records land within one linger window even
-	// on a heavily loaded machine, so the frame-count bound below is safe.
-	for i := 0; i < 16; i++ {
-		b.enqueue(appendBinaryTask(nil, int64(i), KindEcho, []byte(`1`), "", nil))
-	}
-	b.close()
-
-	fr := NewFrameConn(&buf, io.Discard, nil)
-	frames := 0
-	for {
-		if _, err := fr.ReadRaw(); err != nil {
-			break
-		}
-		frames++
-	}
-	// 16 records arriving within one linger window should land in very few
-	// frames — allow slack for scheduling, but 16 singletons means the
-	// linger did nothing.
-	if frames > 4 {
-		t.Fatalf("linger did not coalesce: %d frames for 16 records", frames)
-	}
-}
-
 // TestSessionCodecMatrix drives a full engine↔worker session in-process over
-// pipes for every capability combination: same tasks, same results, every
-// wire form.
+// pipes for each batch cap: same tasks, same results, whatever the frames
+// carry.
 func TestSessionCodecMatrix(t *testing.T) {
 	cases := []struct {
 		name     string
-		worker   PipeWorkerOptions
-		dispatch DispatchOptions
-		codec    string
-		batching bool
+		batchMax int
 	}{
-		{"binary batched (default)", PipeWorkerOptions{}, DispatchOptions{}, CodecBinary, true},
-		{"json batched", PipeWorkerOptions{DisableBinary: true}, DispatchOptions{}, CodecJSON, true},
-		{"binary unbatched", PipeWorkerOptions{DisableBatch: true}, DispatchOptions{}, CodecBinary, false},
-		{"legacy json worker", PipeWorkerOptions{DisableBatch: true, DisableBinary: true}, DispatchOptions{}, CodecJSON, false},
-		{"engine forces json", PipeWorkerOptions{}, DispatchOptions{Codec: CodecJSON}, CodecJSON, true},
-		{"engine forces no batch", PipeWorkerOptions{}, DispatchOptions{NoBatch: true}, CodecBinary, false},
-		{"linger", PipeWorkerOptions{}, DispatchOptions{BatchLinger: 200 * time.Microsecond}, CodecBinary, true},
+		{"binary batched (default)", 0},
+		{"batch-max 1", 1},
+		{"batch-max 7", 7},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -301,19 +217,15 @@ func TestSessionCodecMatrix(t *testing.T) {
 			weR, weW := io.Pipe()
 			workerDone := make(chan error, 1)
 			go func() {
-				workerDone <- RunPipeWorkerOpts(ewR, weW, tc.worker)
+				workerDone <- RunPipeWorker(ewR, weW, nil)
 			}()
 
 			fc := NewFrameConn(weR, ewW, nil)
-			sess, _, err := AcceptWorkerSession(fc, AcceptOptions{Dispatch: tc.dispatch})
+			sess, _, err := AcceptWorkerSession(fc, AcceptOptions{BatchMax: tc.batchMax})
 			if err != nil {
 				t.Fatal(err)
 			}
 			go sess.ReadLoop()
-			if sess.Codec() != tc.codec || sess.Batching() != tc.batching {
-				t.Fatalf("negotiated codec=%s batching=%v, want %s/%v",
-					sess.Codec(), sess.Batching(), tc.codec, tc.batching)
-			}
 
 			var wg sync.WaitGroup
 			errs := make(chan error, 32)
@@ -384,12 +296,11 @@ func resultHasI(res any, i int) bool {
 func TestSessionSharedDocSentOncePerSession(t *testing.T) {
 	var buf bytes.Buffer
 	fc := NewFrameConn(bytes.NewReader(nil), &buf, nil)
-	sess := newManagerSession(fc, sessionCaps{binary: true, batchMax: defaultBatchMax})
+	sess := newManagerSession(fc, defaultBatchMax)
 
 	doc := []byte(`{"class":"CommandLineTool"}`)
 	mk := func() *RemoteSpec {
-		return &RemoteSpec{Kind: KindCWLTool, Payload: []byte(`{"full":true}`),
-			Slim: []byte(`{"tool":null}`), Doc: doc, DocHash: "h"}
+		return &RemoteSpec{Kind: KindCWLTool, Payload: []byte(`{"tool":null}`), Doc: doc, DocHash: "h"}
 	}
 	if err := sess.ship(1, mk()); err != nil {
 		t.Fatal(err)
@@ -397,6 +308,7 @@ func TestSessionSharedDocSentOncePerSession(t *testing.T) {
 	if err := sess.ship(2, mk()); err != nil {
 		t.Fatal(err)
 	}
+	sess.batcher.close() // flush both records before reading the wire
 
 	docs := map[string][]byte{}
 	fr := NewFrameConn(&buf, io.Discard, nil)
@@ -406,7 +318,7 @@ func TestSessionSharedDocSentOncePerSession(t *testing.T) {
 		if err != nil {
 			break
 		}
-		reqs, err := decodeRequests(body, true, docs)
+		reqs, err := decodeRequests(body, docs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,5 +334,106 @@ func TestSessionSharedDocSentOncePerSession(t *testing.T) {
 		if req.DocErr != "" || string(req.Spec.Doc) != string(doc) {
 			t.Fatalf("record %d did not resolve the shared doc: %+v", i, req)
 		}
+	}
+}
+
+// FuzzDecodeFrame feeds arbitrary frame bodies to both decoders. Neither may
+// panic, and any frame one accepts must re-encode to the same bytes — the
+// decoders are strict, so an accepted frame has exactly one encoding.
+func FuzzDecodeFrame(f *testing.F) {
+	slim := []byte(`{"tool":null}`)
+	doc := []byte(`{"class":"CommandLineTool"}`)
+	f.Add(binBatchFrame(binKindTaskBatch, [][]byte{appendBinaryTask(nil, 42, KindEcho, []byte(`{"a":1}`), "", nil)}))
+	f.Add(binBatchFrame(binKindTaskBatch, [][]byte{
+		appendBinaryTask(nil, 1, KindCWLTool, slim, "h1", doc),
+		appendBinaryTask(nil, 2, KindCWLTool, slim, "h1", nil),
+		appendBinaryTask(nil, 3, KindCWLTool, slim, "missing", nil),
+	}))
+	f.Add(binBatchFrame(binKindRespBatch, [][]byte{
+		appendBinaryResponse(nil, workerResponse{ID: 7, OK: true, Result: []byte(`{"x":2}`)}),
+		appendBinaryResponse(nil, workerResponse{ID: 8, Error: "boom"}),
+	}))
+	f.Add(binBeatFrame(5))
+	f.Add([]byte{binKindBye})
+	f.Add([]byte{binKindDrain})
+	f.Add(append(appendUvarint([]byte{binKindRespBatch, 1, 0, 1}, 1<<63-1), 'x'))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if reqs, err := decodeRequests(body, map[string][]byte{}); err == nil {
+			if got := reencodeRequests(body, reqs); !bytes.Equal(got, body) {
+				t.Fatalf("request frame %x re-encodes as %x", body, got)
+			}
+		}
+		if resps, err := decodeResponses(body); err == nil {
+			if got := reencodeResponses(resps); !bytes.Equal(got, body) {
+				t.Fatalf("response frame %x re-encodes as %x", body, got)
+			}
+		}
+	})
+}
+
+// reencodeRequests renders decoded requests back into a frame body. A shared
+// document resolved from the session cache and one that travelled inline
+// decode alike, so each such record takes the inline form only where that is
+// what the original bytes hold.
+func reencodeRequests(orig []byte, reqs []workerRequest) []byte {
+	if len(reqs) == 1 && reqs[0].Kind == frameKindDrain {
+		return []byte{binKindDrain}
+	}
+	out := appendUvarint([]byte{binKindTaskBatch}, uint64(len(reqs)))
+	for _, req := range reqs {
+		s := req.Spec
+		rec := appendBinaryTask(nil, req.ID, s.Kind, s.Payload, s.DocHash, nil)
+		if s.DocHash != "" && s.Doc != nil {
+			inline := appendBinaryTask(nil, req.ID, s.Kind, s.Payload, s.DocHash, s.Doc)
+			if bytes.HasPrefix(orig[len(out):], inline) {
+				rec = inline
+			}
+		}
+		out = append(out, rec...)
+	}
+	return out
+}
+
+// reencodeResponses renders decoded responses back into a frame body.
+func reencodeResponses(resps []workerResponse) []byte {
+	switch {
+	case len(resps) == 1 && resps[0].Kind == frameKindBye:
+		return []byte{binKindBye}
+	case len(resps) == 1 && resps[0].Kind == frameKindBeat:
+		return binBeatFrame(resps[0].Busy)
+	}
+	out := appendUvarint([]byte{binKindRespBatch}, uint64(len(resps)))
+	for _, resp := range resps {
+		out = appendBinaryResponse(out, resp)
+	}
+	return out
+}
+
+// TestAcceptRefusesOldProtocolVersion: a version-2 worker, which expects JSON
+// task frames, is refused at hello — a negative ack and ErrHelloRejected —
+// rather than failing later on binary frames it cannot decode.
+func TestAcceptRefusesOldProtocolVersion(t *testing.T) {
+	ewR, ewW := io.Pipe()
+	weR, weW := io.Pipe()
+	accepted := make(chan error, 1)
+	go func() {
+		_, _, err := AcceptWorkerSession(NewFrameConn(weR, ewW, nil), AcceptOptions{})
+		accepted <- err
+	}()
+
+	worker := NewFrameConn(ewR, weW, nil)
+	if err := worker.SendEncoded([]byte(`{"proto":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	var ack HelloAck
+	if err := worker.readHandshake(&ack); err != nil {
+		t.Fatal(err)
+	}
+	if ack.OK || ack.Proto != ProtoVersion || ack.Error == "" {
+		t.Fatalf("ack = %+v, want a version-%d rejection", ack, ProtoVersion)
+	}
+	if err := <-accepted; !errors.Is(err, ErrHelloRejected) {
+		t.Fatalf("AcceptWorkerSession error = %v, want ErrHelloRejected", err)
 	}
 }

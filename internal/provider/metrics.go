@@ -30,10 +30,9 @@ var (
 		"pcwl_provider_remote_roundtrip_seconds",
 		"Round-trip time of one task over the worker session protocol (send to response).",
 		nil)
-	metBatchFrames = obs.Default().CounterVec(
+	metBatchFrames = obs.Default().Counter(
 		"pcwl_provider_batch_frames_total",
-		"Batch frames written to worker sessions, by codec.",
-		"codec")
+		"Batch frames written to worker sessions (task and result batches).")
 	metBatchTasks = obs.Default().Histogram(
 		"pcwl_provider_batch_tasks",
 		"Records carried per batch frame (task and result batches).",
@@ -58,14 +57,10 @@ func observeRoundtrip(start time.Time) {
 	metRemoteRoundtrip.Observe(time.Since(start).Seconds())
 }
 
-// observeBatch records one batch frame: its record count and codec.
-func observeBatch(records int, binaryCodec bool) {
+// observeBatch records one batch frame and its record count.
+func observeBatch(records int) {
 	metBatchTasks.Observe(float64(records))
-	if binaryCodec {
-		metBatchFrames.With(CodecBinary).Inc()
-	} else {
-		metBatchFrames.With(CodecJSON).Inc()
-	}
+	metBatchFrames.Inc()
 }
 
 // RecordWarmHit counts a block launch satisfied from a warm worker pool.

@@ -26,8 +26,9 @@ type ProcessOptions struct {
 	// Stderr receives the workers' stderr ("" inherits the engine's stderr;
 	// useful diagnostics either way since the protocol owns stdout).
 	Stderr io.Writer
-	// Dispatch tunes frame batching and codec for worker sessions.
-	Dispatch DispatchOptions
+	// BatchMax caps the tasks per dispatch frame on worker sessions (0 = the
+	// protocol default, 64).
+	BatchMax int
 	// WarmPool, when positive, keeps this many spare workers pre-forked and
 	// handshaken; Launch adopts a spare instead of paying exec+hello
 	// latency, and the pool refills asynchronously.
@@ -165,7 +166,7 @@ func (p *ProcessProvider) spawnWorker(block int) (*processHandle, error) {
 	}
 	helloCh := make(chan acceptResult, 1)
 	go func() {
-		sess, hello, err := AcceptWorkerSession(fc, AcceptOptions{Dispatch: p.opts.Dispatch})
+		sess, hello, err := AcceptWorkerSession(fc, AcceptOptions{BatchMax: p.opts.BatchMax})
 		helloCh <- acceptResult{sess, hello, err}
 	}()
 	select {
@@ -378,7 +379,7 @@ func (h *processHandle) status() BlockStatus {
 	case !h.Alive():
 		return BlockStatus{State: BlockDead, Detail: fmt.Sprintf("pid %d exited", h.pid.Load())}
 	default:
-		return BlockStatus{State: BlockRunning, Detail: fmt.Sprintf("pid %d, codec %s", h.pid.Load(), h.sess.Codec())}
+		return BlockStatus{State: BlockRunning, Detail: fmt.Sprintf("pid %d", h.pid.Load())}
 	}
 }
 

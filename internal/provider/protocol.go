@@ -15,21 +15,18 @@ import (
 )
 
 // The worker protocol is a transport-agnostic session layer: each side writes
-// frames of a 4-byte big-endian length followed by that many bytes of JSON.
-// A session opens with a handshake — the worker writes one hello frame
+// frames of a 4-byte big-endian length followed by that many body bytes.
+// A session opens with a JSON handshake — the worker writes one hello frame
 // (protocol version, identity, capacity, shared secret) and the engine
 // answers with an ack accepting or rejecting it — and then carries task
-// traffic: the engine writes run requests, the worker writes one response per
-// request in completion order (requests execute concurrently; responses are
-// matched by id). Sessions with a negotiated heartbeat interval additionally
-// carry worker → engine heartbeat frames, and either side can end the session
-// gracefully: the engine with a drain frame (or by closing its write side),
-// the worker by finishing its in-flight tasks and sending a bye frame.
-//
-// The hello/ack exchange also negotiates optional capabilities (codec.go):
-// batched task/result frames and a compact binary codec. A session uses only
-// what both sides named, so old JSON-only workers and new binary workers
-// coexist on one engine. docs/PROTOCOL.md is the normative spec.
+// traffic in the binary codec (codec.go): the engine writes batches of run
+// requests, the worker writes batches of responses in completion order
+// (requests execute concurrently; responses are matched by id). Sessions with
+// a heartbeat interval additionally carry worker → engine heartbeat frames,
+// and either side can end the session gracefully: the engine with a drain
+// frame (or by closing its write side), the worker by finishing its
+// in-flight tasks and sending a bye frame. docs/PROTOCOL.md is the
+// normative spec.
 //
 // The same session runs over any byte stream. ProcessProvider speaks it over
 // a worker subprocess's stdin/stdout pipes; the network fabric
@@ -38,8 +35,9 @@ import (
 // ProtoVersion is the worker protocol version; the engine refuses workers
 // that announce a different one. Version 2 added the session layer: hello
 // acknowledgement, worker identity/capacity/secret in the hello, and
-// heartbeat/drain/bye frames.
-const ProtoVersion = 2
+// heartbeat/drain/bye frames. Version 3 made the batched binary codec the
+// only post-handshake wire form.
+const ProtoVersion = 3
 
 // maxFrameBytes bounds one frame so a corrupt length prefix cannot make
 // either side allocate unbounded memory.
@@ -74,11 +72,6 @@ type Hello struct {
 	// Secret authenticates the worker to the engine. Verified before any
 	// task frame is exchanged.
 	Secret string `json:"secret,omitempty"`
-	// Caps lists the optional protocol capabilities this worker supports
-	// (batched frames, binary codec). The engine grants a subset in its ack;
-	// an absent list is the baseline protocol, which is how workers built
-	// before the capability exchange keep working unchanged.
-	Caps []string `json:"caps,omitempty"`
 }
 
 // HelloAck is the engine's answer to a hello: acceptance or rejection, and
@@ -90,104 +83,42 @@ type HelloAck struct {
 	// HeartbeatMs asks the worker to send a heartbeat frame this often
 	// (0 = no heartbeats, the pipe transport's mode).
 	HeartbeatMs int `json:"heartbeatMs,omitempty"`
-	// Caps is the subset of the hello's capabilities the engine granted;
-	// the whole session after this ack speaks the granted form.
-	Caps []string `json:"caps,omitempty"`
-	// BatchMax caps the records per batch frame when the batch capability
-	// is granted (0 = the protocol default).
+	// BatchMax caps the records per batch frame in both directions (0 = the
+	// protocol default).
 	BatchMax int `json:"batchMax,omitempty"`
 }
 
-// Engine → worker frame kinds.
+// Decoded frame kinds. They never cross the wire (the binary codec tags
+// frames with binKind* bytes); the decoders use them to tell task traffic
+// from session control.
 const (
-	frameKindTask  = ""      // run request (the default, version-1 shape)
-	frameKindDrain = "drain" // finish in-flight tasks, send bye, end session
+	frameKindDrain = "drain" // engine → worker: finish in-flight tasks, send bye, end session
+	frameKindResp  = ""      // worker → engine: task response
+	frameKindBeat  = "hb"    // worker → engine: liveness heartbeat
+	frameKindBye   = "bye"   // worker → engine: graceful deregistration, in-flight work is done
 )
 
-// Worker → engine frame kinds.
-const (
-	frameKindResp = ""    // task response (the default, version-1 shape)
-	frameKindBeat = "hb"  // liveness heartbeat
-	frameKindBye  = "bye" // graceful deregistration: in-flight work is done
-)
-
-// frameKindBatch is a frame carrying multiple task or response frames in its
-// items array. Either direction; only sent on sessions that negotiated the
-// batch capability.
-const frameKindBatch = "batch"
-
-// workerRequest is one engine → worker frame: a run request (Kind "") or a
-// session-control frame.
+// workerRequest is one decoded engine → worker record: a run request (empty
+// Kind) or a drain request.
 type workerRequest struct {
-	Kind string      `json:"kind,omitempty"`
-	ID   int64       `json:"id,omitempty"`
-	Spec *RemoteSpec `json:"spec,omitempty"`
-	// Items carries the batched requests of a frameKindBatch frame.
-	Items []json.RawMessage `json:"items,omitempty"`
-	// DocErr is set by the binary decoder when a task referenced a shared
-	// document the session never transferred: the task must fail without
-	// executing. Never serialized.
-	DocErr string `json:"-"`
+	Kind string
+	ID   int64
+	Spec *RemoteSpec
+	// DocErr is set by the decoder when a task referenced a shared document
+	// the session never transferred: the task must fail without executing.
+	DocErr string
 }
 
-// workerResponse is one worker → engine frame: a task result (Kind "") or a
-// session-control frame (heartbeat, bye).
+// workerResponse is one decoded worker → engine record: a task result (Kind
+// frameKindResp) or a session-control frame (heartbeat, bye).
 type workerResponse struct {
-	Kind   string          `json:"kind,omitempty"`
-	ID     int64           `json:"id,omitempty"`
-	OK     bool            `json:"ok,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
+	Kind   string
+	ID     int64
+	OK     bool
+	Result json.RawMessage
+	Error  string
 	// Busy is the worker's in-flight task count, carried on heartbeats.
-	Busy int `json:"busy,omitempty"`
-	// Items carries the batched responses of a frameKindBatch frame.
-	Items []json.RawMessage `json:"items,omitempty"`
-}
-
-// writeFrame writes one length-prefixed JSON frame.
-func writeFrame(w io.Writer, v any) error {
-	body, err := encodeFrame(v)
-	if err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
-}
-
-// readFrame reads one length-prefixed JSON frame into v.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameBytes {
-		return fmt.Errorf("frame of %d bytes exceeds the %d byte protocol limit", n, maxFrameBytes)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
-}
-
-// encodeFrame renders a frame body, enforcing the size cap. Encoding errors
-// are local to the value being sent — they say nothing about the health of
-// the stream.
-func encodeFrame(v any) ([]byte, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	if len(body) > maxFrameBytes {
-		return nil, fmt.Errorf("frame of %d bytes exceeds the %d byte protocol limit", len(body), maxFrameBytes)
-	}
-	return body, nil
+	Busy int
 }
 
 // FrameConn frames one bidirectional byte stream: reads are single-consumer
@@ -205,21 +136,18 @@ type FrameConn struct {
 
 // NewFrameConn builds a FrameConn over a read and a write stream. closer,
 // when non-nil, is what Close closes (for a net.Conn, the conn itself).
-// At most one goroutine may call Read concurrently; Send is safe for
-// concurrent use.
+// At most one goroutine may call ReadRaw concurrently; Send and SendEncoded
+// are safe for concurrent use.
 func NewFrameConn(r io.Reader, w io.Writer, closer io.Closer) *FrameConn {
 	return &FrameConn{r: bufio.NewReader(r), w: bufio.NewWriter(w), closer: closer}
 }
 
-// Read reads one frame into v.
-func (fc *FrameConn) Read(v any) error { return fc.readMax(v, maxFrameBytes) }
-
-// readMax reads one frame of at most max bytes into v. The body is decoded
-// from the connection's scratch buffer; json.Unmarshal copies everything it
-// keeps (including json.RawMessage fields), so reusing the buffer across
-// frames is safe.
-func (fc *FrameConn) readMax(v any, max int) error {
-	body, err := fc.readRawMax(max)
+// readHandshake reads one JSON handshake frame (hello or ack) into v, under
+// the pre-authentication size cap. The body is decoded from the connection's
+// scratch buffer; json.Unmarshal copies everything it keeps, so reusing the
+// buffer across frames is safe.
+func (fc *FrameConn) readHandshake(v any) error {
+	body, err := fc.readRawMax(maxHelloBytes)
 	if err != nil {
 		return err
 	}
@@ -250,9 +178,9 @@ func (fc *FrameConn) readRawMax(max int) ([]byte, error) {
 	return body, nil
 }
 
-// Send writes one frame.
+// Send writes one JSON handshake frame.
 func (fc *FrameConn) Send(v any) error {
-	body, err := encodeFrame(v)
+	body, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
@@ -283,10 +211,10 @@ func (fc *FrameConn) Close() error {
 	return nil
 }
 
-// VerifyHello is the single place protocol negotiation happens: version
-// check, then constant-time shared-secret comparison. An empty engine secret
-// disables authentication (the pipe transport, where the kernel already
-// guarantees who is on the other end).
+// VerifyHello is the single place a hello is judged: version check, then
+// constant-time shared-secret comparison. An empty engine secret disables
+// authentication (the pipe transport, where the kernel already guarantees
+// who is on the other end).
 func VerifyHello(h Hello, secret string) error {
 	if h.Proto != ProtoVersion {
 		return fmt.Errorf("%w: worker speaks protocol %d, engine wants %d", ErrHelloRejected, h.Proto, ProtoVersion)
@@ -306,7 +234,7 @@ func DialWorkerSession(fc *FrameConn, hello Hello) (HelloAck, error) {
 		return HelloAck{}, fmt.Errorf("worker hello: %w", err)
 	}
 	var ack HelloAck
-	if err := fc.readMax(&ack, maxHelloBytes); err != nil {
+	if err := fc.readHandshake(&ack); err != nil {
 		return HelloAck{}, fmt.Errorf("reading hello ack: %w", err)
 	}
 	if !ack.OK {
@@ -331,13 +259,18 @@ type WorkerSessionOptions struct {
 	// accepting requests, finish in-flight tasks, send final responses and a
 	// bye frame, return nil. Used for SIGTERM/SIGINT shutdown.
 	Drain <-chan struct{}
-	// Batch/Binary mirror the capabilities the engine granted in its hello
-	// ack (use SessionOptionsFromAck); the session's frames follow them.
-	Batch  bool
-	Binary bool
-	// BatchMax caps records per result frame when Batch is set (0 = the
-	// protocol default).
+	// BatchMax caps records per result frame (0 = the protocol default).
 	BatchMax int
+}
+
+// SessionOptionsFromAck derives the serve options a granted hello ack
+// implies: the heartbeat interval and the batch cap the engine announced.
+func SessionOptionsFromAck(ack HelloAck, drain <-chan struct{}) WorkerSessionOptions {
+	return WorkerSessionOptions{
+		Heartbeat: time.Duration(ack.HeartbeatMs) * time.Millisecond,
+		Drain:     drain,
+		BatchMax:  ack.BatchMax,
+	}
 }
 
 // ServeWorkerSession runs the worker side of an established session: execute
@@ -357,9 +290,9 @@ func ServeWorkerSession(fc *FrameConn, opts WorkerSessionOptions) error {
 	frames := make(chan workerRequest)
 	readErr := make(chan error, 1)
 	go func() {
-		// docs is the session's shared-document cache (binary codec): the
-		// engine ships each tool document once, later tasks reference it by
-		// hash. Owned by this goroutine — decodeRequests is its only writer.
+		// docs is the session's shared-document cache: the engine ships each
+		// tool document once, later tasks reference it by hash. Owned by this
+		// goroutine — decodeRequests is its only writer.
 		docs := map[string][]byte{}
 		for {
 			body, err := fc.ReadRaw()
@@ -367,7 +300,7 @@ func ServeWorkerSession(fc *FrameConn, opts WorkerSessionOptions) error {
 				readErr <- err
 				return
 			}
-			reqs, err := decodeRequests(body, opts.Binary, docs)
+			reqs, err := decodeRequests(body, docs)
 			if err != nil {
 				readErr <- fmt.Errorf("decoding engine frame: %w", err)
 				return
@@ -382,30 +315,11 @@ func ServeWorkerSession(fc *FrameConn, opts WorkerSessionOptions) error {
 		}
 	}()
 
-	// respond ships one response in the session's negotiated form: through
-	// the result batcher when batching is on, as a single frame otherwise.
-	// A write failure means the engine is gone; the session is about to end
-	// anyway, so the error is unreportable by design.
-	var respBatcher *frameBatcher
-	if opts.Batch {
-		respBatcher = newFrameBatcher(fc, batcherConfig{
-			binary: opts.Binary,
-			kind:   binKindRespBatch,
-			max:    opts.BatchMax,
-		})
-		defer respBatcher.kill()
-	}
-	respond := func(resp workerResponse) {
-		if respBatcher != nil {
-			_ = respBatcher.enqueue(encodeResponseRecord(resp, opts.Binary))
-			return
-		}
-		if opts.Binary {
-			_ = fc.SendEncoded(binBatchFrame(binKindRespBatch, [][]byte{appendBinaryResponse(nil, resp)}))
-			return
-		}
-		_ = fc.Send(resp)
-	}
+	// Responses ship through the result batcher. A write failure means the
+	// engine is gone; the session is about to end anyway, so the error is
+	// unreportable by design.
+	respBatcher := newFrameBatcher(fc, batcherConfig{kind: binKindRespBatch, max: opts.BatchMax})
+	defer respBatcher.kill()
 
 	stopBeats := make(chan struct{})
 	defer close(stopBeats)
@@ -421,12 +335,7 @@ func ServeWorkerSession(fc *FrameConn, opts WorkerSessionOptions) error {
 					// A failed heartbeat write means the engine is gone; the
 					// read side will observe the same failure and end the
 					// session.
-					busy := int(inflight.Load())
-					if opts.Binary {
-						_ = fc.SendEncoded(binBeatFrame(busy))
-					} else {
-						_ = fc.Send(workerResponse{Kind: frameKindBeat, Busy: busy})
-					}
+					_ = fc.SendEncoded(binBeatFrame(int(inflight.Load())))
 				}
 			}
 		}()
@@ -434,16 +343,10 @@ func ServeWorkerSession(fc *FrameConn, opts WorkerSessionOptions) error {
 
 	drain := func() error {
 		wg.Wait()
-		if respBatcher != nil {
-			respBatcher.close() // flush the final result batch
-		}
+		respBatcher.close() // flush the final result batch
 		// Best-effort goodbye: the engine may already be gone, and the
 		// session is over either way.
-		if opts.Binary {
-			_ = fc.SendEncoded([]byte{binKindBye})
-		} else {
-			_ = fc.Send(workerResponse{Kind: frameKindBye})
-		}
+		_ = fc.SendEncoded([]byte{binKindBye})
 		return nil
 	}
 
@@ -467,41 +370,29 @@ func ServeWorkerSession(fc *FrameConn, opts WorkerSessionOptions) error {
 				defer wg.Done()
 				defer inflight.Add(-1)
 				resp := workerResponse{ID: req.ID}
-				switch {
-				case req.DocErr != "":
+				if req.DocErr != "" {
 					resp.Error = req.DocErr
-				case req.Spec == nil:
-					resp.Error = "request carries no task spec"
-				default:
-					res, err := executeGuarded(req.Spec)
-					if err != nil {
-						resp.Error = err.Error()
-					} else {
-						resp.OK = true
-						resp.Result = res
-					}
+				} else if res, err := executeGuarded(req.Spec); err != nil {
+					resp.Error = err.Error()
+				} else {
+					resp.OK = true
+					resp.Result = res
 				}
-				respond(resp)
+				_ = respBatcher.enqueue(encodeResponseRecord(resp))
 			}(req)
 		}
 	}
 }
 
-// encodeResponseRecord renders one response in the session's codec: a
-// standalone JSON object (also a valid batch item) or a binary record.
-// Responses over the frame cap are replaced with a task error — the frame
-// layer would refuse them anyway, and the engine must not lose the id.
-func encodeResponseRecord(resp workerResponse, binaryCodec bool) []byte {
-	var rec []byte
-	if binaryCodec {
-		rec = appendBinaryResponse(nil, resp)
-	} else {
-		rec, _ = json.Marshal(resp) // field types make encode errors impossible
-	}
+// encodeResponseRecord renders one binary response record. Responses over
+// the frame cap are replaced with a task error — the frame layer would
+// refuse them anyway, and the engine must not lose the id.
+func encodeResponseRecord(resp workerResponse) []byte {
+	rec := appendBinaryResponse(nil, resp)
 	if len(rec) > maxRecordBytes {
 		over := workerResponse{ID: resp.ID,
 			Error: fmt.Sprintf("task result of %d bytes exceeds the %d byte frame limit", len(rec), maxFrameBytes)}
-		return encodeResponseRecord(over, binaryCodec)
+		return appendBinaryResponse(nil, over)
 	}
 	return rec
 }
@@ -512,37 +403,16 @@ func RunWorker(r io.Reader, w io.Writer) error {
 	return RunPipeWorker(r, w, nil)
 }
 
-// RunPipeWorker runs a pipe-transport worker session with an optional drain
-// trigger (closed on SIGTERM/SIGINT by the worker binary).
+// RunPipeWorker runs a pipe-transport worker session — handshake on the
+// given streams, then serve — with an optional drain trigger (closed on
+// SIGTERM/SIGINT by the worker binary).
 func RunPipeWorker(r io.Reader, w io.Writer, drain <-chan struct{}) error {
-	return RunPipeWorkerOpts(r, w, PipeWorkerOptions{Drain: drain})
-}
-
-// PipeWorkerOptions configures RunPipeWorkerOpts.
-type PipeWorkerOptions struct {
-	// Drain, when non-nil, triggers a graceful drain when closed (see
-	// WorkerSessionOptions.Drain).
-	Drain <-chan struct{}
-	// DisableBatch/DisableBinary withhold the corresponding capability from
-	// the hello, forcing the baseline wire form — how a legacy worker is
-	// emulated in tests and how operators debug codec issues.
-	DisableBatch  bool
-	DisableBinary bool
-}
-
-// RunPipeWorkerOpts runs a pipe-transport worker session: handshake on the
-// given streams, announce capabilities, serve in whatever form the engine
-// granted.
-func RunPipeWorkerOpts(r io.Reader, w io.Writer, o PipeWorkerOptions) error {
 	fc := NewFrameConn(r, w, nil)
-	ack, err := DialWorkerSession(fc, Hello{
-		PID:  os.Getpid(),
-		Caps: WorkerCaps(o.DisableBatch, o.DisableBinary),
-	})
+	ack, err := DialWorkerSession(fc, Hello{PID: os.Getpid()})
 	if err != nil {
 		return err
 	}
-	return ServeWorkerSession(fc, SessionOptionsFromAck(ack, o.Drain))
+	return ServeWorkerSession(fc, SessionOptionsFromAck(ack, drain))
 }
 
 // executeGuarded runs one remote task converting panics to errors, so a bad

@@ -10,7 +10,7 @@
 //   - LocalProvider: in-process goroutine managers (the single-machine and
 //     in-allocation deployments). A task runs as a plain function call.
 //   - ProcessProvider: each block is a real OS subprocess running the
-//     parsl-cwl-worker binary, speaking a length-prefixed JSON protocol over
+//     parsl-cwl-worker binary, speaking a length-prefixed binary protocol over
 //     stdin/stdout pipes. A worker segfault, OOM kill, or SIGKILL surfaces as
 //     ErrWorkerLost instead of taking the engine down.
 //   - SimProvider: blocks are pilot jobs submitted to the simulated Slurm

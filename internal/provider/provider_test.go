@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"syscall"
@@ -46,24 +47,24 @@ func selfWorker(t *testing.T) ProcessOptions {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := workerRequest{ID: 42, Spec: &RemoteSpec{Kind: KindEcho, Payload: json.RawMessage(`{"a":1}`)}}
-	if err := writeFrame(&buf, in); err != nil {
+	fc := NewFrameConn(&buf, &buf, nil)
+	body := []byte{binKindBeat, 7}
+	if err := fc.SendEncoded(body); err != nil {
 		t.Fatal(err)
 	}
-	var out workerRequest
-	if err := readFrame(&buf, &out); err != nil {
+	got, err := fc.ReadRaw()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ID != 42 || out.Spec.Kind != KindEcho || string(out.Spec.Payload) != `{"a":1}` {
-		t.Fatalf("round trip mangled the frame: %+v", out)
+	if !bytes.Equal(got, body) {
+		t.Fatalf("round trip mangled the frame: %v", got)
 	}
 }
 
 func TestFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	var v any
-	if err := readFrame(&buf, &v); err == nil {
+	if _, err := NewFrameConn(&buf, io.Discard, nil).ReadRaw(); err == nil {
 		t.Fatal("oversized frame length accepted")
 	}
 }

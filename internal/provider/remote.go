@@ -15,21 +15,18 @@ import (
 // RemoteSpec is the serializable description of a task, the payload of the
 // worker protocol's run request. Kind selects the interpreter.
 type RemoteSpec struct {
-	Kind    string          `json:"kind"`
-	Payload json.RawMessage `json:"payload,omitempty"`
+	Kind    string
+	Payload json.RawMessage
 
-	// The fields below support the binary codec's shared-document
-	// amortization and never cross the wire as JSON: Payload stays fully
-	// self-contained for baseline sessions.
-	//
-	// Doc is the tool document; DocHash its content hash; Slim the payload
-	// with the document elided. A binary session ships Slim plus the hash,
-	// transferring Doc only the first time the session sees that hash —
+	// Doc and DocHash support shared-document amortization. When DocHash is
+	// set, Payload is slim (its tool document elided), Doc is the document
+	// and DocHash its content hash. A session ships the slim payload plus
+	// the hash, transferring Doc only the first time it sees that hash —
 	// scatter siblings sharing one tool serialize its document once. On the
-	// worker, Doc is the document resolved from the session cache.
-	Doc     json.RawMessage `json:"-"`
-	DocHash string          `json:"-"`
-	Slim    json.RawMessage `json:"-"`
+	// worker, Doc is the document resolved from the session cache, and
+	// ExecuteRemote splices it back into the slim payload.
+	Doc     json.RawMessage
+	DocHash string
 }
 
 // Remote task kinds understood by ExecuteRemote (and so by the
@@ -73,8 +70,8 @@ type CWLToolPayload struct {
 	Stderr string `json:"stderr,omitempty"`
 	// WalltimeMs bounds the tool's process execution (CWL ToolTimeLimit):
 	// past it the worker kills the tool's process group and fails the task.
-	// It rides inside the payload — not on RemoteSpec — because both codecs
-	// ship the payload opaquely.
+	// It rides inside the payload — not on RemoteSpec — because the codec
+	// ships the payload opaquely.
 	WalltimeMs int `json:"walltimeMs,omitempty"`
 }
 
@@ -107,13 +104,12 @@ func NewCWLToolSpec(p CWLToolPayload) (*RemoteSpec, error) {
 }
 
 // NewSharedDocToolSpec packages one tool invocation whose document can be
-// amortized across a session. Payload is the full self-contained form (what
-// baseline JSON sessions send); Slim elides the document, which binary
-// sessions transfer once per DocHash and reference by hash after.
+// amortized across a session: Payload elides the document, which sessions
+// transfer once per DocHash and reference by hash after. Without a hash or a
+// document it is NewCWLToolSpec.
 func NewSharedDocToolSpec(p CWLToolPayload, docHash string) (*RemoteSpec, error) {
-	full, err := json.Marshal(p)
-	if err != nil {
-		return nil, err
+	if docHash == "" || len(p.Tool) == 0 {
+		return NewCWLToolSpec(p)
 	}
 	doc := p.Tool
 	p.Tool = nil
@@ -121,7 +117,7 @@ func NewSharedDocToolSpec(p CWLToolPayload, docHash string) (*RemoteSpec, error)
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteSpec{Kind: KindCWLTool, Payload: full, Doc: doc, DocHash: docHash, Slim: slim}, nil
+	return &RemoteSpec{Kind: KindCWLTool, Payload: slim, Doc: doc, DocHash: docHash}, nil
 }
 
 // NewEchoSpec packages a JSON value as a KindEcho task.
@@ -197,8 +193,8 @@ func ExecuteRemote(spec *RemoteSpec) (json.RawMessage, error) {
 		if err := json.Unmarshal(spec.Payload, &p); err != nil {
 			return nil, fmt.Errorf("cwltool payload: %w", err)
 		}
-		// A slim payload (binary codec, shared document) carries no Tool;
-		// splice in the document the session transferred separately.
+		// A slim payload (shared document) carries no Tool; splice in the
+		// document the session transferred separately.
 		if isEmptyJSON(p.Tool) && len(spec.Doc) > 0 {
 			p.Tool = spec.Doc
 		}

@@ -17,9 +17,9 @@ type AcceptOptions struct {
 	// Heartbeat, when positive, is the heartbeat interval announced to the
 	// worker (0 = no heartbeats, the pipe transport's mode).
 	Heartbeat time.Duration
-	// Dispatch tunes batching and codec for the sessions this acceptor
-	// creates; the zero value grants everything the worker offers.
-	Dispatch DispatchOptions
+	// BatchMax caps the records per batch frame in both directions; it is
+	// announced to the worker in the ack (0 = the protocol default, 64).
+	BatchMax int
 }
 
 // AcceptWorkerSession performs the engine side of the handshake on an
@@ -30,27 +30,27 @@ type AcceptOptions struct {
 // wraps ErrHelloRejected (or reports the stream failure).
 func AcceptWorkerSession(fc *FrameConn, opts AcceptOptions) (*ManagerSession, Hello, error) {
 	var hello Hello
-	if err := fc.readMax(&hello, maxHelloBytes); err != nil {
+	if err := fc.readHandshake(&hello); err != nil {
 		return nil, hello, fmt.Errorf("reading worker hello: %w", err)
 	}
 	if err := VerifyHello(hello, opts.Secret); err != nil {
 		_ = fc.Send(HelloAck{Proto: ProtoVersion, OK: false, Error: err.Error()})
 		return nil, hello, err
 	}
-	caps := negotiateCaps(hello.Caps, opts.Dispatch)
+	batchMax := opts.BatchMax
+	if batchMax <= 0 {
+		batchMax = defaultBatchMax
+	}
 	ack := HelloAck{
 		Proto:       ProtoVersion,
 		OK:          true,
 		HeartbeatMs: int(opts.Heartbeat / time.Millisecond),
-		Caps:        caps.list(),
-	}
-	if caps.batch {
-		ack.BatchMax = caps.batchMax
+		BatchMax:    batchMax,
 	}
 	if err := fc.Send(ack); err != nil {
 		return nil, hello, fmt.Errorf("sending hello ack: %w", err)
 	}
-	return newManagerSession(fc, caps), hello, nil
+	return newManagerSession(fc, batchMax), hello, nil
 }
 
 // ManagerSession is the engine side of one established worker session: the
@@ -59,11 +59,9 @@ func AcceptWorkerSession(fc *FrameConn, opts AcceptOptions) (*ManagerSession, He
 // bookkeeping. ProcessProvider wraps one per worker subprocess; the network
 // fabric wraps one per TCP connection.
 type ManagerSession struct {
-	fc   *FrameConn
-	caps sessionCaps
+	fc *FrameConn
 
-	// batcher coalesces task records into batch frames; nil when the
-	// session did not negotiate batching (records are sent directly).
+	// batcher coalesces task records into batch frames.
 	batcher *frameBatcher
 
 	// OnDead, when set before ReadLoop starts, runs exactly once when the
@@ -82,42 +80,26 @@ type ManagerSession struct {
 	pending map[int64]chan workerResponse
 
 	// docMu guards docsSent and orders doc-bearing records ahead of records
-	// that reference the same document by hash (binary codec only).
+	// that reference the same document by hash.
 	docMu    sync.Mutex
 	docsSent map[string]struct{}
 }
 
-func newManagerSession(fc *FrameConn, caps sessionCaps) *ManagerSession {
+func newManagerSession(fc *FrameConn, batchMax int) *ManagerSession {
 	s := &ManagerSession{
 		fc:       fc,
-		caps:     caps,
 		dead:     make(chan struct{}),
 		pending:  map[int64]chan workerResponse{},
 		docsSent: map[string]struct{}{},
 	}
-	if caps.batch {
-		s.batcher = newFrameBatcher(fc, batcherConfig{
-			binary: caps.binary,
-			kind:   binKindTaskBatch,
-			max:    caps.batchMax,
-			linger: caps.linger,
-			onDead: func() { s.MarkDead(false) },
-		})
-	}
+	s.batcher = newFrameBatcher(fc, batcherConfig{
+		kind:   binKindTaskBatch,
+		max:    batchMax,
+		onDead: func() { s.MarkDead(false) },
+	})
 	s.lastBeat.Store(time.Now().UnixNano())
 	return s
 }
-
-// Codec names the frame codec this session negotiated.
-func (s *ManagerSession) Codec() string {
-	if s.caps.binary {
-		return CodecBinary
-	}
-	return CodecJSON
-}
-
-// Batching reports whether the session negotiated batched frames.
-func (s *ManagerSession) Batching() bool { return s.caps.batch }
 
 // ReadLoop pumps worker frames until the session ends: responses complete
 // in-flight Roundtrips, heartbeats refresh liveness, a bye marks a graceful
@@ -130,7 +112,7 @@ func (s *ManagerSession) ReadLoop() {
 			s.MarkDead(false)
 			return
 		}
-		resps, err := decodeResponses(body, s.caps.binary)
+		resps, err := decodeResponses(body)
 		if err != nil {
 			// A frame the engine cannot decode means the stream is corrupt or
 			// the worker broke protocol; the session cannot continue.
@@ -183,8 +165,8 @@ func (s *ManagerSession) Roundtrip(taskID int, spec *RemoteSpec) (any, error) {
 		if errors.Is(err, ErrWorkerLost) {
 			return nil, err
 		}
-		// Encoding failures (unmarshalable spec, record over the protocol
-		// cap) are the task's own problem: the worker is healthy, so they
+		// Encoding failures (a record over the protocol cap) are the task's
+		// own problem: the worker is healthy, so they
 		// must not be reported as worker loss — that would kill the block
 		// and redispatch the same doomed task onto a fresh worker forever.
 		return nil, fmt.Errorf("task %d cannot be shipped to the worker: %w", taskID, err)
@@ -202,22 +184,15 @@ func (s *ManagerSession) Roundtrip(taskID int, spec *RemoteSpec) (any, error) {
 	}
 }
 
-// ship encodes one task in the session's codec and hands it to the writer.
-// Errors wrapping ErrWorkerLost report session death; any other error is the
-// task's own encode failure.
+// ship encodes one task record and hands it to the batcher. Errors wrapping
+// ErrWorkerLost report session death; any other error is the task's own
+// encode failure.
 func (s *ManagerSession) ship(id int64, spec *RemoteSpec) error {
-	if !s.caps.binary {
-		rec, err := encodeFrame(workerRequest{ID: id, Spec: spec})
-		if err != nil {
-			return err
-		}
-		return s.send(rec)
-	}
 	// Shared-document amortization: a spec carrying a slim payload plus the
 	// document and its hash ships the document once per session; siblings
 	// reference it by hash. docMu makes check-and-enqueue atomic so the
 	// doc-bearing record is always queued (FIFO) ahead of its references.
-	if spec.DocHash != "" && len(spec.Slim) > 0 && len(spec.Doc) > 0 {
+	if spec.DocHash != "" && len(spec.Doc) > 0 {
 		s.docMu.Lock()
 		defer s.docMu.Unlock()
 		_, sent := s.docsSent[spec.DocHash]
@@ -225,7 +200,7 @@ func (s *ManagerSession) ship(id int64, spec *RemoteSpec) error {
 		if !sent {
 			doc = spec.Doc
 		}
-		rec := appendBinaryTask(nil, id, spec.Kind, spec.Slim, spec.DocHash, doc)
+		rec := appendBinaryTask(nil, id, spec.Kind, spec.Payload, spec.DocHash, doc)
 		if len(rec) > maxRecordBytes {
 			return fmt.Errorf("task record of %d bytes exceeds the %d byte frame limit", len(rec), maxFrameBytes)
 		}
@@ -246,24 +221,11 @@ func (s *ManagerSession) ship(id int64, spec *RemoteSpec) error {
 	return s.send(rec)
 }
 
-// send hands one encoded task record to the batcher, or writes it as a
-// single frame on sessions without batching.
+// send hands one encoded task record to the batcher.
 func (s *ManagerSession) send(rec []byte) error {
-	if s.batcher != nil {
-		if !s.batcher.enqueue(rec) {
-			return fmt.Errorf("session writer stopped: %w", ErrWorkerLost)
-		}
-		return nil
+	if !s.batcher.enqueue(rec) {
+		return fmt.Errorf("session writer stopped: %w", ErrWorkerLost)
 	}
-	frame := rec
-	if s.caps.binary {
-		frame = binBatchFrame(binKindTaskBatch, [][]byte{rec})
-	}
-	if err := s.fc.SendEncoded(frame); err != nil {
-		s.MarkDead(false)
-		return fmt.Errorf("session write failed (%v): %w", err, ErrWorkerLost)
-	}
-	metFramesSent.Inc()
 	return nil
 }
 
@@ -272,10 +234,7 @@ func (s *ManagerSession) send(rec []byte) error {
 // stream would sever in-flight responses. It overtakes any still-queued
 // batched tasks; those fail over to redispatch when the session ends.
 func (s *ManagerSession) SendDrain() error {
-	if s.caps.binary {
-		return s.fc.SendEncoded([]byte{binKindDrain})
-	}
-	return s.fc.Send(workerRequest{Kind: frameKindDrain})
+	return s.fc.SendEncoded([]byte{binKindDrain})
 }
 
 // MarkDead ends the session exactly once, failing every in-flight Roundtrip
@@ -286,9 +245,7 @@ func (s *ManagerSession) MarkDead(graceful bool) {
 		s.graceful.Store(true)
 	}
 	s.deadOnce.Do(func() {
-		if s.batcher != nil {
-			s.batcher.kill()
-		}
+		s.batcher.kill()
 		close(s.dead)
 		if s.OnDead != nil {
 			s.OnDead(s.graceful.Load())
