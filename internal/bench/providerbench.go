@@ -65,10 +65,10 @@ func BuildNetHTEX(workers int) (*parsl.HighThroughputExecutor, *fabric.NetProvid
 		AdoptTimeout:    10 * time.Second,
 	}
 	var np *fabric.NetProvider
-	opts.Spawn = func(block int) error {
+	opts.Spawn = func(addr string, block int) error {
 		go func() {
 			_ = fabric.RunWorker(fabric.ConnectOptions{
-				Addr:   np.Addr(),
+				Addr:   addr,
 				Secret: secret,
 				ID:     fmt.Sprintf("bench-%d", block),
 			})

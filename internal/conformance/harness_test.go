@@ -77,10 +77,10 @@ func buildProvider(t *testing.T, name string) provider.ExecutionProvider {
 			AdoptTimeout:    10 * time.Second,
 		}
 		var np *fabric.NetProvider
-		opts.Spawn = func(block int) error {
+		opts.Spawn = func(addr string, block int) error {
 			go func() {
 				_ = fabric.RunWorker(fabric.ConnectOptions{
-					Addr:   np.Addr(),
+					Addr:   addr,
 					Secret: netSecret,
 					ID:     fmt.Sprintf("conf-%d", block),
 				})

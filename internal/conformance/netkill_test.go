@@ -28,10 +28,10 @@ func TestNetConnectionKillRedispatch(t *testing.T) {
 		AdoptTimeout:    10 * time.Second,
 	}
 	var prov *fabric.NetProvider
-	opts.Spawn = func(block int) error {
+	opts.Spawn = func(addr string, block int) error {
 		go func() {
 			_ = fabric.RunWorker(fabric.ConnectOptions{
-				Addr:   prov.Addr(),
+				Addr:   addr,
 				Secret: netSecret,
 				ID:     fmt.Sprintf("kill-%d", block),
 			})

@@ -189,14 +189,15 @@ func (s *ParslSubmitter) SubmitToolKeyed(inv runner.ToolInvocation, tool *cwl.Co
 	}
 	jobdir := filepath.Join(s.WorkRoot, stepJobDir(inv, jobJSON))
 	app := &toolApp{
-		name:      "step:" + inv.Step,
-		tool:      tool,
-		inputs:    inputs,
-		extraReqs: extraReqs,
-		workRoot:  s.WorkRoot,
-		inputsDir: s.InputsDir,
-		outDir:    jobdir,
-		walltime:  s.DFK.TaskWalltime(),
+		name:       "step:" + inv.Step,
+		tool:       tool,
+		inputs:     inputs,
+		inputsJSON: jobJSON,
+		extraReqs:  extraReqs,
+		workRoot:   s.WorkRoot,
+		inputsDir:  s.InputsDir,
+		outDir:     jobdir,
+		walltime:   s.DFK.TaskWalltime(),
 	}
 	deadline, _ := ctx.Deadline()
 	args := parsl.Args{"scope": inv.Scope, "step": inv.Step, "job": string(jobJSON)}

@@ -21,13 +21,16 @@ type toolApp struct {
 	tool *cwl.CommandLineTool
 	// inputs is the fixed job object (workflow-step path). Nil derives the
 	// job from the resolved call arguments (CWLApp path).
-	inputs    *yamlx.Map
-	extraReqs *cwl.Requirements
-	workRoot  string
-	inputsDir string
-	outDir    string
-	stdout    string
-	stderr    string
+	inputs *yamlx.Map
+	// inputsJSON is inputs already canonicalized by the submitter (the keyed
+	// step path hashes it into the job directory); nil encodes on demand.
+	inputsJSON json.RawMessage
+	extraReqs  *cwl.Requirements
+	workRoot   string
+	inputsDir  string
+	outDir     string
+	stdout     string
+	stderr     string
 	// walltime bounds each invocation's tool process (0 = unbounded); it is
 	// enforced wherever the tool actually runs — in-process or on a worker —
 	// and is tightened further by the document's own ToolTimeLimit.
@@ -88,9 +91,11 @@ func (a *toolApp) RemoteSpec(args parsl.Args) *provider.RemoteSpec {
 	if err != nil {
 		return nil
 	}
-	inputsJSON, err := a.jobInputs(args).MarshalJSON()
-	if err != nil {
-		return nil
+	inputsJSON := a.inputsJSON
+	if inputsJSON == nil {
+		if inputsJSON, err = a.jobInputs(args).MarshalJSON(); err != nil {
+			return nil
+		}
 	}
 	var reqsJSON json.RawMessage
 	if a.extraReqs != nil {

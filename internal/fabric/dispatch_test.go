@@ -13,15 +13,14 @@ func TestNetProviderWarmPool(t *testing.T) {
 	opts := testOptions("s")
 	opts.WarmPool = 1
 	var (
-		p       *NetProvider
 		spawnMu sync.Mutex
 		spawned []int
 	)
-	opts.Spawn = func(block int) error {
+	opts.Spawn = func(addr string, block int) error {
 		spawnMu.Lock()
 		spawned = append(spawned, block)
 		spawnMu.Unlock()
-		startWorker(t, ConnectOptions{Addr: p.Addr(), Secret: "s", ID: fmt.Sprintf("w%d", block)})
+		startWorker(t, ConnectOptions{Addr: addr, Secret: "s", ID: fmt.Sprintf("w%d", block)})
 		return nil
 	}
 	p, err := Listen(opts)

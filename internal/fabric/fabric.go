@@ -57,10 +57,12 @@ type Options struct {
 	// severing the connection (default 5s).
 	DrainTimeout time.Duration
 	// Spawn, when set, is called by Launch before waiting for a
-	// registration — a hook to start a worker expected to dial in (a local
-	// subprocess with -connect, a cloud instance, a batch job). A negative
-	// block id asks for a warm-pool spare not yet bound to any block.
-	Spawn func(block int) error
+	// registration — a hook to start a worker expected to dial in to addr,
+	// the listener's bound address (a local subprocess with -connect, a
+	// cloud instance, a batch job). A negative block id asks for a warm-pool
+	// spare not yet bound to any block; those calls may run before Listen
+	// returns, so the hook must not reach the provider through the caller.
+	Spawn func(addr string, block int) error
 	// BatchMax caps the tasks per dispatch frame on worker sessions (0 = the
 	// protocol default, 64).
 	BatchMax int
@@ -158,7 +160,7 @@ func (p *NetProvider) spawnSpare() {
 	if closed || p.opts.Spawn == nil {
 		return
 	}
-	_ = p.opts.Spawn(-1)
+	_ = p.opts.Spawn(p.Addr(), -1)
 }
 
 // Addr is the listener's bound address (resolves ":0" ports).
@@ -320,7 +322,7 @@ func (p *NetProvider) Launch(block int) (provider.ManagerHandle, error) {
 		}
 	}
 	if p.opts.Spawn != nil {
-		if err := p.opts.Spawn(block); err != nil {
+		if err := p.opts.Spawn(p.Addr(), block); err != nil {
 			return nil, fmt.Errorf("spawning net worker for block %d: %w", block, err)
 		}
 	}

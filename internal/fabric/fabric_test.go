@@ -91,8 +91,8 @@ func selfSignedCert(t *testing.T, notBefore, notAfter time.Time) (tls.Certificat
 func TestNetProviderEchoRoundtrip(t *testing.T) {
 	opts := testOptions("s3cret")
 	var p *NetProvider
-	opts.Spawn = func(block int) error {
-		startWorker(t, ConnectOptions{Addr: p.Addr(), Secret: "s3cret", ID: "w1"})
+	opts.Spawn = func(addr string, block int) error {
+		startWorker(t, ConnectOptions{Addr: addr, Secret: "s3cret", ID: "w1"})
 		return nil
 	}
 	p, err := Listen(opts)
@@ -136,7 +136,7 @@ func TestNetProviderEchoRoundtrip(t *testing.T) {
 func TestNetProviderInProcessFallback(t *testing.T) {
 	opts := testOptions("")
 	var p *NetProvider
-	opts.Spawn = func(int) error { startWorker(t, ConnectOptions{Addr: p.Addr()}); return nil }
+	opts.Spawn = func(addr string, _ int) error { startWorker(t, ConnectOptions{Addr: addr}); return nil }
 	p, err := Listen(opts)
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -232,9 +232,9 @@ func TestNetProviderTLS(t *testing.T) {
 	opts := testOptions("tls-secret")
 	opts.TLSConfig = &tls.Config{Certificates: []tls.Certificate{cert}}
 	var p *NetProvider
-	opts.Spawn = func(int) error {
+	opts.Spawn = func(addr string, _ int) error {
 		startWorker(t, ConnectOptions{
-			Addr: p.Addr(), Secret: "tls-secret", ID: "tls-w",
+			Addr: addr, Secret: "tls-secret", ID: "tls-w",
 			TLS: &tls.Config{RootCAs: pool},
 		})
 		return nil
@@ -334,8 +334,8 @@ func TestNetWorkerDrainDeregisters(t *testing.T) {
 	opts := testOptions("s")
 	drain := make(chan struct{})
 	var p *NetProvider
-	opts.Spawn = func(int) error {
-		startWorker(t, ConnectOptions{Addr: p.Addr(), Secret: "s", ID: "draining", Drain: drain})
+	opts.Spawn = func(addr string, _ int) error {
+		startWorker(t, ConnectOptions{Addr: addr, Secret: "s", ID: "draining", Drain: drain})
 		return nil
 	}
 	p, err := Listen(opts)
@@ -357,9 +357,9 @@ func TestNetWorkerDrainDeregisters(t *testing.T) {
 func TestNetWorkerReconnects(t *testing.T) {
 	opts := testOptions("s")
 	var p *NetProvider
-	opts.Spawn = func(int) error {
+	opts.Spawn = func(addr string, _ int) error {
 		startWorker(t, ConnectOptions{
-			Addr: p.Addr(), Secret: "s", ID: "phoenix",
+			Addr: addr, Secret: "s", ID: "phoenix",
 			Reconnect: true, ReconnectWait: 10 * time.Millisecond,
 		})
 		return nil

@@ -245,92 +245,17 @@ func TestParseExpositionRejects(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	tr := NewTracer(2, 4)
-	var sunk []Span
-	tr.SetSink(func(s Span) { sunk = append(sunk, s) })
+func TestSpanDuration(t *testing.T) {
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	tr.Emit(Span{Trace: "r1", ID: "a", Name: "run", Kind: KindRun, Start: base, End: base.Add(time.Second)})
-	tr.Emit(Span{Trace: "r1", ID: "b", Parent: "a", Name: "task", Kind: KindTask, Start: base})
-	tr.Emit(Span{Trace: ""}) // no trace: dropped
-
-	spans := tr.SpansFor("r1")
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(spans))
+	if d := (Span{Start: base, End: base.Add(time.Second)}).Duration(); d != time.Second {
+		t.Fatalf("duration = %v, want 1s", d)
 	}
-	if spans[0].Duration() != time.Second {
-		t.Fatalf("duration = %v, want 1s", spans[0].Duration())
+	if d := (Span{Start: base}).Duration(); d != 0 {
+		t.Fatalf("open span duration = %v, want 0", d)
 	}
-	if spans[1].Duration() != 0 {
-		t.Fatal("open span should report zero duration")
+	if d := (Span{Start: base, End: base.Add(-time.Second)}).Duration(); d != 0 {
+		t.Fatalf("inverted span duration = %v, want 0", d)
 	}
-	if len(sunk) != 2 {
-		t.Fatalf("sink saw %d spans, want 2", len(sunk))
-	}
-
-	// LRU trace eviction: adding a third trace evicts the oldest.
-	tr.Emit(Span{Trace: "r2", ID: "c"})
-	tr.Emit(Span{Trace: "r3", ID: "d"})
-	if tr.Len() != 2 {
-		t.Fatalf("tracer len = %d, want 2", tr.Len())
-	}
-	if got := tr.SpansFor("r1"); got != nil {
-		t.Fatalf("r1 should be evicted, got %d spans", len(got))
-	}
-
-	// Per-trace span cap compacts to half the cap.
-	for i := 0; i < 10; i++ {
-		tr.Emit(Span{Trace: "r2", ID: "x"})
-	}
-	if n := len(tr.SpansFor("r2")); n > 4 {
-		t.Fatalf("span cap not enforced: %d spans", n)
-	}
-
-	tr.Forget("r2")
-	if tr.SpansFor("r2") != nil {
-		t.Fatal("Forget did not drop the trace")
-	}
-	tr.Forget("never-existed") // no-op
-	if tr.Len() != 1 {
-		t.Fatalf("len after forget = %d, want 1", tr.Len())
-	}
-}
-
-// TestTracerForgetKeepsCreationOrder forgets traces at the middle and the
-// newest end of the order and checks eviction still takes the oldest
-// survivor first.
-func TestTracerForgetKeepsCreationOrder(t *testing.T) {
-	tr := NewTracer(3, 0)
-	emit := func(ids ...string) {
-		for _, id := range ids {
-			tr.Emit(Span{Trace: id, ID: "s"})
-		}
-	}
-	want := func(ids ...string) {
-		t.Helper()
-		if tr.Len() != len(ids) {
-			t.Fatalf("len = %d, want %v", tr.Len(), ids)
-		}
-		for _, id := range ids {
-			if tr.SpansFor(id) == nil {
-				t.Fatalf("trace %s missing, want %v", id, ids)
-			}
-		}
-	}
-	emit("a", "b", "c")
-	tr.Forget("b")
-	emit("d")
-	want("a", "c", "d")
-	emit("e")
-	want("c", "d", "e")
-	tr.Forget("e")
-	emit("f", "g")
-	want("d", "f", "g")
-	tr.Forget("d")
-	tr.Forget("f")
-	tr.Forget("g")
-	emit("b", "h", "i", "j")
-	want("h", "i", "j")
 }
 
 func TestConcurrentInstruments(t *testing.T) {

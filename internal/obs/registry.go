@@ -1,7 +1,7 @@
 // Package obs is the engine's observability substrate: a dependency-free
 // metrics registry with atomic hot paths, Prometheus text-format exposition,
-// a strict exposition parser (CI lints /metrics output with it), and a
-// lightweight span tracer for run→step→task timing.
+// a strict exposition parser (CI lints /metrics output with it), and the
+// span type of the run→step→task timing tree.
 //
 // Two registries matter in practice:
 //

@@ -324,7 +324,6 @@ func (s ConfigSpec) buildNetProvider() (provider.ExecutionProvider, error) {
 		KeyFile:  s.NetKeyFile,
 		BatchMax: s.BatchMax,
 	}
-	var np *fabric.NetProvider // late-bound: Spawn only runs after Listen returns
 	if s.NetSpawn {
 		opts.WarmPool = s.WarmPool
 		argv, err := s.netWorkerCommand()
@@ -332,14 +331,14 @@ func (s ConfigSpec) buildNetProvider() (provider.ExecutionProvider, error) {
 			return nil, err
 		}
 		var warmSeq atomic.Int64
-		opts.Spawn = func(block int) error {
+		opts.Spawn = func(addr string, block int) error {
 			// block < 0 is a warm-pool spare, named after a spawn counter
 			// since it is not yet bound to any block.
 			id := fmt.Sprintf("block-%d", block)
 			if block < 0 {
 				id = fmt.Sprintf("warm-%d", warmSeq.Add(1))
 			}
-			args := append(argv[1:], "-connect", np.Addr(), "-id", id)
+			args := append(argv[1:], "-connect", addr, "-id", id)
 			if s.NetCertFile != "" {
 				// Self-signed operation: the server certificate doubles as the
 				// worker's trust anchor.
@@ -357,9 +356,7 @@ func (s ConfigSpec) buildNetProvider() (provider.ExecutionProvider, error) {
 			return nil
 		}
 	}
-	var err error
-	np, err = fabric.Listen(opts)
-	return np, err
+	return fabric.Listen(opts)
 }
 
 // netWorkerCommand resolves the worker command line for spawned net workers.

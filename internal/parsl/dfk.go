@@ -95,9 +95,10 @@ type Config struct {
 	Memoize bool
 	// RunDir is where BashApps run and redirect output by default.
 	RunDir string
-	// MaxEvents bounds the monitoring log: when exceeded, the oldest events
-	// are discarded so a long-lived DFK (e.g. under the submission service)
-	// does not grow without bound. It also bounds the task-state table:
+	// MaxEvents bounds each monitoring log (one per label, one for unlabeled
+	// tasks): when exceeded, the oldest events are discarded so a long-lived
+	// DFK (e.g. under the submission service) does not grow without bound.
+	// It also bounds the task-state table:
 	// TaskStates reports every live task plus the MaxEvents most recently
 	// finished ones. 0 selects the default of 65536; negative retains
 	// everything.
@@ -131,15 +132,17 @@ type DFK struct {
 	order     []string // executor labels in Load order
 	defaultEx string
 
-	mu        sync.Mutex
-	nextID    int
-	states    map[int]TaskState // live tasks plus a window of finished ones
-	counts    [StateMemoHit + 1]int
-	finished  []int // ring of recently finished task IDs bounding states
-	finNext   int   // next ring slot to overwrite once finished is full
-	events    []TaskEvent
-	byLabel   map[string]*labelLog // per-label event index (EventsFor)
-	labelSeq  int64
+	mu       sync.Mutex
+	nextID   int
+	states   map[int]TaskState // live tasks plus a window of finished ones
+	counts   [StateMemoHit + 1]int
+	finished []int // ring of recently finished task IDs bounding states
+	finNext  int   // next ring slot to overwrite once finished is full
+	// Every retained event lives in exactly one log: its label's entry in
+	// byLabel (EventsFor), or unlabeled for tasks submitted without a label.
+	byLabel   map[string]*eventLog
+	unlabeled eventLog
+	eventSeq  uint64 // events appended so far; orders records across logs
 	hooks     []*taskEventHook
 	memoHooks []*memoHook
 	memo      map[string]*AppFuture
@@ -153,12 +156,93 @@ type DFK struct {
 	cleaned   bool
 }
 
-// labelLog is one label's slice of the event stream plus its last-append
-// tick, used to evict the least-recently-active label once the index is
-// full — a straggler event recreating a forgotten label cannot leak forever.
-type labelLog struct {
-	events []TaskEvent
-	seq    int64
+// eventLog is the retained event history of one label, or of the tasks
+// submitted without a label. Records hold no strings: the label is the log's
+// key and each app name is stored once in apps.
+type eventLog struct {
+	events []eventRec
+	apps   []string
+}
+
+// lastSeq is the append tick of the log's newest event (a log always holds
+// one), used to evict the least-recently-active label once the index is full
+// — a straggler event recreating a forgotten label cannot leak forever.
+func (l *eventLog) lastSeq() uint64 { return l.events[len(l.events)-1].seq }
+
+// eventRec is the retained form of one TaskEvent: 48 pointer-free bytes where
+// a TaskEvent is 96 bytes holding two strings.
+type eventRec struct {
+	seq   uint64        // position in the DFK-wide append order (Events)
+	at    int64         // Time in Unix nanoseconds
+	dur   time.Duration // ExecDur when exec is set, else WaitDur
+	task  int
+	tries int32
+	app   uint32 // index into eventLog.apps
+	state uint8
+	exec  bool
+}
+
+// add records ev as the log's newest event, discarding the oldest events once
+// the log doubles the retention limit (amortized O(1); limit <= 0 keeps
+// everything).
+func (l *eventLog) add(ev TaskEvent, seq uint64, limit int) {
+	rec := eventRec{
+		seq:   seq,
+		at:    ev.Time.UnixNano(),
+		dur:   ev.WaitDur,
+		task:  ev.TaskID,
+		tries: int32(ev.Tries),
+		app:   l.intern(ev.App),
+		state: uint8(ev.State),
+	}
+	if ev.ExecDur != 0 {
+		rec.dur, rec.exec = ev.ExecDur, true
+	}
+	l.events = append(l.events, rec)
+	if limit > 0 && len(l.events) > 2*limit {
+		l.truncate(limit)
+	}
+}
+
+// intern returns the index of app in l.apps, adding it if new. A log holds a
+// handful of apps (one per workflow step) and consecutive events mostly share
+// one, so the scan starts from the newest.
+func (l *eventLog) intern(app string) uint32 {
+	for i := len(l.apps) - 1; i >= 0; i-- {
+		if l.apps[i] == app {
+			return uint32(i)
+		}
+	}
+	l.apps = append(l.apps, app)
+	return uint32(len(l.apps) - 1)
+}
+
+// truncate keeps the newest keep events and only the app names they use.
+func (l *eventLog) truncate(keep int) {
+	old := *l
+	*l = eventLog{events: make([]eventRec, 0, keep)}
+	for _, r := range old.events[len(old.events)-keep:] {
+		r.app = l.intern(old.apps[r.app])
+		l.events = append(l.events, r)
+	}
+}
+
+// event expands a record of this log back into the TaskEvent it came from.
+func (l *eventLog) event(r eventRec, label string) TaskEvent {
+	ev := TaskEvent{
+		TaskID: r.task,
+		App:    l.apps[r.app],
+		State:  TaskState(r.state),
+		Time:   time.Unix(0, r.at),
+		Tries:  int(r.tries),
+		Label:  label,
+	}
+	if r.exec {
+		ev.ExecDur = r.dur
+	} else {
+		ev.WaitDur = r.dur
+	}
+	return ev
 }
 
 type taskEventHook struct {
@@ -174,7 +258,7 @@ func Load(cfg Config) (*DFK, error) {
 		cfg:       cfg,
 		executors: map[string]Executor{},
 		states:    map[int]TaskState{},
-		byLabel:   map[string]*labelLog{},
+		byLabel:   map[string]*eventLog{},
 		memo:      map[string]*AppFuture{},
 		memoSeq:   map[string]int64{},
 		perApp:    map[string]int{},
@@ -494,10 +578,7 @@ func (d *DFK) recordStateLocked(id int, s TaskState) {
 // state stays in the totals), so a long-lived DFK tracks live tasks plus a
 // bounded recent window. Caller holds d.mu.
 func (d *DFK) retireLocked(id int) {
-	limit := d.cfg.MaxEvents
-	if limit == 0 {
-		limit = DefaultMaxEvents
-	}
+	limit := d.eventLimit()
 	if limit < 0 {
 		return
 	}
@@ -514,42 +595,38 @@ func (d *DFK) retireLocked(id int) {
 // Config.MaxLabels is 0.
 const DefaultMaxLabels = 65536
 
-// appendEventLocked records ev, discarding the oldest events once the log
-// doubles the retention cap (amortized O(1)). Caller holds d.mu. OnTaskEvent
-// hooks see every event regardless of truncation. Labeled events are
-// additionally indexed per label so EventsFor is O(label) rather than a scan
-// of the shared log; each label's slice is bounded by the same retention
-// cap, and the number of labels by MaxLabels — consumers needing unbounded
-// logs must mirror events via OnTaskEvent.
+// eventLimit is the per-log retention cap (Config.MaxEvents with its
+// default); <= 0 means unbounded.
+func (d *DFK) eventLimit() int {
+	if d.cfg.MaxEvents == 0 {
+		return DefaultMaxEvents
+	}
+	return d.cfg.MaxEvents
+}
+
+// appendEventLocked records ev once: in its label's log, so EventsFor is
+// O(label) rather than a scan, or in the unlabeled log. Each log keeps at
+// least the newest MaxEvents of its events and the index at most MaxLabels
+// labels — consumers needing unbounded logs must mirror events via
+// OnTaskEvent, whose hooks see every event regardless. Caller holds d.mu.
 func (d *DFK) appendEventLocked(ev TaskEvent) {
-	limit := d.cfg.MaxEvents
-	if limit == 0 {
-		limit = DefaultMaxEvents
-	}
-	d.events = append(d.events, ev)
-	if limit > 0 && len(d.events) > 2*limit {
-		d.events = append([]TaskEvent{}, d.events[len(d.events)-limit:]...)
-	}
+	d.eventSeq++
+	l := &d.unlabeled
 	if ev.Label != "" {
 		maxLabels := d.cfg.MaxLabels
 		if maxLabels == 0 {
 			maxLabels = DefaultMaxLabels
 		}
-		d.labelSeq++
-		ll := d.byLabel[ev.Label]
-		if ll == nil {
+		l = d.byLabel[ev.Label]
+		if l == nil {
 			if maxLabels > 0 && len(d.byLabel) >= maxLabels {
 				d.evictLabelsLocked(maxLabels)
 			}
-			ll = &labelLog{}
-			d.byLabel[ev.Label] = ll
-		}
-		ll.seq = d.labelSeq
-		ll.events = append(ll.events, ev)
-		if limit > 0 && len(ll.events) > 2*limit {
-			ll.events = append([]TaskEvent{}, ll.events[len(ll.events)-limit:]...)
+			l = &eventLog{}
+			d.byLabel[ev.Label] = l
 		}
 	}
+	l.add(ev, d.eventSeq, d.eventLimit())
 }
 
 // evictLabelsLocked drops the least-recently-active ~1/16 of the label index
@@ -562,9 +639,9 @@ func (d *DFK) evictLabelsLocked(maxLabels int) {
 	if batch < 1 {
 		batch = 1
 	}
-	seqs := make([]int64, 0, len(d.byLabel))
+	seqs := make([]uint64, 0, len(d.byLabel))
 	for _, e := range d.byLabel {
-		seqs = append(seqs, e.seq)
+		seqs = append(seqs, e.lastSeq())
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	if batch > len(seqs) {
@@ -572,7 +649,7 @@ func (d *DFK) evictLabelsLocked(maxLabels int) {
 	}
 	cutoff := seqs[batch-1]
 	for l, e := range d.byLabel {
-		if e.seq <= cutoff {
+		if e.lastSeq() <= cutoff {
 			delete(d.byLabel, l)
 		}
 	}
@@ -662,17 +739,20 @@ func (d *DFK) OnTaskEvent(fn func(TaskEvent)) (remove func()) {
 }
 
 // EventsFor returns the monitoring events recorded for one submission label,
-// in append order — the per-run slice of the shared event stream. It reads a
-// per-label index, so the cost is O(events for this label), not a scan of
-// the whole shared log.
+// in append order — the per-run slice of the shared event stream. It reads
+// the label's own log, so the cost is O(events for this label).
 func (d *DFK) EventsFor(label string) []TaskEvent {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ll := d.byLabel[label]
-	if ll == nil || len(ll.events) == 0 {
+	l := d.byLabel[label]
+	if l == nil || len(l.events) == 0 {
 		return nil
 	}
-	return append([]TaskEvent{}, ll.events...)
+	out := make([]TaskEvent, len(l.events))
+	for i, r := range l.events {
+		out[i] = l.event(r, label)
+	}
+	return out
 }
 
 // ForgetLabel drops the per-label event index for a retired submission group
@@ -685,8 +765,6 @@ func (d *DFK) ForgetLabel(label string) {
 
 // IndexStats sizes the DFK's bounded in-memory structures, for monitoring.
 type IndexStats struct {
-	// Events is the shared monitoring-log length.
-	Events int
 	// Labels is how many labels the per-label event index holds.
 	Labels int
 	// LabelEvents is the total event count across the per-label index.
@@ -698,20 +776,19 @@ type IndexStats struct {
 	Tasks int
 }
 
-// IndexStats reports the current sizes of the event log, per-label index and
+// IndexStats reports the current sizes of the per-label event index and the
 // memo table. Exposed as gauges on /metrics so operators can watch the
 // bounded structures approach their caps.
 func (d *DFK) IndexStats() IndexStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := IndexStats{
-		Events:      len(d.events),
 		Labels:      len(d.byLabel),
 		MemoEntries: len(d.memo),
 		Tasks:       len(d.states),
 	}
-	for _, ll := range d.byLabel {
-		st.LabelEvents += len(ll.events)
+	for _, l := range d.byLabel {
+		st.LabelEvents += len(l.events)
 	}
 	return st
 }
@@ -728,11 +805,36 @@ func (d *DFK) TaskStates() map[int]TaskState {
 	return out
 }
 
-// Events returns the monitoring log (a copy, ordered by append time).
+// Events returns the newest MaxEvents retained events, labeled or not, in
+// append order. Events of a label that ForgetLabel or MaxLabels dropped are no
+// longer retained. It merges every log, so it is for tests and diagnostics;
+// per-run readers use EventsFor.
 func (d *DFK) Events() []TaskEvent {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]TaskEvent{}, d.events...)
+	type ref struct {
+		rec   eventRec
+		log   *eventLog
+		label string
+	}
+	var all []ref
+	for _, r := range d.unlabeled.events {
+		all = append(all, ref{r, &d.unlabeled, ""})
+	}
+	for label, l := range d.byLabel {
+		for _, r := range l.events {
+			all = append(all, ref{r, l, label})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].rec.seq < all[j].rec.seq })
+	if limit := d.eventLimit(); limit > 0 && len(all) > limit {
+		all = all[len(all)-limit:]
+	}
+	out := make([]TaskEvent, len(all))
+	for i, r := range all {
+		out[i] = r.log.event(r.rec, r.label)
+	}
+	return out
 }
 
 // StateCounts aggregates the current state of every task ever submitted,

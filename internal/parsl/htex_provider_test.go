@@ -3,11 +3,15 @@ package parsl
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/provider"
 )
 
@@ -202,5 +206,48 @@ func TestBuildMultiProviders(t *testing.T) {
 	}
 	if _, _, err := spec.BuildMulti(nil); err == nil {
 		t.Error("empty provider list accepted")
+	}
+}
+
+// TestNetWarmPoolConfigSpawnsWithListenAddr builds `provider: net` with a
+// warm pool. The pool spawns its spares before fabric.Listen returns, so the
+// spawn hook must take the listen address as its argument: reading it from
+// the provider the caller has not assigned yet raced (and could dereference
+// nil). Run it under -race.
+func TestNetWarmPoolConfigSpawnsWithListenAddr(t *testing.T) {
+	dir := t.TempDir()
+	argvLog := filepath.Join(dir, "spawned")
+	// A stand-in worker that records its argv and exits: the test checks the
+	// spawns, not a registration.
+	worker := filepath.Join(dir, "worker.sh")
+	if err := os.WriteFile(worker, []byte("#!/bin/sh\necho \"$@\" >> "+argvLog+"\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseConfig([]byte("executor: htex\nprovider: net\nwarm-pool: 2\nworker-cmd: " + worker + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov, err := spec.BuildProvider("net")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prov.Cancel()
+	addr := prov.(*fabric.NetProvider).Addr()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		data, _ := os.ReadFile(argvLog)
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if len(data) > 0 && len(lines) == 2 {
+			for _, l := range lines {
+				if !strings.Contains(l, "-connect "+addr+" -id warm-") {
+					t.Errorf("spare spawned with %q, want -connect %s -id warm-N", l, addr)
+				}
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("warm pool spawned %q, want two spares", data)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

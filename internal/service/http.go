@@ -293,11 +293,12 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	events, ok := s.Events(id)
+	snap, ok := s.store.Get(id)
 	if !ok {
 		writeServiceError(w, ErrNotFound)
 		return
 	}
+	events := s.dfk.EventsFor(id)
 	out := make([]taskEventJSON, len(events))
 	for i, ev := range events {
 		out[i] = taskEventJSON{
@@ -310,8 +311,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 			ExecSeconds: ev.ExecDur.Seconds(),
 		}
 	}
-	spans, _ := s.Spans(id)
-	writeJSON(w, http.StatusOK, map[string]any{"runId": id, "events": out, "spans": spans})
+	writeJSON(w, http.StatusOK, map[string]any{"runId": id, "events": out, "spans": runSpans(snap, events)})
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {

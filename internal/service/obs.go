@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strings"
 	"sync"
@@ -172,12 +173,10 @@ func (s *Service) registerCollectors() {
 
 		ix := s.dfk.IndexStats()
 		fams = append(fams,
-			gaugeFam("pcwl_dfk_events", "Events in the shared DFK monitoring log.", float64(ix.Events)),
 			gaugeFam("pcwl_dfk_event_labels", "Labels held by the per-label event index.", float64(ix.Labels)),
 			gaugeFam("pcwl_dfk_label_events", "Events across the per-label event index.", float64(ix.LabelEvents)),
 			gaugeFam("pcwl_dfk_memo_entries", "Entries in the DFK memoization table.", float64(ix.MemoEntries)),
 			gaugeFam("pcwl_dfk_tracked_tasks", "Tasks in the DFK state table: live ones plus a bounded window of finished ones.", float64(ix.Tasks)),
-			gaugeFam("pcwl_trace_traces", "Run traces retained by the span tracer.", float64(s.tracer.Len())),
 		)
 
 		if s.pers != nil {
@@ -246,26 +245,17 @@ func counterFam(name, help string, v float64) obs.Family {
 
 // --- run→step→task tracing ---
 
-// taskTrack accumulates one task's lifecycle between its pending event and
-// its terminal event, at which point it becomes a task span.
+// taskTrack is one live task between its pending event and its terminal
+// event, at which point it becomes a task span.
 type taskTrack struct {
 	start   time.Time
-	app     string
 	waitDur time.Duration
 }
 
-// spanRecorder converts the DFK's task-event stream into task spans on the
-// service tracer. It is installed as an OnTaskEvent hook, so it must stay
-// cheap: one small map update per event, one span emit per terminal event.
-type spanRecorder struct {
-	tracer *obs.Tracer
-	mu     sync.Mutex
-	tasks  map[int]*taskTrack
-}
-
-func newSpanRecorder(tracer *obs.Tracer) *spanRecorder {
-	return &spanRecorder{tracer: tracer, tasks: map[int]*taskTrack{}}
-}
+// taskTracker turns a task-event stream into task spans. runSpans replays a
+// run's retained events through a fresh tracker; the debug span log keeps
+// one tracker on the DFK's event hook.
+type taskTracker map[int]taskTrack
 
 // stepOf derives the step identity from a task's app name: keyed workflow
 // steps submit as "step:<id>"; anything else groups under the app name
@@ -277,31 +267,23 @@ func stepOf(app string) string {
 	return app
 }
 
-func (sr *spanRecorder) onEvent(ev parsl.TaskEvent) {
-	if ev.Label == "" {
-		return
-	}
+// observe folds one event into the tracker and returns the task's span when
+// the event is terminal.
+func (tt taskTracker) observe(ev parsl.TaskEvent) (obs.Span, bool) {
 	switch ev.State {
 	case parsl.StatePending:
-		sr.mu.Lock()
-		sr.tasks[ev.TaskID] = &taskTrack{start: ev.Time, app: ev.App}
-		sr.mu.Unlock()
+		tt[ev.TaskID] = taskTrack{start: ev.Time}
 	case parsl.StateLaunched:
-		if ev.WaitDur > 0 {
-			sr.mu.Lock()
-			if tr := sr.tasks[ev.TaskID]; tr != nil {
-				tr.waitDur = ev.WaitDur
-			}
-			sr.mu.Unlock()
+		if tr, ok := tt[ev.TaskID]; ok && ev.WaitDur > 0 {
+			tr.waitDur = ev.WaitDur
+			tt[ev.TaskID] = tr
 		}
 	case parsl.StateDone, parsl.StateFailed, parsl.StateDepFail, parsl.StateMemoHit:
-		sr.mu.Lock()
-		tr := sr.tasks[ev.TaskID]
-		delete(sr.tasks, ev.TaskID)
-		sr.mu.Unlock()
+		tr, ok := tt[ev.TaskID]
+		delete(tt, ev.TaskID)
 		start := ev.Time
 		wait := ev.WaitDur
-		if tr != nil {
+		if ok {
 			start = tr.start
 			if tr.waitDur > 0 {
 				wait = tr.waitDur
@@ -320,7 +302,7 @@ func (sr *spanRecorder) onEvent(ev parsl.TaskEvent) {
 		if ev.State == parsl.StateMemoHit {
 			attrs["memo"] = "hit"
 		}
-		sr.tracer.Emit(obs.Span{
+		return obs.Span{
 			Trace:  ev.Label,
 			ID:     fmt.Sprintf("task-%d", ev.TaskID),
 			Parent: "step-" + stepOf(ev.App),
@@ -329,8 +311,29 @@ func (sr *spanRecorder) onEvent(ev parsl.TaskEvent) {
 			Start:  start,
 			End:    ev.Time,
 			Attrs:  attrs,
-		})
+		}, true
 	}
+	return obs.Span{}, false
+}
+
+// logTaskSpans installs the debug "span" log line: one record per task
+// reaching a terminal state. It returns the hook's remover.
+func logTaskSpans(dfk *parsl.DFK, logger *slog.Logger) (remove func()) {
+	var mu sync.Mutex
+	tt := taskTracker{}
+	return dfk.OnTaskEvent(func(ev parsl.TaskEvent) {
+		if ev.Label == "" {
+			return
+		}
+		mu.Lock()
+		sp, ok := tt.observe(ev)
+		mu.Unlock()
+		if ok {
+			logger.Debug("span",
+				"runId", sp.Trace, "span", sp.ID, "name", sp.Name,
+				"kind", string(sp.Kind), "durSeconds", sp.Duration().Seconds())
+		}
+	})
 }
 
 func formatSeconds(d time.Duration) string {
@@ -338,18 +341,30 @@ func formatSeconds(d time.Duration) string {
 }
 
 // Spans assembles the run's full span tree: the run span from its store
-// snapshot, step spans synthesized by grouping the recorded task spans, and
-// the task spans themselves. It reports false for an unknown run.
+// snapshot, step spans synthesized by grouping the task spans, and the task
+// spans themselves, derived from the run's retained DFK events. It reports
+// false for an unknown run.
 func (s *Service) Spans(id string) ([]obs.Span, bool) {
 	snap, ok := s.store.Get(id)
 	if !ok {
 		return nil, false
 	}
-	taskSpans := s.tracer.SpansFor(id)
+	return runSpans(snap, s.dfk.EventsFor(id)), true
+}
 
+// runSpans builds the span tree of one run from its snapshot and events; its
+// task spans come in the order the tasks finished.
+func runSpans(snap RunSnapshot, events []parsl.TaskEvent) []obs.Span {
+	tt := taskTracker{}
+	var tasks []obs.Span
+	for _, ev := range events {
+		if sp, ok := tt.observe(ev); ok {
+			tasks = append(tasks, sp)
+		}
+	}
 	var out []obs.Span
 	run := obs.Span{
-		Trace: id,
+		Trace: snap.ID,
 		ID:    "run",
 		Name:  snap.Name,
 		Kind:  obs.KindRun,
@@ -378,7 +393,7 @@ func (s *Service) Spans(id string) ([]obs.Span, bool) {
 	}
 	steps := map[string]*stepAgg{}
 	var order []string
-	for _, ts := range taskSpans {
+	for _, ts := range tasks {
 		agg := steps[ts.Parent]
 		if agg == nil {
 			agg = &stepAgg{name: stepOf(ts.Name), start: ts.Start, end: ts.End}
@@ -396,7 +411,7 @@ func (s *Service) Spans(id string) ([]obs.Span, bool) {
 	for _, sid := range order {
 		agg := steps[sid]
 		out = append(out, obs.Span{
-			Trace:  id,
+			Trace:  snap.ID,
 			ID:     sid,
 			Parent: "run",
 			Name:   agg.name,
@@ -406,5 +421,5 @@ func (s *Service) Spans(id string) ([]obs.Span, bool) {
 			Attrs:  map[string]string{"tasks": fmt.Sprint(agg.tasks)},
 		})
 	}
-	return append(out, taskSpans...), true
+	return append(out, tasks...)
 }

@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -224,10 +228,10 @@ func TestRunSpans(t *testing.T) {
 	}
 }
 
-// TestTracerForgottenWithRun checks run eviction drops the trace with the
-// run's event index.
+// TestTracerForgottenWithRun checks run eviction drops the run's event index,
+// the one store its spans are derived from.
 func TestTracerForgottenWithRun(t *testing.T) {
-	svc, _ := newTestService(t, Options{Workers: 1, RetainRuns: 1})
+	svc, dfk := newTestService(t, Options{Workers: 1, RetainRuns: 1})
 	var last RunSnapshot
 	for i := 0; i < 3; i++ {
 		snap, err := svc.Submit(SubmitRequest{
@@ -239,10 +243,74 @@ func TestTracerForgottenWithRun(t *testing.T) {
 		}
 		last = waitTerminal(t, svc, snap.ID)
 	}
-	if n := svc.tracer.Len(); n > 1 {
-		t.Errorf("tracer retains %d traces, retention 1 should bound it", n)
+	if n := dfk.IndexStats().Labels; n > 1 {
+		t.Errorf("DFK retains %d run histories, retention 1 should bound it", n)
 	}
 	if spans, ok := svc.Spans(last.ID); !ok || len(spans) == 0 {
 		t.Errorf("latest run lost its spans (ok=%v, %d spans)", ok, len(spans))
+	}
+}
+
+// lockedBuffer is a log sink the service's goroutines write while the test
+// reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestSpanDebugLog checks the debug "span" log line: a logger enabled for
+// debug gets one record per finished task, naming the task span that
+// /runs/{id}/events derives; an info-level logger gets none.
+func TestSpanDebugLog(t *testing.T) {
+	for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo} {
+		var buf lockedBuffer
+		logger := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: level}))
+		svc, _ := newTestService(t, Options{Workers: 1, Logger: logger})
+		snap, err := svc.Submit(SubmitRequest{Source: []byte(twoStepWorkflow), Inputs: yamlx.MapOf("message", "log me")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, svc, snap.ID)
+		var logged []string
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var rec struct {
+				Msg, RunID, Span, Kind string
+				DurSeconds             float64
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("log line %q: %v", line, err)
+			}
+			if rec.Msg != "span" {
+				continue
+			}
+			if rec.RunID != snap.ID || rec.Kind != "task" || rec.DurSeconds <= 0 {
+				t.Errorf("span record %s", line)
+			}
+			logged = append(logged, rec.Span)
+		}
+		var want []string
+		if level == slog.LevelDebug {
+			spans, _ := svc.Spans(snap.ID)
+			for _, sp := range spans {
+				if sp.Kind == obs.KindTask {
+					want = append(want, sp.ID)
+				}
+			}
+		}
+		if !reflect.DeepEqual(logged, want) {
+			t.Errorf("level %v: span records %v, want %v", level, logged, want)
+		}
 	}
 }

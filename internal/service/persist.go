@@ -59,15 +59,17 @@ type persister struct {
 
 type payloadRec struct {
 	source []byte
-	inputs *yamlx.Map
+	inputs json.RawMessage // canonical JSON, encoded once at submission
 }
 
-// runWire is the journal/snapshot form of one run (RunSnapshot plus, for
-// non-terminal runs, the payload needed to re-execute it).
-type runWire struct {
+// runFields is RunSnapshot under the journal's field tags, so a conversion
+// copies a run into or out of its journal record — the outputs bytes shared,
+// not re-encoded or decoded. Restored describes the process that replayed
+// the record and is never journaled.
+type runFields struct {
 	ID           string          `json:"id"`
 	Name         string          `json:"name,omitempty"`
-	State        string          `json:"state"`
+	State        RunState        `json:"state"`
 	Class        string          `json:"class,omitempty"`
 	DocHash      string          `json:"docHash,omitempty"`
 	Priority     int             `json:"priority,omitempty"`
@@ -80,8 +82,15 @@ type runWire struct {
 	Provider     string          `json:"provider,omitempty"`
 	Tenant       string          `json:"tenant,omitempty"`
 	ResultCached bool            `json:"resultCached,omitempty"`
-	Source       string          `json:"source,omitempty"`
-	Inputs       json.RawMessage `json:"inputs,omitempty"`
+	Restored     bool            `json:"-"`
+}
+
+// runWire is the journal/snapshot form of one run: its fields plus, for
+// non-terminal runs, the payload needed to re-execute it.
+type runWire struct {
+	runFields
+	Source string          `json:"source,omitempty"`
+	Inputs json.RawMessage `json:"inputs,omitempty"`
 }
 
 type rejectWire struct {
@@ -100,63 +109,7 @@ type snapshotWire struct {
 	Memo []memoWire `json:"memo"`
 }
 
-func toWire(snap RunSnapshot) runWire {
-	w := runWire{
-		ID:           snap.ID,
-		Name:         snap.Name,
-		State:        snap.State.String(),
-		Class:        snap.Class,
-		DocHash:      snap.DocHash,
-		Priority:     snap.Priority,
-		CacheHit:     snap.CacheHit,
-		Created:      snap.Created,
-		Started:      snap.Started,
-		Finished:     snap.Finished,
-		Error:        snap.Error,
-		Provider:     snap.Provider,
-		Tenant:       snap.Tenant,
-		ResultCached: snap.ResultCached,
-	}
-	if snap.Outputs != nil {
-		if raw, err := snap.Outputs.MarshalJSON(); err == nil {
-			w.Outputs = raw
-		}
-	}
-	return w
-}
-
-func (w runWire) toSnapshot() (RunSnapshot, error) {
-	state, err := ParseRunState(w.State)
-	if err != nil {
-		return RunSnapshot{}, fmt.Errorf("run %s: %w", w.ID, err)
-	}
-	snap := RunSnapshot{
-		ID:           w.ID,
-		Name:         w.Name,
-		State:        state,
-		Class:        w.Class,
-		DocHash:      w.DocHash,
-		Priority:     w.Priority,
-		CacheHit:     w.CacheHit,
-		Created:      w.Created,
-		Started:      w.Started,
-		Finished:     w.Finished,
-		Error:        w.Error,
-		Provider:     w.Provider,
-		Tenant:       w.Tenant,
-		ResultCached: w.ResultCached,
-	}
-	if len(w.Outputs) > 0 {
-		v, err := yamlx.DecodeJSON(w.Outputs)
-		if err != nil {
-			return RunSnapshot{}, fmt.Errorf("run %s outputs: %w", w.ID, err)
-		}
-		if m, ok := v.(*yamlx.Map); ok {
-			snap.Outputs = m
-		}
-	}
-	return snap, nil
-}
+func toWire(snap RunSnapshot) runWire { return runWire{runFields: runFields(snap)} }
 
 func newPersister(log *persist.ShardedLog) *persister {
 	return &persister{
@@ -181,7 +134,7 @@ func (p *persister) runSubmitted(snap RunSnapshot, source []byte, inputs *yamlx.
 		}
 	}
 	p.mu.Lock()
-	p.payloads[snap.ID] = payloadRec{source: source, inputs: inputs}
+	p.payloads[snap.ID] = payloadRec{source: source, inputs: w.Inputs}
 	p.mu.Unlock()
 	if err := p.append(snap.ID, "submit", w); err != nil {
 		p.dropPayload(snap.ID)
@@ -385,12 +338,7 @@ func (p *persister) snapshot(s *Service) error {
 			w := toWire(rs)
 			if !rs.State.Terminal() {
 				if pl, ok := payloads[rs.ID]; ok {
-					w.Source = string(pl.source)
-					if pl.inputs != nil {
-						if raw, err := pl.inputs.MarshalJSON(); err == nil {
-							w.Inputs = raw
-						}
-					}
+					w.Source, w.Inputs = string(pl.source), pl.inputs
 				}
 				// A non-terminal run with no payload (a transition raced this
 				// build) is snapshotted as-is; replay marks it failed rather

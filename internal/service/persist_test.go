@@ -226,8 +226,8 @@ steps:
 	if final.State != RunSucceeded {
 		t.Fatalf("re-executed run = %+v", final)
 	}
-	if final.Outputs == nil || !strings.Contains(final.Outputs.String(), "slow.txt") {
-		t.Errorf("outputs = %v", final.Outputs)
+	if final.Outputs == nil || !strings.Contains(string(final.Outputs), "slow.txt") {
+		t.Errorf("outputs = %s", final.Outputs)
 	}
 	events, _ := svc2.Events(snap.ID)
 	hits := 0

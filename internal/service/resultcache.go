@@ -36,7 +36,7 @@ type ResultCache struct {
 
 type resultEntry struct {
 	key     string
-	outputs *yamlx.Map
+	outputs json.RawMessage
 }
 
 // NewResultCache returns a cache holding up to capacity run results.
@@ -119,10 +119,10 @@ func canonicalInto(sb *strings.Builder, v any) {
 	}
 }
 
-// Get returns the cached outputs for a result key. The returned map is
-// shared — callers must treat it as read-only (the engine already treats run
-// outputs as immutable once produced).
-func (c *ResultCache) Get(key string) (*yamlx.Map, bool) {
+// Get returns the cached outputs for a result key. The returned bytes are
+// shared with the run that produced them — callers must treat them as
+// read-only.
+func (c *ResultCache) Get(key string) (json.RawMessage, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -140,7 +140,7 @@ func (c *ResultCache) Get(key string) (*yamlx.Map, bool) {
 
 // Put caches the outputs of a succeeded run, evicting least-recently-used
 // entries past the capacity cap.
-func (c *ResultCache) Put(key string, outputs *yamlx.Map) {
+func (c *ResultCache) Put(key string, outputs json.RawMessage) {
 	if c == nil {
 		return
 	}

@@ -32,6 +32,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -135,8 +136,8 @@ type Options struct {
 	// cap, leaving only the entry-count cap).
 	CacheBytes int64
 	// DisableMetrics removes the GET /metrics route from Handler. The
-	// registry and tracer still run (they back /healthz and span-augmented
-	// /runs/{id}/events); only the exposition endpoint is withheld.
+	// registry still runs (it backs /healthz); only the exposition endpoint
+	// is withheld.
 	DisableMetrics bool
 	// Tenants enables multi-tenant mode: requests must authenticate with a
 	// registered API key (unless the registry defines the reserved default
@@ -155,7 +156,9 @@ type Options struct {
 	// for the sharing/privacy model.
 	ResultCacheSize int
 	// Logger, when set, receives structured log records for run lifecycle
-	// transitions and span events (see cmd/parsl-cwl-serve -log-format).
+	// transitions (see cmd/parsl-cwl-serve -log-format) and, when it is
+	// enabled for debug as the service is built, one "span" record per
+	// finished task.
 	Logger *slog.Logger
 }
 
@@ -245,11 +248,10 @@ type Service struct {
 	// reg is the service-scoped metrics registry: gather-time collectors
 	// over the same sources /healthz reads. Merged with obs.Default() (the
 	// engine layers' process-wide counters) on GET /metrics.
-	reg    *obs.Registry
-	tracer *obs.Tracer
-	// removeSpanHook detaches the span recorder from the shared DFK at
-	// Close, so a closed service is not retained by the DFK's hook list.
-	removeSpanHook func()
+	reg *obs.Registry
+	// removeSpanLog detaches the debug span log from the shared DFK at Close,
+	// so a closed service is not retained by the DFK's hook list.
+	removeSpanLog func()
 
 	workMu sync.Mutex
 	work   map[string]*pendingRun
@@ -303,35 +305,27 @@ func New(dfk *parsl.DFK, opts Options) (*Service, error) {
 		cache:   NewDocCache(opts.CacheSize, opts.CacheBytes),
 		results: NewResultCache(opts.ResultCacheSize),
 		reg:     obs.NewRegistry(),
-		tracer:  obs.NewTracer(opts.RetainRuns, 0),
 		work:    map[string]*pendingRun{},
 		cpu:     map[string]float64{},
+		// A debug span log is the only reader of a live event hook; without
+		// one the DFK pays no per-event callback.
+		removeSpanLog: func() {},
 	}
 	s.sched = NewScheduler(opts.Workers, opts.QueueDepth, s.tenantLimits, s.execute)
 	s.registerCollectors()
-	if opts.Logger != nil {
-		logger := opts.Logger
-		s.tracer.SetSink(func(sp obs.Span) {
-			logger.Debug("span",
-				"runId", sp.Trace, "span", sp.ID, "name", sp.Name,
-				"kind", string(sp.Kind), "durSeconds", sp.Duration().Seconds())
-		})
+	if opts.Logger != nil && opts.Logger.Enabled(context.Background(), slog.LevelDebug) {
+		s.removeSpanLog = logTaskSpans(dfk, opts.Logger)
 	}
-	recorder := newSpanRecorder(s.tracer)
-	s.removeSpanHook = dfk.OnTaskEvent(recorder.onEvent)
-	// Per-run event logs live in the DFK's per-label index (runs are labeled
-	// with their ID); when retention evicts a run, drop its label index from
-	// the shared DFK — and its trace from the tracer — so a long-lived
-	// service does not pin every past run's events.
-	s.store.SetOnEvict(func(id string) {
-		dfk.ForgetLabel(id)
-		s.tracer.Forget(id)
-	})
+	// A run's history lives once, in the DFK's per-label index (runs are
+	// labeled with their ID), and its spans are derived from it on read; when
+	// retention evicts a run, drop its label index from the shared DFK so a
+	// long-lived service does not pin every past run's events.
+	s.store.SetOnEvict(dfk.ForgetLabel)
 
 	if opts.DataDir != "" {
 		if err := s.openPersistence(); err != nil {
 			s.sched.Close(context.Background())
-			s.removeSpanHook()
+			s.removeSpanLog()
 			return nil, err
 		}
 	}
@@ -368,11 +362,7 @@ func (s *Service) openPersistence() error {
 	now := time.Now()
 	for _, id := range state.order {
 		w := state.runs[id]
-		snap, err := w.toSnapshot()
-		if err != nil {
-			log.Close()
-			return fmt.Errorf("service: replaying %s: %w", s.opts.DataDir, err)
-		}
+		snap := RunSnapshot(w.runFields)
 		snap.Restored = true
 		if snap.State.Terminal() {
 			s.store.Restore(snap)
@@ -415,7 +405,7 @@ func (s *Service) openPersistence() error {
 		}
 		s.workMu.Unlock()
 		p.mu.Lock()
-		p.payloads[snap.ID] = payloadRec{source: []byte(w.Source), inputs: inputs}
+		p.payloads[snap.ID] = payloadRec{source: []byte(w.Source), inputs: w.Inputs}
 		p.mu.Unlock()
 		rerun = append(rerun, resubmit{id: snap.ID, tenant: snap.Tenant, priority: snap.Priority})
 		p.resubmitted++
@@ -434,7 +424,7 @@ func (s *Service) openPersistence() error {
 
 // finishRun finalizes a run, journals the terminal transition, charges the
 // tenant's CPU account, and feeds the drain-rate estimator behind Retry-After.
-func (s *Service) finishRun(id string, outputs *yamlx.Map, runErr error, canceled bool) (RunSnapshot, bool) {
+func (s *Service) finishRun(id string, outputs json.RawMessage, runErr error, canceled bool) (RunSnapshot, bool) {
 	snap, ok := s.store.Finish(id, outputs, runErr, canceled)
 	if ok && snap.State.Terminal() {
 		if snap.Started != nil && snap.Finished != nil {
@@ -714,12 +704,21 @@ func (s *Service) execute(ctx context.Context, id string) {
 	// A deadline expiry is a failure, not a cancellation — only an operator
 	// cancel (scheduler context canceled) reports RunCanceled.
 	canceled := err != nil && errors.Is(ctx.Err(), context.Canceled)
+	// The outputs are encoded once, here; the store, the result cache, the
+	// journal and GET /runs/{id} share these bytes, and the decoded task
+	// results become garbage as the run finishes.
+	var raw json.RawMessage
+	if err == nil && outputs != nil {
+		if raw, err = outputs.MarshalJSON(); err != nil {
+			err = fmt.Errorf("encoding run outputs: %w", err)
+		}
+	}
 	if err == nil && w.resultKey != "" {
 		// Publish the whole-run result for identical future submissions,
 		// from any non-private tenant.
-		s.results.Put(w.resultKey, outputs)
+		s.results.Put(w.resultKey, raw)
 	}
-	s.finishRun(id, outputs, err, canceled)
+	s.finishRun(id, raw, err, canceled)
 }
 
 // Get returns the current snapshot of a run.
@@ -862,6 +861,6 @@ func (s *Service) Close(ctx context.Context) error {
 			err = perr
 		}
 	}
-	s.removeSpanHook()
+	s.removeSpanLog()
 	return err
 }

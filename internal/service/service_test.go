@@ -121,9 +121,9 @@ func TestSubmitToolSucceeds(t *testing.T) {
 	if final.State != RunSucceeded {
 		t.Fatalf("state = %v (error %q)", final.State, final.Error)
 	}
-	out, _ := final.Outputs.Value("output").(*yamlx.Map)
+	out, _ := final.OutputMap().Value("output").(*yamlx.Map)
 	if out == nil {
-		t.Fatalf("outputs = %v", final.Outputs)
+		t.Fatalf("outputs = %s", final.Outputs)
 	}
 	data, err := os.ReadFile(out.GetString("path"))
 	if err != nil {
@@ -147,9 +147,9 @@ func TestSubmitWorkflowSucceeds(t *testing.T) {
 	if final.State != RunSucceeded {
 		t.Fatalf("state = %v (error %q)", final.State, final.Error)
 	}
-	out, _ := final.Outputs.Value("final").(*yamlx.Map)
+	out, _ := final.OutputMap().Value("final").(*yamlx.Map)
 	if out == nil {
-		t.Fatalf("outputs = %v", final.Outputs)
+		t.Fatalf("outputs = %s", final.Outputs)
 	}
 	data, err := os.ReadFile(out.GetString("path"))
 	if err != nil {

@@ -105,8 +105,12 @@ type RunSnapshot struct {
 	Created  time.Time  `json:"createdAt"`
 	Started  *time.Time `json:"startedAt,omitempty"`
 	Finished *time.Time `json:"finishedAt,omitempty"`
-	Outputs  *yamlx.Map `json:"outputs,omitempty"`
-	Error    string     `json:"error,omitempty"`
+	// Outputs is a succeeded run's outputs as canonical JSON (the bytes
+	// yamlx.Map.MarshalJSON produces), encoded once when the run finishes and
+	// shared read-only by the run store, the result cache and the journal.
+	// OutputMap decodes it.
+	Outputs json.RawMessage `json:"outputs,omitempty"`
+	Error   string          `json:"error,omitempty"`
 	// Provider is the execution-provider label the run was pinned to at
 	// submission ("" = the service default executor).
 	Provider string `json:"provider,omitempty"`
@@ -119,6 +123,17 @@ type RunSnapshot struct {
 	// Restored marks a run recovered from the persistence journal by a later
 	// process — either as history (terminal) or re-enqueued (interrupted).
 	Restored bool `json:"restored,omitempty"`
+}
+
+// OutputMap decodes Outputs into the engine's value shapes; nil when the run
+// has no outputs.
+func (s RunSnapshot) OutputMap() *yamlx.Map {
+	if len(s.Outputs) == 0 {
+		return nil
+	}
+	v, _ := yamlx.DecodeJSON(s.Outputs)
+	m, _ := v.(*yamlx.Map)
+	return m
 }
 
 type runRecord struct {
@@ -298,7 +313,7 @@ func (st *RunStore) MarkRunning(id string) bool {
 // Finish moves a run to its terminal state: canceled when canceled is set,
 // failed when runErr is non-nil, succeeded otherwise. It is a no-op on runs
 // already terminal. The run's done channel closes exactly once.
-func (st *RunStore) Finish(id string, outputs *yamlx.Map, runErr error, canceled bool) (RunSnapshot, bool) {
+func (st *RunStore) Finish(id string, outputs json.RawMessage, runErr error, canceled bool) (RunSnapshot, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	rec, ok := st.runs[id]

@@ -413,8 +413,8 @@ func TestCrossTenantResultCacheSharing(t *testing.T) {
 	if second.State != RunSucceeded {
 		t.Errorf("result-cached run state = %v, want succeeded immediately", second.State)
 	}
-	if second.Outputs == nil || second.Outputs.String() != final.Outputs.String() {
-		t.Errorf("shared outputs = %v, want %v", second.Outputs, final.Outputs)
+	if second.Outputs == nil || string(second.Outputs) != string(final.Outputs) {
+		t.Errorf("shared outputs = %s, want %s", second.Outputs, final.Outputs)
 	}
 	if second.Tenant != "beta" {
 		t.Errorf("tenant = %q", second.Tenant)

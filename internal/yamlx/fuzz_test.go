@@ -1,6 +1,7 @@
 package yamlx
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -70,4 +71,51 @@ func FuzzDecodeJSON(f *testing.F) {
 			t.Fatalf("decoded JSON value %T does not marshal: %v", v, err)
 		}
 	})
+}
+
+// FuzzDecodeJSONMatchesStdlib checks the single-pass DecodeJSON against the
+// json.Decoder token walk it replaced: both accept or both reject, with
+// reflect.DeepEqual values. The one allowed difference is nesting deeper
+// than encoding/json's scanner limit of 10000, which json.Valid rejects and
+// the token walk, whose Token calls never see the depth, accepted.
+func FuzzDecodeJSONMatchesStdlib(f *testing.F) {
+	for _, s := range []string{
+		`{}`, `[]`, `null`, `true`, `-0`, `1e400`, `12345678901234567890`, `1.5e-3`,
+		`{"a":1,"b":[true,null,"x"]}`, `{"dup":1,"x":2,"dup":3}`, `[[],{},[[]]]`,
+		`"esc\"aped\\\/é😀"`, "\"bad utf8 \xff\"", `"\ud800"`,
+		` {"k" : [ 1 , 2 ] } `, `{"a":`, `[1,]`, `{"a" 1}`, `01`, `1 2`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, gotErr := DecodeJSON(data)
+		want, wantErr := decodeJSONTokens(data)
+		if gotErr != nil && wantErr == nil && nestingDepth(want) > 10000 {
+			return
+		}
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("input %q: DecodeJSON error %v, token walk error %v", data, gotErr, wantErr)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("input %q: DecodeJSON = %#v, token walk = %#v", data, got, want)
+		}
+	})
+}
+
+func nestingDepth(v any) int {
+	deepest := 0
+	switch x := v.(type) {
+	case *Map:
+		x.Range(func(_ string, e any) bool {
+			deepest = max(deepest, nestingDepth(e))
+			return true
+		})
+	case []any:
+		for _, e := range x {
+			deepest = max(deepest, nestingDepth(e))
+		}
+	default:
+		return 0
+	}
+	return deepest + 1
 }

@@ -48,8 +48,8 @@ stdout: out.txt
 	if final.State != RunSucceeded {
 		t.Fatalf("state = %v (error %q)", final.State, final.Error)
 	}
-	if final.Outputs.Value("output") == nil {
-		t.Errorf("outputs = %v", final.Outputs)
+	if final.OutputMap().Value("output") == nil {
+		t.Errorf("outputs = %s", final.Outputs)
 	}
 	events, ok := svc.Events(snap.ID)
 	if !ok || len(events) == 0 {
