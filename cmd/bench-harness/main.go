@@ -28,7 +28,7 @@ func main() {
 	// Worker mode: the provider experiment re-executes this binary as a
 	// protocol worker, so the harness needs no external parsl-cwl-worker.
 	if os.Getenv("PARSL_CWL_WORKER_PROCESS") == "1" {
-		if err := provider.RunWorker(os.Stdin, os.Stdout); err != nil {
+		if err := provider.RunWorker(os.Stdin, os.Stdout, os.Args[1:]); err != nil {
 			fmt.Fprintln(os.Stderr, "bench-harness worker:", err)
 			os.Exit(1)
 		}

@@ -79,7 +79,6 @@ type serveConfig struct {
 	netCert          string
 	netKey           string
 	netSpawn         bool
-	batchMax         int
 	warmPool         int
 	metrics          bool
 	pprofAddr        string
@@ -113,7 +112,6 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 	fs.StringVar(&cfg.netCert, "net-cert", "", "TLS certificate (PEM) for the interchange listener")
 	fs.StringVar(&cfg.netKey, "net-key", "", "TLS private key (PEM) for the interchange listener")
 	fs.BoolVar(&cfg.netSpawn, "net-spawn", true, "spawn a local parsl-cwl-worker -connect per net block (disable when remote workers dial in)")
-	fs.IntVar(&cfg.batchMax, "batch-max", 0, "max tasks coalesced per dispatch frame for process/net providers (0 = default 64, 1 = no batching)")
 	fs.IntVar(&cfg.warmPool, "warm-pool", 0, "pre-started spare workers kept ready per process/net provider (0 disables)")
 	fs.BoolVar(&cfg.metrics, "metrics", true, "serve Prometheus text exposition on GET /metrics")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060); empty disables")
@@ -184,9 +182,6 @@ func newService(cfg serveConfig, logger *slog.Logger) (*parsl.DFK, *service.Serv
 	}
 	if !cfg.netSpawn {
 		spec.NetSpawn = false
-	}
-	if cfg.batchMax != 0 {
-		spec.BatchMax = cfg.batchMax
 	}
 	if cfg.warmPool != 0 {
 		spec.WarmPool = cfg.warmPool

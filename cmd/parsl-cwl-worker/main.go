@@ -1,8 +1,9 @@
 // Command parsl-cwl-worker is the execution endpoint of the Parsl+CWL
 // engine's out-of-process providers. It speaks the worker session protocol —
 // 4-byte big-endian length-prefixed frames, a versioned JSON hello/ack
-// handshake, batched binary run requests with responses in completion order,
-// and heartbeat/drain/bye session frames — over one of two transports:
+// handshake, batched binary run requests executed on -capacity slots with
+// responses in completion order, and heartbeat/drain/bye session frames —
+// over one of two transports:
 //
 //   - Pipe mode (default): the engine's ProcessProvider launched this worker
 //     and owns its stdin/stdout. Closing stdin asks the worker to drain and
@@ -12,10 +13,10 @@
 //     and the shared secret, and serves tasks until the engine drains it
 //     (reconnecting on broken connections unless -reconnect=false).
 //
-// In both modes SIGTERM/SIGINT triggers a graceful drain: in-flight tasks
-// finish, their responses are sent, the worker deregisters with a bye frame
-// and exits 0. The worker is stateless between tasks — a crash costs only
-// the tasks in flight on it, which the engine re-dispatches.
+// In both modes SIGTERM/SIGINT triggers a graceful drain: every task already
+// received finishes, the responses are sent, the worker deregisters with a
+// bye frame and exits 0. The worker is stateless between tasks — a crash
+// costs only the tasks in flight on it, which the engine re-dispatches.
 package main
 
 import (
@@ -38,7 +39,8 @@ func main() {
 	secret := flag.String("secret", os.Getenv("PCWL_NET_SECRET"),
 		"shared secret for the interchange (default $PCWL_NET_SECRET)")
 	id := flag.String("id", "", "worker identity announced to the interchange (default host-pid derived)")
-	capacity := flag.Int("capacity", 0, "advisory concurrent-task capacity announced to the interchange")
+	capacity := flag.Int("capacity", provider.DefaultCapacity(),
+		"task slots: run at most this many tasks at once, start the rest in arrival order (announced in the hello; default one per CPU)")
 	useTLS := flag.Bool("tls", false, "dial the interchange over TLS using the system trust roots")
 	tlsCA := flag.String("tls-ca", "", "PEM file to trust for the interchange's TLS certificate (implies TLS)")
 	tlsServerName := flag.String("tls-server-name", "", "expected TLS server name (default: the -connect host)")
@@ -70,7 +72,7 @@ func main() {
 
 	var err error
 	if *connect == "" {
-		err = provider.RunPipeWorker(os.Stdin, os.Stdout, drain)
+		err = provider.RunPipeWorker(os.Stdin, os.Stdout, drain, *capacity)
 	} else {
 		tlsConf, terr := clientTLS(*useTLS, *tlsCA, *tlsServerName, *tlsInsecure)
 		if terr != nil {

@@ -29,7 +29,7 @@ func TestMain(m *testing.M) {
 	// binary as a protocol worker instead of requiring a prebuilt
 	// parsl-cwl-worker on PATH.
 	if os.Getenv("PARSL_CWL_WORKER_PROCESS") == "1" {
-		if err := provider.RunWorker(os.Stdin, os.Stdout); err != nil {
+		if err := provider.RunWorker(os.Stdin, os.Stdout, os.Args[1:]); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}

@@ -5,7 +5,7 @@
 // racing external signals.
 //
 // Determinism is the design constraint. Which faults fire is driven entirely
-// by task identity and per-handle execution counters — never by the random
+// by task identity and per-handle dispatch counters — never by the random
 // source — so the same scenario produces the same quarantine outcome under
 // any seed. The seed only shapes *timing* (injected delays), which is exactly
 // the part allowed to differ between runs while outcomes must not.
@@ -27,11 +27,11 @@ type Config struct {
 	// different injected latencies but identical fault outcomes.
 	Seed int64
 	// KillTaskIDs lists DFK task ids that are poison: every worker handle
-	// that picks one up dies (handle marked dead, underlying block closed,
-	// ErrWorkerLost returned) without executing the task. Independent of
-	// scheduling order, so redispatch-budget tests are exact.
+	// that is dispatched one dies (handle marked dead, underlying block
+	// closed) without executing the task, which fails with ErrWorkerLost.
+	// Independent of scheduling order, so redispatch-budget tests are exact.
 	KillTaskIDs []int
-	// KillEveryN kills the handle on its Nth, 2Nth, ... task execution
+	// KillEveryN kills the handle on its Nth, 2Nth, ... dispatched task
 	// (per-handle counter; 0 disables) — steady worker churn.
 	KillEveryN int
 	// MaxKills bounds total injected kills across all handles (0 = no bound).
@@ -41,7 +41,8 @@ type Config struct {
 	// backoff path.
 	FailLaunches int
 	// MaxDelay adds a seeded pseudo-random delay in [0, MaxDelay) before
-	// each task execution (0 disables). Timing-only: never changes outcomes.
+	// each task's completion is delivered (0 disables). Timing-only: never
+	// changes outcomes.
 	MaxDelay time.Duration
 	// DropFrames, when the wrapped provider can sever live connections
 	// (fabric.NetProvider), severs the connection of the block executing
@@ -99,7 +100,7 @@ func (p *Provider) Name() string { return "chaos+" + p.inner.Name() }
 
 // Launch implements provider.ExecutionProvider, failing the first
 // FailLaunches attempts before delegating.
-func (p *Provider) Launch(block int) (provider.ManagerHandle, error) {
+func (p *Provider) Launch(block, slots int) (provider.ManagerHandle, error) {
 	p.mu.Lock()
 	p.launches++
 	n := p.launches
@@ -108,7 +109,7 @@ func (p *Provider) Launch(block int) (provider.ManagerHandle, error) {
 		p.launchesFailed.Add(1)
 		return nil, fmt.Errorf("chaos: injected launch failure %d/%d", n, p.cfg.FailLaunches)
 	}
-	h, err := p.inner.Launch(block)
+	h, err := p.inner.Launch(block, slots)
 	if err != nil {
 		return nil, err
 	}
@@ -152,28 +153,31 @@ func (p *Provider) delay() time.Duration {
 	return d
 }
 
-// shouldKill decides — deterministically — whether this execution kills the
-// worker. nthExec is the handle's own execution counter.
-func (p *Provider) shouldKill(taskID int, nthExec int64) bool {
+// shouldKill decides — deterministically — whether dispatching this task
+// kills the worker. nth is the handle's own dispatch counter.
+func (p *Provider) shouldKill(taskID int, nth int64) bool {
 	if p.cfg.MaxKills > 0 && p.kills.Load() >= int64(p.cfg.MaxKills) {
 		return false
 	}
 	if p.killIDs[taskID] {
 		return true
 	}
-	return p.cfg.KillEveryN > 0 && nthExec%int64(p.cfg.KillEveryN) == 0
+	return p.cfg.KillEveryN > 0 && nth%int64(p.cfg.KillEveryN) == 0
 }
 
 // handle wraps one launched block.
 type handle struct {
-	p     *Provider
-	inner provider.ManagerHandle
-	dead  atomic.Bool
-	execs atomic.Int64
+	p          *Provider
+	inner      provider.ManagerHandle
+	dead       atomic.Bool
+	dispatches atomic.Int64
 }
 
 // Block implements provider.ManagerHandle.
 func (h *handle) Block() int { return h.inner.Block() }
+
+// Slots implements provider.ManagerHandle.
+func (h *handle) Slots() int { return h.inner.Slots() }
 
 // Alive implements provider.ManagerHandle: an injected kill is sticky.
 func (h *handle) Alive() bool { return !h.dead.Load() && h.inner.Alive() }
@@ -181,32 +185,69 @@ func (h *handle) Alive() bool { return !h.dead.Load() && h.inner.Alive() }
 // Close implements provider.ManagerHandle.
 func (h *handle) Close() error { return h.inner.Close() }
 
-// Run implements provider.ManagerHandle, injecting the configured faults
-// around the real execution.
-func (h *handle) Run(t *provider.Task) (any, error) {
+// Dispatch implements provider.ManagerHandle, injecting the configured
+// faults in dispatch order. A task that triggers a kill never reaches the
+// worker and fails with ErrWorkerLost; the tasks dispatched ahead of it are
+// handed to the worker before it dies (the dying block completes them as it
+// would on a real death), the ones behind it never start.
+func (h *handle) Dispatch(batch []*provider.Task) {
 	if h.dead.Load() {
-		return nil, fmt.Errorf("chaos: block already killed: %w", provider.ErrWorkerLost)
+		notStarted(batch, "chaos: block already killed")
+		return
 	}
-	if d := h.p.delay(); d > 0 {
-		time.Sleep(d)
-	}
-	if h.p.shouldKill(t.ID, h.execs.Add(1)) {
-		h.p.kills.Add(1)
-		h.dead.Store(true)
-		if h.p.cfg.DropFrames {
-			if ck, ok := h.p.inner.(ConnKiller); ok && ck.KillConnection(h.inner.Block()) {
-				// The severed transport makes the in-flight roundtrip (and
-				// the block) fail on its own; still report the loss directly
-				// so the task never reaches the dying worker.
-				h.p.connsSevered.Add(1)
-				return nil, fmt.Errorf("chaos: severed connection of block %d for task %d: %w",
-					h.inner.Block(), t.ID, provider.ErrWorkerLost)
-			}
+	for i, t := range batch {
+		if !h.p.shouldKill(t.ID, h.dispatches.Add(1)) {
+			continue
 		}
-		// Close the real block so the kill is not merely cosmetic: worker
-		// processes exit, heartbeats stop, Status reflects the death.
-		_ = h.inner.Close()
-		return nil, fmt.Errorf("chaos: killed worker on task %d: %w", t.ID, provider.ErrWorkerLost)
+		h.inner.Dispatch(h.p.delayed(batch[:i]))
+		h.kill(t)
+		notStarted(batch[i+1:], fmt.Sprintf("chaos: worker killed by task %d", t.ID))
+		return
 	}
-	return h.inner.Run(t)
+	h.inner.Dispatch(h.p.delayed(batch))
+}
+
+// kill takes the block down for task t, which fails with ErrWorkerLost.
+func (h *handle) kill(t *provider.Task) {
+	h.p.kills.Add(1)
+	h.dead.Store(true)
+	if h.p.cfg.DropFrames {
+		if ck, ok := h.p.inner.(ConnKiller); ok && ck.KillConnection(h.inner.Block()) {
+			// The severed transport fails the block's outstanding tasks on
+			// its own; the killing task never reaches the dying worker.
+			h.p.connsSevered.Add(1)
+			t.Done(nil, fmt.Errorf("chaos: severed connection of block %d for task %d: %w",
+				h.inner.Block(), t.ID, provider.ErrWorkerLost))
+			return
+		}
+	}
+	// Close the real block so the kill is not merely cosmetic: worker
+	// processes exit, heartbeats stop, Status reflects the death.
+	_ = h.inner.Close()
+	t.Done(nil, fmt.Errorf("chaos: killed worker on task %d: %w", t.ID, provider.ErrWorkerLost))
+}
+
+// notStarted fails tasks that never reached a worker.
+func notStarted(tasks []*provider.Task, why string) {
+	for _, t := range tasks {
+		t.Done(nil, fmt.Errorf("%s: %w", why, provider.ErrNotStarted))
+	}
+}
+
+// delayed wraps each task's completion in a seeded delay (MaxDelay), or
+// returns the batch untouched when delays are off.
+func (p *Provider) delayed(batch []*provider.Task) []*provider.Task {
+	if p.cfg.MaxDelay <= 0 || len(batch) == 0 {
+		return batch
+	}
+	out := make([]*provider.Task, len(batch))
+	for i, t := range batch {
+		d, done := p.delay(), t.Done
+		dt := *t
+		dt.Done = func(res any, err error) {
+			time.AfterFunc(d, func() { done(res, err) })
+		}
+		out[i] = &dt
+	}
+	return out
 }

@@ -112,11 +112,11 @@ func TestQuarantineOutcomeSeedIndependent(t *testing.T) {
 func TestInjectedLaunchFailures(t *testing.T) {
 	prov := chaos.Wrap(&provider.LocalProvider{}, chaos.Config{FailLaunches: 2})
 	for i := 0; i < 2; i++ {
-		if _, err := prov.Launch(i); err == nil {
+		if _, err := prov.Launch(i, 1); err == nil {
 			t.Fatalf("launch %d succeeded, want injected failure", i)
 		}
 	}
-	h, err := prov.Launch(2)
+	h, err := prov.Launch(2, 1)
 	if err != nil {
 		t.Fatalf("launch 3: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestInjectedLaunchFailures(t *testing.T) {
 	if !h.Alive() {
 		t.Error("pass-through handle not alive")
 	}
-	res, err := h.Run(&provider.Task{ID: 7, Fn: func() (any, error) { return "ran", nil }})
+	res, err := runOne(h, &provider.Task{ID: 7, Fn: func() (any, error) { return "ran", nil }})
 	if err != nil || res != "ran" {
 		t.Fatalf("run through wrapper: res=%v err=%v", res, err)
 	}
@@ -136,31 +136,72 @@ func TestInjectedLaunchFailures(t *testing.T) {
 	}
 }
 
-// TestKillEveryN: the per-handle execution counter kills deterministically on
-// the Nth task, and a killed handle stays dead.
+// TestKillEveryN: the per-handle dispatch counter kills deterministically on
+// the Nth task, and a killed handle stays dead: later tasks never start.
 func TestKillEveryN(t *testing.T) {
 	prov := chaos.Wrap(&provider.LocalProvider{}, chaos.Config{KillEveryN: 3})
-	h, err := prov.Launch(0)
+	h, err := prov.Launch(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fn := func() (any, error) { return nil, nil }
 	for i := 1; i <= 2; i++ {
-		if _, err := h.Run(&provider.Task{ID: i, Fn: fn}); err != nil {
+		if _, err := runOne(h, &provider.Task{ID: i, Fn: fn}); err != nil {
 			t.Fatalf("exec %d: %v", i, err)
 		}
 	}
-	if _, err := h.Run(&provider.Task{ID: 3, Fn: fn}); !errors.Is(err, provider.ErrWorkerLost) {
+	if _, err := runOne(h, &provider.Task{ID: 3, Fn: fn}); !errors.Is(err, provider.ErrWorkerLost) {
 		t.Fatalf("exec 3: err = %v, want ErrWorkerLost", err)
 	}
 	if h.Alive() {
 		t.Error("handle alive after injected kill")
 	}
-	if _, err := h.Run(&provider.Task{ID: 4, Fn: fn}); !errors.Is(err, provider.ErrWorkerLost) {
-		t.Fatalf("exec on dead handle: err = %v, want ErrWorkerLost", err)
+	if _, err := runOne(h, &provider.Task{ID: 4, Fn: fn}); !errors.Is(err, provider.ErrNotStarted) {
+		t.Fatalf("dispatch to a dead handle: err = %v, want ErrNotStarted", err)
 	}
 	if got := prov.Stats().Kills; got != 1 {
 		t.Errorf("kills = %d, want 1 (dead-handle hits are not new kills)", got)
+	}
+}
+
+// TestKillMidBatch: a kill inside one dispatched batch splits it — the task
+// ahead of the killer reached the worker and completes, the killer fails as
+// lost, the tasks behind it never start.
+func TestKillMidBatch(t *testing.T) {
+	prov := chaos.Wrap(&provider.LocalProvider{}, chaos.Config{KillTaskIDs: []int{2}})
+	h, err := prov.Launch(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		id  int
+		err error
+	}
+	out := make(chan outcome, 4)
+	var batch []*provider.Task
+	for id := 1; id <= 4; id++ {
+		batch = append(batch, &provider.Task{
+			ID:   id,
+			Fn:   func() (any, error) { return id, nil },
+			Done: func(_ any, err error) { out <- outcome{id, err} },
+		})
+	}
+	h.Dispatch(batch)
+	got := map[int]error{}
+	for range batch {
+		o := <-out
+		got[o.id] = o.err
+	}
+	if got[1] != nil {
+		t.Errorf("task ahead of the killer: %v, want success", got[1])
+	}
+	if !errors.Is(got[2], provider.ErrWorkerLost) {
+		t.Errorf("killing task: %v, want ErrWorkerLost", got[2])
+	}
+	for _, id := range []int{3, 4} {
+		if !errors.Is(got[id], provider.ErrNotStarted) {
+			t.Errorf("task %d behind the killer: %v, want ErrNotStarted", id, got[id])
+		}
 	}
 }
 
@@ -168,13 +209,26 @@ func TestKillEveryN(t *testing.T) {
 // recover.
 func TestMaxKillsBound(t *testing.T) {
 	prov := chaos.Wrap(&provider.LocalProvider{}, chaos.Config{KillEveryN: 1, MaxKills: 1})
-	h1, _ := prov.Launch(0)
-	if _, err := h1.Run(&provider.Task{ID: 1, Fn: func() (any, error) { return nil, nil }}); !errors.Is(err, provider.ErrWorkerLost) {
+	h1, _ := prov.Launch(0, 1)
+	if _, err := runOne(h1, &provider.Task{ID: 1, Fn: func() (any, error) { return nil, nil }}); !errors.Is(err, provider.ErrWorkerLost) {
 		t.Fatalf("first exec: %v, want injected kill", err)
 	}
-	h2, _ := prov.Launch(1)
-	res, err := h2.Run(&provider.Task{ID: 2, Fn: func() (any, error) { return "ok", nil }})
+	h2, _ := prov.Launch(1, 1)
+	res, err := runOne(h2, &provider.Task{ID: 2, Fn: func() (any, error) { return "ok", nil }})
 	if err != nil || res != "ok" {
 		t.Fatalf("post-budget exec: res=%v err=%v", res, err)
 	}
+}
+
+// runOne dispatches one task on h and waits for its outcome.
+func runOne(h provider.ManagerHandle, t *provider.Task) (any, error) {
+	type outcome struct {
+		res any
+		err error
+	}
+	ch := make(chan outcome, 1)
+	t.Done = func(res any, err error) { ch <- outcome{res, err} }
+	h.Dispatch([]*provider.Task{t})
+	o := <-ch
+	return o.res, o.err
 }

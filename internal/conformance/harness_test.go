@@ -28,7 +28,7 @@ import (
 // the process provider runs against genuine subprocesses.
 func TestMain(m *testing.M) {
 	if os.Getenv("PARSL_CWL_WORKER_PROCESS") == "1" {
-		if err := provider.RunWorker(os.Stdin, os.Stdout); err != nil {
+		if err := provider.RunWorker(os.Stdin, os.Stdout, os.Args[1:]); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"syscall"
@@ -186,5 +187,92 @@ func TestProcessWorkerKillRedispatch(t *testing.T) {
 		if !found {
 			t.Error("no stamp job directories in the work root")
 		}
+	}
+}
+
+// TestProcessWorkerKillChargesOnlyStarted pins the redispatch budget's
+// meaning under the asynchronous contract: SIGKILL a capacity-2 worker that
+// holds 2 running and 2 queued sleep tasks. Only the 2 that had started are
+// re-dispatched against their budget; the 2 still queued are requeued free.
+// All 4 then succeed on the replacement worker.
+func TestProcessWorkerKillChargesOnlyStarted(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov := provider.NewProcessProvider(provider.ProcessOptions{
+		Command: []string{exe},
+		Env:     []string{"PARSL_CWL_WORKER_PROCESS=1"},
+	})
+	htex := parsl.NewHighThroughputExecutor(parsl.HTEXConfig{
+		Label:    "htex",
+		Provider: prov,
+		// Two slots and the default prefetch of one task per slot: the block
+		// holds 4 tasks, 2 running and 2 queued behind them.
+		WorkersPerNode:  2,
+		MaxBlocks:       1,
+		MinBlocks:       1,
+		InitBlocks:      1,
+		HeartbeatPeriod: 30 * time.Millisecond,
+		// The kill is seen by the session itself; a heartbeat delayed on a
+		// loaded machine must not read as a silent block, whose tasks are
+		// all charged.
+		HeartbeatThreshold: time.Minute,
+	})
+	if err := htex.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer htex.Shutdown()
+
+	const n = 4
+	results := make(chan error, n)
+	for i := 0; i < n; i++ {
+		spec, err := provider.NewSleepSpec(time.Second, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		htex.Submit(&parsl.Task{ID: i, Remote: spec, Fn: func() (any, error) {
+			return nil, fmt.Errorf("task %d must run on a worker", i)
+		}}, func(res any, err error) {
+			if err == nil && res != int64(i) {
+				err = fmt.Errorf("task %d returned %v", i, res)
+			}
+			results <- err
+		})
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for prov.RemoteTasks() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d tasks reached the worker", prov.RemoteTasks(), n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond) // two running, two queued, none done
+	pid := prov.WorkerPids()[0]
+	if pid <= 0 {
+		t.Fatal("no live worker to kill")
+	}
+	if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-results:
+			if err != nil {
+				t.Fatalf("task failed after the kill: %v", err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%d of %d tasks never completed after the kill", n-i, n)
+		}
+	}
+	st := htex.Stats()
+	if st.TasksRedispatched != 2 || st.TasksRequeued != 2 {
+		t.Errorf("redispatched (charged) = %d, requeued (free) = %d; want 2 and 2",
+			st.TasksRedispatched, st.TasksRequeued)
+	}
+	if st.ManagersLost != 1 {
+		t.Errorf("managers lost = %d, want 1", st.ManagersLost)
 	}
 }

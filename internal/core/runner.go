@@ -18,7 +18,8 @@ import (
 // Runner is the parsl-cwl engine (paper §III-B): it executes CWL processes
 // on Parsl executors. The paper's prototype handles CommandLineTools; this
 // implementation also runs complete Workflows (the paper's stated future
-// work) by pairing the shared workflow engine with a Parsl-backed submitter.
+// work) by pairing the shared workflow engine with a Parsl-backed submitter,
+// and evaluates bare ExpressionTools in process.
 type Runner struct {
 	DFK *parsl.DFK
 	// WorkRoot is where job directories are created.
@@ -72,9 +73,34 @@ func (r *Runner) RunContext(ctx context.Context, doc cwl.Document, inputs *yamlx
 		return r.RunToolContext(ctx, d, inputs)
 	case *cwl.Workflow:
 		return r.RunWorkflowContext(ctx, d, inputs)
+	case *cwl.ExpressionTool:
+		return runExpressionTool(ctx, d, inputs)
 	default:
 		return nil, fmt.Errorf("parsl-cwl cannot execute class %s", doc.Class())
 	}
+}
+
+// runExpressionTool evaluates a bare ExpressionTool in the engine process,
+// exactly as a workflow step of that class is evaluated: no Parsl task.
+func runExpressionTool(ctx context.Context, et *cwl.ExpressionTool, inputs *yamlx.Map) (*yamlx.Map, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if _, err := cwl.Validate(et); err != nil {
+		return nil, err
+	}
+	if inputs == nil {
+		inputs = yamlx.NewMap()
+	}
+	vals, err := runner.RunExpressionTool(et, cwl.Requirements{}, inputs)
+	if err != nil {
+		return nil, err
+	}
+	out := yamlx.NewMap()
+	for _, o := range et.Outputs {
+		out.Set(o.ID, vals[o.ID])
+	}
+	return out, nil
 }
 
 // RunTool executes one CommandLineTool as a Parsl task and waits for it.

@@ -41,14 +41,14 @@ func TestNetProviderWarmPool(t *testing.T) {
 
 	// Launch adopts the spare without waiting for a fresh worker to dial.
 	start := time.Now()
-	h, err := p.Launch(1)
+	h, err := p.Launch(1, 1)
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("warm launch took %v — it did not use the spare", took)
 	}
-	if res, err := h.Run(echoTask(t, 1, "warm")); err != nil || res != "warm" {
+	if res, err := runOne(h, echoTask(t, 1, "warm")); err != nil || res != "warm" {
 		t.Fatalf("Run = %v, %v; want warm, nil", res, err)
 	}
 	// The pool refills after the adoption.

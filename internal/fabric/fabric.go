@@ -63,9 +63,6 @@ type Options struct {
 	// spare not yet bound to any block; those calls may run before Listen
 	// returns, so the hook must not reach the provider through the caller.
 	Spawn func(addr string, block int) error
-	// BatchMax caps the tasks per dispatch frame on worker sessions (0 = the
-	// protocol default, 64).
-	BatchMax int
 	// WarmPool, when positive and Spawn is set, keeps this many registered
 	// spare workers on hand: Listen pre-spawns them, Launch adopts one
 	// instead of paying spawn+dial+hello latency, and each adoption (or
@@ -214,7 +211,6 @@ func (p *NetProvider) handleConn(c net.Conn) {
 	sess, hello, err := provider.AcceptWorkerSession(fc, provider.AcceptOptions{
 		Secret:    p.opts.Secret,
 		Heartbeat: p.opts.HeartbeatPeriod,
-		BatchMax:  p.opts.BatchMax,
 	})
 	if err != nil {
 		metRejects.With(rejectReason(err)).Inc()
@@ -296,8 +292,9 @@ func (p *NetProvider) onConnDead(wc *workerConn, graceful bool) {
 // Launch implements ExecutionProvider: adopt a registered worker as the
 // block, spawning one first when a Spawn hook is configured, and waiting up
 // to AdoptTimeout for the registration. While waiting the block is visible
-// as queued in Status.
-func (p *NetProvider) Launch(block int) (provider.ManagerHandle, error) {
+// as queued in Status. The block's slots are the capacity the worker
+// announced, not the slots asked for.
+func (p *NetProvider) Launch(block, _ int) (provider.ManagerHandle, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -443,7 +440,9 @@ func (p *NetProvider) LiveBlocks() []int {
 	defer p.mu.Unlock()
 	var out []int
 	for id, h := range p.blocks {
-		if h.Alive() {
+		// The session, not h.Alive: a stale-heartbeat verdict would end the
+		// session and re-enter p.mu from its death callback.
+		if h.wc.sess.Alive() {
 			out = append(out, id)
 		}
 	}
@@ -533,26 +532,28 @@ func (h *netHandle) Block() int { return h.block }
 // WorkerID reports the remote worker's self-declared identity.
 func (h *netHandle) WorkerID() string { return h.wc.hello.ID }
 
-// Run implements ManagerHandle. Tasks with a RemoteSpec cross the network;
-// tasks without one (non-serializable closures) run in the engine process.
-func (h *netHandle) Run(t *provider.Task) (any, error) {
-	if t.Remote == nil {
-		if !h.Alive() {
-			return nil, fmt.Errorf("net block %d is gone: %w", h.block, provider.ErrWorkerLost)
-		}
-		return provider.Guard(t.Fn)
-	}
-	h.p.remoteTasks.Add(1)
+// Slots implements ManagerHandle: the capacity the worker announced.
+func (h *netHandle) Slots() int { return h.wc.sess.Slots() }
+
+// Dispatch implements ManagerHandle. Tasks with a RemoteSpec cross the
+// network; tasks without one (non-serializable closures) run in the engine
+// process. Successful remote tasks feed the network round-trip histogram.
+func (h *netHandle) Dispatch(batch []*provider.Task) {
 	start := time.Now()
-	res, err := h.wc.sess.Roundtrip(t.ID, t.Remote)
-	if err == nil {
-		observeNetRoundtrip(start)
-		return res, nil
+	for _, t := range batch {
+		if t.Remote == nil {
+			continue
+		}
+		h.p.remoteTasks.Add(1)
+		done := t.Done
+		t.Done = func(res any, err error) {
+			if err == nil {
+				observeNetRoundtrip(start)
+			}
+			done(res, err)
+		}
 	}
-	if errors.Is(err, provider.ErrWorkerLost) {
-		return nil, fmt.Errorf("net block %d (worker %s at %s): %w", h.block, h.wc.hello.ID, h.wc.remote, err)
-	}
-	return nil, err
+	h.wc.sess.Dispatch(batch)
 }
 
 // Alive implements ManagerHandle: the session must be up and the worker's
@@ -566,7 +567,7 @@ func (h *netHandle) Alive() bool {
 		if h.stale.CompareAndSwap(false, true) {
 			metHeartbeatMisses.Inc()
 		}
-		// Severing the connection both fails in-flight roundtrips promptly
+		// Severing the connection both completes outstanding tasks promptly
 		// and tells a half-alive worker its session is over.
 		h.wc.sess.MarkDead(false)
 		_ = h.wc.conn.Close()

@@ -101,14 +101,14 @@ func TestNetProviderEchoRoundtrip(t *testing.T) {
 	}
 	defer p.Cancel()
 
-	h, err := p.Launch(1)
+	h, err := p.Launch(1, 1)
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
 	if got := h.Block(); got != 1 {
 		t.Fatalf("Block() = %d, want 1", got)
 	}
-	res, err := h.Run(echoTask(t, 7, "over the wire"))
+	res, err := runOne(h, echoTask(t, 7, "over the wire"))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -142,11 +142,11 @@ func TestNetProviderInProcessFallback(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer p.Cancel()
-	h, err := p.Launch(1)
+	h, err := p.Launch(1, 1)
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	res, err := h.Run(&provider.Task{ID: 1, Fn: func() (any, error) { return "local", nil }})
+	res, err := runOne(h, &provider.Task{ID: 1, Fn: func() (any, error) { return "local", nil }})
 	if err != nil || res != "local" {
 		t.Fatalf("fallback Run = %v, %v; want local, nil", res, err)
 	}
@@ -173,37 +173,41 @@ func TestNetProviderWrongSecretRejected(t *testing.T) {
 	}
 }
 
-// A version-2 worker dialing a version-3 interchange is refused at hello,
-// and the refusal is counted under reason "proto".
+// Older workers dialing a version-4 interchange are refused at hello, and
+// each refusal is counted under reason "proto": a version-2 worker expects
+// JSON task frames, a version-3 worker runs every task it receives at once,
+// so it cannot honour a dispatch window sized by its capacity.
 func TestNetProviderOldProtocolRejected(t *testing.T) {
 	p, err := Listen(testOptions("s"))
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer p.Cancel()
-	before := metRejects.With("proto").Value()
 
-	conn, err := net.Dial("tcp", p.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	fc := provider.NewFrameConn(conn, conn, conn)
-	if err := fc.Send(map[string]any{"proto": 2, "secret": "s"}); err != nil {
-		t.Fatalf("sending hello: %v", err)
-	}
-	body, err := fc.ReadRaw()
-	if err != nil {
-		t.Fatalf("reading ack: %v", err)
-	}
-	if !strings.Contains(string(body), `"ok":false`) {
-		t.Fatalf("ack = %s, want a rejection", body)
-	}
-	waitFor(t, "the proto reject to be counted", func() bool {
-		return metRejects.With("proto").Value() == before+1
-	})
-	if got := p.RegisteredWorkers(); got != 0 {
-		t.Fatalf("RegisteredWorkers = %d after a v2 hello, want 0", got)
+	for _, proto := range []int{2, 3} {
+		before := metRejects.With("proto").Value()
+		conn, err := net.Dial("tcp", p.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		fc := provider.NewFrameConn(conn, conn, conn)
+		if err := fc.Send(map[string]any{"proto": proto, "secret": "s", "capacity": 2}); err != nil {
+			t.Fatalf("sending v%d hello: %v", proto, err)
+		}
+		body, err := fc.ReadRaw()
+		if err != nil {
+			t.Fatalf("reading v%d ack: %v", proto, err)
+		}
+		conn.Close()
+		if !strings.Contains(string(body), `"ok":false`) {
+			t.Fatalf("v%d ack = %s, want a rejection", proto, body)
+		}
+		waitFor(t, "the proto reject to be counted", func() bool {
+			return metRejects.With("proto").Value() == before+1
+		})
+		if got := p.RegisteredWorkers(); got != 0 {
+			t.Fatalf("RegisteredWorkers = %d after a v%d hello, want 0", got, proto)
+		}
 	}
 }
 
@@ -244,11 +248,11 @@ func TestNetProviderTLS(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer p.Cancel()
-	h, err := p.Launch(1)
+	h, err := p.Launch(1, 1)
 	if err != nil {
 		t.Fatalf("Launch over TLS: %v", err)
 	}
-	res, err := h.Run(echoTask(t, 1, "encrypted"))
+	res, err := runOne(h, echoTask(t, 1, "encrypted"))
 	if err != nil || res != "encrypted" {
 		t.Fatalf("TLS Run = %v, %v; want encrypted, nil", res, err)
 	}
@@ -313,17 +317,17 @@ func TestNetProviderHeartbeatStalenessKillsBlock(t *testing.T) {
 	}
 	defer conn.Close()
 	fc := provider.NewFrameConn(conn, conn, conn)
-	if _, err := provider.DialWorkerSession(fc, provider.Hello{ID: "silent", Secret: "s"}); err != nil {
+	if _, err := provider.DialWorkerSession(fc, provider.Hello{ID: "silent", Secret: "s", Capacity: 1}); err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 
-	h, err := p.Launch(1)
+	h, err := p.Launch(1, 1)
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
 	waitFor(t, "heartbeat staleness to mark the block dead", func() bool { return !h.Alive() })
-	if _, err := h.Run(echoTask(t, 1, "x")); !errors.Is(err, provider.ErrWorkerLost) {
-		t.Fatalf("Run on a stale block = %v, want ErrWorkerLost", err)
+	if _, err := runOne(h, echoTask(t, 1, "x")); !errors.Is(err, provider.ErrNotStarted) {
+		t.Fatalf("dispatch to a stale block = %v, want ErrNotStarted", err)
 	}
 	if got := p.Status()[1].State; got != provider.BlockDead {
 		t.Fatalf("status = %s, want dead", got)
@@ -343,7 +347,7 @@ func TestNetWorkerDrainDeregisters(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer p.Cancel()
-	h, err := p.Launch(1)
+	h, err := p.Launch(1, 1)
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
@@ -369,7 +373,7 @@ func TestNetWorkerReconnects(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer p.Cancel()
-	h, err := p.Launch(1)
+	h, err := p.Launch(1, 1)
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
@@ -378,11 +382,11 @@ func TestNetWorkerReconnects(t *testing.T) {
 	}
 	waitFor(t, "the severed block to read as dead", func() bool { return !h.Alive() })
 	// The same worker identity dials back in and is adoptable as a new block.
-	h2, err := p.Launch(2)
+	h2, err := p.Launch(2, 1)
 	if err != nil {
 		t.Fatalf("Launch after reconnect: %v", err)
 	}
-	res, err := h2.Run(echoTask(t, 2, "back"))
+	res, err := runOne(h2, echoTask(t, 2, "back"))
 	if err != nil || res != "back" {
 		t.Fatalf("Run after reconnect = %v, %v; want back, nil", res, err)
 	}
@@ -396,7 +400,7 @@ func TestNetProviderAdoptTimeout(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	defer p.Cancel()
-	if _, err := p.Launch(1); err == nil || !strings.Contains(err.Error(), "no worker registered") {
+	if _, err := p.Launch(1, 1); err == nil || !strings.Contains(err.Error(), "no worker registered") {
 		t.Fatalf("Launch with no workers = %v, want an adopt-timeout error", err)
 	}
 }
@@ -413,11 +417,11 @@ func TestNetProviderLaunchAdoptsLateRegistration(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		startWorker(t, ConnectOptions{Addr: p.Addr(), Secret: "s", ID: "late"})
 	}()
-	h, err := p.Launch(1)
+	h, err := p.Launch(1, 1)
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	if res, err := h.Run(echoTask(t, 1, "ok")); err != nil || res != "ok" {
+	if res, err := runOne(h, echoTask(t, 1, "ok")); err != nil || res != "ok" {
 		t.Fatalf("Run = %v, %v; want ok, nil", res, err)
 	}
 }
@@ -437,7 +441,7 @@ func TestNetProviderCancel(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("worker exit after engine close = %v, want a clean drain", err)
 	}
-	if _, err := p.Launch(1); err == nil {
+	if _, err := p.Launch(1, 1); err == nil {
 		t.Fatal("Launch after Cancel should fail")
 	}
 	if err := p.Cancel(); err != nil {
@@ -464,11 +468,11 @@ func TestDrainRacingReconnect(t *testing.T) {
 			Reconnect: true, ReconnectWait: 2 * time.Millisecond,
 			Drain: drain,
 		})
-		h, err := p.Launch(1)
+		h, err := p.Launch(1, 1)
 		if err != nil {
 			t.Fatalf("Launch: %v", err)
 		}
-		if res, err := h.Run(echoTask(t, 1, "pre")); err != nil || res != "pre" {
+		if res, err := runOne(h, echoTask(t, 1, "pre")); err != nil || res != "pre" {
 			t.Fatalf("Run before the race = %v, %v; want pre, nil", res, err)
 		}
 
@@ -484,7 +488,7 @@ func TestDrainRacingReconnect(t *testing.T) {
 		adopted := make(chan provider.ManagerHandle, 2)
 		for b := 2; b <= 3; b++ {
 			go func(block int) {
-				nh, err := p.Launch(block)
+				nh, err := p.Launch(block, 1)
 				if err != nil {
 					adopted <- nil
 					return
@@ -525,4 +529,17 @@ func TestDrainRacingReconnect(t *testing.T) {
 		})
 		p.Cancel()
 	}
+}
+
+// runOne dispatches one task on h and waits for its outcome.
+func runOne(h provider.ManagerHandle, t *provider.Task) (any, error) {
+	type outcome struct {
+		res any
+		err error
+	}
+	ch := make(chan outcome, 1)
+	t.Done = func(res any, err error) { ch <- outcome{res, err} }
+	h.Dispatch([]*provider.Task{t})
+	o := <-ch
+	return o.res, o.err
 }

@@ -30,11 +30,11 @@ var (
 		"Live registered worker sessions (pending adoption plus adopted).")
 	metNetRoundtrip = obs.Default().Histogram(
 		"pcwl_net_roundtrip_seconds",
-		"Round-trip time of one task over a network worker session (send to response).",
+		"Time from dispatching one task over a network worker session to its successful response, including time queued on the worker.",
 		nil)
 )
 
-// observeNetRoundtrip records one network round trip.
+// observeNetRoundtrip records one network task's dispatch-to-response time.
 func observeNetRoundtrip(start time.Time) {
 	metNetRoundtrip.Observe(time.Since(start).Seconds())
 }

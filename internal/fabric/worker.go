@@ -25,8 +25,9 @@ type ConnectOptions struct {
 	// ID names this worker across reconnects ("" = derived from hostname
 	// and pid).
 	ID string
-	// Capacity is the advisory concurrent-task capacity announced in the
-	// hello (0 = unstated).
+	// Capacity is the worker's slot count, announced in the hello: it runs at
+	// most this many tasks at once (0 = provider.DefaultCapacity, one per
+	// CPU).
 	Capacity int
 	// DialTimeout bounds one dial plus handshake attempt (default 10s).
 	DialTimeout time.Duration
@@ -74,6 +75,9 @@ func RunWorker(opts ConnectOptions) error {
 	}
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 10 * time.Second
+	}
+	if opts.Capacity < 1 {
+		opts.Capacity = provider.DefaultCapacity()
 	}
 	logf := opts.Logf
 	if logf == nil {
@@ -141,17 +145,18 @@ func runSession(opts ConnectOptions, logf func(string, ...any)) error {
 	// has no deadline (tasks can legitimately run for hours).
 	_ = conn.SetDeadline(time.Now().Add(opts.DialTimeout))
 	fc := provider.NewFrameConn(conn, conn, conn)
-	ack, err := provider.DialWorkerSession(fc, provider.Hello{
+	hello := provider.Hello{
 		PID:      os.Getpid(),
 		ID:       opts.ID,
 		Capacity: opts.Capacity,
 		Secret:   opts.Secret,
-	})
+	}
+	ack, err := provider.DialWorkerSession(fc, hello)
 	if err != nil {
 		return err
 	}
 	_ = conn.SetDeadline(time.Time{})
 
-	logf("registered with %s as %s (heartbeat %dms, batch max %d)", opts.Addr, opts.ID, ack.HeartbeatMs, ack.BatchMax)
-	return provider.ServeWorkerSession(fc, provider.SessionOptionsFromAck(ack, opts.Drain))
+	logf("registered with %s as %s (capacity %d, heartbeat %dms)", opts.Addr, opts.ID, opts.Capacity, ack.HeartbeatMs)
+	return provider.ServeWorkerSession(fc, provider.SessionOptions(hello, ack, opts.Drain))
 }

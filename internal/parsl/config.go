@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -35,7 +36,6 @@ import (
 //	init-blocks: 1
 //	idle-timeout: 30s
 //	heartbeat-period: 5s
-//	batch-max: 64
 //	warm-pool: 2
 //	max-redispatch: 3
 //	task-walltime: 10m
@@ -56,7 +56,9 @@ type ConfigSpec struct {
 	// (whitespace-split; default: parsl-cwl-worker next to the binary or on
 	// PATH).
 	WorkerCmd string
-	Prefetch  int
+	// Prefetch is how many tasks an HTEX block holds queued beyond its busy
+	// slots (0 = the default, one per slot; negative = none).
+	Prefetch int
 	// MinBlocks floors HTEX idle scale-in (default 0).
 	MinBlocks int
 	// InitBlocks is how many HTEX blocks start immediately (default 1).
@@ -78,9 +80,6 @@ type ConfigSpec struct {
 	// -connect subprocess per block (default true); disable it when blocks
 	// are remote workers dialing in on their own.
 	NetSpawn bool
-	// BatchMax caps tasks per dispatch frame for process/net workers
-	// (0 = protocol default, 64).
-	BatchMax int
 	// WarmPool keeps this many spare pre-started workers per provider so
 	// block launches skip exec/dial+hello latency (0 disables).
 	WarmPool int
@@ -168,8 +167,6 @@ func ParseConfig(data []byte) (ConfigSpec, error) {
 			spec.NetKeyFile = fmt.Sprint(val)
 		case "net-spawn", "net_spawn":
 			spec.NetSpawn = m.GetBool(k, spec.NetSpawn)
-		case "batch-max", "batch_max":
-			spec.BatchMax = m.GetInt(k, spec.BatchMax)
 		case "warm-pool", "warm_pool":
 			spec.WarmPool = m.GetInt(k, spec.WarmPool)
 		case "max-redispatch", "max_redispatch":
@@ -269,9 +266,6 @@ func (s ConfigSpec) validate() error {
 	if s.HeartbeatPeriod < 0 {
 		return fmt.Errorf("heartbeat-period must be non-negative")
 	}
-	if s.BatchMax < 0 {
-		return fmt.Errorf("batch-max must be non-negative")
-	}
 	if s.WarmPool < 0 {
 		return fmt.Errorf("warm-pool must be non-negative")
 	}
@@ -293,7 +287,6 @@ func (s ConfigSpec) BuildProvider(name string) (provider.ExecutionProvider, erro
 		}
 		return provider.NewProcessProvider(provider.ProcessOptions{
 			Command:  cmd,
-			BatchMax: s.BatchMax,
 			WarmPool: s.WarmPool,
 		}), nil
 	case "sim":
@@ -322,7 +315,6 @@ func (s ConfigSpec) buildNetProvider() (provider.ExecutionProvider, error) {
 		Secret:   s.NetSecret,
 		CertFile: s.NetCertFile,
 		KeyFile:  s.NetKeyFile,
-		BatchMax: s.BatchMax,
 	}
 	if s.NetSpawn {
 		opts.WarmPool = s.WarmPool
@@ -338,7 +330,8 @@ func (s ConfigSpec) buildNetProvider() (provider.ExecutionProvider, error) {
 			if block < 0 {
 				id = fmt.Sprintf("warm-%d", warmSeq.Add(1))
 			}
-			args := append(argv[1:], "-connect", addr, "-id", id)
+			args := append(argv[1:len(argv):len(argv)], "-connect", addr, "-id", id,
+				"-capacity", strconv.Itoa(s.WorkersPerNode))
 			if s.NetCertFile != "" {
 				// Self-signed operation: the server certificate doubles as the
 				// worker's trust anchor.

@@ -61,7 +61,12 @@ type ExecutorStats struct {
 	BlocksLaunched    int   `json:"blocksLaunched,omitempty"`
 	ManagersLost      int64 `json:"managersLost,omitempty"`
 	BlocksScaledIn    int64 `json:"blocksScaledIn,omitempty"`
+	// TasksRedispatched counts re-dispatches charged to a task's budget: its
+	// block died after starting it, or went silent holding it.
 	TasksRedispatched int64 `json:"tasksRedispatched,omitempty"`
+	// TasksRequeued counts free re-dispatches: tasks a dead, closed or
+	// scaled-in block had accepted but never started.
+	TasksRequeued int64 `json:"tasksRequeued,omitempty"`
 	// TasksQuarantined counts tasks that exhausted their redispatch budget
 	// and failed with ErrPoisonTask instead of being handed another block.
 	TasksQuarantined int64 `json:"tasksQuarantined,omitempty"`

@@ -31,7 +31,7 @@ func newPoisonProvider(ids ...int) *poisonProvider {
 
 func (p *poisonProvider) Name() string { return "poison" }
 
-func (p *poisonProvider) Launch(block int) (provider.ManagerHandle, error) {
+func (p *poisonProvider) Launch(block, _ int) (provider.ManagerHandle, error) {
 	h := &poisonHandle{p: p, block: block}
 	p.mu.Lock()
 	p.blocks[block] = h
@@ -73,15 +73,20 @@ func (b *atomicBool) Store(v bool) { b.mu.Lock(); b.v = v; b.mu.Unlock() }
 
 func (h *poisonHandle) Block() int { return h.block }
 
-func (h *poisonHandle) Run(t *provider.Task) (any, error) {
-	if h.dead.Load() {
-		return nil, fmt.Errorf("block %d is dead: %w", h.block, provider.ErrWorkerLost)
+func (h *poisonHandle) Slots() int { return 2 }
+
+func (h *poisonHandle) Dispatch(batch []*provider.Task) {
+	for _, t := range batch {
+		switch {
+		case h.dead.Load():
+			t.Done(nil, fmt.Errorf("block %d is dead: %w", h.block, provider.ErrNotStarted))
+		case h.p.poison[t.ID]:
+			h.dead.Store(true)
+			t.Done(nil, fmt.Errorf("block %d killed by task %d: %w", h.block, t.ID, provider.ErrWorkerLost))
+		default:
+			go func() { t.Done(t.Fn()) }()
+		}
 	}
-	if h.p.poison[t.ID] {
-		h.dead.Store(true)
-		return nil, fmt.Errorf("block %d killed by task %d: %w", h.block, t.ID, provider.ErrWorkerLost)
-	}
-	return t.Fn()
 }
 
 func (h *poisonHandle) Alive() bool  { return !h.dead.Load() }
@@ -311,7 +316,7 @@ type countingFailProvider struct {
 }
 
 func (p *countingFailProvider) Name() string { return "failing" }
-func (p *countingFailProvider) Launch(block int) (provider.ManagerHandle, error) {
+func (p *countingFailProvider) Launch(block, _ int) (provider.ManagerHandle, error) {
 	p.mu.Lock()
 	p.launches++
 	first := p.launches == 1
@@ -332,8 +337,11 @@ func (p *countingFailProvider) count() int {
 type deadHandle struct{ block int }
 
 func (h deadHandle) Block() int { return h.block }
-func (h deadHandle) Run(*provider.Task) (any, error) {
-	return nil, fmt.Errorf("dead on arrival: %w", provider.ErrWorkerLost)
+func (h deadHandle) Slots() int { return 1 }
+func (h deadHandle) Dispatch(batch []*provider.Task) {
+	for _, t := range batch {
+		t.Done(nil, fmt.Errorf("dead on arrival: %w", provider.ErrNotStarted))
+	}
 }
 func (h deadHandle) Alive() bool  { return false }
 func (h deadHandle) Close() error { return nil }

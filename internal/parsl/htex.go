@@ -32,8 +32,11 @@ type HTEXConfig struct {
 	MaxBlocks      int // maximum pilot blocks (nodes)
 	MinBlocks      int // floor the idle scale-in never goes below
 	InitBlocks     int // blocks to start immediately
-	WorkersPerNode int // workers hosted by each manager
-	Prefetch       int // tasks a manager buffers beyond busy workers
+	WorkersPerNode int // slots asked of each block
+	// Prefetch is how many tasks a block holds queued beyond its busy slots,
+	// so a slot that frees already has its next task on the worker. 0 uses
+	// the default (one per slot); negative disables prefetch.
+	Prefetch int
 	// HeartbeatPeriod is how often managers report liveness and how often
 	// the monitor reaps lost managers / rebalances blocks.
 	HeartbeatPeriod time.Duration
@@ -78,9 +81,6 @@ func (c *HTEXConfig) fill() {
 	if c.WorkersPerNode <= 0 {
 		c.WorkersPerNode = 1
 	}
-	if c.Prefetch < 0 {
-		c.Prefetch = 0
-	}
 	if c.HeartbeatPeriod <= 0 {
 		c.HeartbeatPeriod = 5 * time.Second
 	}
@@ -100,6 +100,19 @@ func (c *HTEXConfig) fill() {
 	}
 }
 
+// window is how many tasks a block with the given slots holds outstanding:
+// its slots plus the prefetch.
+func (c *HTEXConfig) window(slots int) int {
+	switch {
+	case c.Prefetch == 0:
+		return 2 * slots
+	case c.Prefetch < 0:
+		return slots
+	default:
+		return slots + c.Prefetch
+	}
+}
+
 // defaultMaxRedispatch is the redispatch budget when HTEXConfig leaves
 // MaxRedispatch zero: enough to survive a few genuine node losses, small
 // enough that a poison task cannot SIGKILL-cycle the fleet.
@@ -110,19 +123,19 @@ const defaultMaxRedispatch = 3
 const maxQuarantineRecords = 64
 
 // HighThroughputExecutor reproduces Parsl's pilot-job executor: tasks flow
-// through an interchange queue to per-block managers, each hosting a fixed
-// worker pool. Blocks are obtained from a Provider, decoupling task
-// submission from resource allocation.
+// through an interchange queue to per-block managers, and each manager keeps
+// its block's slots busy with a prefetch window of queued tasks behind them.
+// Blocks are obtained from a Provider, decoupling task submission from
+// resource allocation.
 //
 // The executor is elastic and fault tolerant, per the Parsl paper's HTEX
 // contract: a single monitor goroutine owns every scaling decision — it
 // scales out (serialized, bounded by MaxBlocks, monotonic manager IDs) when
 // demand exceeds capacity, releases blocks idle past IdleTimeout (never below
 // MinBlocks), and declares managers silent past HeartbeatThreshold lost,
-// releasing their block and re-dispatching their buffered and in-flight
-// tasks. A re-dispatched task may execute twice if the lost manager was
-// secretly still running it; the queued.fired guard makes the completion
-// callback exactly-once regardless.
+// releasing their block and re-dispatching their tasks. A re-dispatched task
+// may execute twice if the lost manager was secretly still running it; the
+// queued.fired guard makes the completion callback exactly-once regardless.
 type HighThroughputExecutor struct {
 	cfg HTEXConfig
 
@@ -132,34 +145,45 @@ type HighThroughputExecutor struct {
 
 	mu           sync.Mutex
 	managers     []*manager
-	nextID       int       // monotonic block/manager IDs, never reused
-	launched     int       // blocks successfully launched (the ledger)
-	scaleErr     error     // last unrecovered provider error (for Shutdown)
-	scaleRetryAt time.Time // provider-error backoff for scaling attempts
-	scaleFails   int       // consecutive failed scale-outs (backoff exponent)
-	parked       []*queued // re-dispatches awaiting interchange space
+	retiring     []*manager // reaped dead blocks still completing their tasks
+	nextID       int        // monotonic block/manager IDs, never reused
+	launched     int        // blocks successfully launched (the ledger)
+	scaleErr     error      // last unrecovered provider error (for Shutdown)
+	scaleRetryAt time.Time  // provider-error backoff for scaling attempts
+	scaleFails   int        // consecutive failed scale-outs (backoff exponent)
+	parked       []parkedTask
 	quarRecords  []QuarantineRecord
 
 	inFlight     atomic.Int64
 	lost         atomic.Int64
 	scaledIn     atomic.Int64
 	redispatched atomic.Int64
+	requeued     atomic.Int64
 	quarantined  atomic.Int64
 	deadlined    atomic.Int64
 
 	wg sync.WaitGroup
 }
 
-// manager is one pilot block: a pull loop feeding a bounded buffer, a fixed
-// worker pool draining it through the provider's ManagerHandle, and a
-// heartbeat. It tracks the tasks it has accepted but not completed (owned) so
-// the monitor can re-dispatch them if the block dies.
+// parkedTask is a re-enqueue that did not fit the interchange, with the
+// counter its eventual success increments (nil for a silent hand-back).
+type parkedTask struct {
+	q       *queued
+	counter *atomic.Int64
+}
+
+// manager is one pilot block: a dispatch goroutine that keeps the block's
+// window of tasks outstanding through the provider's ManagerHandle, and a
+// heartbeat. It tracks the tasks it has handed the block but not seen
+// complete (owned) so the monitor can re-dispatch them if the block goes
+// silent.
 type manager struct {
 	id     int
 	handle provider.ManagerHandle
+	window int // slots + prefetch: the most tasks outstanding on the block
 
-	tasks    chan *queued
 	stop     chan struct{}
+	wake     chan struct{} // a completion freed room in the window
 	stopOnce sync.Once
 	relOnce  sync.Once
 
@@ -168,19 +192,24 @@ type manager struct {
 	lastBeat  atomic.Int64
 	lastBusy  atomic.Int64
 	completed atomic.Int64
+	// outstanding counts dispatched tasks whose completion has not finished
+	// running; it bounds the window and tells shutdown when the block is
+	// drained.
+	outstanding atomic.Int64
 
 	ownedMu sync.Mutex
 	owned   map[*queued]struct{}
 	retired bool // set by takeOwned: no new ownership may be accepted
 }
 
-func newManager(id int, handle provider.ManagerHandle, buffer int) *manager {
+func newManager(id int, handle provider.ManagerHandle, window int) *manager {
 	now := time.Now().UnixNano()
 	m := &manager{
 		id:     id,
 		handle: handle,
-		tasks:  make(chan *queued, buffer),
+		window: window,
 		stop:   make(chan struct{}),
+		wake:   make(chan struct{}, 1),
 		owned:  map[*queued]struct{}{},
 	}
 	m.lastBeat.Store(now)
@@ -194,6 +223,23 @@ func (m *manager) markBusy() { m.lastBusy.Store(time.Now().UnixNano()) }
 
 func (m *manager) kill() { m.stopOnce.Do(func() { close(m.stop) }) }
 
+func (m *manager) stopped() bool {
+	select {
+	case <-m.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// signal wakes the dispatch goroutine after a completion.
+func (m *manager) signal() {
+	select {
+	case m.wake <- struct{}{}:
+	default:
+	}
+}
+
 func (m *manager) releaseBlock() {
 	if m.handle != nil {
 		m.relOnce.Do(func() { m.handle.Close() })
@@ -202,8 +248,8 @@ func (m *manager) releaseBlock() {
 
 // addOwned registers a task with this manager. It reports false — refusing
 // the task — once the reaper has swept the manager (takeOwned), closing the
-// race where a dying pull loop accepts a task after the sweep and strands it
-// in a dead buffer.
+// race where a dying dispatcher accepts a task after the sweep and strands
+// it on a dead block.
 func (m *manager) addOwned(q *queued) bool {
 	m.ownedMu.Lock()
 	defer m.ownedMu.Unlock()
@@ -214,10 +260,14 @@ func (m *manager) addOwned(q *queued) bool {
 	return true
 }
 
-func (m *manager) removeOwned(q *queued) {
+// disown releases a task, reporting whether this manager still owned it —
+// i.e. whether the caller, not the reaper's sweep, decides its fate.
+func (m *manager) disown(q *queued) bool {
 	m.ownedMu.Lock()
+	defer m.ownedMu.Unlock()
+	_, mine := m.owned[q]
 	delete(m.owned, q)
-	m.ownedMu.Unlock()
+	return mine
 }
 
 func (m *manager) ownedCount() int {
@@ -278,8 +328,9 @@ func (e *HighThroughputExecutor) Start() error {
 }
 
 // Submit implements Executor. Tasks enter the interchange under the
-// lifecycle's read gate (no send can race Shutdown's close); a free manager
-// pulls them. Submission nudges the monitor for demand-based scale-out.
+// lifecycle's read gate (no send can race Shutdown's close); a manager with
+// room in its window pulls them. Submission nudges the monitor for
+// demand-based scale-out.
 func (e *HighThroughputExecutor) Submit(t *Task, done func(any, error)) {
 	q := &queued{task: t, done: done}
 	e.inFlight.Add(1)
@@ -313,7 +364,7 @@ func (e *HighThroughputExecutor) monitor() {
 			return
 		case <-e.nudge:
 			// A nudge signals demand (Submit) or a block death observed by a
-			// worker goroutine (failBlock): reap promptly so stranded tasks
+			// completion (failBlock): reap promptly so stranded tasks
 			// re-dispatch without waiting out a heartbeat period.
 			e.reapLost()
 			e.ensureMinBlocks()
@@ -382,10 +433,10 @@ func scaleBackoff(base time.Duration, fails int) time.Duration {
 	return d - d/4 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// scaleToDemand adds blocks while outstanding work exceeds capacity.
-// Monitor goroutine only.
+// scaleToDemand adds blocks while outstanding work exceeds what the live
+// blocks' windows hold. Monitor goroutine only.
 func (e *HighThroughputExecutor) scaleToDemand() {
-	perBlock := e.cfg.WorkersPerNode + e.cfg.Prefetch
+	perBlock := e.cfg.window(e.cfg.WorkersPerNode)
 	e.scaleWhile(func(blocks int) bool {
 		return e.inFlight.Load() > int64(blocks*perBlock)
 	})
@@ -408,21 +459,21 @@ func (e *HighThroughputExecutor) scaleOut() error {
 	e.nextID++
 	e.mu.Unlock()
 
-	handle, err := e.cfg.Provider.Launch(id)
+	handle, err := e.cfg.Provider.Launch(id, e.cfg.WorkersPerNode)
 	if err != nil {
 		return fmt.Errorf("htex %s: provider %s: %w", e.cfg.Label, e.cfg.Provider.Name(), err)
 	}
 	e.mu.Lock()
 	e.launched++
-	m := newManager(id, handle, e.cfg.WorkersPerNode+e.cfg.Prefetch)
+	m := newManager(id, handle, e.cfg.window(handle.Slots()))
 	e.managers = append(e.managers, m)
 	e.mu.Unlock()
 	e.startManager(m)
 	return nil
 }
 
-// failBlock marks a manager's block dead after a worker goroutine observed
-// provider.ErrWorkerLost, and nudges the monitor to reap it now.
+// failBlock marks a manager's block dead after a completion reported its
+// loss, and nudges the monitor to reap it now.
 func (e *HighThroughputExecutor) failBlock(m *manager) {
 	m.failed.Store(true)
 	m.kill()
@@ -432,137 +483,14 @@ func (e *HighThroughputExecutor) failBlock(m *manager) {
 	}
 }
 
-// startManager launches the block's pull loop, worker pool and heartbeat.
+// startManager launches the block's dispatch goroutine and heartbeat.
 func (e *HighThroughputExecutor) startManager(m *manager) {
-	// Pull loop: moves tasks from the interchange into this manager's
-	// bounded buffer (capacity = workers + prefetch), which gives the same
-	// batching/backpressure behaviour as HTEX's manager protocol. Tasks are
-	// registered as owned before buffering so a dying manager can hand them
-	// back.
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		defer close(m.tasks)
-		for {
-			select {
-			case <-m.stop:
-				return
-			default:
-			}
-			select {
-			case <-m.stop:
-				return
-			case q, ok := <-e.interchange:
-				if !ok {
-					return
-				}
-				m.beat()
-				m.markBusy()
-				if !m.addOwned(q) {
-					// Already swept by the reaper: hand the task straight
-					// back so it cannot strand in a dead buffer. The task
-					// never ran here, so its redispatch budget is untouched.
-					e.requeueRetired(q, fmt.Errorf("manager %d retired", m.id))
-					return
-				}
-				select {
-				case m.tasks <- q:
-				case <-m.stop:
-					// Killed mid-buffer. The reaper's sweep may or may not
-					// have collected this task; removeOwned tells us which
-					// side owns the re-dispatch.
-					m.ownedMu.Lock()
-					_, mine := m.owned[q]
-					delete(m.owned, q)
-					m.ownedMu.Unlock()
-					if mine {
-						e.requeueRetired(q, fmt.Errorf("manager %d stopped", m.id))
-					}
-					return
-				}
-			}
-		}
-	}()
-
-	// Workers. Each drains the manager's buffer through the provider's
-	// ManagerHandle — an in-process call for local blocks, a pipe round trip
-	// for process blocks. A killed manager's workers abandon the buffer (the
-	// monitor re-dispatches owned tasks); on graceful shutdown the buffer
-	// drains because m.tasks closes without m.stop. The non-blocking stop
-	// check makes death take priority over draining — a dead node must not
-	// keep executing its backlog.
-	for w := 0; w < e.cfg.WorkersPerNode; w++ {
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			for {
-				select {
-				case <-m.stop:
-					return
-				default:
-				}
-				select {
-				case <-m.stop:
-					return
-				case q, ok := <-m.tasks:
-					if !ok {
-						return
-					}
-					if q.fired.Load() { // lost-manager duplicate already done
-						m.removeOwned(q)
-						continue
-					}
-					if !m.handle.Alive() {
-						// The block died between dispatch and execution. The
-						// task never ran on it, so this death says nothing
-						// about the task: requeue without touching its
-						// redispatch budget and let the reaper take the block.
-						m.removeOwned(q)
-						e.requeueRetired(q, fmt.Errorf("manager %d found dead before execution", m.id))
-						e.failBlock(m)
-						return
-					}
-					m.markBusy()
-					stopTimer := e.armDeadline(q)
-					res, err := m.handle.Run(&provider.Task{
-						ID:     q.task.ID,
-						Fn:     func() (any, error) { return runGuarded(q.task) },
-						Remote: q.task.Remote,
-					})
-					if stopTimer != nil {
-						close(stopTimer)
-					}
-					if err != nil && errors.Is(err, provider.ErrWorkerLost) {
-						// The block died under the task (worker process gone,
-						// sim node preempted/walltimed). Re-dispatch unless
-						// the reaper's sweep already collected it, fail the
-						// block, and stop this worker — its endpoint is gone.
-						m.ownedMu.Lock()
-						_, mine := m.owned[q]
-						delete(m.owned, q)
-						m.ownedMu.Unlock()
-						if mine {
-							e.redispatch(q, err)
-						}
-						e.failBlock(m)
-						return
-					}
-					m.removeOwned(q)
-					m.markBusy()
-					if q.fire() {
-						m.completed.Add(1)
-						e.inFlight.Add(-1)
-						q.done(res, err)
-					}
-				}
-			}
-		}()
-	}
+	e.wg.Add(2)
+	go e.dispatchLoop(m)
 
 	// Heartbeat: liveness reporting on HeartbeatPeriod, gated on the
 	// provider handle's health. A failed manager (dead worker process,
 	// FailSimulation) goes silent, exactly like a crashed pilot job.
-	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
 		ticker := time.NewTicker(e.cfg.HeartbeatPeriod)
@@ -587,48 +515,182 @@ func (e *HighThroughputExecutor) startManager(m *manager) {
 	}()
 }
 
-// armDeadline starts the engine-side walltime watchdog for one execution of a
+// dispatchLoop is the manager's one dispatch goroutine. It keeps up to
+// window tasks outstanding on the block and refills as completions free
+// room: each refill is one Dispatch — one task frame on a worker session —
+// carrying every task ready in the interchange at that moment. A killed
+// manager stops at once (death takes priority over refilling; the reaper
+// deals with what it owned); on shutdown the loop waits for the block to
+// finish what it holds.
+func (e *HighThroughputExecutor) dispatchLoop(m *manager) {
+	defer e.wg.Done()
+	// Refill buffers, reused: handles do not keep the batch slice.
+	var batch []*queued
+	var tasks []*provider.Task
+	for {
+		for m.outstanding.Load() >= int64(m.window) {
+			select {
+			case <-m.stop:
+				return
+			case <-m.wake:
+			}
+		}
+		if m.stopped() {
+			return
+		}
+		batch = batch[:0]
+		select {
+		case <-m.stop:
+			return
+		case q, ok := <-e.interchange:
+			if !ok {
+				for m.outstanding.Load() > 0 {
+					select {
+					case <-m.stop:
+						return
+					case <-m.wake:
+					}
+				}
+				return
+			}
+			batch = append(batch, q)
+		}
+	fill:
+		for int64(len(batch)) < int64(m.window)-m.outstanding.Load() {
+			select {
+			case q, ok := <-e.interchange:
+				if !ok {
+					break fill
+				}
+				batch = append(batch, q)
+			default:
+				break fill
+			}
+		}
+		tasks = e.dispatch(m, batch, tasks[:0])
+		clear(batch)
+		clear(tasks)
+	}
+}
+
+// dispatch hands one refill to the block, building the provider tasks in
+// tasks (returned for reuse). Tasks a lost manager's zombie already
+// completed are dropped; tasks that cannot reach the block (the manager was
+// swept or killed, the block is dead) go back to the interchange untouched —
+// they never reached a worker, so nothing is charged.
+func (e *HighThroughputExecutor) dispatch(m *manager, batch []*queued, tasks []*provider.Task) []*provider.Task {
+	mine := batch[:0]
+	for _, q := range batch {
+		switch {
+		case q.fired.Load():
+		case !m.addOwned(q):
+			e.putBack(q)
+		default:
+			mine = append(mine, q)
+		}
+	}
+	if len(mine) == 0 {
+		return tasks
+	}
+	if m.stopped() || !m.handle.Alive() {
+		for _, q := range mine {
+			if m.disown(q) {
+				e.putBack(q)
+			}
+		}
+		if !m.stopped() {
+			e.failBlock(m)
+		}
+		return tasks
+	}
+	now := time.Now().UnixNano()
+	m.lastBeat.Store(now)
+	m.lastBusy.Store(now)
+	for _, q := range mine {
+		m.outstanding.Add(1)
+		timer := e.armDeadline(q)
+		tasks = append(tasks, &provider.Task{
+			ID:     q.task.ID,
+			Fn:     q.task.Fn, // every handle runs Fn guarded
+			Remote: q.task.Remote,
+			Done: func(res any, err error) {
+				if timer != nil {
+					timer.Stop()
+				}
+				e.complete(m, q, res, err)
+			},
+		})
+	}
+	m.handle.Dispatch(tasks)
+	return tasks
+}
+
+// complete is every dispatched task's completion. A loss the block reports
+// marks it dead; a task that had started there is re-dispatched against its
+// budget, one that never started is requeued free. Any other outcome is the
+// task's own and fires its callback — also when the reaper already swept the
+// task, so a silent block's late result can still win.
+func (e *HighThroughputExecutor) complete(m *manager, q *queued, res any, err error) {
+	switch {
+	case errors.Is(err, provider.ErrNotStarted):
+		e.failBlock(m)
+		if m.disown(q) {
+			e.requeueRetired(q, err)
+		}
+	case errors.Is(err, provider.ErrWorkerLost):
+		e.failBlock(m)
+		if m.disown(q) {
+			e.redispatch(q, err)
+		}
+	default:
+		if q.fire() {
+			m.completed.Add(1)
+			e.inFlight.Add(-1)
+			q.done(res, err)
+		}
+		m.disown(q)
+	}
+	// Idle time runs from the block's last completion.
+	if m.outstanding.Add(-1) == 0 {
+		m.markBusy()
+	}
+	m.signal()
+}
+
+// armDeadline starts the engine-side walltime watchdog for one dispatch of a
 // deadline-carrying task: if the deadline (plus a short grace for the
-// worker-side kill to report first) passes while the task is still running,
-// the task completes with ErrDeadlineExceeded. The zombie execution keeps its
-// worker slot until the provider call returns — a deliberate choice: the
-// fallback exists for unresponsive workers, whose block the heartbeat
-// machinery will reap anyway. Returns nil for tasks without a deadline, else
-// a channel the caller must close when the provider call returns.
-func (e *HighThroughputExecutor) armDeadline(q *queued) chan struct{} {
+// worker-side kill to report first) passes before the task completes, the
+// task completes with ErrDeadlineExceeded. The deadline is absolute, so time
+// queued on the block counts. The zombie execution keeps its slot until the
+// block reports it — a deliberate choice: the fallback exists for
+// unresponsive workers, whose block the heartbeat machinery will reap
+// anyway. Returns nil for tasks without a deadline; the caller stops the
+// returned timer on completion.
+func (e *HighThroughputExecutor) armDeadline(q *queued) *time.Timer {
 	if q.task.Deadline.IsZero() {
 		return nil
 	}
-	stop := make(chan struct{})
-	grace := e.cfg.HeartbeatPeriod / 2
-	go func() {
-		t := time.NewTimer(time.Until(q.task.Deadline) + grace)
-		defer t.Stop()
-		select {
-		case <-stop:
-		case <-t.C:
-			if q.fire() {
-				e.inFlight.Add(-1)
-				e.deadlined.Add(1)
-				metDeadlineExpired.Inc()
-				q.done(nil, fmt.Errorf("task %d ran past its walltime deadline %s: %w",
-					q.task.ID, q.task.Deadline.Format(time.RFC3339), ErrDeadlineExceeded))
-			}
+	return time.AfterFunc(time.Until(q.task.Deadline)+e.cfg.HeartbeatPeriod/2, func() {
+		if q.fire() {
+			e.inFlight.Add(-1)
+			e.deadlined.Add(1)
+			metDeadlineExpired.Inc()
+			q.done(nil, fmt.Errorf("task %d ran past its walltime deadline %s: %w",
+				q.task.ID, q.task.Deadline.Format(time.RFC3339), ErrDeadlineExceeded))
 		}
-	}()
-	return stop
+	})
 }
 
-// redispatch re-enqueues a task stranded on a dead or retiring manager,
-// surfacing the retry through Task.Retried. Re-dispatches are bounded: a task
-// past its MaxRedispatch budget is a poison task — every block it touches
-// dies — and is quarantined (failed with ErrPoisonTask) instead of being
-// handed a fresh block to kill. The budget therefore only counts deaths that
-// happened while the task was executing; a task that merely landed on an
-// already-dead manager goes through requeueRetired instead, because routing
-// bad luck is not evidence of poison. The send is non-blocking so a full
-// interchange cannot wedge the monitor goroutine: a task that does not fit is
-// parked and re-attempted on every monitor sweep (the tasks came out of the
+// redispatch re-enqueues a task whose block died after starting it,
+// surfacing the retry through Task.Retried. Re-dispatches are bounded: a
+// task past its MaxRedispatch budget is a poison task — every block it
+// touches dies — and is quarantined (failed with ErrPoisonTask) instead of
+// being handed a fresh block to kill. The budget therefore only counts
+// deaths that happened while the task was executing; a task its block never
+// started goes through requeueRetired instead, because routing bad luck is
+// not evidence of poison. The send is non-blocking so a full interchange
+// cannot wedge a completion: a task that does not fit is parked and
+// re-attempted on every monitor sweep (the tasks came out of the
 // interchange, so the parked set is bounded by in-flight work). Only a
 // shut-down executor fails the task (exactly once).
 func (e *HighThroughputExecutor) redispatch(q *queued, reason error) {
@@ -642,18 +704,15 @@ func (e *HighThroughputExecutor) redispatch(q *queued, reason error) {
 	if q.task.Retried != nil {
 		q.task.Retried(reason)
 	}
-	if !e.tryRequeue(q, reason) {
-		e.mu.Lock()
-		e.parked = append(e.parked, q)
-		e.mu.Unlock()
-	}
+	e.requeue(q, reason, &e.redispatched)
 }
 
-// requeueRetired re-enqueues a task that was dispatched to a manager already
-// known dead — the task never started executing there, so the attempt is
-// free: only deaths under a running task consume its redispatch budget.
-// Task.Retried still fires because the task will be launched again and
-// monitoring must see every launch.
+// requeueRetired re-enqueues a task its block accepted but never started —
+// queued behind busy slots when the block died or closed, or handed to a
+// manager the reaper had already swept — so the attempt is free: only deaths
+// under a running task consume its redispatch budget. Task.Retried still
+// fires because the task will be launched again and monitoring must see
+// every launch.
 func (e *HighThroughputExecutor) requeueRetired(q *queued, reason error) {
 	if q.fired.Load() {
 		return
@@ -661,9 +720,20 @@ func (e *HighThroughputExecutor) requeueRetired(q *queued, reason error) {
 	if q.task.Retried != nil {
 		q.task.Retried(reason)
 	}
-	if !e.tryRequeue(q, reason) {
+	e.requeue(q, reason, &e.requeued)
+}
+
+// putBack returns a task that never left the engine to the interchange: no
+// launch happened, so neither a counter nor Task.Retried sees it.
+func (e *HighThroughputExecutor) putBack(q *queued) {
+	e.requeue(q, fmt.Errorf("task %d handed back before dispatch", q.task.ID), nil)
+}
+
+// requeue re-enqueues a task, parking it when the interchange is full.
+func (e *HighThroughputExecutor) requeue(q *queued, reason error, counter *atomic.Int64) {
+	if !e.tryRequeue(q, reason, counter) {
 		e.mu.Lock()
-		e.parked = append(e.parked, q)
+		e.parked = append(e.parked, parkedTask{q, counter})
 		e.mu.Unlock()
 	}
 }
@@ -693,10 +763,12 @@ func (e *HighThroughputExecutor) quarantine(q *queued, reason error) {
 		q.task.ID, rec.Redispatches+1, rec.Redispatches, reason, ErrPoisonTask))
 }
 
-// tryRequeue attempts a non-blocking re-enqueue. It reports false when the
-// interchange is full; a stopped executor fails the task instead (and
-// reports true — there is nothing left to park).
-func (e *HighThroughputExecutor) tryRequeue(q *queued, reason error) bool {
+// tryRequeue attempts a non-blocking re-enqueue, incrementing counter (when
+// non-nil) only on success, so monitoring never reports a re-dispatch that
+// did not happen. It reports false when the interchange is full; a stopped
+// executor fails the task instead (and reports true — there is nothing left
+// to park).
+func (e *HighThroughputExecutor) tryRequeue(q *queued, reason error, counter *atomic.Int64) bool {
 	sent := false
 	accepted := e.lc.submit(func() {
 		select {
@@ -706,9 +778,9 @@ func (e *HighThroughputExecutor) tryRequeue(q *queued, reason error) bool {
 		}
 	})
 	if sent {
-		// Counted only on a successful re-enqueue so monitoring never
-		// reports a re-dispatch that did not happen.
-		e.redispatched.Add(1)
+		if counter != nil {
+			counter.Add(1)
+		}
 		return true
 	}
 	if !accepted {
@@ -722,7 +794,7 @@ func (e *HighThroughputExecutor) tryRequeue(q *queued, reason error) bool {
 	return false
 }
 
-// drainParked re-attempts parked re-dispatches in order, stopping at the
+// drainParked re-attempts parked re-enqueues in order, stopping at the
 // first that still does not fit. Monitor goroutine only.
 func (e *HighThroughputExecutor) drainParked() {
 	for {
@@ -731,15 +803,15 @@ func (e *HighThroughputExecutor) drainParked() {
 			e.mu.Unlock()
 			return
 		}
-		q := e.parked[0]
+		p := e.parked[0]
 		e.parked = e.parked[1:]
 		e.mu.Unlock()
-		if q.fired.Load() {
+		if p.q.fired.Load() {
 			continue
 		}
-		if !e.tryRequeue(q, fmt.Errorf("re-dispatch retried from parked queue")) {
+		if !e.tryRequeue(p.q, fmt.Errorf("re-dispatch retried from parked queue"), p.counter) {
 			e.mu.Lock()
-			e.parked = append([]*queued{q}, e.parked...)
+			e.parked = append([]parkedTask{p}, e.parked...)
 			e.mu.Unlock()
 			return
 		}
@@ -747,10 +819,13 @@ func (e *HighThroughputExecutor) drainParked() {
 }
 
 // reapLost declares managers lost when their block is known dead (failed —
-// a worker goroutine or heartbeat observed the death) or their heartbeat has
-// been silent past HeartbeatThreshold: their block is released and their
-// unfinished tasks re-enter the interchange. A FailSimulation'd manager is
-// caught exactly like a crashed pilot job. Monitor goroutine only.
+// a completion or the heartbeat observed the death) or their heartbeat has
+// been silent past HeartbeatThreshold, and releases their block. A dead
+// block completes every task it held itself, telling started tasks from
+// never-started ones, so its tasks are left to those completions; a silent
+// block's tasks are re-dispatched here, against their budgets, since
+// nothing says whether they ran. A FailSimulation'd manager is caught
+// exactly like a crashed pilot job. Monitor goroutine only.
 func (e *HighThroughputExecutor) reapLost() {
 	threshold := int64(e.cfg.HeartbeatThreshold)
 	now := time.Now().UnixNano()
@@ -765,10 +840,27 @@ func (e *HighThroughputExecutor) reapLost() {
 		}
 	}
 	e.managers = kept
+	retiring := e.retiring[:0]
+	for _, m := range e.retiring {
+		if m.outstanding.Load() > 0 {
+			retiring = append(retiring, m)
+		}
+	}
+	e.retiring = retiring
 	e.mu.Unlock()
 	for _, m := range lost {
 		e.lost.Add(1)
-		e.retire(m, fmt.Errorf("manager %d lost: no heartbeat in %s", m.id, e.cfg.HeartbeatThreshold))
+		if !m.failed.Load() {
+			e.retire(m, fmt.Errorf("manager %d lost: no heartbeat in %s", m.id, e.cfg.HeartbeatThreshold), e.redispatch)
+			continue
+		}
+		m.kill()
+		m.releaseBlock()
+		if m.outstanding.Load() > 0 {
+			e.mu.Lock()
+			e.retiring = append(e.retiring, m)
+			e.mu.Unlock()
+		}
 	}
 }
 
@@ -791,7 +883,7 @@ func (e *HighThroughputExecutor) scaleInIdle() {
 	kept := e.managers[:0]
 	for _, m := range e.managers {
 		if len(e.managers)-len(idle) > e.cfg.MinBlocks &&
-			m.ownedCount() == 0 && m.lastBusy.Load() < cutoff {
+			m.outstanding.Load() == 0 && m.lastBusy.Load() < cutoff {
 			idle = append(idle, m)
 		} else {
 			kept = append(kept, m)
@@ -801,24 +893,24 @@ func (e *HighThroughputExecutor) scaleInIdle() {
 	e.mu.Unlock()
 	for _, m := range idle {
 		e.scaledIn.Add(1)
-		e.retire(m, fmt.Errorf("manager %d scaled in", m.id))
+		e.retire(m, fmt.Errorf("manager %d scaled in", m.id), e.requeueRetired)
 	}
 }
 
-// retire stops a manager (already removed from e.managers), releases its
-// block, and re-dispatches any task it still owned — the race-window task a
-// pull loop accepted between the idle check and the kill, or a lost
-// manager's whole buffer.
-func (e *HighThroughputExecutor) retire(m *manager, reason error) {
+// retire stops a manager (already removed from e.managers), hands every task
+// it still owned to requeue — a silent block's whole window, or the
+// race-window task a dispatcher handed an idle block between the idle check
+// and the kill — and releases its block.
+func (e *HighThroughputExecutor) retire(m *manager, reason error, requeue func(*queued, error)) {
 	m.kill()
 	for _, q := range m.takeOwned() {
-		e.redispatch(q, reason)
+		requeue(q, reason)
 	}
 	m.releaseBlock()
 }
 
 // FailSimulation deterministically kills one pilot block for fault-injection
-// tests: the manager stops heartbeating and processing, exactly as if its
+// tests: the manager stops heartbeating and dispatching, exactly as if its
 // node died, and the monitor declares it lost once its heartbeat goes silent
 // past HeartbeatThreshold, re-dispatching its tasks. It reports whether a
 // live manager with that ID existed.
@@ -851,7 +943,8 @@ func (e *HighThroughputExecutor) ConnectedManagers() int {
 	return len(e.managers)
 }
 
-// Redispatched reports tasks re-dispatched after manager loss or retirement.
+// Redispatched reports tasks re-dispatched against their budget after a
+// block died under them or went silent.
 func (e *HighThroughputExecutor) Redispatched() int64 { return e.redispatched.Load() }
 
 // Stats implements StatsReporter: executor counters plus the provider's
@@ -893,6 +986,7 @@ func (e *HighThroughputExecutor) Stats() ExecutorStats {
 		ManagersLost:      e.lost.Load(),
 		BlocksScaledIn:    e.scaledIn.Load(),
 		TasksRedispatched: e.redispatched.Load(),
+		TasksRequeued:     e.requeued.Load(),
 		TasksQuarantined:  e.quarantined.Load(),
 		TasksParked:       parked,
 		Quarantined:       quarantined,
@@ -904,7 +998,7 @@ func (e *HighThroughputExecutor) Stats() ExecutorStats {
 // Quarantined reports how many tasks this executor has quarantined as poison.
 func (e *HighThroughputExecutor) Quarantined() int64 { return e.quarantined.Load() }
 
-// ManagerQueueDepths reports each live manager's unfinished (buffered plus
+// ManagerQueueDepths reports each live manager's unfinished (queued plus
 // running) task count, keyed by manager ID.
 func (e *HighThroughputExecutor) ManagerQueueDepths() map[int]int {
 	e.mu.Lock()
@@ -928,34 +1022,36 @@ func (e *HighThroughputExecutor) CompletedByManager() []int64 {
 	return out
 }
 
-// Shutdown drains the interchange, stops managers and releases blocks.
-// In-flight done callbacks fire exactly once; tasks stranded on a killed but
-// not-yet-reaped manager fail with ErrShutdown rather than hanging.
+// Shutdown drains the interchange, waits for live blocks to finish what they
+// hold, stops managers and releases blocks. In-flight done callbacks fire
+// exactly once; tasks stranded on a killed or dead manager fail with
+// ErrShutdown rather than hanging.
 func (e *HighThroughputExecutor) Shutdown() error {
 	if !e.lc.stop() {
 		return nil
 	}
 	// The gate guarantees no submitter (or re-dispatcher) is mid-send.
 	close(e.interchange)
-	e.wg.Wait() // monitor, pull loops, workers, heartbeats
+	e.wg.Wait() // monitor, dispatchers, heartbeats
 
 	e.mu.Lock()
-	managers := e.managers
-	e.managers = nil
+	managers := append(e.managers, e.retiring...)
+	e.managers, e.retiring = nil, nil
 	parked := e.parked
 	e.parked = nil
 	err := e.scaleErr
 	e.mu.Unlock()
-	for _, q := range parked {
-		if q.fire() {
+	for _, p := range parked {
+		if p.q.fire() {
 			e.inFlight.Add(-1)
-			q.done(nil, fmt.Errorf("executor %s %w with task %d parked for re-dispatch",
-				e.cfg.Label, ErrShutdown, q.task.ID))
+			p.q.done(nil, fmt.Errorf("executor %s %w with task %d parked for re-dispatch",
+				e.cfg.Label, ErrShutdown, p.q.task.ID))
 		}
 	}
 	for _, m := range managers {
-		// Orphan sweep: a manager killed between FailSimulation/reap ticks
-		// may still own abandoned tasks whose callbacks must fire.
+		// Orphan sweep: a manager killed between FailSimulation/reap ticks,
+		// or a dead block still completing its tasks, may own tasks whose
+		// callbacks must fire.
 		for _, q := range m.takeOwned() {
 			if q.fire() {
 				e.inFlight.Add(-1)
@@ -965,7 +1061,7 @@ func (e *HighThroughputExecutor) Shutdown() error {
 		}
 		m.releaseBlock()
 	}
-	// With zero live pull loops (every block scaled in or killed), tasks can
+	// With zero live dispatchers (every block scaled in or killed), tasks can
 	// still sit buffered in the now-closed interchange; their callbacks must
 	// fire too.
 	for q := range e.interchange {

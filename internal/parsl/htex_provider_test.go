@@ -15,8 +15,8 @@ import (
 	"repro/internal/provider"
 )
 
-// flakyProvider's first block dies under its tasks (Run returns
-// ErrWorkerLost after a few successes); replacement blocks are healthy. It
+// flakyProvider's first block dies under its tasks (its third task fails
+// with ErrWorkerLost); replacement blocks are healthy. It
 // exercises the executor's worker-lost fast path end to end: re-dispatch,
 // block failure, reap, re-launch.
 type flakyProvider struct {
@@ -27,7 +27,7 @@ type flakyProvider struct {
 
 func (p *flakyProvider) Name() string { return "flaky" }
 
-func (p *flakyProvider) Launch(block int) (provider.ManagerHandle, error) {
+func (p *flakyProvider) Launch(block, _ int) (provider.ManagerHandle, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.launches++
@@ -73,15 +73,20 @@ type flakyHandle struct {
 
 func (h *flakyHandle) Block() int { return h.block }
 
-func (h *flakyHandle) Run(t *provider.Task) (any, error) {
-	if h.dead.Load() {
-		return nil, fmt.Errorf("block %d is dead: %w", h.block, provider.ErrWorkerLost)
+func (h *flakyHandle) Slots() int { return 2 }
+
+func (h *flakyHandle) Dispatch(batch []*provider.Task) {
+	for _, t := range batch {
+		switch {
+		case h.dead.Load():
+			t.Done(nil, fmt.Errorf("block %d is dead: %w", h.block, provider.ErrNotStarted))
+		case h.dieAfter >= 0 && h.ran.Add(1) > h.dieAfter:
+			h.dead.Store(true)
+			t.Done(nil, fmt.Errorf("block %d crashed mid-task: %w", h.block, provider.ErrWorkerLost))
+		default:
+			go func() { t.Done(t.Fn()) }()
+		}
 	}
-	if h.dieAfter >= 0 && h.ran.Add(1) > h.dieAfter {
-		h.dead.Store(true)
-		return nil, fmt.Errorf("block %d crashed mid-task: %w", h.block, provider.ErrWorkerLost)
-	}
-	return t.Fn()
 }
 
 func (h *flakyHandle) Alive() bool  { return !h.dead.Load() }

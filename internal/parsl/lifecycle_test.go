@@ -24,8 +24,8 @@ type trackingProvider struct {
 
 func (p *trackingProvider) Name() string { return "tracking" }
 
-func (p *trackingProvider) Launch(block int) (provider.ManagerHandle, error) {
-	h, err := p.inner.Launch(block)
+func (p *trackingProvider) Launch(block, slots int) (provider.ManagerHandle, error) {
+	h, err := p.inner.Launch(block, slots)
 	if err != nil {
 		return nil, err
 	}

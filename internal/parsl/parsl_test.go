@@ -577,7 +577,7 @@ func TestUsageSummary(t *testing.T) {
 type failingProvider struct{}
 
 func (failingProvider) Name() string { return "failing" }
-func (failingProvider) Launch(int) (provider.ManagerHandle, error) {
+func (failingProvider) Launch(int, int) (provider.ManagerHandle, error) {
 	return nil, errors.New("allocation denied")
 }
 func (failingProvider) Status() map[int]provider.BlockStatus { return nil }

@@ -8,13 +8,12 @@ import (
 )
 
 // This file is the protocol's dispatch plane: the binary codec every
-// post-handshake frame uses, and the frameBatcher both sides use to coalesce
-// queued records into batch frames. The normative description of everything
-// here lives in docs/PROTOCOL.md, which a conformance test (docs_test.go)
-// keeps in sync with these constants.
+// post-handshake frame uses, and the frameBatcher the worker uses to
+// coalesce its responses into batch frames. The normative description of
+// everything here lives in docs/PROTOCOL.md, which a conformance test
+// (docs_test.go) keeps in sync with these constants.
 
-// defaultBatchMax is how many task or result records one frame may carry
-// when the engine does not configure a limit.
+// defaultBatchMax is how many response records one worker frame may carry.
 const defaultBatchMax = 64
 
 // maxRecordBytes bounds one encoded record so that a single-record frame
@@ -287,144 +286,75 @@ func decodeResponses(body []byte) ([]workerResponse, error) {
 	return resps, nil
 }
 
-// --- frame batching ---
+// --- result batching ---
 
-// batcherConfig configures one frameBatcher.
-type batcherConfig struct {
-	kind byte // batch frame kind (task or response)
-	max  int
-	// onDead, when set, runs once after a frame write fails; queued and
-	// future records are dropped (the session is over).
-	onDead func()
-}
-
-// frameBatcher coalesces pre-encoded records into batch frames on one
-// FrameConn. Producers enqueue concurrently; a single writer goroutine
-// drains greedily — each frame carries every record that queued while the
-// previous frame was being written, up to the batch cap — which keeps
-// latency at one write under light load and amortizes framing under heavy
-// load without any timer in the hot path.
+// frameBatcher is the worker's response writer, a group commit: task
+// goroutines call write concurrently, and whichever finds no write in
+// progress writes every record queued so far — up to defaultBatchMax, within
+// the frame budget — as one frame, while the others wait for theirs. Under
+// light load a record goes out in one write by its own goroutine; under
+// heavy load framing amortizes, with no timer and no writer goroutine.
 type frameBatcher struct {
-	fc  *FrameConn
-	cfg batcherConfig
+	fc *FrameConn
 
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
-
-	stopOnce sync.Once
-
-	mu    sync.Mutex
-	queue [][]byte
-	dead  bool
+	mu      sync.Mutex
+	cond    sync.Cond // signalled after each frame write
+	queue   [][]byte
+	queued  uint64 // records ever queued; a record's number is queued at enqueue
+	written uint64 // records written (or dropped) so far, in queue order
+	writing bool
+	dead    bool // a write failed: later records are dropped
 }
 
-func newFrameBatcher(fc *FrameConn, cfg batcherConfig) *frameBatcher {
-	if cfg.max <= 0 {
-		cfg.max = defaultBatchMax
-	}
-	b := &frameBatcher{
-		fc:   fc,
-		cfg:  cfg,
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go b.run()
+func newFrameBatcher(fc *FrameConn) *frameBatcher {
+	b := &frameBatcher{fc: fc}
+	b.cond.L = &b.mu
 	return b
 }
 
-// enqueue queues one pre-encoded record, reporting false when the writer has
-// stopped (the record will never be sent).
-func (b *frameBatcher) enqueue(rec []byte) bool {
-	b.mu.Lock()
-	if b.dead {
-		b.mu.Unlock()
-		return false
-	}
-	b.queue = append(b.queue, rec)
-	b.mu.Unlock()
-	select {
-	case b.kick <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-// close flushes queued records and stops the writer, blocking until it has
-// exited. Graceful-teardown path (worker drain).
-func (b *frameBatcher) close() {
-	b.stopOnce.Do(func() { close(b.stop) })
-	<-b.done
-}
-
-// kill stops the writer without flushing or blocking — the session is dead,
-// so queued records are undeliverable. Safe to call from the writer's own
-// failure path.
-func (b *frameBatcher) kill() {
-	b.mu.Lock()
-	b.dead = true
-	b.queue = nil
-	b.mu.Unlock()
-	b.stopOnce.Do(func() { close(b.stop) })
-}
-
-func (b *frameBatcher) run() {
-	defer close(b.done)
-	for {
-		select {
-		case <-b.stop:
-			b.flush()
-			b.mu.Lock()
-			b.dead = true
-			b.mu.Unlock()
-			return
-		case <-b.kick:
-			if !b.flush() {
-				return
-			}
-		}
-	}
-}
-
-// take dequeues up to cfg.max records whose combined size stays under the
-// frame cap. A single over-budget record is still taken alone; the
-// per-record cap (maxRecordBytes) keeps it frameable.
-func (b *frameBatcher) take() [][]byte {
+// write sends one pre-encoded record, returning once a frame carrying it has
+// been written — or once the stream has failed and it never will be.
+func (b *frameBatcher) write(rec []byte) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.dead {
+		return
+	}
+	b.queue = append(b.queue, rec)
+	b.queued++
+	for mine := b.queued; b.written < mine && !b.dead; {
+		if b.writing {
+			b.cond.Wait()
+			continue
+		}
+		b.writing = true
+		recs := b.take()
+		b.mu.Unlock()
+		err := b.fc.SendEncoded(binBatchFrame(binKindRespBatch, recs))
+		b.mu.Lock()
+		b.writing = false
+		b.written += uint64(len(recs))
+		if err != nil {
+			b.dead = true
+			b.queue = nil
+		}
+		b.cond.Broadcast()
+	}
+}
+
+// take dequeues up to defaultBatchMax records whose combined size stays
+// under the frame cap. A single over-budget record is still taken alone; the
+// per-record cap (maxRecordBytes) keeps it frameable. Caller holds b.mu.
+func (b *frameBatcher) take() [][]byte {
 	n, size := 0, 0
-	for n < len(b.queue) && n < b.cfg.max {
+	for n < len(b.queue) && n < defaultBatchMax {
 		size += len(b.queue[n]) + 2*binary.MaxVarintLen64
 		if n > 0 && size > maxRecordBytes {
 			break
 		}
 		n++
 	}
-	recs := b.queue[:n:n]
+	out := b.queue[:n:n]
 	b.queue = b.queue[n:]
-	return recs
-}
-
-// flush drains the queue into frames; false means the connection failed and
-// the writer must exit.
-func (b *frameBatcher) flush() bool {
-	for {
-		recs := b.take()
-		if len(recs) == 0 {
-			return true
-		}
-		observeBatch(len(recs))
-		if err := b.fc.SendEncoded(binBatchFrame(b.cfg.kind, recs)); err != nil {
-			b.mu.Lock()
-			b.dead = true
-			b.queue = nil
-			b.mu.Unlock()
-			if b.cfg.onDead != nil {
-				b.cfg.onDead()
-			}
-			return false
-		}
-		metFramesSent.Inc()
-	}
+	return out
 }

@@ -126,17 +126,51 @@ func TestBinaryDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
+// gatedWriter blocks its first Write until gate closes. FrameConn
+// serializes writes, so w needs no lock of its own.
+type gatedWriter struct {
+	w     io.Writer
+	gate  chan struct{}
+	first sync.Once
+}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	g.first.Do(func() { <-g.gate })
+	return g.w.Write(p)
+}
+
+// TestFrameBatcherCoalesces: records written while another frame is on its
+// way go out together, at most defaultBatchMax per frame, and every write
+// returns only once its record is on the stream.
 func TestFrameBatcherCoalesces(t *testing.T) {
 	var buf bytes.Buffer
-	fc := NewFrameConn(bytes.NewReader(nil), &buf, nil)
-	b := newFrameBatcher(fc, batcherConfig{kind: binKindTaskBatch, max: 8})
-	const n = 20
+	gw := &gatedWriter{w: &buf, gate: make(chan struct{})}
+	b := newFrameBatcher(NewFrameConn(bytes.NewReader(nil), gw, nil))
+	const n = 3 * defaultBatchMax
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		if !b.enqueue(appendBinaryTask(nil, int64(i), KindEcho, []byte(`1`), "", nil)) {
-			t.Fatal("enqueue refused on a live batcher")
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.write(appendBinaryResponse(nil, workerResponse{ID: int64(i), OK: true, Result: []byte(`1`)}))
+		}()
 	}
-	b.close() // flushes the queue and stops the writer
+	// Hold the first frame's write until every record has queued behind it.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		queued := b.queued
+		b.mu.Unlock()
+		if queued == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d records queued", queued, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gw.gate)
+	wg.Wait()
 
 	frames, total := 0, 0
 	fr := NewFrameConn(&buf, io.Discard, nil)
@@ -145,15 +179,15 @@ func TestFrameBatcherCoalesces(t *testing.T) {
 		if err != nil {
 			break
 		}
-		reqs, err := decodeRequests(body, map[string][]byte{})
+		resps, err := decodeResponses(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(reqs) > 8 {
-			t.Fatalf("frame carries %d records, max is 8", len(reqs))
+		if len(resps) > defaultBatchMax {
+			t.Fatalf("frame carries %d records, max is %d", len(resps), defaultBatchMax)
 		}
 		frames++
-		total += len(reqs)
+		total += len(resps)
 	}
 	if total != n {
 		t.Fatalf("records out = %d, want %d", total, n)
@@ -161,54 +195,56 @@ func TestFrameBatcherCoalesces(t *testing.T) {
 	if frames >= n {
 		t.Fatalf("no coalescing: %d frames for %d records", frames, n)
 	}
-	if b.enqueue([]byte{1}) {
-		t.Fatal("enqueue accepted after close")
-	}
 }
 
-// errWriter fails every write after the first n bytes-of-call budget.
-type errWriter struct{ calls int }
+// errWriter fails every write.
+type errWriter struct{}
 
-func (w *errWriter) Write(p []byte) (int, error) {
-	w.calls++
-	return 0, errors.New("sink broke")
-}
+func (errWriter) Write(p []byte) (int, error) { return 0, errors.New("sink broke") }
 
-func TestFrameBatcherWriteFailureRunsOnDead(t *testing.T) {
-	died := make(chan struct{})
-	fc := NewFrameConn(bytes.NewReader(nil), &errWriter{}, nil)
-	b := newFrameBatcher(fc, batcherConfig{kind: binKindTaskBatch, max: 8,
-		onDead: func() { close(died) }})
-	if !b.enqueue([]byte{0x01}) {
-		t.Fatal("first enqueue refused")
-	}
-	select {
-	case <-died:
-	case <-time.After(5 * time.Second):
-		t.Fatal("onDead never ran after a write failure")
-	}
-	// The writer is gone; later enqueues must refuse rather than queue
-	// records nobody will send.
-	deadline := time.Now().Add(5 * time.Second)
-	for b.enqueue([]byte{0x02}) {
-		if time.Now().After(deadline) {
-			t.Fatal("enqueue still accepting after the writer died")
+// TestFrameBatcherWriteFailureReleasesRecords: a failed frame write still
+// returns every writer waiting on it — the worker frees a task's slot when
+// its write returns — and later writes return at once instead of waiting
+// for a stream that is gone.
+func TestFrameBatcherWriteFailureReleasesRecords(t *testing.T) {
+	b := newFrameBatcher(NewFrameConn(bytes.NewReader(nil), errWriter{}, nil))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				b.write([]byte{byte(i)})
+			}()
 		}
-		time.Sleep(time.Millisecond)
+		wg.Wait()
+		b.write([]byte{0xff}) // after the failure
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a write never returned after the stream failed")
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.dead || len(b.queue) != 0 {
+		t.Fatalf("after a failed write: dead = %v, %d records still queued", b.dead, len(b.queue))
 	}
 }
 
 // TestSessionCodecMatrix drives a full engine↔worker session in-process over
-// pipes for each batch cap: same tasks, same results, whatever the frames
-// carry.
+// pipes for each worker capacity: same tasks, same results, whatever the
+// slot count and the frames carry.
 func TestSessionCodecMatrix(t *testing.T) {
 	cases := []struct {
 		name     string
-		batchMax int
+		capacity int
 	}{
 		{"binary batched (default)", 0},
-		{"batch-max 1", 1},
-		{"batch-max 7", 7},
+		{"capacity 1", 1},
+		{"capacity 7", 7},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -217,37 +253,47 @@ func TestSessionCodecMatrix(t *testing.T) {
 			weR, weW := io.Pipe()
 			workerDone := make(chan error, 1)
 			go func() {
-				workerDone <- RunPipeWorker(ewR, weW, nil)
+				workerDone <- RunPipeWorker(ewR, weW, nil, tc.capacity)
 			}()
 
 			fc := NewFrameConn(weR, ewW, nil)
-			sess, _, err := AcceptWorkerSession(fc, AcceptOptions{BatchMax: tc.batchMax})
+			sess, hello, err := AcceptWorkerSession(fc, AcceptOptions{})
 			if err != nil {
 				t.Fatal(err)
+			}
+			want := tc.capacity
+			if want == 0 {
+				want = DefaultCapacity()
+			}
+			if hello.Capacity != want || sess.Slots() != want {
+				t.Fatalf("hello capacity = %d, session slots = %d, want %d", hello.Capacity, sess.Slots(), want)
 			}
 			go sess.ReadLoop()
 
 			var wg sync.WaitGroup
 			errs := make(chan error, 32)
-			for i := 0; i < 32; i++ {
+			batch := make([]*Task, 32)
+			for i := range batch {
+				spec, err := NewEchoSpec(map[string]any{"i": i})
+				if err != nil {
+					t.Fatal(err)
+				}
 				wg.Add(1)
-				go func(i int) {
+				batch[i] = &Task{ID: i, Remote: spec, Done: func(res any, err error) {
 					defer wg.Done()
-					spec, err := NewEchoSpec(map[string]any{"i": i})
 					if err != nil {
 						errs <- err
 						return
 					}
-					res, err := sess.Roundtrip(i, spec)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if got := fmt.Sprint(res); got != fmt.Sprintf("map[i:%d]", i) &&
-						!resultHasI(res, i) {
+					if !resultHasI(res, i) {
 						errs <- fmt.Errorf("task %d echoed %v", i, res)
 					}
-				}(i)
+				}}
+			}
+			// Half as one frame, half one task at a time.
+			sess.Dispatch(batch[:16])
+			for _, task := range batch[16:] {
+				sess.Dispatch([]*Task{task})
 			}
 			wg.Wait()
 			close(errs)
@@ -291,24 +337,21 @@ func resultHasI(res any, i int) bool {
 }
 
 // TestSessionSharedDocSentOncePerSession asserts the engine-side half of the
-// amortization: two specs sharing one DocHash produce one inline document on
-// the wire.
+// amortization: two specs sharing one DocHash, dispatched in separate frames,
+// produce one inline document on the wire.
 func TestSessionSharedDocSentOncePerSession(t *testing.T) {
 	var buf bytes.Buffer
 	fc := NewFrameConn(bytes.NewReader(nil), &buf, nil)
-	sess := newManagerSession(fc, defaultBatchMax)
+	sess := newManagerSession(fc, 1, "test worker")
 
 	doc := []byte(`{"class":"CommandLineTool"}`)
-	mk := func() *RemoteSpec {
-		return &RemoteSpec{Kind: KindCWLTool, Payload: []byte(`{"tool":null}`), Doc: doc, DocHash: "h"}
+	for id := 1; id <= 2; id++ {
+		sess.Dispatch([]*Task{{
+			ID:     id,
+			Remote: &RemoteSpec{Kind: KindCWLTool, Payload: []byte(`{"tool":null}`), Doc: doc, DocHash: "h"},
+			Done:   func(any, error) {},
+		}})
 	}
-	if err := sess.ship(1, mk()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.ship(2, mk()); err != nil {
-		t.Fatal(err)
-	}
-	sess.batcher.close() // flush both records before reading the wire
 
 	docs := map[string][]byte{}
 	fr := NewFrameConn(&buf, io.Discard, nil)
@@ -410,30 +453,38 @@ func reencodeResponses(resps []workerResponse) []byte {
 	return out
 }
 
-// TestAcceptRefusesOldProtocolVersion: a version-2 worker, which expects JSON
-// task frames, is refused at hello — a negative ack and ErrHelloRejected —
-// rather than failing later on binary frames it cannot decode.
+// TestAcceptRefusesOldProtocolVersion: older workers are refused at hello — a
+// negative ack and ErrHelloRejected — rather than failing later: a version-2
+// worker expects JSON task frames, a version-3 worker runs every task it
+// receives at once and so cannot honour a window sized by its capacity. A
+// current worker that announces no capacity is refused the same way.
 func TestAcceptRefusesOldProtocolVersion(t *testing.T) {
-	ewR, ewW := io.Pipe()
-	weR, weW := io.Pipe()
-	accepted := make(chan error, 1)
-	go func() {
-		_, _, err := AcceptWorkerSession(NewFrameConn(weR, ewW, nil), AcceptOptions{})
-		accepted <- err
-	}()
+	for _, hello := range []string{
+		`{"proto":2}`,
+		`{"proto":3,"capacity":2}`,
+		fmt.Sprintf(`{"proto":%d}`, ProtoVersion),
+	} {
+		ewR, ewW := io.Pipe()
+		weR, weW := io.Pipe()
+		accepted := make(chan error, 1)
+		go func() {
+			_, _, err := AcceptWorkerSession(NewFrameConn(weR, ewW, nil), AcceptOptions{})
+			accepted <- err
+		}()
 
-	worker := NewFrameConn(ewR, weW, nil)
-	if err := worker.SendEncoded([]byte(`{"proto":2}`)); err != nil {
-		t.Fatal(err)
-	}
-	var ack HelloAck
-	if err := worker.readHandshake(&ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.OK || ack.Proto != ProtoVersion || ack.Error == "" {
-		t.Fatalf("ack = %+v, want a version-%d rejection", ack, ProtoVersion)
-	}
-	if err := <-accepted; !errors.Is(err, ErrHelloRejected) {
-		t.Fatalf("AcceptWorkerSession error = %v, want ErrHelloRejected", err)
+		worker := NewFrameConn(ewR, weW, nil)
+		if err := worker.SendEncoded([]byte(hello)); err != nil {
+			t.Fatal(err)
+		}
+		var ack HelloAck
+		if err := worker.readHandshake(&ack); err != nil {
+			t.Fatal(err)
+		}
+		if ack.OK || ack.Proto != ProtoVersion || ack.Error == "" {
+			t.Fatalf("hello %s: ack = %+v, want a version-%d rejection", hello, ack, ProtoVersion)
+		}
+		if err := <-accepted; !errors.Is(err, ErrHelloRejected) {
+			t.Fatalf("hello %s: AcceptWorkerSession error = %v, want ErrHelloRejected", hello, err)
+		}
 	}
 }

@@ -18,7 +18,8 @@ func TestProcessProviderWarmPool(t *testing.T) {
 
 	waitForWarm(t, p, 2)
 	start := time.Now()
-	h, err := p.Launch(0)
+	// Spares are forked before any Launch, at the worker's default capacity.
+	h, err := p.Launch(0, DefaultCapacity())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestProcessProviderWarmPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := h.Run(&Task{ID: 1, Remote: spec}); err != nil || res != "warm" {
+	if res, err := runOne(h, &Task{ID: 1, Remote: spec}); err != nil || res != "warm" {
 		t.Fatalf("Run on a warm worker = %v, %v", res, err)
 	}
 	waitForWarm(t, p, 2) // refilled after the adoption
@@ -59,7 +60,9 @@ func waitForWarm(t *testing.T, p *ProcessProvider, want int) {
 func TestProcessProviderMidBatchKill(t *testing.T) {
 	p := NewProcessProvider(selfWorker(t))
 	defer p.Cancel()
-	h, err := p.Launch(4)
+	// Enough slots that every unacked task below has started when the kill
+	// lands, so each must fail as lost rather than never started.
+	h, err := p.Launch(4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +79,7 @@ func TestProcessProviderMidBatchKill(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if res, err := h.Run(&Task{ID: i, Remote: acked}); err != nil || res != "acked" {
+			if res, err := runOne(h, &Task{ID: i, Remote: acked}); err != nil || res != "acked" {
 				errs <- err
 			}
 		}(i)
@@ -97,7 +100,7 @@ func TestProcessProviderMidBatchKill(t *testing.T) {
 	lost := make(chan error, inflight)
 	for i := 0; i < inflight; i++ {
 		go func(i int) {
-			_, err := h.Run(&Task{ID: 100 + i, Remote: slow})
+			_, err := runOne(h, &Task{ID: 100 + i, Remote: slow})
 			lost <- err
 		}(i)
 	}

@@ -9,7 +9,7 @@ import (
 
 // LocalProvider grants in-process blocks immediately — the paper's
 // single-machine and in-allocation deployments. Tasks execute as plain
-// function calls on the executor's worker goroutines.
+// function calls, at most the block's slots at a time.
 type LocalProvider struct {
 	// Latency optionally models block startup cost (worker pool launch).
 	Latency time.Duration
@@ -24,11 +24,16 @@ type LocalProvider struct {
 func (p *LocalProvider) Name() string { return "local" }
 
 // Launch implements ExecutionProvider.
-func (p *LocalProvider) Launch(block int) (ManagerHandle, error) {
+func (p *LocalProvider) Launch(block, slots int) (ManagerHandle, error) {
 	if p.Latency > 0 {
 		time.Sleep(p.Latency)
 	}
-	h := &localHandle{provider: p, block: block}
+	slots = max(slots, 1)
+	h := &localHandle{provider: p, block: block, work: make(chan *Task, slots)}
+	h.pool = slotPool{slots: slots, start: func(t *Task) { h.work <- t }}
+	for range slots {
+		go h.slot()
+	}
 	p.mu.Lock()
 	if p.blocks == nil {
 		p.blocks = map[int]*localHandle{}
@@ -72,22 +77,47 @@ func (p *LocalProvider) Cancel() error {
 	return nil
 }
 
-// localHandle executes tasks in the engine process.
+// localHandle executes tasks in the engine process on one long-lived
+// goroutine per slot.
 type localHandle struct {
 	provider *LocalProvider
 	block    int
+	pool     slotPool
+	work     chan *Task // a started task, handed to an idle slot goroutine
 	closed   atomic.Bool
 }
 
 // Block implements ManagerHandle.
 func (h *localHandle) Block() int { return h.block }
 
-// Run implements ManagerHandle: a guarded in-process call.
-func (h *localHandle) Run(t *Task) (any, error) {
-	if h.closed.Load() {
-		return nil, fmt.Errorf("local block %d closed: %w", h.block, ErrWorkerLost)
+// Slots implements ManagerHandle.
+func (h *localHandle) Slots() int { return h.pool.slots }
+
+// Dispatch implements ManagerHandle: queue the tasks on the slot pool. A
+// closed block refuses them as never started.
+func (h *localHandle) Dispatch(batch []*Task) {
+	if refused := h.pool.dispatch(batch); len(refused) > 0 {
+		failAll(refused, h.notStarted())
 	}
-	return guard(t.Fn)
+}
+
+// slot is one slot's goroutine: it executes each task it is handed as a
+// guarded in-process call, keeping the slot for the next queued task until
+// the queue is empty, and exits when the block closes. Closing the block
+// does not interrupt a running task: it completes with its own result.
+func (h *localHandle) slot() {
+	for t := range h.work {
+		for t != nil {
+			res, err := guard(t.Fn)
+			done := t.Done
+			t = h.pool.next()
+			done(res, err)
+		}
+	}
+}
+
+func (h *localHandle) notStarted() error {
+	return fmt.Errorf("local block %d closed: %w", h.block, ErrNotStarted)
 }
 
 // Alive implements ManagerHandle.
@@ -97,6 +127,8 @@ func (h *localHandle) Alive() bool { return !h.closed.Load() }
 func (h *localHandle) Close() error {
 	if h.closed.CompareAndSwap(false, true) {
 		h.provider.granted.Add(-1)
+		failAll(h.pool.close(), h.notStarted())
+		close(h.work) // the pool starts nothing more once closed
 	}
 	return nil
 }

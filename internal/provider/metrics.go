@@ -28,14 +28,14 @@ var (
 		"Tasks shipped to out-of-process workers over the session protocol.")
 	metRemoteRoundtrip = obs.Default().Histogram(
 		"pcwl_provider_remote_roundtrip_seconds",
-		"Round-trip time of one task over the worker session protocol (send to response).",
+		"Time from dispatching one task over the worker session protocol to its response, including time queued on the worker.",
 		nil)
 	metBatchFrames = obs.Default().Counter(
 		"pcwl_provider_batch_frames_total",
-		"Batch frames written to worker sessions (task and result batches).")
+		"Task batch frames written to worker sessions.")
 	metBatchTasks = obs.Default().Histogram(
 		"pcwl_provider_batch_tasks",
-		"Records carried per batch frame (task and result batches).",
+		"Task records carried per engine-to-worker batch frame.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
 	metDocsAmortized = obs.Default().Counter(
 		"pcwl_provider_docs_amortized_total",
@@ -52,12 +52,12 @@ var (
 		"SimProvider blocks killed by simulated walltime expiry.")
 )
 
-// observeRoundtrip records one session-protocol round trip.
+// observeRoundtrip records one task's dispatch-to-response time.
 func observeRoundtrip(start time.Time) {
 	metRemoteRoundtrip.Observe(time.Since(start).Seconds())
 }
 
-// observeBatch records one batch frame and its record count.
+// observeBatch records one task batch frame and its record count.
 func observeBatch(records int) {
 	metBatchTasks.Observe(float64(records))
 	metBatchFrames.Inc()

@@ -6,6 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,12 +28,11 @@ type ProcessOptions struct {
 	// Stderr receives the workers' stderr ("" inherits the engine's stderr;
 	// useful diagnostics either way since the protocol owns stdout).
 	Stderr io.Writer
-	// BatchMax caps the tasks per dispatch frame on worker sessions (0 = the
-	// protocol default, 64).
-	BatchMax int
 	// WarmPool, when positive, keeps this many spare workers pre-forked and
 	// handshaken; Launch adopts a spare instead of paying exec+hello
-	// latency, and the pool refills asynchronously.
+	// latency, and the pool refills asynchronously. Spares are forked with
+	// the slot count of the latest Launch (before any, the worker default of
+	// one slot per CPU); a spare whose capacity no longer matches is retired.
 	WarmPool int
 }
 
@@ -65,6 +66,7 @@ type ProcessProvider struct {
 	mu      sync.Mutex
 	blocks  map[int]*processHandle
 	spares  []*processHandle // warm pool: handshaken workers awaiting a block
+	slots   int              // capacity spares are forked with
 	filling bool             // a fillWarm goroutine is running
 	closed  bool             // Cancel was called
 }
@@ -74,7 +76,7 @@ func NewProcessProvider(opts ProcessOptions) *ProcessProvider {
 	if opts.HelloTimeout <= 0 {
 		opts.HelloTimeout = 10 * time.Second
 	}
-	p := &ProcessProvider{opts: opts, blocks: map[int]*processHandle{}}
+	p := &ProcessProvider{opts: opts, blocks: map[int]*processHandle{}, slots: runtime.NumCPU()}
 	if opts.WarmPool > 0 {
 		go p.fillWarm()
 	}
@@ -91,8 +93,9 @@ func (p *ProcessProvider) RemoteCapable() bool { return true }
 // Launch implements ExecutionProvider: adopt a warm spare worker when the
 // pool has one, otherwise start a worker subprocess and complete the session
 // handshake with it.
-func (p *ProcessProvider) Launch(block int) (ManagerHandle, error) {
-	if h := p.takeSpare(); h != nil {
+func (p *ProcessProvider) Launch(block, slots int) (ManagerHandle, error) {
+	slots = max(slots, 1)
+	if h := p.takeSpare(slots); h != nil {
 		h.block = block
 		p.mu.Lock()
 		p.blocks[block] = h
@@ -102,7 +105,7 @@ func (p *ProcessProvider) Launch(block int) (ManagerHandle, error) {
 		go p.fillWarm()
 		return h, nil
 	}
-	h, err := p.spawnWorker(block)
+	h, err := p.spawnWorker(block, slots)
 	if err != nil {
 		return nil, err
 	}
@@ -113,9 +116,10 @@ func (p *ProcessProvider) Launch(block int) (ManagerHandle, error) {
 	return h, nil
 }
 
-// spawnWorker starts one worker subprocess and completes the handshake.
-// block < 0 marks a warm spare not yet bound to a block.
-func (p *ProcessProvider) spawnWorker(block int) (*processHandle, error) {
+// spawnWorker starts one worker subprocess with the given slot count (passed
+// as -capacity) and completes the handshake. block < 0 marks a warm spare
+// not yet bound to a block.
+func (p *ProcessProvider) spawnWorker(block, slots int) (*processHandle, error) {
 	name := fmt.Sprintf("worker block %d", block)
 	if block < 0 {
 		name = "warm worker"
@@ -128,7 +132,8 @@ func (p *ProcessProvider) spawnWorker(block int) (*processHandle, error) {
 		}
 		argv = def
 	}
-	cmd := exec.Command(argv[0], argv[1:]...)
+	args := append(argv[1:len(argv):len(argv)], "-capacity", strconv.Itoa(slots))
+	cmd := exec.Command(argv[0], args...)
 	cmd.Dir = p.opts.Dir
 	cmd.Env = append(os.Environ(), p.opts.Env...)
 	if p.opts.Stderr != nil {
@@ -166,7 +171,7 @@ func (p *ProcessProvider) spawnWorker(block int) (*processHandle, error) {
 	}
 	helloCh := make(chan acceptResult, 1)
 	go func() {
-		sess, hello, err := AcceptWorkerSession(fc, AcceptOptions{BatchMax: p.opts.BatchMax})
+		sess, hello, err := AcceptWorkerSession(fc, AcceptOptions{})
 		helloCh <- acceptResult{sess, hello, err}
 	}()
 	select {
@@ -186,18 +191,29 @@ func (p *ProcessProvider) spawnWorker(block int) (*processHandle, error) {
 	return h, nil
 }
 
-// takeSpare pops the first live warm worker, if any.
-func (p *ProcessProvider) takeSpare() *processHandle {
+// takeSpare pops the first live warm worker with the wanted slot count, if
+// any. Spares forked for another slot count are retired, and later spares
+// are forked with this one.
+func (p *ProcessProvider) takeSpare(slots int) *processHandle {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.spares) > 0 {
+	p.slots = slots
+	var found *processHandle
+	var stale []*processHandle
+	for len(p.spares) > 0 && found == nil {
 		h := p.spares[0]
 		p.spares = p.spares[1:]
-		if h.Alive() {
-			return h
+		switch {
+		case h.Slots() != slots:
+			stale = append(stale, h)
+		case h.Alive():
+			found = h
 		}
 	}
-	return nil
+	p.mu.Unlock()
+	for _, h := range stale {
+		go h.Close()
+	}
+	return found
 }
 
 // fillWarm tops the warm pool back up to its target size. One filler runs at
@@ -218,11 +234,12 @@ func (p *ProcessProvider) fillWarm() {
 	for {
 		p.mu.Lock()
 		need := !p.closed && len(p.spares) < p.opts.WarmPool
+		slots := p.slots
 		p.mu.Unlock()
 		if !need {
 			return
 		}
-		h, err := p.spawnWorker(-1)
+		h, err := p.spawnWorker(-1, slots)
 		if err != nil {
 			return
 		}
@@ -349,24 +366,21 @@ func (h *processHandle) reap() {
 	})
 }
 
-// Run implements ManagerHandle. Tasks with a RemoteSpec cross the pipe; tasks
-// without one (non-serializable closures) run in the engine process — process
-// isolation applies to what the protocol can express.
-func (h *processHandle) Run(t *Task) (any, error) {
-	if t.Remote == nil {
-		if !h.sess.Alive() {
-			return nil, fmt.Errorf("worker block %d is gone: %w", h.block, ErrWorkerLost)
-		}
-		return guard(t.Fn)
-	}
+// Slots implements ManagerHandle: the capacity the worker announced.
+func (h *processHandle) Slots() int { return h.sess.Slots() }
+
+// Dispatch implements ManagerHandle. Tasks with a RemoteSpec cross the pipe;
+// tasks without one (non-serializable closures) run in the engine process —
+// process isolation applies to what the protocol can express.
+func (h *processHandle) Dispatch(batch []*Task) {
 	if h.provider != nil {
-		h.provider.remoteTasks.Add(1)
+		for _, t := range batch {
+			if t.Remote != nil {
+				h.provider.remoteTasks.Add(1)
+			}
+		}
 	}
-	res, err := h.sess.Roundtrip(t.ID, t.Remote)
-	if err != nil && isWorkerLostErr(err) {
-		return nil, fmt.Errorf("worker block %d (pid %d): %w", h.block, h.pid.Load(), err)
-	}
-	return res, err
+	h.sess.Dispatch(batch)
 }
 
 // Alive implements ManagerHandle.

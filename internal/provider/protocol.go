@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,12 +22,13 @@ import (
 // (protocol version, identity, capacity, shared secret) and the engine
 // answers with an ack accepting or rejecting it — and then carries task
 // traffic in the binary codec (codec.go): the engine writes batches of run
-// requests, the worker writes batches of responses in completion order
-// (requests execute concurrently; responses are matched by id). Sessions with
+// requests, the worker runs them on its slot pool — at most its announced
+// capacity at once, started in arrival order — and writes batches of
+// responses in completion order, matched by id. Sessions with
 // a heartbeat interval additionally carry worker → engine heartbeat frames,
 // and either side can end the session gracefully: the engine with a drain
-// frame (or by closing its write side), the worker by finishing its
-// in-flight tasks and sending a bye frame. docs/PROTOCOL.md is the
+// frame (or by closing its write side), the worker by finishing every task
+// it received and sending a bye frame. docs/PROTOCOL.md is the
 // normative spec.
 //
 // The same session runs over any byte stream. ProcessProvider speaks it over
@@ -36,8 +39,10 @@ import (
 // that announce a different one. Version 2 added the session layer: hello
 // acknowledgement, worker identity/capacity/secret in the hello, and
 // heartbeat/drain/bye frames. Version 3 made the batched binary codec the
-// only post-handshake wire form.
-const ProtoVersion = 3
+// only post-handshake wire form. Version 4 made the hello's capacity the
+// worker's binding slot count (FIFO start, a slot freed only after its
+// completion is written) and dropped the ack's batch cap.
+const ProtoVersion = 4
 
 // maxFrameBytes bounds one frame so a corrupt length prefix cannot make
 // either side allocate unbounded memory.
@@ -57,18 +62,19 @@ var ErrHelloRejected = errors.New("hello rejected")
 // engine's. It wraps ErrHelloRejected.
 var ErrBadSecret = fmt.Errorf("%w: shared secret mismatch", ErrHelloRejected)
 
-// Hello is the worker's first frame: protocol announcement, identity and
-// credentials. Over pipes only Proto and PID are meaningful; network workers
-// additionally carry an identity, a capacity hint and the shared secret.
+// Hello is the worker's first frame: protocol announcement, identity,
+// capacity and credentials. Network workers additionally carry an identity
+// and the shared secret.
 type Hello struct {
 	Proto int `json:"proto"`
 	PID   int `json:"pid"`
 	// ID names the worker across reconnects ("" for pipe workers, whose
 	// identity is the process itself).
 	ID string `json:"id,omitempty"`
-	// Capacity is how many tasks the worker is willing to run concurrently
-	// (advisory; 0 = unstated).
-	Capacity int `json:"capacity,omitempty"`
+	// Capacity is the worker's slot count: it runs at most this many tasks
+	// at once and starts the rest in arrival order as slots free. Required
+	// (at least 1); the engine sizes its dispatch window by it.
+	Capacity int `json:"capacity"`
 	// Secret authenticates the worker to the engine. Verified before any
 	// task frame is exchanged.
 	Secret string `json:"secret,omitempty"`
@@ -83,19 +89,16 @@ type HelloAck struct {
 	// HeartbeatMs asks the worker to send a heartbeat frame this often
 	// (0 = no heartbeats, the pipe transport's mode).
 	HeartbeatMs int `json:"heartbeatMs,omitempty"`
-	// BatchMax caps the records per batch frame in both directions (0 = the
-	// protocol default).
-	BatchMax int `json:"batchMax,omitempty"`
 }
 
 // Decoded frame kinds. They never cross the wire (the binary codec tags
 // frames with binKind* bytes); the decoders use them to tell task traffic
 // from session control.
 const (
-	frameKindDrain = "drain" // engine → worker: finish in-flight tasks, send bye, end session
+	frameKindDrain = "drain" // engine → worker: finish received tasks, send bye, end session
 	frameKindResp  = ""      // worker → engine: task response
 	frameKindBeat  = "hb"    // worker → engine: liveness heartbeat
-	frameKindBye   = "bye"   // worker → engine: graceful deregistration, in-flight work is done
+	frameKindBye   = "bye"   // worker → engine: graceful deregistration, received work is done
 )
 
 // workerRequest is one decoded engine → worker record: a run request (empty
@@ -211,13 +214,16 @@ func (fc *FrameConn) Close() error {
 	return nil
 }
 
-// VerifyHello is the single place a hello is judged: version check, then
-// constant-time shared-secret comparison. An empty engine secret disables
-// authentication (the pipe transport, where the kernel already guarantees
-// who is on the other end).
+// VerifyHello is the single place a hello is judged: version and capacity
+// checks, then constant-time shared-secret comparison. An empty engine
+// secret disables authentication (the pipe transport, where the kernel
+// already guarantees who is on the other end).
 func VerifyHello(h Hello, secret string) error {
 	if h.Proto != ProtoVersion {
 		return fmt.Errorf("%w: worker speaks protocol %d, engine wants %d", ErrHelloRejected, h.Proto, ProtoVersion)
+	}
+	if h.Capacity < 1 {
+		return fmt.Errorf("%w: worker announced capacity %d, want at least 1", ErrHelloRejected, h.Capacity)
 	}
 	if secret != "" && subtle.ConstantTimeCompare([]byte(h.Secret), []byte(secret)) != 1 {
 		return ErrBadSecret
@@ -256,30 +262,44 @@ type WorkerSessionOptions struct {
 	// interval the engine announced in its hello ack).
 	Heartbeat time.Duration
 	// Drain, when non-nil, triggers a graceful drain when closed: stop
-	// accepting requests, finish in-flight tasks, send final responses and a
-	// bye frame, return nil. Used for SIGTERM/SIGINT shutdown.
+	// accepting requests, finish every task already received, send final
+	// responses and a bye frame, return nil. Used for SIGTERM/SIGINT
+	// shutdown.
 	Drain <-chan struct{}
-	// BatchMax caps records per result frame (0 = the protocol default).
-	BatchMax int
+	// Capacity is the worker's slot count, as announced in its hello.
+	Capacity int
+
+	// onStart, when set, is called with a task's wire id as it takes a slot,
+	// on the session's main goroutine. Tests observe the slot pool through it.
+	onStart func(id int64)
 }
 
-// SessionOptionsFromAck derives the serve options a granted hello ack
-// implies: the heartbeat interval and the batch cap the engine announced.
-func SessionOptionsFromAck(ack HelloAck, drain <-chan struct{}) WorkerSessionOptions {
+// SessionOptions derives the serve options a granted handshake implies: the
+// capacity the hello announced and the heartbeat interval the ack asked for.
+func SessionOptions(hello Hello, ack HelloAck, drain <-chan struct{}) WorkerSessionOptions {
 	return WorkerSessionOptions{
 		Heartbeat: time.Duration(ack.HeartbeatMs) * time.Millisecond,
 		Drain:     drain,
-		BatchMax:  ack.BatchMax,
+		Capacity:  hello.Capacity,
 	}
 }
 
-// ServeWorkerSession runs the worker side of an established session: execute
-// run requests concurrently, one response per request. It returns nil after
-// a graceful end — engine EOF/drain frame, or the Drain channel closing —
-// with every in-flight task finished and its response sent, or the first
-// protocol-level error otherwise.
+// DefaultCapacity is a worker's slot count when none is configured: one per
+// CPU, so CPU-bound tools are not over-subscribed.
+func DefaultCapacity() int { return runtime.NumCPU() }
+
+// ServeWorkerSession runs the worker side of an established session. Run
+// requests execute on a pool of opts.Capacity slots, started in arrival
+// order; each slot frees only after its task's response has been written to
+// the stream, so the engine can count which tasks had started when a
+// session dies. It returns nil after a graceful end — engine EOF/drain
+// frame, or the Drain channel closing — with every received task finished
+// and its response sent, or the first protocol-level error otherwise.
 func ServeWorkerSession(fc *FrameConn, opts WorkerSessionOptions) error {
-	var wg sync.WaitGroup
+	capacity := opts.Capacity
+	if capacity < 1 {
+		capacity = DefaultCapacity()
+	}
 	var inflight atomic.Int64
 
 	// The reader runs in its own goroutine so the main loop can also honor
@@ -318,8 +338,7 @@ func ServeWorkerSession(fc *FrameConn, opts WorkerSessionOptions) error {
 	// Responses ship through the result batcher. A write failure means the
 	// engine is gone; the session is about to end anyway, so the error is
 	// unreportable by design.
-	respBatcher := newFrameBatcher(fc, batcherConfig{kind: binKindRespBatch, max: opts.BatchMax})
-	defer respBatcher.kill()
+	results := newFrameBatcher(fc)
 
 	stopBeats := make(chan struct{})
 	defer close(stopBeats)
@@ -341,9 +360,33 @@ func ServeWorkerSession(fc *FrameConn, opts WorkerSessionOptions) error {
 		}()
 	}
 
-	drain := func() error {
+	// The slot pool: a task takes a slot in arrival order and gives it back
+	// only once its response is written (or can never be), so the engine can
+	// count which tasks had started when a session dies. A slot's goroutine
+	// runs queued tasks until none is left.
+	var wg sync.WaitGroup // received tasks not yet answered
+	pool := &slotPool{slots: capacity}
+	pool.claim = func(t *Task) {
+		inflight.Add(1)
+		if opts.onStart != nil {
+			opts.onStart(int64(t.ID))
+		}
+	}
+	pool.start = func(t *Task) {
+		go func() {
+			for ; t != nil; t = pool.next() {
+				rec, _ := t.Fn()
+				results.write(rec.([]byte))
+				inflight.Add(-1)
+				wg.Done()
+			}
+		}()
+	}
+	// finish waits until every task received so far has run and its response
+	// is written, then says goodbye: after a bye nothing the engine still
+	// awaits had started.
+	finish := func() error {
 		wg.Wait()
-		respBatcher.close() // flush the final result batch
 		// Best-effort goodbye: the engine may already be gone, and the
 		// session is over either way.
 		_ = fc.SendEncoded([]byte{binKindBye})
@@ -353,35 +396,35 @@ func ServeWorkerSession(fc *FrameConn, opts WorkerSessionOptions) error {
 	for {
 		select {
 		case <-opts.Drain:
-			return drain()
+			return finish()
 		case err := <-readErr:
 			if err == io.EOF {
-				return drain()
+				return finish()
 			}
 			wg.Wait()
 			return fmt.Errorf("worker read: %w", err)
 		case req := <-frames:
 			if req.Kind == frameKindDrain {
-				return drain()
+				return finish()
 			}
 			wg.Add(1)
-			inflight.Add(1)
-			go func(req workerRequest) {
-				defer wg.Done()
-				defer inflight.Add(-1)
-				resp := workerResponse{ID: req.ID}
-				if req.DocErr != "" {
-					resp.Error = req.DocErr
-				} else if res, err := executeGuarded(req.Spec); err != nil {
-					resp.Error = err.Error()
-				} else {
-					resp.OK = true
-					resp.Result = res
-				}
-				_ = respBatcher.enqueue(encodeResponseRecord(resp))
-			}(req)
+			pool.dispatch([]*Task{{ID: int(req.ID), Fn: func() (any, error) { return serveRequest(req), nil }}})
 		}
 	}
+}
+
+// serveRequest executes one run request and renders its response record.
+func serveRequest(req workerRequest) []byte {
+	resp := workerResponse{ID: req.ID}
+	if req.DocErr != "" {
+		resp.Error = req.DocErr
+	} else if res, err := executeGuarded(req.Spec); err != nil {
+		resp.Error = err.Error()
+	} else {
+		resp.OK = true
+		resp.Result = res
+	}
+	return encodeResponseRecord(resp)
 }
 
 // encodeResponseRecord renders one binary response record. Responses over
@@ -397,22 +440,34 @@ func encodeResponseRecord(resp workerResponse) []byte {
 	return rec
 }
 
-// RunWorker is the parsl-cwl-worker pipe-mode main loop: handshake on
-// stdin/stdout, then serve the session until the engine closes the pipe.
-func RunWorker(r io.Reader, w io.Writer) error {
-	return RunPipeWorker(r, w, nil)
+// RunWorker is the pipe-mode main loop of a binary standing in for
+// parsl-cwl-worker (a test binary re-executed by a ProcessProvider): it
+// reads the -capacity argument the provider appends from args, then serves
+// stdin/stdout until the engine closes the pipe.
+func RunWorker(r io.Reader, w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
+	capacity := fs.Int("capacity", 0, "slot count")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return RunPipeWorker(r, w, nil, *capacity)
 }
 
 // RunPipeWorker runs a pipe-transport worker session — handshake on the
-// given streams, then serve — with an optional drain trigger (closed on
-// SIGTERM/SIGINT by the worker binary).
-func RunPipeWorker(r io.Reader, w io.Writer, drain <-chan struct{}) error {
+// given streams, then serve on capacity slots (below 1 = DefaultCapacity) —
+// with an optional drain trigger (closed on SIGTERM/SIGINT by the worker
+// binary).
+func RunPipeWorker(r io.Reader, w io.Writer, drain <-chan struct{}, capacity int) error {
+	if capacity < 1 {
+		capacity = DefaultCapacity()
+	}
 	fc := NewFrameConn(r, w, nil)
-	ack, err := DialWorkerSession(fc, Hello{PID: os.Getpid()})
+	hello := Hello{PID: os.Getpid(), Capacity: capacity}
+	ack, err := DialWorkerSession(fc, hello)
 	if err != nil {
 		return err
 	}
-	return ServeWorkerSession(fc, SessionOptionsFromAck(ack, drain))
+	return ServeWorkerSession(fc, SessionOptions(hello, ack, drain))
 }
 
 // executeGuarded runs one remote task converting panics to errors, so a bad

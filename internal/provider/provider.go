@@ -27,13 +27,20 @@ package provider
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
-// ErrWorkerLost marks an execution-infrastructure failure: the block that was
-// running (or about to run) the task died — worker process exited, sim node
-// preempted, walltime expired. The task itself did not necessarily fail; the
-// executor should re-dispatch it to another block.
+// ErrWorkerLost marks an execution-infrastructure failure: the block died
+// after starting the task — worker process exited, sim node preempted,
+// walltime expired. The task itself did not necessarily fail; the executor
+// should re-dispatch it to another block, charging its redispatch budget.
 var ErrWorkerLost = errors.New("worker lost")
+
+// ErrNotStarted marks a task a block accepted but never started before it
+// died or closed: it sat in the block's queue behind busy slots. The death
+// says nothing about the task, so the executor requeues it without charging
+// its redispatch budget.
+var ErrNotStarted = errors.New("task never started on the lost block")
 
 // Task is the provider-facing unit of work.
 type Task struct {
@@ -46,23 +53,36 @@ type Task struct {
 	// process-isolated workers can execute out of process. Managers that do
 	// not cross a process boundary ignore it and call Fn.
 	Remote *RemoteSpec
+	// Done receives the task's outcome exactly once. Handles call it from
+	// their own goroutines (a session's read loop, a slot goroutine), so it
+	// must not block and must not call back into the handle.
+	Done func(res any, err error)
 }
 
-// ManagerHandle is one launched block: an execution endpoint owned by the
-// executor-side manager bookkeeping.
+// ManagerHandle is one launched block: an execution endpoint with a fixed
+// number of slots, owned by the executor-side manager bookkeeping.
 type ManagerHandle interface {
 	// Block returns the executor-assigned block id this handle serves.
 	Block() int
-	// Run executes one task to completion and returns its result. It is safe
-	// for concurrent use (up to the executor's workers-per-node). An error
-	// wrapping ErrWorkerLost reports that the block died — the caller should
-	// re-dispatch the task; any other error is the task's own failure.
-	Run(t *Task) (any, error)
+	// Slots is how many tasks the block runs at once. Tasks dispatched
+	// beyond that wait in the block's queue and start in dispatch order as
+	// slots free up.
+	Slots() int
+	// Dispatch hands tasks to the block without waiting for any of them.
+	// Each task's Done fires exactly once: with its result or its own error,
+	// with an error wrapping ErrWorkerLost if the block died after starting
+	// it, or with one wrapping ErrNotStarted if the block died, closed, or
+	// was already gone before starting it. Dispatch may call Done before it
+	// returns (a dead block, an unsendable task), and must not keep the
+	// batch slice after it returns — callers reuse it.
+	Dispatch(batch []*Task)
 	// Alive reports whether the block is still healthy. The executor's
 	// heartbeat stops beating for a dead handle, which triggers loss
-	// detection and re-dispatch.
+	// detection and re-dispatch. Once Alive reports false the handle has
+	// completed, or is completing, every task it held.
 	Alive() bool
-	// Close terminates the block and releases its resources. Idempotent.
+	// Close terminates the block and releases its resources. Tasks still
+	// queued complete with ErrNotStarted. Idempotent.
 	Close() error
 }
 
@@ -95,10 +115,12 @@ type BlockStatus struct {
 type ExecutionProvider interface {
 	// Name identifies the provider ("local", "process", "sim", "net").
 	Name() string
-	// Launch starts one block with the executor-assigned id and returns its
-	// handle. It blocks until the block is usable — for a batch provider this
-	// includes queue time.
-	Launch(block int) (ManagerHandle, error)
+	// Launch starts one block with the executor-assigned id and slots
+	// concurrent task slots, and returns its handle. It blocks until the
+	// block is usable — for a batch provider this includes queue time.
+	// Providers whose workers announce their own capacity (net) grant that
+	// instead; the handle's Slots is authoritative.
+	Launch(block, slots int) (ManagerHandle, error)
 	// Status reports every block this provider has launched, keyed by block
 	// id. Closed and dead blocks remain visible until Cancel.
 	Status() map[int]BlockStatus
@@ -115,17 +137,6 @@ type RemoteCapable interface {
 	RemoteCapable() bool
 }
 
-// isWorkerLostErr reports whether err marks an execution-infrastructure
-// failure (ErrWorkerLost anywhere in its chain).
-func isWorkerLostErr(err error) bool { return errors.Is(err, ErrWorkerLost) }
-
-// Guard runs fn converting panics to errors, so a bad task cannot kill the
-// hosting worker goroutine. Exported for out-of-package providers (the
-// network fabric) that need the same in-process fallback behavior.
-func Guard(fn func() (any, error)) (res any, err error) {
-	return guard(fn)
-}
-
 // guard runs fn converting panics to errors, so a bad task cannot kill the
 // hosting worker goroutine.
 func guard(fn func() (any, error)) (res any, err error) {
@@ -135,4 +146,103 @@ func guard(fn func() (any, error)) (res any, err error) {
 		}
 	}()
 	return fn()
+}
+
+// slotPool is the slot pool behind the local and sim handles and the
+// worker: at most slots tasks execute at once, queued tasks start in FIFO
+// order as slots free (tasks queue only while every slot is busy). start
+// begins one task's execution, under the pool's lock, so it must only hand
+// the task to a goroutine; that execution gives its slot back with next or
+// release. claim, when set, is called under the lock each time a task takes
+// a slot, in that order.
+type slotPool struct {
+	slots int
+	start func(t *Task)
+	claim func(t *Task)
+
+	mu      sync.Mutex
+	running int
+	queue   []*Task // queue[head:] waits for a slot
+	head    int
+	closed  bool
+}
+
+// dispatch starts what fits and queues the rest, returning the tasks refused
+// because the pool is closed.
+func (p *slotPool) dispatch(batch []*Task) (refused []*Task) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return batch
+	}
+	for _, t := range batch {
+		if p.running < p.slots {
+			p.running++
+			p.claimed(t)
+			p.start(t)
+		} else {
+			p.queue = append(p.queue, t)
+		}
+	}
+	return nil
+}
+
+// next hands a finishing task's slot straight to the next queued task,
+// returning it for the caller to run, or frees the slot and returns nil.
+func (p *slotPool) next() *Task {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed || p.head == len(p.queue) {
+		p.running--
+		return nil
+	}
+	t := p.popLocked()
+	p.claimed(t)
+	return t
+}
+
+// release frees one slot and starts the next queued task, if any.
+func (p *slotPool) release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed || p.head == len(p.queue) {
+		p.running--
+		return
+	}
+	t := p.popLocked()
+	p.claimed(t)
+	p.start(t)
+}
+
+func (p *slotPool) claimed(t *Task) {
+	if p.claim != nil {
+		p.claim(t)
+	}
+}
+
+func (p *slotPool) popLocked() *Task {
+	t := p.queue[p.head]
+	p.queue[p.head] = nil
+	if p.head++; p.head == len(p.queue) {
+		p.queue, p.head = p.queue[:0], 0
+	}
+	return t
+}
+
+// close refuses further dispatches and returns the queued tasks, which never
+// started.
+func (p *slotPool) close() []*Task {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	queued := p.queue[p.head:]
+	p.queue, p.head = nil, 0
+	return queued
+}
+
+// failAll completes every task with err.
+func failAll(tasks []*Task, err error) {
+	for _, t := range tasks {
+		t.Done(nil, err)
+	}
 }

@@ -22,7 +22,7 @@ import (
 // without building cmd/parsl-cwl-worker first.
 func TestMain(m *testing.M) {
 	if os.Getenv("PARSL_CWL_WORKER_PROCESS") == "1" {
-		if err := RunWorker(os.Stdin, os.Stdout); err != nil {
+		if err := RunWorker(os.Stdin, os.Stdout, os.Args[1:]); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}
@@ -71,19 +71,19 @@ func TestFrameRejectsOversize(t *testing.T) {
 
 func TestLocalProviderLifecycle(t *testing.T) {
 	p := &LocalProvider{}
-	h, err := p.Launch(0)
+	h, err := p.Launch(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Granted(); got != 1 {
 		t.Fatalf("granted = %d, want 1", got)
 	}
-	res, err := h.Run(&Task{Fn: func() (any, error) { return "ok", nil }})
+	res, err := runOne(h, &Task{Fn: func() (any, error) { return "ok", nil }})
 	if err != nil || res != "ok" {
 		t.Fatalf("Run = %v, %v", res, err)
 	}
 	// Panics become errors, not crashes.
-	if _, err := h.Run(&Task{Fn: func() (any, error) { panic("boom") }}); err == nil {
+	if _, err := runOne(h, &Task{Fn: func() (any, error) { panic("boom") }}); err == nil {
 		t.Fatal("panic not converted to error")
 	}
 	if st := p.Status()[0].State; st != BlockRunning {
@@ -95,8 +95,10 @@ func TestLocalProviderLifecycle(t *testing.T) {
 	if p.Granted() != 0 || !p.Status()[0].State.closedOrDead() {
 		t.Fatalf("close not reflected: granted=%d status=%v", p.Granted(), p.Status())
 	}
-	if _, err := h.Run(&Task{Fn: func() (any, error) { return nil, nil }}); err == nil {
+	if _, err := runOne(h, &Task{Fn: func() (any, error) { return nil, nil }}); err == nil {
 		t.Fatal("closed block accepted a task")
+	} else if !errors.Is(err, ErrNotStarted) {
+		t.Fatalf("closed block: err = %v, want ErrNotStarted", err)
 	}
 }
 
@@ -105,9 +107,12 @@ func (s BlockState) closedOrDead() bool { return s == BlockClosed || s == BlockD
 func TestProcessProviderRunsRemoteTasks(t *testing.T) {
 	p := NewProcessProvider(selfWorker(t))
 	defer p.Cancel()
-	h, err := p.Launch(7)
+	h, err := p.Launch(7, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := h.Slots(); got != 2 {
+		t.Fatalf("Slots() = %d, want the 2 passed as -capacity", got)
 	}
 	spec, err := NewEchoSpec(map[string]any{"n": 3})
 	if err != nil {
@@ -121,7 +126,7 @@ func TestProcessProviderRunsRemoteTasks(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := h.Run(&Task{ID: 1, Remote: spec})
+			res, err := runOne(h, &Task{ID: 1, Remote: spec})
 			if err != nil {
 				errs <- err
 				return
@@ -145,7 +150,7 @@ func TestProcessProviderRunsRemoteTasks(t *testing.T) {
 	}
 
 	// Tasks without a RemoteSpec fall back to in-process execution.
-	res, err := h.Run(&Task{Fn: func() (any, error) { return 11, nil }})
+	res, err := runOne(h, &Task{Fn: func() (any, error) { return 11, nil }})
 	if err != nil || res != 11 {
 		t.Fatalf("fallback Run = %v, %v", res, err)
 	}
@@ -157,11 +162,11 @@ func TestProcessProviderRunsRemoteTasks(t *testing.T) {
 func TestProcessProviderTaskErrorIsNotWorkerLost(t *testing.T) {
 	p := NewProcessProvider(selfWorker(t))
 	defer p.Cancel()
-	h, err := p.Launch(0)
+	h, err := p.Launch(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = h.Run(&Task{Remote: &RemoteSpec{Kind: "no-such-kind"}})
+	_, err = runOne(h, &Task{Remote: &RemoteSpec{Kind: "no-such-kind"}})
 	if err == nil {
 		t.Fatal("unknown kind succeeded")
 	}
@@ -180,12 +185,12 @@ func TestProcessProviderTaskErrorIsNotWorkerLost(t *testing.T) {
 func TestProcessProviderUnsendableTaskIsNotWorkerLost(t *testing.T) {
 	p := NewProcessProvider(selfWorker(t))
 	defer p.Cancel()
-	h, err := p.Launch(0)
+	h, err := p.Launch(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := &RemoteSpec{Kind: KindEcho, Payload: json.RawMessage("{not json")}
-	_, err = h.Run(&Task{ID: 1, Remote: bad})
+	_, err = runOne(h, &Task{ID: 1, Remote: bad})
 	if err == nil {
 		t.Fatal("unencodable task succeeded")
 	}
@@ -199,7 +204,7 @@ func TestProcessProviderUnsendableTaskIsNotWorkerLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.Run(&Task{ID: 2, Remote: good})
+	res, err := runOne(h, &Task{ID: 2, Remote: good})
 	if err != nil || res != "still here" {
 		t.Fatalf("worker unusable after encode failure: %v, %v", res, err)
 	}
@@ -208,7 +213,7 @@ func TestProcessProviderUnsendableTaskIsNotWorkerLost(t *testing.T) {
 func TestProcessProviderSIGKILLSurfacesWorkerLost(t *testing.T) {
 	p := NewProcessProvider(selfWorker(t))
 	defer p.Cancel()
-	h, err := p.Launch(3)
+	h, err := p.Launch(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +223,7 @@ func TestProcessProviderSIGKILLSurfacesWorkerLost(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := h.Run(&Task{ID: 9, Remote: spec})
+		_, err := runOne(h, &Task{ID: 9, Remote: spec})
 		done <- err
 	}()
 	pid := waitForPid(t, p, 3)
@@ -240,9 +245,9 @@ func TestProcessProviderSIGKILLSurfacesWorkerLost(t *testing.T) {
 	if st := p.Status()[3].State; st != BlockDead {
 		t.Fatalf("state = %s, want dead", st)
 	}
-	// New submissions fail fast with worker-lost, prompting re-dispatch.
-	if _, err := h.Run(&Task{Remote: spec}); !isWorkerLost(err) {
-		t.Fatalf("post-death Run: want ErrWorkerLost, got %v", err)
+	// New dispatches fail fast as never started, prompting a free requeue.
+	if _, err := runOne(h, &Task{Remote: spec}); !errors.Is(err, ErrNotStarted) {
+		t.Fatalf("post-death dispatch: want ErrNotStarted, got %v", err)
 	}
 }
 
@@ -264,7 +269,7 @@ func isWorkerLost(err error) bool { return errors.Is(err, ErrWorkerLost) }
 func TestProcessProviderBadBinary(t *testing.T) {
 	p := NewProcessProvider(ProcessOptions{Command: []string{"/bin/true"}, HelloTimeout: 2 * time.Second})
 	defer p.Cancel()
-	if _, err := p.Launch(0); err == nil {
+	if _, err := p.Launch(0, 1); err == nil {
 		t.Fatal("binary that speaks no protocol launched")
 	}
 }
@@ -280,19 +285,19 @@ func TestSimProviderQueueAndWalltime(t *testing.T) {
 	})
 	defer p.Cancel()
 
-	h, err := p.Launch(0)
+	h, err := p.Launch(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !h.Alive() {
 		t.Fatal("granted block not alive")
 	}
-	res, err := h.Run(&Task{Fn: func() (any, error) { return "ran", nil }})
+	res, err := runOne(h, &Task{Fn: func() (any, error) { return "ran", nil }})
 	if err != nil || res != "ran" {
 		t.Fatalf("Run = %v, %v", res, err)
 	}
 	// The walltime kill lands while a long task is in flight: worker lost.
-	_, err = h.Run(&Task{Fn: func() (any, error) {
+	_, err = runOne(h, &Task{Fn: func() (any, error) {
 		time.Sleep(2 * time.Second)
 		return "too late", nil
 	}})
@@ -312,11 +317,11 @@ func TestSimProviderQueueDelayAndSecondBlockWaits(t *testing.T) {
 		LaunchTimeout: 300 * time.Millisecond,
 	})
 	defer p.Cancel()
-	if _, err := p.Launch(0); err != nil {
+	if _, err := p.Launch(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	// The single simulated node is taken; a second pilot cannot be granted.
-	if _, err := p.Launch(1); err == nil {
+	if _, err := p.Launch(1, 1); err == nil {
 		t.Fatal("second block granted on a full one-node cluster")
 	}
 }
@@ -324,13 +329,13 @@ func TestSimProviderQueueDelayAndSecondBlockWaits(t *testing.T) {
 func TestSimProviderPreempt(t *testing.T) {
 	p := NewSimProvider(SimOptions{Nodes: 2, CoresPerNode: 2, TimeScale: 200 * time.Microsecond})
 	defer p.Cancel()
-	h, err := p.Launch(5)
+	h, err := p.Launch(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := h.Run(&Task{Fn: func() (any, error) {
+		_, err := runOne(h, &Task{Fn: func() (any, error) {
 			time.Sleep(5 * time.Second)
 			return nil, nil
 		}})
@@ -352,7 +357,7 @@ func TestSimProviderPreempt(t *testing.T) {
 		t.Fatal("preempted Run never returned")
 	}
 	// The freed node is reusable: a new block is granted.
-	h2, err := p.Launch(6)
+	h2, err := p.Launch(6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,4 +412,17 @@ func TestExecuteRemoteCWLTool(t *testing.T) {
 	if string(data) != "hello-remote" {
 		t.Fatalf("tool output %q", data)
 	}
+}
+
+// runOne dispatches one task on h and waits for its outcome.
+func runOne(h ManagerHandle, t *Task) (any, error) {
+	type outcome struct {
+		res any
+		err error
+	}
+	ch := make(chan outcome, 1)
+	t.Done = func(res any, err error) { ch <- outcome{res, err} }
+	h.Dispatch([]*Task{t})
+	o := <-ch
+	return o.res, o.err
 }

@@ -122,8 +122,9 @@ func (p *SimProvider) do(fn func()) {
 
 // Launch implements ExecutionProvider: submit a one-node pilot job and block
 // until the simulated scheduler grants it (real time = queue wait × TimeScale).
-func (p *SimProvider) Launch(block int) (ManagerHandle, error) {
+func (p *SimProvider) Launch(block, slots int) (ManagerHandle, error) {
 	h := &simHandle{provider: p, block: block, dead: make(chan struct{})}
+	h.pool = slotPool{slots: max(slots, 1), start: h.run}
 	granted := make(chan struct{})
 	p.do(func() {
 		job := &slurmsim.Job{
@@ -243,8 +244,9 @@ const (
 	stateClosed
 )
 
-// simHandle is one granted (or queued) pilot block. Tasks run for real on the
-// caller's goroutine, racing the simulated walltime/preemption kill.
+// simHandle is one granted (or queued) pilot block. Tasks run for real in the
+// engine process, at most the block's slots at a time, racing the simulated
+// walltime/preemption kill.
 type simHandle struct {
 	provider *SimProvider
 	block    int
@@ -253,8 +255,22 @@ type simHandle struct {
 	done     func() // releases the simulated allocation; sim goroutine only
 	reason   string
 	state    atomic.Int32
+	pool     slotPool
 	dead     chan struct{}
 	deadOnce sync.Once
+}
+
+// markDead closes the dead channel once and fails the queued tasks as never
+// started; running ones observe the channel themselves. Sim goroutine only,
+// so the completions run elsewhere.
+func (h *simHandle) markDead() {
+	h.deadOnce.Do(func() {
+		close(h.dead)
+		if queued := h.pool.close(); len(queued) > 0 {
+			err := fmt.Errorf("sim block %d is gone (%s): %w", h.block, h.deathReason(), ErrNotStarted)
+			go failAll(queued, err)
+		}
+	})
 }
 
 // Block implements ManagerHandle.
@@ -275,7 +291,7 @@ func (h *simHandle) die(reason string) {
 	metWorkerLost.With("sim").Inc()
 	h.reason = reason
 	h.state.Store(int32(stateDead))
-	h.deadOnce.Do(func() { close(h.dead) })
+	h.markDead()
 	if h.done != nil {
 		h.done()
 	}
@@ -292,17 +308,24 @@ func (h *simHandle) closeSim() {
 		}
 	}
 	h.state.Store(int32(stateClosed))
-	h.deadOnce.Do(func() { close(h.dead) })
+	h.markDead()
 }
 
-// Run implements ManagerHandle: execute the task for real, racing the block's
-// simulated death (walltime kill or preemption).
-func (h *simHandle) Run(t *Task) (any, error) {
-	select {
-	case <-h.dead:
-		return nil, fmt.Errorf("sim block %d is gone (%s): %w", h.block, h.deathReason(), ErrWorkerLost)
-	default:
+// Slots implements ManagerHandle.
+func (h *simHandle) Slots() int { return h.pool.slots }
+
+// Dispatch implements ManagerHandle: queue the tasks on the block's slot
+// pool. A dead block refuses them as never started.
+func (h *simHandle) Dispatch(batch []*Task) {
+	if refused := h.pool.dispatch(batch); len(refused) > 0 {
+		<-h.dead // the pool closes only after the dead channel
+		failAll(refused, fmt.Errorf("sim block %d is gone (%s): %w", h.block, h.deathReason(), ErrNotStarted))
 	}
+}
+
+// run executes one task for real, racing the block's simulated death
+// (walltime kill or preemption).
+func (h *simHandle) run(t *Task) {
 	type outcome struct {
 		res any
 		err error
@@ -312,12 +335,15 @@ func (h *simHandle) Run(t *Task) (any, error) {
 		res, err := guard(t.Fn)
 		ch <- outcome{res, err}
 	}()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-h.dead:
-		return nil, fmt.Errorf("sim block %d died mid-task (%s): %w", h.block, h.deathReason(), ErrWorkerLost)
-	}
+	go func() {
+		select {
+		case o := <-ch:
+			h.pool.release()
+			t.Done(o.res, o.err)
+		case <-h.dead:
+			t.Done(nil, fmt.Errorf("sim block %d died mid-task (%s): %w", h.block, h.deathReason(), ErrWorkerLost))
+		}
+	}()
 }
 
 func (h *simHandle) deathReason() string {

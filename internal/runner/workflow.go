@@ -422,7 +422,7 @@ func (we *WorkflowEngine) runStepJob(step *cwl.WorkflowStep, stepReqs cwl.Requir
 		}
 		return mapToGo(out), nil
 	case *cwl.ExpressionTool:
-		return runExpressionTool(run, stepReqs, filterTo(run.Inputs))
+		return RunExpressionTool(run, stepReqs, filterTo(run.Inputs))
 	}
 	return nil, fmt.Errorf("unsupported process class %T", step.Run)
 }
@@ -453,7 +453,11 @@ func (we *WorkflowEngine) scatterWorkerCount(n int) int {
 	return w
 }
 
-func runExpressionTool(et *cwl.ExpressionTool, extra cwl.Requirements, provided *yamlx.Map) (map[string]any, error) {
+// RunExpressionTool evaluates an ExpressionTool in the calling process —
+// there is nothing to fork, so it never becomes an executor task. extra
+// holds requirements inherited from an enclosing workflow step (empty for a
+// bare run). The result maps each declared output id to its value.
+func RunExpressionTool(et *cwl.ExpressionTool, extra cwl.Requirements, provided *yamlx.Map) (map[string]any, error) {
 	reqs := extra.Merge(et.Requirements)
 	eng, err := cwlexpr.SharedEngine(reqs)
 	if err != nil {

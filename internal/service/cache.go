@@ -126,13 +126,10 @@ func parseAndValidate(source []byte) (cwl.Document, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidDocument, err)
 	}
+	// Every class that parses — CommandLineTool, Workflow, ExpressionTool —
+	// is runnable; validation is the only further gate.
 	if _, err := cwl.Validate(doc); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidDocument, err)
-	}
-	switch doc.(type) {
-	case *cwl.CommandLineTool, *cwl.Workflow:
-	default:
-		return nil, fmt.Errorf("%w: class %s cannot be submitted as a run", ErrInvalidDocument, doc.Class())
 	}
 	return doc, nil
 }

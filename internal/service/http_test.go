@@ -335,3 +335,75 @@ stdout: out.txt
 		t.Errorf("output = %q", data)
 	}
 }
+
+// TestHTTPBareExpressionTool: a bare JavaScript ExpressionTool is a runnable
+// submission — it succeeds with the expression's outputs, evaluated in the
+// engine process — and an identical second submission is served whole from
+// the result cache.
+func TestHTTPBareExpressionTool(t *testing.T) {
+	dir := t.TempDir()
+	dfk, err := parsl.Load(parsl.Config{
+		Executors: []parsl.Executor{parsl.NewThreadPoolExecutor("threads", 2)},
+		RunDir:    dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(dfk, Options{Workers: 2, WorkRoot: dir, ResultCacheSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		svc.Close(context.Background())
+		dfk.Cleanup()
+	})
+
+	const doc = `cwlVersion: v1.2
+class: ExpressionTool
+requirements:
+  - class: InlineJavascriptRequirement
+inputs:
+  n: int
+  word: string
+outputs:
+  tripled: int
+  shout: string
+expression: "${ return {tripled: inputs.n * 3, shout: inputs.word.toUpperCase() + '!'}; }"
+`
+	type result struct {
+		runJSON
+		ResultCached bool `json:"resultCached"`
+	}
+	submit := func() result {
+		t.Helper()
+		resp, body := postJSON(t, srv.URL+"/runs", map[string]any{
+			"cwl": doc, "inputs": map[string]any{"n": 14, "word": "hey"},
+		})
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submit: status %d body %s", resp.StatusCode, body)
+		}
+		var run result
+		if err := json.Unmarshal(body, &run); err != nil {
+			t.Fatal(err)
+		}
+		getJSON(t, srv.URL+"/runs/"+run.ID+"?wait=1", &run)
+		if run.State != "succeeded" || run.Class != "ExpressionTool" {
+			t.Fatalf("run: state %q class %q error %q", run.State, run.Class, run.Error)
+		}
+		if got := string(run.Outputs["tripled"]); got != "42" {
+			t.Errorf("tripled = %s, want 42", got)
+		}
+		if got := string(run.Outputs["shout"]); got != `"HEY!"` {
+			t.Errorf("shout = %s, want \"HEY!\"", got)
+		}
+		return run
+	}
+	if first := submit(); first.ResultCached {
+		t.Error("first submission claims a result-cache hit")
+	}
+	if second := submit(); !second.ResultCached {
+		t.Error("identical second submission was not served from the result cache")
+	}
+}

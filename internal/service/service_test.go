@@ -165,7 +165,8 @@ func TestSubmitInvalidDocumentRejected(t *testing.T) {
 	cases := []string{
 		"class: CommandLineTool\ncwlVersion: v1.2\ninputs: {}\noutputs: {}\n", // no baseCommand
 		"not: a: valid: doc\n",
-		"class: ExpressionTool\ncwlVersion: v1.2\ninputs: {}\noutputs: {}\nexpression: $(1)\n", // unsupported class
+		"class: ExpressionTool\ncwlVersion: v1.2\ninputs: {}\noutputs: {}\n", // no expression
+		"class: Operation\ncwlVersion: v1.2\ninputs: {}\noutputs: {}\n",      // unsupported class
 	}
 	for _, src := range cases {
 		if _, err := svc.Submit(SubmitRequest{Source: []byte(src)}); !errors.Is(err, ErrInvalidDocument) {
