@@ -184,7 +184,11 @@ type TaskEvent = parsl.TaskEvent
 
 // MemoEntry is one DFK memoization-table entry — the unit of cross-restart
 // checkpointing (see DFK.MemoSnapshot, DFK.RestoreMemo, DFK.OnMemoCommit).
+// It carries the result as ResultCodec bytes, the form the table holds it in.
 type MemoEntry = parsl.MemoEntry
+
+// ResultCodec encodes and decodes the task results MemoEntry carries.
+type ResultCodec = parsl.ResultCodec
 
 // PersistStats is the durability section of the service's /healthz stats:
 // journal size, last snapshot time, and restored-run counts.

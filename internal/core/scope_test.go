@@ -99,23 +99,15 @@ func TestScopedWorkflowMemoizesAcrossRestart(t *testing.T) {
 		t.Fatalf("memo snapshot has %d entries, want 2", len(snap))
 	}
 
-	// "Restart": encode/decode through the result codec like the persistence
-	// layer does, then restore into a fresh DFK.
-	codec := ResultCodec{}
-	restored := make([]parsl.MemoEntry, 0, len(snap))
+	// "Restart": the snapshot already holds each step result as the codec
+	// bytes the persistence layer stores; restore them into a fresh DFK.
 	for _, e := range snap {
-		raw, ok := codec.Encode(e.Value)
-		if !ok {
-			t.Fatalf("step result %#v is not checkpointable", e.Value)
+		if _, err := (parsl.ResultCodec{}).Decode(e.Raw); err != nil {
+			t.Fatalf("step result %s does not decode: %v", e.Raw, err)
 		}
-		v, err := codec.Decode(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored = append(restored, parsl.MemoEntry{Key: e.Key, App: e.App, Value: v})
 	}
 	dfk2 := memoizingDFK(t, work)
-	if n := dfk2.RestoreMemo(restored); n != 2 {
+	if n := dfk2.RestoreMemo(snap); n != 2 {
 		t.Fatalf("restored %d memo entries, want 2", n)
 	}
 	r2 := &Runner{DFK: dfk2, WorkRoot: work, InputsDir: work, Label: "run2", Scope: "dochash-1"}

@@ -1,11 +1,14 @@
 package parsl
 
+import "encoding/json"
+
 // Memo checkpointing: the DFK's memoization table — Parsl's checkpointing
 // substrate — can be exported, observed, and restored, so identical tasks
-// across process restarts are memo hits instead of re-executions. The DFK
-// deals only in live Go values; serializing results for disk is the caller's
-// job (see the service persistence layer and core's ResultCodec), which keeps
-// this package free of any storage format.
+// across process restarts are memo hits instead of re-executions. A finished
+// entry is held as its ResultCodec bytes, encoded once when the task
+// succeeds; the commit hooks, snapshots and restores all deal in those bytes,
+// and only a memo hit decodes them. Storing the bytes is the caller's job
+// (see the service persistence layer).
 
 // MemoEntry is one memoization-table entry: the content-hashed key (app name
 // + canonicalized arguments) and the successful result it maps to.
@@ -14,8 +17,23 @@ type MemoEntry struct {
 	Key string
 	// App is the app name that produced the result, for attribution.
 	App string
-	// Value is the task's result.
-	Value any
+	// Raw is the task's result in ResultCodec form. It is shared with the
+	// memo table and must not be modified.
+	Raw json.RawMessage
+}
+
+// memoEntry is one slot of the memoization table. While the owning task runs
+// it holds the owner's future, which identical submissions wait on; such an
+// entry is never evicted. When the owner succeeds the entry keeps the result
+// as raw bytes and drops the future — unless the codec cannot reproduce the
+// result exactly (see roundTrips), in which case the completed future stays
+// as the live value that hits return, alongside any bytes for the journal.
+type memoEntry struct {
+	app  string
+	seq  int64 // last-use tick, for LRU eviction
+	fut  *AppFuture
+	raw  json.RawMessage
+	done bool
 }
 
 type memoHook struct {
@@ -23,10 +41,10 @@ type memoHook struct {
 }
 
 // OnMemoCommit registers fn to be called whenever a memoized task completes
-// successfully — the moment its result becomes a durable checkpoint
-// candidate. It returns a function that unregisters the hook. Callbacks run
-// synchronously on the completing task's goroutine and must be fast and
-// non-blocking; they must not call back into the DFK.
+// successfully with a result the codec can encode — the moment it becomes a
+// durable checkpoint candidate. It returns a function that unregisters the
+// hook. Callbacks run synchronously on the completing task's goroutine and
+// must be fast and non-blocking; they must not call back into the DFK.
 func (d *DFK) OnMemoCommit(fn func(MemoEntry)) (remove func()) {
 	reg := &memoHook{fn: fn}
 	d.mu.Lock()
@@ -45,35 +63,45 @@ func (d *DFK) OnMemoCommit(fn func(MemoEntry)) (remove func()) {
 	}
 }
 
-// fireMemoCommit notifies memo hooks of a fresh successful memo entry.
-func (d *DFK) fireMemoCommit(key, app string, value any) {
+// memoCommit finishes the owner's entry e with its successful result: the
+// one encode of res, which the table, the hooks and later snapshots share.
+func (d *DFK) memoCommit(key string, e *memoEntry, res any) {
+	raw, ok := ResultCodec{}.Encode(res)
 	d.mu.Lock()
+	e.raw, e.done = raw, true
+	if ok && roundTrips(res, false) {
+		e.fut = nil
+	}
 	hooks := d.memoHooks
 	d.mu.Unlock()
+	if !ok {
+		return // not checkpointable; the entry stays process-local
+	}
 	for _, h := range hooks {
-		h.fn(MemoEntry{Key: key, App: app, Value: value})
+		h.fn(MemoEntry{Key: key, App: e.app, Raw: raw})
 	}
 }
 
-// MemoSnapshot exports every completed, successful memoization entry — the
-// compacted checkpoint state. In-flight and failed entries are skipped.
+// MemoSnapshot exports every completed, successful memoization entry the
+// codec could encode — the compacted checkpoint state. In-flight entries are
+// skipped.
 func (d *DFK) MemoSnapshot() []MemoEntry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]MemoEntry, 0, len(d.memo))
-	for key, fut := range d.memo {
-		res, err, done := fut.TryResult()
-		if !done || err != nil {
-			continue
+	for key, e := range d.memo {
+		if e.raw != nil {
+			out = append(out, MemoEntry{Key: key, App: e.app, Raw: e.raw})
 		}
-		out = append(out, MemoEntry{Key: key, App: fut.app, Value: res})
 	}
 	return out
 }
 
 // RestoreMemo loads checkpointed entries into the memoization table, so
 // subsequent identical submissions are memo hits (StateMemoHit) without
-// re-execution. Entries whose key is already present are skipped (live
+// re-execution. The bytes are installed as they are and decoded only on a
+// hit; an entry that then fails to decode is dropped and its task
+// re-executes. Entries whose key is already present are skipped (live
 // results win). It returns how many entries were installed. Restoring into a
 // DFK with memoization disabled is a no-op for lookups but harmless.
 func (d *DFK) RestoreMemo(entries []MemoEntry) int {
@@ -81,15 +109,13 @@ func (d *DFK) RestoreMemo(entries []MemoEntry) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, e := range entries {
-		if e.Key == "" {
+		if e.Key == "" || len(e.Raw) == 0 {
 			continue
 		}
 		if _, exists := d.memo[e.Key]; exists {
 			continue
 		}
-		fut := newAppFuture(-1, e.App)
-		fut.complete(e.Value, nil)
-		d.memoPutLocked(e.Key, fut)
+		d.memoPutLocked(e.Key, &memoEntry{app: e.App, raw: e.Raw, done: true})
 		restored++
 	}
 	return restored

@@ -44,8 +44,8 @@ func TestOnMemoCommitFiresForMemoizedSuccess(t *testing.T) {
 		t.Fatalf("got %d memo commits, want 1", len(entries))
 	}
 	e := entries[0]
-	if e.App != "double" || e.Key == "" || e.Value != 42 {
-		t.Errorf("entry = %+v", e)
+	if e.App != "double" || e.Key == "" || string(e.Raw) != `{"t":"val","v":42}` {
+		t.Errorf("entry = %+v (raw %s)", e, e.Raw)
 	}
 }
 

@@ -1,21 +1,23 @@
-package core
+package parsl
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
+	"unicode/utf8"
 
-	"repro/internal/parsl"
 	"repro/internal/yamlx"
 )
 
-// ResultCodec serializes Parsl task results for cross-process memo
-// checkpointing (the DFK exports MemoEntry values; the persistence layer
-// stores what this codec can encode and skips the rest). Supported shapes —
-// which cover every result the CWL paths produce — round-trip exactly:
+// ResultCodec serializes task results: it is the form a finished memo entry
+// is held in, and the form the memo checkpoint hooks, snapshots and the
+// service's journal carry. Supported shapes — which cover every result the
+// CWL paths produce — are:
 //
 //   - *yamlx.Map   (tool/step output objects)     → "obj"
-//   - parsl.File                                  → "file"
-//   - parsl.BashResult                            → "bash"
+//   - File                                        → "file"
+//   - BashResult                                  → "bash"
 //   - nil, string, bool, int64/int, float64       → "val"
 //   - []any of the above (recursively)            → "list"
 //
@@ -42,13 +44,13 @@ func (c ResultCodec) Encode(v any) (json.RawMessage, bool) {
 			return nil, false
 		}
 		return mustTag("obj", raw), true
-	case parsl.File:
+	case File:
 		raw, err := json.Marshal(t.Path)
 		if err != nil {
 			return nil, false
 		}
 		return mustTag("file", raw), true
-	case parsl.BashResult:
+	case BashResult:
 		raw, err := json.Marshal(t)
 		if err != nil {
 			return nil, false
@@ -112,9 +114,9 @@ func (c ResultCodec) Decode(raw json.RawMessage) (any, error) {
 		if err := json.Unmarshal(tv.V, &path); err != nil {
 			return nil, fmt.Errorf("result codec: file: %w", err)
 		}
-		return parsl.NewFile(path), nil
+		return NewFile(path), nil
 	case "bash":
-		var br parsl.BashResult
+		var br BashResult
 		if err := json.Unmarshal(tv.V, &br); err != nil {
 			return nil, fmt.Errorf("result codec: bash: %w", err)
 		}
@@ -137,3 +139,60 @@ func (c ResultCodec) Decode(raw json.RawMessage) (any, error) {
 		return nil, fmt.Errorf("result codec: unknown tag %q", tv.T)
 	}
 }
+
+// roundTrips reports whether Decode(Encode(v)) is reflect.DeepEqual to v, Go
+// types included, for a v that Encode accepts. It walks v without encoding
+// it. Shapes the codec widens or normalizes report false: a Go int (decoded
+// as int64), an integral float64 (its JSON text reads back as an int64), a
+// string that is not valid UTF-8, a nil list or map, and — inside an
+// object (nested), where values travel as plain JSON — an empty list
+// (decoded nil) or any type beyond the JSON ones.
+func roundTrips(v any, nested bool) bool {
+	switch t := v.(type) {
+	case nil, bool, int64:
+		return true
+	case string:
+		return utf8.ValidString(t)
+	case float64:
+		// An integral value below 1e19 is written without a fraction or
+		// exponent and parses as an int64 (the bound is conservative near
+		// 2^63).
+		return t != math.Trunc(t) || math.Abs(t) >= 1e19
+	case *yamlx.Map:
+		if t == nil {
+			return false
+		}
+		if t.Len() == 0 {
+			// An empty map built some other way (NewMapCap, Delete) differs
+			// from the decoded one in its internal slices.
+			return reflect.DeepEqual(t, emptyMap)
+		}
+		ok := true
+		t.Range(func(k string, e any) bool {
+			ok = utf8.ValidString(k) && roundTrips(e, true)
+			return ok
+		})
+		return ok
+	case File:
+		return !nested && utf8.ValidString(t.Path)
+	case BashResult:
+		return !nested && utf8.ValidString(t.Command) && utf8.ValidString(t.Stdout) && utf8.ValidString(t.Stderr)
+	case []any:
+		// A top-level list decodes to a non-nil slice, even when empty; a
+		// nested "[]" decodes to a nil one.
+		if t == nil || nested && len(t) == 0 {
+			return false
+		}
+		for _, e := range t {
+			if !roundTrips(e, nested) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
+}
+
+// emptyMap is the value DecodeJSON yields for "{}".
+var emptyMap = yamlx.NewMap()

@@ -112,10 +112,11 @@ type Config struct {
 	MaxLabels int
 	// MaxMemoEntries bounds the memoization table: past it, the
 	// least-recently-used completed entries are evicted (an evicted entry
-	// just re-executes on its next submission). This also bounds checkpoint
-	// snapshot size in a long-lived durable service. 0 selects the default
-	// of 65536; negative means unbounded. In-flight entries are never
-	// evicted.
+	// just re-executes on its next submission). A completed entry holds its
+	// result as ResultCodec bytes — a few hundred for a CWL tool's outputs —
+	// so this bounds both the table's memory and checkpoint snapshot size in
+	// a long-lived durable service. 0 selects the default of 65536; negative
+	// means unbounded. In-flight entries are never evicted.
 	MaxMemoEntries int
 	// TaskWalltime is the default per-task walltime (CWL ToolTimeLimit
 	// style): every launch of a task must finish within this much time or be
@@ -145,8 +146,7 @@ type DFK struct {
 	eventSeq  uint64 // events appended so far; orders records across logs
 	hooks     []*taskEventHook
 	memoHooks []*memoHook
-	memo      map[string]*AppFuture
-	memoSeq   map[string]int64 // per-entry last-use tick, for LRU eviction
+	memo      map[string]*memoEntry
 	memoTick  int64
 	pendingAt map[int]time.Time // submit time per live task, for WaitDur
 	launchAt  map[int]time.Time // first-launch time per live task, for ExecDur
@@ -259,8 +259,7 @@ func Load(cfg Config) (*DFK, error) {
 		executors: map[string]Executor{},
 		states:    map[int]TaskState{},
 		byLabel:   map[string]*eventLog{},
-		memo:      map[string]*AppFuture{},
-		memoSeq:   map[string]int64{},
+		memo:      map[string]*memoEntry{},
 		perApp:    map[string]int{},
 		pendingAt: map[int]time.Time{},
 		launchAt:  map[int]time.Time{},
@@ -407,47 +406,43 @@ func (d *DFK) resolveAndLaunch(id int, app App, args Args, opts CallOpts, fut *A
 	// exactly one concurrent submission becomes the new owner and later
 	// identical submissions hit its (eventual) success.
 	var memoKey string
+	var owned *memoEntry // the entry this task owns, if it became the owner
 	if d.cfg.Memoize && !opts.NoMemo {
 		memoKey = memoHash(app.Name(), resolved, opts)
 		for {
 			d.mu.Lock()
-			prior, ok := d.memo[memoKey]
+			e, ok := d.memo[memoKey]
 			if !ok {
-				d.memoPutLocked(memoKey, fut) // this task owns the entry
+				owned = &memoEntry{app: app.Name(), fut: fut}
+				d.memoPutLocked(memoKey, owned)
 				d.mu.Unlock()
 				break
 			}
-			d.memoTouchLocked(memoKey)
+			d.memoTouchLocked(e)
+			owner := e.fut
 			d.mu.Unlock()
-			<-prior.Done()
-			res, err, _ := prior.TryResult()
-			if err == nil {
+			if owner != nil {
+				<-owner.Done() // in flight, or holding a live value
+			}
+			if res, ok := d.memoResult(memoKey, e); ok {
 				d.setState(id, app.Name(), opts.Label, StateMemoHit, 0)
 				fut.complete(res, nil)
 				d.pending.Done()
 				return
 			}
-			// The memoized attempt failed: evict it (unless someone beat us
-			// to it) and loop to either become the owner or wait on the
-			// replacement.
-			d.mu.Lock()
-			if d.memo[memoKey] == prior {
-				delete(d.memo, memoKey)
-				delete(d.memoSeq, memoKey)
-			}
-			d.mu.Unlock()
+			// The memoized attempt failed (memoResult evicted it): loop to
+			// either become the owner or wait on the replacement.
 		}
 	}
 	// evictMemo drops this task's memo entry when it fails terminally, so
 	// the failure is retried (not replayed) by later identical submissions.
 	evictMemo := func() {
-		if memoKey == "" {
+		if owned == nil {
 			return
 		}
 		d.mu.Lock()
-		if d.memo[memoKey] == fut {
+		if d.memo[memoKey] == owned {
 			delete(d.memo, memoKey)
-			delete(d.memoSeq, memoKey)
 		}
 		d.mu.Unlock()
 	}
@@ -506,10 +501,11 @@ func (d *DFK) resolveAndLaunch(id int, app App, args Args, opts CallOpts, fut *A
 				evictMemo()
 			} else {
 				d.setState(id, app.Name(), opts.Label, StateDone, final)
-				if memoKey != "" {
-					// The result just became a checkpoint candidate: notify
-					// memo observers (e.g. the service's durability journal).
-					d.fireMemoCommit(memoKey, app.Name(), res)
+				if owned != nil {
+					// The result just became a checkpoint candidate: encode it
+					// into the entry and notify memo observers (e.g. the
+					// service's durability journal).
+					d.memoCommit(memoKey, owned, res)
 				}
 			}
 			fut.complete(res, err)
@@ -659,27 +655,51 @@ func (d *DFK) evictLabelsLocked(maxLabels int) {
 // Config.MaxMemoEntries is 0.
 const DefaultMaxMemoEntries = 65536
 
-// memoPutLocked installs a memo entry, evicting least-recently-used
-// completed entries first when the table is at capacity. Caller holds d.mu.
-func (d *DFK) memoPutLocked(key string, fut *AppFuture) {
+// memoPutLocked installs e under key, which must be absent, evicting
+// least-recently-used completed entries first when the table is at capacity.
+// Caller holds d.mu.
+func (d *DFK) memoPutLocked(key string, e *memoEntry) {
 	max := d.cfg.MaxMemoEntries
 	if max == 0 {
 		max = DefaultMaxMemoEntries
 	}
-	if _, exists := d.memo[key]; !exists && max > 0 && len(d.memo) >= max {
+	if max > 0 && len(d.memo) >= max {
 		d.evictMemoLocked(max)
 	}
-	d.memo[key] = fut
-	d.memoTick++
-	d.memoSeq[key] = d.memoTick
+	d.memo[key] = e
+	d.memoTouchLocked(e)
 }
 
 // memoTouchLocked marks a memo entry recently used. Caller holds d.mu.
-func (d *DFK) memoTouchLocked(key string) {
-	if _, ok := d.memoSeq[key]; ok {
-		d.memoTick++
-		d.memoSeq[key] = d.memoTick
+func (d *DFK) memoTouchLocked(e *memoEntry) {
+	d.memoTick++
+	e.seq = d.memoTick
+}
+
+// memoResult returns the result a finished entry holds: its live value, or
+// a fresh decode of its bytes, so no two hits share one value. It reports
+// false — evicting e, unless something replaced it already — when the owner
+// failed or the bytes do not decode; the caller's lookup then retries. The
+// caller has waited for e's future, if it had one.
+func (d *DFK) memoResult(key string, e *memoEntry) (any, bool) {
+	d.mu.Lock()
+	done, fut, raw := e.done, e.fut, e.raw
+	d.mu.Unlock()
+	if done {
+		if fut != nil {
+			res, _, _ := fut.TryResult()
+			return res, true
+		}
+		if res, err := (ResultCodec{}).Decode(raw); err == nil {
+			return res, true
+		}
 	}
+	d.mu.Lock()
+	if d.memo[key] == e {
+		delete(d.memo, key)
+	}
+	d.mu.Unlock()
+	return nil, false
 }
 
 // evictMemoLocked drops the least-recently-used ~1/16 of completed memo
@@ -698,11 +718,10 @@ func (d *DFK) evictMemoLocked(max int) {
 		seq int64
 	}
 	cands := make([]cand, 0, len(d.memo))
-	for k, fut := range d.memo {
-		if _, _, done := fut.TryResult(); !done {
-			continue
+	for k, e := range d.memo {
+		if e.done {
+			cands = append(cands, cand{key: k, seq: e.seq})
 		}
-		cands = append(cands, cand{key: k, seq: d.memoSeq[k]})
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
 	if batch > len(cands) {
@@ -710,7 +729,6 @@ func (d *DFK) evictMemoLocked(max int) {
 	}
 	for _, c := range cands[:batch] {
 		delete(d.memo, c.key)
-		delete(d.memoSeq, c.key)
 	}
 }
 

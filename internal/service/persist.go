@@ -4,10 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/parsl"
 	"repro/internal/persist"
 	"repro/internal/yamlx"
@@ -28,6 +29,10 @@ import (
 // time; their re-execution is cheap because step results hit the restored
 // memo table.
 //
+// The encoded result is the parsl.ResultCodec form the DFK memo table itself
+// holds: a memo record, a snapshot's memo section and the table share those
+// bytes, and nothing here encodes or decodes a task result.
+//
 // The journal is sharded (persist.ShardedLog): records are routed to one of
 // N independent WALs by their key — run records by run ID, memo records by
 // memo key — so concurrent runs' fsync batches stop serializing on a single
@@ -39,8 +44,7 @@ import (
 // reflected in the snapshot), which is what makes the persist.Log's
 // crash-windows safe.
 type persister struct {
-	log   *persist.ShardedLog
-	codec core.ResultCodec
+	log *persist.ShardedLog
 
 	mu       sync.Mutex
 	payloads map[string]payloadRec // non-terminal runs' submission payloads
@@ -157,11 +161,7 @@ func (p *persister) runChanged(snap RunSnapshot) {
 }
 
 func (p *persister) memoCommitted(e parsl.MemoEntry) {
-	raw, ok := p.codec.Encode(e.Value)
-	if !ok {
-		return // not a checkpointable result shape; stays process-local
-	}
-	p.append(e.Key, "memo", memoWire{Key: e.Key, App: e.App, Value: raw})
+	p.append(e.Key, "memo", memoWire{Key: e.Key, App: e.App, Value: e.Raw})
 }
 
 func (p *persister) dropPayload(id string) {
@@ -274,42 +274,45 @@ func (p *persister) replay() (*replayState, error) {
 	}
 	// Compact out rejected runs, then restore global creation order: shards
 	// replay independently, so cross-shard interleaving is arbitrary until
-	// sorted by the run-ID sequence.
-	kept := st.order[:0]
+	// sorted by the run-ID sequence, parsed once per run.
+	type seqID struct {
+		n  int64
+		id string
+	}
+	kept := make([]seqID, 0, len(st.order))
 	for _, id := range st.order {
 		if _, ok := st.runs[id]; ok {
-			kept = append(kept, id)
+			kept = append(kept, seqID{parseRunID(id), id})
 		}
 	}
-	st.order = kept
-	sort.SliceStable(st.order, func(i, j int) bool {
-		return parseRunID(st.order[i]) < parseRunID(st.order[j])
-	})
-	for _, id := range st.order {
-		if n := parseRunID(id); n > st.seq {
-			st.seq = n
-		}
+	sort.SliceStable(kept, func(i, j int) bool { return kept[i].n < kept[j].n })
+	st.order = st.order[:0]
+	for _, k := range kept {
+		st.order = append(st.order, k.id)
+		st.seq = max(st.seq, k.n)
 	}
 	return st, nil
 }
 
+// parseRunID returns the sequence number of a "run-NNNNNN" ID, or 0.
 func parseRunID(id string) int64 {
-	var n int64
-	if _, err := fmt.Sscanf(id, "run-%d", &n); err != nil {
+	digits, ok := strings.CutPrefix(id, "run-")
+	if !ok {
+		return 0
+	}
+	n, err := strconv.ParseInt(digits, 10, 64)
+	if err != nil {
 		return 0
 	}
 	return n
 }
 
-// restoreMemo decodes and installs checkpointed memo entries into the DFK.
+// restoreMemo installs checkpointed memo entries into the DFK as the bytes
+// they were stored as; the DFK decodes one only when it is hit.
 func (p *persister) restoreMemo(dfk *parsl.DFK, wires []memoWire) {
-	entries := make([]parsl.MemoEntry, 0, len(wires))
-	for _, w := range wires {
-		v, err := p.codec.Decode(w.Value)
-		if err != nil {
-			continue // skip undecodable entries; the task just re-executes
-		}
-		entries = append(entries, parsl.MemoEntry{Key: w.Key, App: w.App, Value: v})
+	entries := make([]parsl.MemoEntry, len(wires))
+	for i, w := range wires {
+		entries[i] = parsl.MemoEntry{Key: w.Key, App: w.App, Raw: w.Value}
 	}
 	p.restoredMemo = dfk.RestoreMemo(entries)
 }
@@ -347,14 +350,9 @@ func (p *persister) snapshot(s *Service) error {
 			snap.Runs = append(snap.Runs, w)
 		}
 		for _, e := range s.dfk.MemoSnapshot() {
-			if p.log.ShardOf(e.Key) != shard {
-				continue
+			if p.log.ShardOf(e.Key) == shard {
+				snap.Memo = append(snap.Memo, memoWire{Key: e.Key, App: e.App, Value: e.Raw})
 			}
-			raw, ok := p.codec.Encode(e.Value)
-			if !ok {
-				continue
-			}
-			snap.Memo = append(snap.Memo, memoWire{Key: e.Key, App: e.App, Value: raw})
 		}
 		return snap, nil
 	})

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/parsl"
+	"repro/internal/persist"
 	"repro/internal/yamlx"
 )
 
@@ -367,5 +370,109 @@ outputs: {}
 	}
 	if got, want := len(svc2.List()), len(kept); got != want {
 		t.Errorf("restored %d runs, want %d", got, want)
+	}
+}
+
+// storedMemo reads every memo entry a data directory holds — each shard's
+// snapshot memo section and the memo records of its journal — as the exact
+// JSON bytes on disk, keyed by memo key.
+func storedMemo(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	add := func(raw json.RawMessage) {
+		var e memoWire
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatal(err)
+		}
+		out[e.Key] = string(raw)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "shard-*", "snapshot.json"))
+	for _, path := range snaps {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Data struct {
+				Memo []json.RawMessage `json:"memo"`
+			} `json:"data"`
+		}
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		for _, raw := range env.Data.Memo {
+			add(raw)
+		}
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.jsonl"))
+	for _, path := range segs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+			var rec persist.Record
+			if len(line) == 0 {
+				continue
+			}
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Kind == "memo" {
+				add(rec.Data)
+			}
+		}
+	}
+	return out
+}
+
+// TestReplaysMemoWrittenAsDecodedValues opens testdata/memo-v1, a data
+// directory written by the service when finished memo entries were still
+// held as decoded values and re-encoded for every record and snapshot: two
+// WAL shards, five memo entries (three in a snapshot, two in journal
+// records), and a workflow run interrupted after its greet step finished.
+// Replay must restore all five entries, the interrupted run must resume with
+// greet a memo hit, and the next snapshot must carry every entry's bytes
+// unchanged.
+func TestReplaysMemoWrittenAsDecodedValues(t *testing.T) {
+	dataDir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "memo-v1"), dataDir)
+	before := storedMemo(t, dataDir)
+	if len(before) != 5 {
+		t.Fatalf("testdata holds %d memo entries, want 5", len(before))
+	}
+
+	dfk, svc := durableService(t, dataDir, t.TempDir())
+	st := svc.Stats().Persistence
+	if st == nil || st.RestoredMemo != len(before) || st.ResubmittedRuns != 1 {
+		t.Fatalf("persistence stats = %+v, want %d memo entries restored and 1 run resubmitted", st, len(before))
+	}
+	final := waitTerminal(t, svc, "run-000004")
+	if final.State != RunSucceeded || !strings.Contains(string(final.Outputs), "greet.txt") {
+		t.Fatalf("resumed run = %+v", final)
+	}
+	events, _ := svc.Events("run-000004")
+	hits, launches := 0, 0
+	for _, ev := range events {
+		switch ev.State {
+		case parsl.StateMemoHit:
+			hits++
+		case parsl.StateLaunched:
+			launches++
+		}
+	}
+	if hits != 1 || launches != 1 {
+		t.Errorf("resumed run: %d memo hits, %d launches; want greet a hit and pause launched", hits, launches)
+	}
+	if err := svc.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dfk.Cleanup()
+
+	after := storedMemo(t, dataDir)
+	for key, raw := range before {
+		if after[key] != raw {
+			t.Errorf("memo entry %s changed across replay and snapshot:\n  was %s\n  now %s", key, raw, after[key])
+		}
 	}
 }

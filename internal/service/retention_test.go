@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -80,5 +81,46 @@ func TestRetainedBytesPerScatterRun(t *testing.T) {
 	t.Logf("live heap per finished %d-task run: %.0f B", width, perRun)
 	if perRun > 40<<10 {
 		t.Errorf("each finished %d-task run keeps %.0f B live, want at most %d", width, perRun, 40<<10)
+	}
+}
+
+// TestRetainedBytesPerMemoEntry is the same guard for a durable service,
+// where every tool task is memoized so a restarted run can resume from the
+// memo table: each finished echo run adds one memo entry, which is kept once,
+// as the codec bytes its journal record also carries. It bounds the heap that
+// stays live per finished run: about 1.8 KB here, where holding each entry as
+// a live future and its decoded output tree cost 2.9 KB.
+func TestRetainedBytesPerMemoEntry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks one process per run")
+	}
+	const runs = 200
+	dfk, svc := durableService(t, t.TempDir(), t.TempDir())
+	defer func() {
+		svc.Close(context.Background())
+		dfk.Cleanup()
+	}()
+	run := func(i int) {
+		snap, err := svc.Submit(SubmitRequest{Source: []byte(echoTool), Inputs: yamlx.MapOf("message", fmt.Sprintf("durable run %d", i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitTerminal(t, svc, snap.ID); final.State != RunSucceeded {
+			t.Fatalf("run %d: %s %s", i, final.State, final.Error)
+		}
+	}
+	run(-2)
+	run(-1)
+	before := liveHeap()
+	for i := 0; i < runs; i++ {
+		run(i)
+	}
+	perRun := (float64(liveHeap()) - float64(before)) / runs
+	if n := dfk.IndexStats().MemoEntries; n < runs {
+		t.Fatalf("memo table holds %d entries after %d runs; the runs were not memoized", n, runs)
+	}
+	t.Logf("live heap per finished memoized echo run: %.0f B", perRun)
+	if perRun > 2350 {
+		t.Errorf("each finished memoized run keeps %.0f B live, want at most 2350", perRun)
 	}
 }

@@ -499,18 +499,35 @@ func (s *Service) resolveTenant(name string) (tenant.Tenant, error) {
 	return t, nil
 }
 
+// private reports whether the tenant opted out of sharing results.
+func (s *Service) private(tenantName string) bool {
+	if reg := s.opts.Tenants; reg != nil {
+		t, ok := reg.Get(tenantLabel(tenantName))
+		return ok && t.Private
+	}
+	return false
+}
+
 // resultKeyFor computes the run's shared-result-cache address, or "" when
 // result sharing is off or the tenant opted out (Private).
 func (s *Service) resultKeyFor(tenantName, docHash string, inputs *yamlx.Map) string {
-	if s.results == nil {
+	if s.results == nil || s.private(tenantName) {
 		return ""
 	}
-	if reg := s.opts.Tenants; reg != nil {
-		if t, ok := reg.Get(tenantLabel(tenantName)); ok && t.Private {
-			return ""
-		}
-	}
 	return ResultKey(docHash, inputs)
+}
+
+// memoScope is the scope that keys a run's workflow step tasks in the DFK
+// memo table. The document hash makes identical steps memo hits across runs
+// and — with the restored memo table — across process restarts; a private
+// tenant's runs qualify it with the tenant, so their step results (files in
+// the private run's directory) are hits only for that tenant's own runs,
+// crash resume included.
+func (s *Service) memoScope(snap RunSnapshot) string {
+	if s.private(snap.Tenant) {
+		return "tenant:" + tenantLabel(snap.Tenant) + "/" + snap.DocHash
+	}
+	return snap.DocHash
 }
 
 // executorFor resolves a pinned provider label to an executor label.
@@ -684,10 +701,7 @@ func (s *Service) execute(ctx context.Context, id string) {
 		InputsDir: s.opts.InputsDir,
 		Executor:  executor,
 		Label:     id,
-		// The document hash scopes workflow step tasks, making their results
-		// memoizable across runs and — with the restored memo table — across
-		// process restarts.
-		Scope: snap.DocHash,
+		Scope:     s.memoScope(snap),
 		// The cached document's prebuilt dataflow index skips per-run graph
 		// construction.
 		StepIndex: w.idx,

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/parsl"
 	"repro/internal/tenant"
 	"repro/internal/yamlx"
 )
@@ -689,5 +691,98 @@ func TestRetryAfterDerivedFromBacklog(t *testing.T) {
 	}
 	if est := int(float64(10)/rate + 0.5); est < 4 || est > 7 {
 		t.Errorf("derived backoff = %ds, want ~5s", est)
+	}
+}
+
+const oneStepWorkflow = `cwlVersion: v1.2
+class: Workflow
+inputs:
+  message: string
+outputs:
+  final:
+    type: File
+    outputSource: greet/output
+steps:
+  greet:
+    run:
+      class: CommandLineTool
+      baseCommand: echo
+      stdout: greet.txt
+      inputs:
+        message: {type: string, inputBinding: {position: 1}}
+      outputs:
+        output: {type: stdout}
+    in: {message: message}
+    out: [output]
+`
+
+// TestPrivateTenantStepMemoIsTenantScoped runs the same workflow document
+// and inputs as a private tenant and as a sharing one on a durable service,
+// which memoizes workflow steps. Neither order may turn the second run's step
+// into a memo hit on the first run's result: its outputs must lie in its own
+// run directory. The private tenant's own repeat still hits.
+func TestPrivateTenantStepMemoIsTenantScoped(t *testing.T) {
+	reg := testRegistry(t,
+		tenant.Tenant{Name: "alpha", Key: "ka"},
+		tenant.Tenant{Name: "shy", Key: "ks", Private: true},
+	)
+	workRoot := t.TempDir()
+	dfk, err := parsl.Load(parsl.Config{
+		Executors: []parsl.Executor{parsl.NewThreadPoolExecutor("threads", 4)},
+		RunDir:    workRoot,
+		Memoize:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(dfk, Options{
+		Workers: 2, Tenants: reg, ResultCacheSize: 16,
+		DataDir: t.TempDir(), WorkRoot: workRoot, CheckpointPeriod: time.Hour,
+	})
+	if err != nil {
+		dfk.Cleanup()
+		t.Fatal(err)
+	}
+	defer func() {
+		svc.Close(context.Background())
+		dfk.Cleanup()
+	}()
+
+	// run executes the workflow for tenant and returns the run and how many
+	// of its tasks launched and how many were memo hits.
+	run := func(tenant, message string) (snap RunSnapshot, launches, hits int) {
+		t.Helper()
+		snap, err := svc.Submit(SubmitRequest{Source: []byte(oneStepWorkflow), Inputs: yamlx.MapOf("message", message), Tenant: tenant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap = waitTerminal(t, svc, snap.ID); snap.State != RunSucceeded {
+			t.Fatalf("%s's run: %s %s", tenant, snap.State, snap.Error)
+		}
+		events, _ := svc.Events(snap.ID)
+		for _, ev := range events {
+			switch ev.State {
+			case parsl.StateLaunched:
+				launches++
+			case parsl.StateMemoHit:
+				hits++
+			}
+		}
+		return snap, launches, hits
+	}
+	for _, order := range [][2]string{{"shy", "alpha"}, {"alpha", "shy"}} {
+		first, second := order[0], order[1]
+		message := "first run by " + first
+		run(first, message)
+		snap, launches, hits := run(second, message)
+		if hits != 0 || launches != 1 {
+			t.Errorf("%s's step after %s's identical run: %d launches, %d memo hits; want 1 launch, no hit", second, first, launches, hits)
+		}
+		if own := filepath.Join(workRoot, snap.ID) + string(filepath.Separator); !strings.Contains(string(snap.Outputs), own) {
+			t.Errorf("%s's outputs %s lie outside its run directory %s", second, snap.Outputs, own)
+		}
+	}
+	if _, _, hits := run("shy", "first run by alpha"); hits != 1 {
+		t.Errorf("shy's repeat of its own run had %d memo hits, want 1", hits)
 	}
 }
