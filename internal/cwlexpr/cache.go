@@ -36,16 +36,14 @@ type cacheEntry struct {
 	err error
 }
 
-// lruCache is a small mutex-guarded bounded LRU keyed by strings, with
-// hit/miss counters. Values (and errors) are memoized via cached().
+// lruCache is a small mutex-guarded bounded LRU keyed by strings. Values
+// (and errors) are memoized via cached().
 type lruCache struct {
-	mu     sync.Mutex
-	cap    int
-	m      map[string]*list.Element
-	l      *list.List // front = most recently used
-	hits   int64
-	misses int64
-	// onHit/onMiss mirror lookups into process-wide metrics; both caches
+	mu  sync.Mutex
+	cap int
+	m   map[string]*list.Element
+	l   *list.List // front = most recently used
+	// onHit/onMiss count lookups in process-wide metrics; both caches
 	// built from this type feed different counter families. Called with the
 	// lock held — must be a cheap atomic increment, nothing more.
 	onHit  func()
@@ -64,13 +62,11 @@ func (c *lruCache) get(key string) (any, error, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
 	if !ok {
-		c.misses++
 		if c.onMiss != nil {
 			c.onMiss()
 		}
 		return nil, nil, false
 	}
-	c.hits++
 	if c.onHit != nil {
 		c.onHit()
 	}
@@ -97,42 +93,6 @@ func (c *lruCache) add(key string, val any, err error) (any, error) {
 	return val, err
 }
 
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.l.Len()
-}
-
-func (c *lruCache) stats() (hits, misses int64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.l.Len()
-}
-
-// setCap rebounds the cache (minimum 1), evicting LRU entries past the cap.
-func (c *lruCache) setCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = n
-	for c.l.Len() > c.cap {
-		oldest := c.l.Back()
-		c.l.Remove(oldest)
-		delete(c.m, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-// reset drops all entries and counters.
-func (c *lruCache) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = map[string]*list.Element{}
-	c.l = list.New()
-	c.hits, c.misses = 0, 0
-}
-
 // cached memoizes compute by key, including its error. The computation runs
 // outside the lock: concurrent misses on one key may duplicate work but
 // never block unrelated lookups; the first insert wins.
@@ -155,12 +115,16 @@ const (
 
 // --- Engine pool ---
 
-var enginePool = func() *lruCache {
-	c := newProgCache(DefaultEnginePoolCap)
+var enginePool = newEnginePool(DefaultEnginePoolCap)
+
+// newEnginePool builds the shared engine pool wired to its process-wide
+// counters.
+func newEnginePool(capacity int) *lruCache {
+	c := newProgCache(capacity)
 	c.onHit = metEnginePoolHits.Inc
 	c.onMiss = metEnginePoolMisses.Inc
 	return c
-}()
+}
 
 // newProgramCache builds a per-engine compiled-program cache wired to the
 // process-wide program-cache counters.
@@ -204,9 +168,6 @@ func engineKey(reqs cwl.Requirements) string {
 // goroutines and across tool invocations: expression libraries are parsed
 // and executed once per distinct requirement set. Construction errors are
 // cached alongside, so a broken expressionLib costs one parse total.
-//
-// Callers that need an unshared engine (e.g. to read the JSEvals/PyEvals
-// counters in isolation) should use NewEngine instead.
 func SharedEngine(reqs cwl.Requirements) (*Engine, error) {
 	v, err := enginePool.cached(engineKey(reqs), func() (any, error) {
 		return NewEngine(reqs)
@@ -216,15 +177,3 @@ func SharedEngine(reqs cwl.Requirements) (*Engine, error) {
 	}
 	return v.(*Engine), nil
 }
-
-// EnginePoolStats reports pool effectiveness counters and current size.
-func EnginePoolStats() (hits, misses int64, size int) {
-	return enginePool.stats()
-}
-
-// SetEnginePoolCap adjusts how many distinct requirement sets the pool
-// retains (minimum 1), evicting least-recently-used engines past the cap.
-func SetEnginePoolCap(n int) { enginePool.setCap(n) }
-
-// ResetEnginePool drops all pooled engines and counters (tests, benchmarks).
-func ResetEnginePool() { enginePool.reset() }

@@ -3,7 +3,6 @@ package cwlexpr
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cwl"
@@ -23,6 +22,7 @@ func TestEngineConcurrentEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	js0, py0 := metJSEvals.Value(), metPyEvals.Value()
 	var wg sync.WaitGroup
 	errs := make(chan error, 24)
 	for g := 0; g < 24; g++ {
@@ -67,12 +67,31 @@ func TestEngineConcurrentEval(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt64(&e.JSEvals); got != 24*100*2 {
-		t.Errorf("JSEvals = %d, want %d", got, 24*100*2)
+	if got := metJSEvals.Value() - js0; got != 24*100*2 {
+		t.Errorf("JS evaluations = %d, want %d", got, 24*100*2)
 	}
-	if got := atomic.LoadInt64(&e.PyEvals); got != 24*100 {
-		t.Errorf("PyEvals = %d, want %d", got, 24*100)
+	if got := metPyEvals.Value() - py0; got != 24*100 {
+		t.Errorf("Python evaluations = %d, want %d", got, 24*100)
 	}
+}
+
+// freshPool swaps in an empty engine pool of the given capacity for the
+// test and returns a function reporting the pool's hits and misses since.
+func freshPool(t *testing.T, capacity int) func() (hits, misses int64) {
+	old := enginePool
+	enginePool = newEnginePool(capacity)
+	t.Cleanup(func() { enginePool = old })
+	h0, m0 := metEnginePoolHits.Value(), metEnginePoolMisses.Value()
+	return func() (int64, int64) {
+		return metEnginePoolHits.Value() - h0, metEnginePoolMisses.Value() - m0
+	}
+}
+
+// cacheLen reports how many entries c retains.
+func cacheLen(c *lruCache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.l.Len()
 }
 
 // TestProgramCacheReuse verifies repeated evaluation of the same source
@@ -85,7 +104,7 @@ func TestProgramCacheReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := e.ProgramCacheLen(); n != 2 {
+	if n := cacheLen(e.progs); n != 2 {
 		t.Errorf("cache holds %d entries after 50 identical evals, want 2 (split + program)", n)
 	}
 }
@@ -94,7 +113,7 @@ func TestProgramCacheReuse(t *testing.T) {
 // programs, evicted sources still evaluate correctly (recompiled).
 func TestProgramCacheEviction(t *testing.T) {
 	e := jsEngine(t)
-	e.SetProgramCacheCap(2)
+	e.progs = newProgramCache(2)
 	ctx := testCtx()
 	exprs := []string{"$(inputs.count + 1)", "$(inputs.count + 2)", "$(inputs.count + 3)"}
 	for _, src := range exprs {
@@ -102,7 +121,7 @@ func TestProgramCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := e.ProgramCacheLen(); n != 2 {
+	if n := cacheLen(e.progs); n != 2 {
 		t.Errorf("cache holds %d entries, want cap 2", n)
 	}
 	// The first expression was evicted; it must still evaluate.
@@ -125,7 +144,7 @@ func TestProgramCacheCachesErrors(t *testing.T) {
 			t.Fatal("bad expression evaluated without error")
 		}
 	}
-	if n := e.ProgramCacheLen(); n != 2 {
+	if n := cacheLen(e.progs); n != 2 {
 		t.Errorf("cache holds %d entries, want 2 (interpolation split + cached error)", n)
 	}
 }
@@ -133,8 +152,7 @@ func TestProgramCacheCachesErrors(t *testing.T) {
 // TestSharedEnginePool verifies identity: equal requirement sets share one
 // engine (libraries load once per set), different sets get distinct engines.
 func TestSharedEnginePool(t *testing.T) {
-	ResetEnginePool()
-	t.Cleanup(ResetEnginePool)
+	poolStats := freshPool(t, DefaultEnginePoolCap)
 	reqs := cwl.Requirements{InlineJavascript: true, JSExpressionLib: []string{"function f(v) { return v + 1; }"}}
 	e1, err := SharedEngine(reqs)
 	if err != nil {
@@ -147,8 +165,8 @@ func TestSharedEnginePool(t *testing.T) {
 	if e1 != e2 {
 		t.Fatal("same requirements produced distinct engines")
 	}
-	hits, misses, size := EnginePoolStats()
-	if hits != 1 || misses != 1 || size != 1 {
+	hits, misses := poolStats()
+	if size := cacheLen(enginePool); hits != 1 || misses != 1 || size != 1 {
 		t.Errorf("pool stats = %d hits / %d misses / %d engines, want 1/1/1", hits, misses, size)
 	}
 	other, err := SharedEngine(cwl.Requirements{InlineJavascript: true, JSExpressionLib: []string{"function f(v) { return v + 2; }"}})
@@ -189,8 +207,7 @@ func TestEngineKeyNoCollision(t *testing.T) {
 	if c == d {
 		t.Fatal("js and py requirement sets produced the same engine key")
 	}
-	ResetEnginePool()
-	t.Cleanup(ResetEnginePool)
+	freshPool(t, DefaultEnginePoolCap)
 	e1, err1 := SharedEngine(cwl.Requirements{InlineJavascript: true, JSExpressionLib: []string{"var A = 1;", "var B = 2;"}})
 	e2, err2 := SharedEngine(cwl.Requirements{InlineJavascript: true, JSExpressionLib: []string{"var A = 1;var B = 2;"}})
 	if err1 != nil || err2 != nil {
@@ -204,9 +221,7 @@ func TestEngineKeyNoCollision(t *testing.T) {
 // TestEnginePoolEviction verifies the pool LRU: past the cap the
 // least-recently-used engine is dropped and rebuilt on next use.
 func TestEnginePoolEviction(t *testing.T) {
-	ResetEnginePool()
-	t.Cleanup(func() { SetEnginePoolCap(DefaultEnginePoolCap); ResetEnginePool() })
-	SetEnginePoolCap(2)
+	poolStats := freshPool(t, 2)
 	mk := func(i int) cwl.Requirements {
 		return cwl.Requirements{InlineJavascript: true, JSExpressionLib: []string{fmt.Sprintf("var N = %d;", i)}}
 	}
@@ -218,16 +233,16 @@ func TestEnginePoolEviction(t *testing.T) {
 		}
 		engines[i] = e
 	}
-	if _, _, size := EnginePoolStats(); size != 2 {
+	if size := cacheLen(enginePool); size != 2 {
 		t.Fatalf("pool size = %d, want cap 2", size)
 	}
 	// Engine 0 was evicted: re-requesting it is a miss that rebuilds.
-	_, missesBefore, _ := EnginePoolStats()
+	_, missesBefore := poolStats()
 	rebuilt, err := SharedEngine(mk(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, misses, _ := EnginePoolStats(); misses != missesBefore+1 {
+	if _, misses := poolStats(); misses != missesBefore+1 {
 		t.Errorf("re-request of evicted engine was not a miss (%d → %d)", missesBefore, misses)
 	}
 	if v, err := rebuilt.Eval("$(N)", testCtx()); err != nil || v != int64(0) {
@@ -238,8 +253,7 @@ func TestEnginePoolEviction(t *testing.T) {
 // TestSharedEngineCachesErrors verifies a broken expressionLib costs one
 // construction: the error is pooled.
 func TestSharedEngineCachesErrors(t *testing.T) {
-	ResetEnginePool()
-	t.Cleanup(ResetEnginePool)
+	poolStats := freshPool(t, DefaultEnginePoolCap)
 	bad := cwl.Requirements{InlineJavascript: true, JSExpressionLib: []string{"function ("}}
 	if _, err := SharedEngine(bad); err == nil {
 		t.Fatal("broken lib accepted")
@@ -247,8 +261,7 @@ func TestSharedEngineCachesErrors(t *testing.T) {
 	if _, err := SharedEngine(bad); err == nil {
 		t.Fatal("broken lib accepted on second lookup")
 	}
-	hits, misses, _ := EnginePoolStats()
-	if misses != 1 || hits != 1 {
+	if hits, misses := poolStats(); misses != 1 || hits != 1 {
 		t.Errorf("error entry not pooled: %d hits / %d misses, want 1/1", hits, misses)
 	}
 }
@@ -256,8 +269,7 @@ func TestSharedEngineCachesErrors(t *testing.T) {
 // TestSharedEnginePoolConcurrent races many goroutines resolving the same
 // and different requirement sets (run with -race).
 func TestSharedEnginePoolConcurrent(t *testing.T) {
-	ResetEnginePool()
-	t.Cleanup(ResetEnginePool)
+	freshPool(t, DefaultEnginePoolCap)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -283,7 +295,7 @@ func TestSharedEnginePoolConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if _, _, size := EnginePoolStats(); size != 4 {
+	if size := cacheLen(enginePool); size != 4 {
 		t.Errorf("pool size = %d, want 4 distinct requirement sets", size)
 	}
 }

@@ -20,10 +20,10 @@ package cwlexpr
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/cwl"
 	"repro/internal/jsexpr"
@@ -55,30 +55,22 @@ func (c Context) vars() map[string]any {
 }
 
 // Engine evaluates CWL expressions for one process. It is goroutine-safe:
-// interpreters evaluate on per-call state, the program cache is internally
-// locked, and the eval counters are updated atomically.
+// interpreters evaluate on per-call state and the program cache is
+// internally locked.
 type Engine struct {
 	js *jsexpr.Interp
 	py *pyexpr.Interp
 
 	// progs caches compiled programs and interpolation splits by source text
-	// (bounded LRU; compile errors are cached too). Held behind an atomic
-	// pointer so SetProgramCacheCap can swap it while sharers evaluate.
-	progs atomic.Pointer[lruCache]
-
-	// Counters used by benchmarks and the simulated runners to model
-	// per-evaluation overhead (e.g. cwltool spawning a node process).
-	// Incremented atomically; read them only after evaluation settles.
-	JSEvals int64
-	PyEvals int64
+	// (bounded LRU; compile errors are cached too).
+	progs *lruCache
 }
 
 // NewEngine builds an engine for a process's (merged) requirements, loading
 // any expression libraries. Most callers want SharedEngine, which pools
 // engines by requirement set so libraries load once per set, not per task.
 func NewEngine(reqs cwl.Requirements) (*Engine, error) {
-	e := &Engine{}
-	e.progs.Store(newProgramCache(DefaultProgramCacheCap))
+	e := &Engine{progs: newProgramCache(DefaultProgramCacheCap)}
 	if reqs.InlineJavascript {
 		e.js = jsexpr.New()
 		for i, lib := range reqs.JSExpressionLib {
@@ -98,23 +90,9 @@ func NewEngine(reqs cwl.Requirements) (*Engine, error) {
 	return e, nil
 }
 
-// SetProgramCacheCap rebounds the engine's compiled-program cache (clamped
-// to a minimum of 1 entry). The cache restarts empty. Safe to call while
-// other goroutines evaluate — note a pooled engine's cache is shared by
-// every user of that requirement set.
-func (e *Engine) SetProgramCacheCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.progs.Store(newProgramCache(n))
-}
-
-// ProgramCacheLen reports how many compiled entries the engine retains.
-func (e *Engine) ProgramCacheLen() int { return e.progs.Load().len() }
-
 // jsExprProgram returns the cached compiled form of a $(...) body.
 func (e *Engine) jsExprProgram(src string) (*jsexpr.Program, error) {
-	v, err := e.progs.Load().cached(kindJSExpr+src, func() (any, error) {
+	v, err := e.progs.cached(kindJSExpr+src, func() (any, error) {
 		return jsexpr.CompileExpr(src)
 	})
 	if err != nil {
@@ -125,7 +103,7 @@ func (e *Engine) jsExprProgram(src string) (*jsexpr.Program, error) {
 
 // jsBodyProgram returns the cached compiled form of a ${...} body.
 func (e *Engine) jsBodyProgram(src string) (*jsexpr.Program, error) {
-	v, err := e.progs.Load().cached(kindJSBody+src, func() (any, error) {
+	v, err := e.progs.cached(kindJSBody+src, func() (any, error) {
 		return jsexpr.CompileBody(src)
 	})
 	if err != nil {
@@ -136,7 +114,7 @@ func (e *Engine) jsBodyProgram(src string) (*jsexpr.Program, error) {
 
 // pyExprProgram returns the cached compiled form of a Python expression.
 func (e *Engine) pyExprProgram(src string) (*pyexpr.Program, error) {
-	v, err := e.progs.Load().cached(kindPyExpr+src, func() (any, error) {
+	v, err := e.progs.cached(kindPyExpr+src, func() (any, error) {
 		return pyexpr.CompileExpr(src)
 	})
 	if err != nil {
@@ -148,7 +126,7 @@ func (e *Engine) pyExprProgram(src string) (*pyexpr.Program, error) {
 // segments returns the cached splitInterpolation result for a string. The
 // returned slice is shared and must be treated as read-only.
 func (e *Engine) segments(s string) ([]segment, error) {
-	v, err := e.progs.Load().cached(kindSegs+s, func() (any, error) {
+	v, err := e.progs.cached(kindSegs+s, func() (any, error) {
 		segs, err := splitInterpolation(s)
 		return segs, err
 	})
@@ -223,7 +201,6 @@ func (e *Engine) evalParen(inner string, ctx Context) (any, error) {
 		return v, err
 	}
 	if e.js != nil {
-		atomic.AddInt64(&e.JSEvals, 1)
 		metJSEvals.Inc()
 		p, err := e.jsExprProgram(inner)
 		if err != nil {
@@ -239,7 +216,6 @@ func (e *Engine) evalParen(inner string, ctx Context) (any, error) {
 		// Extension: with only InlinePythonRequirement, $() bodies evaluate
 		// as Python expressions with inputs/self/runtime in scope (dict
 		// attribute access makes inputs.count work as users expect).
-		atomic.AddInt64(&e.PyEvals, 1)
 		metPyEvals.Inc()
 		p, err := e.pyExprProgram(inner)
 		if err != nil {
@@ -259,7 +235,6 @@ func (e *Engine) evalBody(body string, ctx Context) (any, error) {
 	if e.js == nil {
 		return nil, fmt.Errorf("${...} expressions require InlineJavascriptRequirement")
 	}
-	atomic.AddInt64(&e.JSEvals, 1)
 	metJSEvals.Inc()
 	p, err := e.jsBodyProgram(body)
 	if err != nil {
@@ -277,7 +252,6 @@ func (e *Engine) evalFString(src string, ctx Context) (any, error) {
 	if e.py == nil {
 		return nil, fmt.Errorf("f-string expressions require InlinePythonRequirement")
 	}
-	atomic.AddInt64(&e.PyEvals, 1)
 	metPyEvals.Inc()
 	// The rewrite substitutes per-call values into vars, but the rewritten
 	// source text only depends on which $(...) refs resolved — caching the
@@ -642,15 +616,9 @@ func (e *Engine) RunValidate(validateExpr string, ctx Context) error {
 }
 
 func errRaised(err error) (string, bool) {
-	for e := err; e != nil; {
-		if r, ok := e.(*pyexpr.Raised); ok {
-			return r.Exc.String(), true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return "", false
-		}
-		e = u.Unwrap()
+	var r *pyexpr.Raised
+	if errors.As(err, &r) {
+		return r.Exc.String(), true
 	}
 	return "", false
 }

@@ -1,10 +1,12 @@
 package cwlexpr
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/cwl"
+	"repro/internal/pyexpr"
 	"repro/internal/yamlx"
 )
 
@@ -127,6 +129,7 @@ func TestComplexExprRequiresEngine(t *testing.T) {
 func TestJSExpressions(t *testing.T) {
 	e := jsEngine(t)
 	ctx := testCtx()
+	js0 := metJSEvals.Value()
 	cases := []struct {
 		src  string
 		want any
@@ -146,8 +149,8 @@ func TestJSExpressions(t *testing.T) {
 			t.Errorf("Eval(%q) = %#v, want %#v", c.src, got, c.want)
 		}
 	}
-	if e.JSEvals == 0 {
-		t.Error("JSEvals counter not incremented")
+	if metJSEvals.Value() == js0 {
+		t.Error("JS evaluation counter not incremented")
 	}
 }
 
@@ -168,6 +171,7 @@ func TestPaperFStringCapitalize(t *testing.T) {
 def capitalize_words(message):
     return message.title()
 `)
+	py0 := metPyEvals.Value()
 	got, err := e.Eval(`f"{capitalize_words($(inputs.message))}"`, testCtx())
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +179,8 @@ def capitalize_words(message):
 	if got != "Hello World" {
 		t.Errorf("got %#v", got)
 	}
-	if e.PyEvals != 1 {
-		t.Errorf("PyEvals = %d", e.PyEvals)
+	if n := metPyEvals.Value() - py0; n != 1 {
+		t.Errorf("Python evaluations = %d, want 1", n)
 	}
 }
 
@@ -331,4 +335,28 @@ func TestInterpolationWithJSON(t *testing.T) {
 	if got != `names: ["a","b","c"]` {
 		t.Errorf("got %#v", got)
 	}
+}
+
+// TestPythonUnsupportedPassesThrough: Python outside the inline-Python
+// subset reaches the caller as *pyexpr.UnsupportedError naming the
+// construct: from an expressionLib when the engine is built, and from an
+// expression or a validate: field when it is evaluated.
+func TestPythonUnsupportedPassesThrough(t *testing.T) {
+	check := func(what string, err error, construct string) {
+		t.Helper()
+		var ue *pyexpr.UnsupportedError
+		if !errors.As(err, &ue) || ue.Construct != construct || !strings.Contains(err.Error(), construct) {
+			t.Errorf("%s: err = %v, want UnsupportedError for %q", what, err, construct)
+		}
+	}
+	_, err := NewEngine(cwl.Requirements{InlinePython: true, PyExpressionLib: []string{"def f(x):\n    while x:\n        x -= 1\n"}})
+	check("expressionLib", err, "while loop")
+	_, err = SharedEngine(cwl.Requirements{InlinePython: true, PyExpressionLib: []string{"import os\n"}})
+	check("shared expressionLib", err, "import statement")
+	e := pyEngine(t)
+	_, err = e.Eval(`f"{(lambda: 1)()}"`, testCtx())
+	check("f-string", err, "lambda")
+	_, err = e.Eval("$({1, 2})", testCtx())
+	check("$() expression", err, "set literal")
+	check("validate", e.RunValidate(`f"{[x for x in [1] for y in [2]]}"`, testCtx()), "comprehension with several clauses")
 }

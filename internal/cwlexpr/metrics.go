@@ -3,8 +3,7 @@ package cwlexpr
 import "repro/internal/obs"
 
 // Package-level instruments on the Default registry, aggregated across every
-// Engine in the process. Per-engine counters (Engine.JSEvals, per-cache
-// sizes) remain available for isolated measurement.
+// Engine in the process.
 var (
 	metProgCacheHits = obs.Default().Counter(
 		"pcwl_expr_program_cache_hits_total",

@@ -114,6 +114,7 @@ type Interp struct {
 	global   *environ
 	steps    int
 	maxSteps int
+	calls    int // active Closure calls, bounded by maxCallDepth
 	sealOnce sync.Once
 	// builtinVals snapshots the builtin globals installed by New, so sealing
 	// can tell library-defined globals apart from the standard ones.
@@ -127,6 +128,10 @@ type Interp struct {
 // realistic CWL expression but small enough to stop runaway loops quickly.
 const DefaultMaxSteps = 5_000_000
 
+// maxCallDepth bounds how deeply JavaScript functions may call each other.
+// Going deeper throws a RangeError, as an engine's stack limit does.
+const maxCallDepth = 1000
+
 // New creates an interpreter with the standard builtins installed.
 func New() *Interp {
 	ip := &Interp{maxSteps: DefaultMaxSteps}
@@ -138,9 +143,6 @@ func New() *Interp {
 	}
 	return ip
 }
-
-// SetMaxSteps overrides the per-call evaluation budget.
-func (ip *Interp) SetMaxSteps(n int) { ip.maxSteps = n }
 
 // LoadLib executes expressionLib source (function declarations, consts) into
 // the interpreter's global scope. All libraries must load before the first
@@ -706,6 +708,9 @@ func (ip *Interp) evalArgs(nodes []Node, env *environ) ([]any, error) {
 func (ip *Interp) callValue(fn any, this any, args []any, pos int) (any, error) {
 	switch f := fn.(type) {
 	case *Closure:
+		if ip.calls >= maxCallDepth {
+			return nil, &ThrownError{Value: yamlx.MapOf("name", "RangeError", "message", "Maximum call stack size exceeded")}
+		}
 		fnEnv := newEnviron(f.env)
 		for i, p := range f.decl.Params {
 			if i < len(args) {
@@ -715,7 +720,9 @@ func (ip *Interp) callValue(fn any, this any, args []any, pos int) (any, error) 
 			}
 		}
 		fnEnv.define("arguments", &Array{E: args})
+		ip.calls++
 		c, err := ip.execStmts(f.decl.Body, fnEnv)
+		ip.calls--
 		if err != nil {
 			return nil, err
 		}

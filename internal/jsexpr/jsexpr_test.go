@@ -2,6 +2,7 @@ package jsexpr
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -465,7 +466,7 @@ func TestThrowNewError(t *testing.T) {
 
 func TestInfiniteLoopBudget(t *testing.T) {
 	ip := New()
-	ip.SetMaxSteps(10_000)
+	ip.maxSteps = 10_000
 	_, err := ip.EvalBody("while (true) {}", nil)
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("err = %v", err)
@@ -740,5 +741,73 @@ func TestPaperCapitalizeEquivalent(t *testing.T) {
 	}
 	if v != "Hello Cwl World" {
 		t.Errorf("v = %#v", v)
+	}
+}
+
+// TestJSCallDepthBound: unbounded recursion throws a RangeError at
+// maxCallDepth instead of overflowing the Go stack, and recursion just under
+// the bound still works.
+func TestJSCallDepthBound(t *testing.T) {
+	ip := New()
+	if err := ip.LoadLib("function f(n) { return f(n + 1); }\nfunction down(n) { return n == 0 ? 0 : down(n - 1) + 1; }"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ip.EvalBody("return {out: f(0)};", nil)
+	var thrown *ThrownError
+	if !errors.As(err, &thrown) || !strings.Contains(err.Error(), "RangeError") {
+		t.Fatalf("err = %v, want a thrown RangeError", err)
+	}
+	if v, err := ip.EvalExpr("down(n)", map[string]any{"n": maxCallDepth - 1}); err != nil || v != int64(maxCallDepth-1) {
+		t.Fatalf("down(%d) = %v, %v", maxCallDepth-1, v, err)
+	}
+}
+
+// TestJSNestingBound: deeply nested brackets, operators or statements fail
+// to compile with a SyntaxError naming the bound, never a stack overflow;
+// nesting at the bound compiles. Two million brackets overflowed the
+// parser's stack before the bound; operator chains are built without
+// recursion, so a shorter one shows the bound.
+func TestJSNestingBound(t *testing.T) {
+	const deep, chain = 2_000_000, 10_000
+	for name, src := range map[string]string{
+		"parens":  strings.Repeat("(", deep) + "1" + strings.Repeat(")", deep),
+		"arrays":  strings.Repeat("[", deep) + strings.Repeat("]", deep),
+		"objects": strings.Repeat("{a: ", chain) + "1" + strings.Repeat("}", chain),
+		"unary":   strings.Repeat("-", chain) + "1",
+		"sum":     "1" + strings.Repeat("+1", chain),
+		"or":      "1" + strings.Repeat("||1", chain),
+		"calls":   "f" + strings.Repeat("()", chain),
+		"members": "x" + strings.Repeat(".a", chain),
+		"assign":  strings.Repeat("x = ", chain) + "1",
+		"ternary": strings.Repeat("1 ? 1 : ", chain) + "1",
+	} {
+		_, err := CompileExpr(src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "nested more than") {
+			t.Errorf("%s: err = %v, want the nesting SyntaxError", name, err)
+		}
+	}
+	for name, src := range map[string]string{
+		"blocks": strings.Repeat("{", deep) + strings.Repeat("}", deep),
+		"ifs":    strings.Repeat("if (1) ", chain) + "x = 1;",
+		"else":   "if (0) x = 1;" + strings.Repeat(" else if (0) x = 1;", chain),
+	} {
+		if _, err := CompileBody(src); err == nil || !strings.Contains(err.Error(), "nested more than") {
+			t.Errorf("%s: err = %v, want the nesting SyntaxError", name, err)
+		}
+	}
+	ok := strings.Repeat("(", maxNesting-1) + "1" + strings.Repeat(")", maxNesting-1)
+	if v, err := New().EvalExpr(ok, nil); err != nil || v != int64(1) {
+		t.Errorf("%d nested parens: %v, %v", maxNesting-1, v, err)
+	}
+}
+
+// TestJSNonLetterRune: a rune that cannot start an identifier, or invalid
+// UTF-8, is a syntax error; the lexer once looped forever on it.
+func TestJSNonLetterRune(t *testing.T) {
+	for _, src := range []string{"x€", "€", "\xc3f"} {
+		if _, err := CompileExpr(src); err == nil {
+			t.Errorf("CompileExpr(%q) succeeded", src)
+		}
 	}
 }

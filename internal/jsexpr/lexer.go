@@ -54,6 +54,7 @@ type lexer struct {
 	src  string
 	pos  int
 	toks []token
+	open int // brackets open at pos
 }
 
 func lex(src string) ([]token, error) {
@@ -75,7 +76,9 @@ func lex(src string) ([]token, error) {
 				return nil, err
 			}
 		case isIdentStart(rune(c)) || c >= utf8.RuneSelf:
-			l.lexIdent()
+			if err := l.lexIdent(); err != nil {
+				return nil, err
+			}
 		default:
 			if err := l.lexPunct(); err != nil {
 				return nil, err
@@ -230,7 +233,7 @@ func (l *lexer) lexString(quote byte) error {
 	return &SyntaxError{Pos: start, Msg: "unterminated string literal"}
 }
 
-func (l *lexer) lexIdent() {
+func (l *lexer) lexIdent() error {
 	start := l.pos
 	for l.pos < len(l.src) {
 		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
@@ -239,7 +242,12 @@ func (l *lexer) lexIdent() {
 		}
 		l.pos += size
 	}
+	if l.pos == start { // a non-letter rune, or invalid UTF-8
+		r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+		return &SyntaxError{Pos: l.pos, Msg: fmt.Sprintf("unexpected character %q", r)}
+	}
 	l.emit(token{kind: tIdent, text: l.src[start:l.pos], pos: start})
+	return nil
 }
 
 // jsPunct lists multi-char operators longest-first.
@@ -254,6 +262,14 @@ var jsPunct = []string{
 func (l *lexer) lexPunct() error {
 	for _, p := range jsPunct {
 		if strings.HasPrefix(l.src[l.pos:], p) {
+			switch p {
+			case "(", "[", "{":
+				if l.open++; l.open > maxNesting {
+					return errNesting(l.pos)
+				}
+			case ")", "]", "}":
+				l.open = max(l.open-1, 0)
+			}
 			l.emit(token{kind: tPunct, text: p, pos: l.pos})
 			l.pos += len(p)
 			return nil

@@ -3,9 +3,67 @@ package jsexpr
 import "fmt"
 
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // current nesting, see nest
 }
+
+// maxNesting bounds how deeply expressions and statements nest. Each
+// bracket, statement block, unary operand and link of an operator or member
+// chain counts as one level, so the evaluator, which recurses once per
+// level, never recurses deeper than this within one function.
+const maxNesting = 200
+
+func errNesting(pos int) error {
+	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf("expression nested more than %d levels deep", maxNesting)}
+}
+
+// nest enters one more level of nesting; the caller undoes it by
+// subtracting what it entered from p.depth.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return errNesting(p.cur().pos)
+	}
+	return nil
+}
+
+// nested runs parse one nesting level deeper.
+func nested[T any](p *parser, parse func() (T, error)) (T, error) {
+	if err := p.nest(); err != nil {
+		var zero T
+		return zero, err
+	}
+	defer func() { p.depth-- }()
+	return parse()
+}
+
+// chain parses one left-associative operator level: operands from operand,
+// joined while match accepts the current token. Each link nests the tree
+// one level deeper, so each counts toward maxNesting.
+func (p *parser) chain(operand func() (Node, error), match func() bool, build func(op token, l, r Node) Node) (Node, error) {
+	left, err := operand()
+	if err != nil {
+		return nil, err
+	}
+	links := 0
+	defer func() { p.depth -= links }()
+	for match() {
+		t := p.next()
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		links++
+		right, err := operand()
+		if err != nil {
+			return nil, err
+		}
+		left = build(t, left, right)
+	}
+	return left, nil
+}
+
+func binaryNode(t token, l, r Node) Node  { return &binary{base: base{t.pos}, Op: t.text, L: l, R: r} }
+func logicalNode(t token, l, r Node) Node { return &logical{base: base{t.pos}, Op: t.text, L: l, R: r} }
 
 // parseProgram parses a statement list (a function body or expressionLib
 // source).
@@ -77,7 +135,10 @@ func (p *parser) errHere(format string, args ...any) error {
 
 // --- Statements ---
 
-func (p *parser) statement() (Node, error) {
+// statement parses one statement one nesting level deeper.
+func (p *parser) statement() (Node, error) { return nested(p, p.statementAt) }
+
+func (p *parser) statementAt() (Node, error) {
 	t := p.cur()
 	if t.kind == tIdent {
 		switch t.text {
@@ -258,7 +319,7 @@ func (p *parser) ifStatement() (Node, error) {
 	if p.atIdent("else") {
 		p.next()
 		if p.atIdent("if") {
-			s, err := p.ifStatement()
+			s, err := nested(p, p.ifStatement)
 			if err != nil {
 				return nil, err
 			}
@@ -372,7 +433,11 @@ func (p *parser) forStatement() (Node, error) {
 
 func (p *parser) expr() (Node, error) { return p.assignExpr() }
 
-func (p *parser) assignExpr() (Node, error) {
+// assignExpr parses an assignment-level expression one nesting level
+// deeper: every bracketed sub-expression and argument enters here.
+func (p *parser) assignExpr() (Node, error) { return nested(p, p.assignAt) }
+
+func (p *parser) assignAt() (Node, error) {
 	left, err := p.condExpr()
 	if err != nil {
 		return nil, err
@@ -418,114 +483,38 @@ func (p *parser) condExpr() (Node, error) {
 }
 
 func (p *parser) orExpr() (Node, error) {
-	left, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tPunct, "||") {
-		t := p.next()
-		right, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &logical{base: base{t.pos}, Op: "||", L: left, R: right}
-	}
-	return left, nil
+	return p.chain(p.andExpr, func() bool { return p.at(tPunct, "||") }, logicalNode)
 }
 
 func (p *parser) andExpr() (Node, error) {
-	left, err := p.eqExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tPunct, "&&") {
-		t := p.next()
-		right, err := p.eqExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &logical{base: base{t.pos}, Op: "&&", L: left, R: right}
-	}
-	return left, nil
+	return p.chain(p.eqExpr, func() bool { return p.at(tPunct, "&&") }, logicalNode)
 }
 
 func (p *parser) eqExpr() (Node, error) {
-	left, err := p.relExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tPunct, "==") || p.at(tPunct, "!=") || p.at(tPunct, "===") || p.at(tPunct, "!==") {
-		t := p.next()
-		right, err := p.relExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &binary{base: base{t.pos}, Op: t.text, L: left, R: right}
-	}
-	return left, nil
+	return p.chain(p.relExpr, func() bool {
+		return p.at(tPunct, "==") || p.at(tPunct, "!=") || p.at(tPunct, "===") || p.at(tPunct, "!==")
+	}, binaryNode)
 }
 
 func (p *parser) relExpr() (Node, error) {
-	left, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tPunct, "<") || p.at(tPunct, ">") || p.at(tPunct, "<=") || p.at(tPunct, ">=") || p.atIdent("in") {
-		t := p.next()
-		right, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &binary{base: base{t.pos}, Op: t.text, L: left, R: right}
-	}
-	return left, nil
+	return p.chain(p.addExpr, func() bool {
+		return p.at(tPunct, "<") || p.at(tPunct, ">") || p.at(tPunct, "<=") || p.at(tPunct, ">=") || p.atIdent("in")
+	}, binaryNode)
 }
 
 func (p *parser) addExpr() (Node, error) {
-	left, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tPunct, "+") || p.at(tPunct, "-") {
-		t := p.next()
-		right, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &binary{base: base{t.pos}, Op: t.text, L: left, R: right}
-	}
-	return left, nil
+	return p.chain(p.mulExpr, func() bool { return p.at(tPunct, "+") || p.at(tPunct, "-") }, binaryNode)
 }
 
 func (p *parser) mulExpr() (Node, error) {
-	left, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tPunct, "*") || p.at(tPunct, "/") || p.at(tPunct, "%") || p.at(tPunct, "**") {
-		t := p.next()
-		right, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &binary{base: base{t.pos}, Op: t.text, L: left, R: right}
-	}
-	return left, nil
+	return p.chain(p.unaryExpr, func() bool { return p.at(tPunct, "*") || p.at(tPunct, "/") || p.at(tPunct, "%") || p.at(tPunct, "**") }, binaryNode)
 }
 
 func (p *parser) unaryExpr() (Node, error) {
 	t := p.cur()
-	if p.at(tPunct, "!") || p.at(tPunct, "-") || p.at(tPunct, "+") || p.atIdent("typeof") {
+	if p.at(tPunct, "!") || p.at(tPunct, "-") || p.at(tPunct, "+") || p.atIdent("typeof") || p.at(tPunct, "++") || p.at(tPunct, "--") {
 		p.next()
-		x, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &unary{base: base{t.pos}, Op: t.text, X: x}, nil
-	}
-	if p.at(tPunct, "++") || p.at(tPunct, "--") {
-		p.next()
-		x, err := p.unaryExpr()
+		x, err := nested(p, p.unaryExpr)
 		if err != nil {
 			return nil, err
 		}
@@ -549,6 +538,8 @@ func (p *parser) postfixExpr() (Node, error) {
 func (p *parser) callMemberExpr() (Node, error) {
 	var x Node
 	var err error
+	links := 0
+	defer func() { p.depth -= links }()
 	if p.atIdent("new") {
 		t := p.next()
 		callee, err := p.primary()
@@ -557,6 +548,10 @@ func (p *parser) callMemberExpr() (Node, error) {
 		}
 		// member chain before call parens
 		for p.at(tPunct, ".") {
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
+			links++
 			p.next()
 			name := p.cur()
 			if name.kind != tIdent {
@@ -580,6 +575,12 @@ func (p *parser) callMemberExpr() (Node, error) {
 		}
 	}
 	for {
+		if p.at(tPunct, ".") || p.at(tPunct, "[") || p.at(tPunct, "(") {
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
+			links++
+		}
 		switch {
 		case p.at(tPunct, "."):
 			p.next()

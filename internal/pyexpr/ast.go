@@ -69,11 +69,6 @@ type dictLit struct {
 	Vals []expr
 }
 
-type setLit struct {
-	pos
-	Elems []expr
-}
-
 type attrRef struct {
 	pos
 	Obj  expr
@@ -131,13 +126,6 @@ type ternary struct {
 	Then, Test, Else expr
 }
 
-type lambdaExpr struct {
-	pos
-	Params   []string
-	Defaults []expr
-	Body     expr
-}
-
 // listComp is [out for var in iter if cond].
 type listComp struct {
 	pos
@@ -167,11 +155,11 @@ type returnStatement struct {
 	X expr // nil = None
 }
 
-type passStmt struct{ pos }
-
-type breakStatement struct{ pos }
-
-type continueStatement struct{ pos }
+// jumpStmt is pass, break or continue.
+type jumpStmt struct {
+	pos
+	Word string
+}
 
 type raiseStmt struct {
 	pos
@@ -183,12 +171,6 @@ type ifStatement struct {
 	Test expr
 	Then []stmt
 	Else []stmt // may contain a single ifStatement for elif chains
-}
-
-type whileStatement struct {
-	pos
-	Test expr
-	Body []stmt
 }
 
 type forStatement struct {
@@ -204,17 +186,4 @@ type defStatement struct {
 	Params   []string
 	Defaults []expr // aligned to the tail of Params
 	Body     []stmt
-}
-
-type tryStatement struct {
-	pos
-	Body     []stmt
-	Handlers []exceptClause
-	Finally  []stmt
-}
-
-type exceptClause struct {
-	Types []string // exception class names; empty = catch all
-	As    string   // bound name, "" if none
-	Body  []stmt
 }

@@ -1,12 +1,16 @@
 package pyexpr
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/yamlx"
 )
@@ -19,65 +23,51 @@ func pyBinOp(op string, l, r any, line int) (any, error) {
 	switch op {
 	case "+":
 		switch lv := l.(type) {
-		case int64:
-			switch rv := r.(type) {
-			case int64:
-				return lv + rv, nil
-			case float64:
-				return float64(lv) + rv, nil
-			}
-		case float64:
-			switch rv := r.(type) {
-			case int64:
-				return lv + float64(rv), nil
-			case float64:
-				return lv + rv, nil
-			}
 		case string:
 			if rv, ok := r.(string); ok {
 				return lv + rv, nil
 			}
 		case *List:
 			if rv, ok := r.(*List); ok {
-				return &List{E: append(append([]any{}, lv.E...), rv.E...)}, nil
+				return &List{E: slices.Concat(lv.E, rv.E)}, nil
 			}
 		case *Tuple:
 			if rv, ok := r.(*Tuple); ok {
-				return &Tuple{E: append(append([]any{}, lv.E...), rv.E...)}, nil
+				return &Tuple{E: slices.Concat(lv.E, rv.E)}, nil
 			}
 		}
-		return nil, raisef("TypeError", "unsupported operand type(s) for +: '%s' and '%s' (line %d)", pyTypeName(l), pyTypeName(r), line)
+		return numOp(l, r, line, "+", func(a, b int64) (int64, error) {
+			if c := a + b; (a^c)&(b^c) >= 0 {
+				return c, nil
+			}
+			return 0, errOverflow(line)
+		}, func(a, b float64) (float64, error) { return a + b, nil })
 	case "-":
-		return numOp(l, r, line, "-", func(a, b int64) (int64, error) { return a - b, nil },
-			func(a, b float64) float64 { return a - b })
+		return numOp(l, r, line, "-", func(a, b int64) (int64, error) {
+			if c := a - b; (a^b)&(a^c) >= 0 {
+				return c, nil
+			}
+			return 0, errOverflow(line)
+		}, func(a, b float64) (float64, error) { return a - b, nil })
 	case "*":
-		if ls, ok := l.(string); ok {
-			if rn, ok := r.(int64); ok {
-				return repeatStr(ls, rn)
+		if n, ok := l.(int64); ok {
+			l, r = r, n // n * seq repeats like seq * n
+		}
+		if n, ok := r.(int64); ok {
+			switch seq := l.(type) {
+			case string:
+				return repeatStr(seq, n)
+			case *List:
+				return repeatList(seq, n)
 			}
 		}
-		if rn, ok := l.(int64); ok {
-			if rs, ok := r.(string); ok {
-				return repeatStr(rs, rn)
-			}
-		}
-		if ll, ok := l.(*List); ok {
-			if rn, ok := r.(int64); ok {
-				return repeatList(ll, rn)
-			}
-		}
-		if ln, ok := l.(int64); ok {
-			if rl, ok := r.(*List); ok {
-				return repeatList(rl, ln)
-			}
-		}
-		return numOp(l, r, line, "*", func(a, b int64) (int64, error) { return a * b, nil },
-			func(a, b float64) float64 { return a * b })
+		return numOp(l, r, line, "*", func(a, b int64) (int64, error) { return mulInt(a, b, line) },
+			func(a, b float64) (float64, error) { return a * b, nil })
 	case "/":
 		ln, lok := toFloat(l)
 		rn, rok := toFloat(r)
 		if !lok || !rok {
-			return nil, raisef("TypeError", "unsupported operand type(s) for /: '%s' and '%s' (line %d)", pyTypeName(l), pyTypeName(r), line)
+			return nil, errOperands("/", l, r, line)
 		}
 		if rn == 0 {
 			return nil, raisef("ZeroDivisionError", "division by zero (line %d)", line)
@@ -85,54 +75,97 @@ func pyBinOp(op string, l, r any, line int) (any, error) {
 		return ln / rn, nil
 	case "//":
 		return numOp(l, r, line, "//", func(a, b int64) (int64, error) {
-			if b == 0 {
-				return 0, raisef("ZeroDivisionError", "integer division or modulo by zero (line %d)", line)
+			switch {
+			case b == 0:
+				return 0, errZeroDivision(line)
+			case a == math.MinInt64 && b == -1:
+				return 0, errOverflow(line)
 			}
 			q := a / b
 			if (a%b != 0) && ((a < 0) != (b < 0)) {
 				q--
 			}
 			return q, nil
-		}, func(a, b float64) float64 { return math.Floor(a / b) })
+		}, func(a, b float64) (float64, error) {
+			if b == 0 {
+				return 0, errZeroDivision(line)
+			}
+			return math.Floor(a / b), nil
+		})
 	case "%":
-		if ls, ok := l.(string); ok {
-			// printf-style formatting with a single value or tuple.
-			return pyPercentFormat(ls, r)
-		}
 		return numOp(l, r, line, "%", func(a, b int64) (int64, error) {
 			if b == 0 {
-				return 0, raisef("ZeroDivisionError", "integer division or modulo by zero (line %d)", line)
+				return 0, errZeroDivision(line)
 			}
 			m := a % b
 			if m != 0 && ((m < 0) != (b < 0)) {
 				m += b
 			}
 			return m, nil
-		}, func(a, b float64) float64 {
+		}, func(a, b float64) (float64, error) {
+			if b == 0 {
+				return 0, errZeroDivision(line)
+			}
 			m := math.Mod(a, b)
 			if m != 0 && ((m < 0) != (b < 0)) {
 				m += b
 			}
-			return m
+			return m, nil
 		})
 	case "**":
-		if li, ok := l.(int64); ok {
-			if ri, ok := r.(int64); ok && ri >= 0 {
-				out := int64(1)
-				for i := int64(0); i < ri; i++ {
-					out *= li
-				}
-				return out, nil
+		if base, ok := l.(int64); ok {
+			if exp, ok := r.(int64); ok && exp >= 0 {
+				return powInt(base, exp, line)
 			}
 		}
-		ln, lok := toFloat(l)
-		rn, rok := toFloat(r)
-		if !lok || !rok {
-			return nil, raisef("TypeError", "unsupported operand type(s) for **: '%s' and '%s' (line %d)", pyTypeName(l), pyTypeName(r), line)
-		}
-		return math.Pow(ln, rn), nil
+		return numOp(l, r, line, "**", nil, func(a, b float64) (float64, error) {
+			if a == 0 && b < 0 {
+				return 0, raisef("ZeroDivisionError", "0.0 cannot be raised to a negative power (line %d)", line)
+			}
+			return math.Pow(a, b), nil
+		})
 	}
 	return nil, fmt.Errorf("unsupported operator %q (line %d)", op, line)
+}
+
+func errZeroDivision(line int) error {
+	return raisef("ZeroDivisionError", "integer division or modulo by zero (line %d)", line)
+}
+
+func errOperands(op string, l, r any, line int) error {
+	return raisef("TypeError", "unsupported operand type(s) for %s: '%s' and '%s' (line %d)", op, pyTypeName(l), pyTypeName(r), line)
+}
+
+// mulInt multiplies, raising OverflowError past 64 bits.
+func mulInt(a, b int64, line int) (int64, error) {
+	if a == 0 || b == 0 {
+		return 0, nil
+	}
+	c := a * b
+	if c/b != a || (a == -1 && b == math.MinInt64) || (b == -1 && a == math.MinInt64) {
+		return 0, errOverflow(line)
+	}
+	return c, nil
+}
+
+// powInt raises base to a non-negative exponent by squaring.
+func powInt(base, exp int64, line int) (int64, error) {
+	out := int64(1)
+	for {
+		var err error
+		if exp&1 == 1 {
+			if out, err = mulInt(out, base, line); err != nil {
+				return 0, err
+			}
+		}
+		exp >>= 1
+		if exp == 0 {
+			return out, nil
+		}
+		if base, err = mulInt(base, base, line); err != nil {
+			return 0, err
+		}
+	}
 }
 
 func boolToInt(v any) any {
@@ -146,31 +179,29 @@ func boolToInt(v any) any {
 }
 
 func repeatStr(s string, n int64) (any, error) {
-	if n < 0 {
-		n = 0
-	}
-	if int64(len(s))*n > 100_000_000 {
+	n = max(n, 0)
+	if n > 0 && int64(len(s)) > 100_000_000/n {
 		return nil, raisef("OverflowError", "repeated string is too long")
 	}
 	return strings.Repeat(s, int(n)), nil
 }
 
 func repeatList(l *List, n int64) (any, error) {
-	if n < 0 {
-		n = 0
-	}
-	if int64(len(l.E))*n > 50_000_000 {
+	n = max(n, 0)
+	if n > 0 && int64(len(l.E)) > 50_000_000/n {
 		return nil, raisef("OverflowError", "repeated list is too long")
 	}
-	out := &List{}
+	out := &List{E: make([]any, 0, int64(len(l.E))*n)}
 	for i := int64(0); i < n; i++ {
 		out.E = append(out.E, l.E...)
 	}
 	return out, nil
 }
 
-func numOp(l, r any, line int, opName string, iop func(a, b int64) (int64, error), fop func(a, b float64) float64) (any, error) {
-	if li, ok := l.(int64); ok {
+// numOp applies iop to two ints (when iop is set) and fop otherwise, after
+// promoting ints to float.
+func numOp(l, r any, line int, op string, iop func(a, b int64) (int64, error), fop func(a, b float64) (float64, error)) (any, error) {
+	if li, ok := l.(int64); ok && iop != nil {
 		if ri, ok := r.(int64); ok {
 			return iop(li, ri)
 		}
@@ -178,24 +209,30 @@ func numOp(l, r any, line int, opName string, iop func(a, b int64) (int64, error
 	ln, lok := toFloat(l)
 	rn, rok := toFloat(r)
 	if !lok || !rok {
-		return nil, raisef("TypeError", "unsupported operand type(s) for %s: '%s' and '%s' (line %d)", opName, pyTypeName(l), pyTypeName(r), line)
+		return nil, errOperands(op, l, r, line)
 	}
-	return fop(ln, rn), nil
+	return fop(ln, rn)
 }
 
 func toFloat(v any) (float64, bool) {
-	switch x := v.(type) {
+	switch x := boolToInt(v).(type) {
 	case int64:
 		return float64(x), true
 	case float64:
 		return x, true
-	case bool:
-		if x {
-			return 1, true
-		}
-		return 0, true
 	}
 	return 0, false
+}
+
+// floatToInt truncates f toward zero, as int(f) does.
+func floatToInt(f float64) (int64, error) {
+	switch {
+	case math.IsNaN(f):
+		return 0, raisef("ValueError", "cannot convert float NaN to integer")
+	case f >= math.MaxInt64 || f < math.MinInt64:
+		return 0, raisef("OverflowError", "float %s does not fit in a 64-bit int", formatPyFloat(f))
+	}
+	return int64(f), nil
 }
 
 // pyCompare implements one link of a comparison chain.
@@ -244,56 +281,27 @@ func pyIs(l, r any) bool {
 }
 
 func pyEq(l, r any) bool {
-	l, r = boolNorm(l), boolNorm(r)
+	if ln, ok := toFloat(l); ok {
+		rn, ok := toFloat(r)
+		if li, ok := boolToInt(l).(int64); ok {
+			if ri, ok := boolToInt(r).(int64); ok {
+				return li == ri
+			}
+		}
+		return ok && ln == rn
+	}
 	switch lv := l.(type) {
 	case nil:
 		return r == nil
-	case bool:
-		rv, ok := r.(bool)
-		return ok && lv == rv
-	case int64:
-		switch rv := r.(type) {
-		case int64:
-			return lv == rv
-		case float64:
-			return float64(lv) == rv
-		}
-		return false
-	case float64:
-		switch rv := r.(type) {
-		case int64:
-			return lv == float64(rv)
-		case float64:
-			return lv == rv
-		}
-		return false
 	case string:
 		rv, ok := r.(string)
 		return ok && lv == rv
 	case *List:
 		rv, ok := r.(*List)
-		return ok && seqEq(lv.E, rv.E)
+		return ok && slices.EqualFunc(lv.E, rv.E, pyEq)
 	case *Tuple:
 		rv, ok := r.(*Tuple)
-		return ok && seqEq(lv.E, rv.E)
-	case *Set:
-		rv, ok := r.(*Set)
-		if !ok || len(lv.E) != len(rv.E) {
-			return false
-		}
-		for _, e := range lv.E {
-			found := false
-			for _, f := range rv.E {
-				if pyEq(e, f) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return true
+		return ok && slices.EqualFunc(lv.E, rv.E, pyEq)
 	case *Dict:
 		rv, ok := r.(*Dict)
 		if !ok || lv.Len() != rv.Len() {
@@ -302,11 +310,8 @@ func pyEq(l, r any) bool {
 		eq := true
 		lv.Range(func(k string, v any) bool {
 			rvv, has := rv.Get(k)
-			if !has || !pyEq(v, rvv) {
-				eq = false
-				return false
-			}
-			return true
+			eq = has && pyEq(v, rvv)
+			return eq
 		})
 		return eq
 	case *Exception:
@@ -316,35 +321,16 @@ func pyEq(l, r any) bool {
 	return l == r
 }
 
-// boolNorm keeps bool distinct from int for pyEq's type switch, except that
-// Python treats True == 1. We normalize bools to int for numeric comparison
-// only when the other side is numeric; handled by callers via boolToInt.
-func boolNorm(v any) any { return v }
-
-func seqEq(a, b []any) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !pyEq(a[i], b[i]) {
-			return false
+func pyOrder(l, r any, line int) (int, error) {
+	if li, ok := boolToInt(l).(int64); ok {
+		if ri, ok := boolToInt(r).(int64); ok {
+			return cmpOrder(li, ri), nil
 		}
 	}
-	return true
-}
-
-func pyOrder(l, r any, line int) (int, error) {
 	ln, lok := toFloat(l)
 	rn, rok := toFloat(r)
 	if lok && rok {
-		switch {
-		case ln < rn:
-			return -1, nil
-		case ln > rn:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return cmpOrder(ln, rn), nil
 	}
 	if ls, ok := l.(string); ok {
 		if rs, ok := r.(string); ok {
@@ -355,24 +341,24 @@ func pyOrder(l, r any, line int) (int, error) {
 	ra, raok := sequenceOf(r)
 	if laok && raok && pyTypeName(l) == pyTypeName(r) {
 		for i := 0; i < len(la) && i < len(ra); i++ {
-			c, err := pyOrder(la[i], ra[i], line)
-			if err != nil {
-				return 0, err
+			if pyEq(la[i], ra[i]) {
+				continue
 			}
-			if c != 0 {
-				return c, nil
-			}
+			return pyOrder(la[i], ra[i], line)
 		}
-		switch {
-		case len(la) < len(ra):
-			return -1, nil
-		case len(la) > len(ra):
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return cmpOrder(len(la), len(ra)), nil
 	}
 	return 0, raisef("TypeError", "'<' not supported between instances of '%s' and '%s' (line %d)", pyTypeName(l), pyTypeName(r), line)
+}
+
+func cmpOrder[T int | int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 func pyContains(container, item any, line int) (bool, error) {
@@ -384,154 +370,95 @@ func pyContains(container, item any, line int) (bool, error) {
 		}
 		return strings.Contains(c, s), nil
 	case *List:
-		for _, e := range c.E {
-			if pyEq(e, item) {
-				return true, nil
-			}
-		}
-		return false, nil
+		return slices.ContainsFunc(c.E, func(e any) bool { return pyEq(e, item) }), nil
 	case *Tuple:
-		for _, e := range c.E {
-			if pyEq(e, item) {
-				return true, nil
-			}
-		}
-		return false, nil
-	case *Set:
-		for _, e := range c.E {
-			if pyEq(e, item) {
-				return true, nil
-			}
-		}
-		return false, nil
+		return slices.ContainsFunc(c.E, func(e any) bool { return pyEq(e, item) }), nil
 	case *Dict:
-		ks, err := dictKey(item)
-		if err != nil {
-			return false, err
-		}
-		return c.Has(ks), nil
+		ks, ok := item.(string)
+		return ok && c.Has(ks), nil
 	case rangeVal:
-		n, ok := item.(int64)
-		if !ok {
-			return false, nil
-		}
-		if c.step > 0 {
-			return n >= c.start && n < c.stop && (n-c.start)%c.step == 0, nil
-		}
-		return n <= c.start && n > c.stop && (c.start-n)%(-c.step) == 0, nil
+		n, ok := boolToInt(item).(int64)
+		return ok && c.contains(n), nil
 	}
 	return false, raisef("TypeError", "argument of type '%s' is not iterable (line %d)", pyTypeName(container), line)
 }
 
 func pyGetItem(obj, key any, line int) (any, error) {
-	switch o := obj.(type) {
-	case *List:
-		i, ok := key.(int64)
-		if !ok {
-			return nil, raisef("TypeError", "list indices must be integers, not %s (line %d)", pyTypeName(key), line)
-		}
-		idx, err := normIndex(i, len(o.E))
-		if err != nil {
-			return nil, err
-		}
-		return o.E[idx], nil
-	case *Tuple:
-		i, ok := key.(int64)
-		if !ok {
-			return nil, raisef("TypeError", "tuple indices must be integers (line %d)", line)
-		}
-		idx, err := normIndex(i, len(o.E))
-		if err != nil {
-			return nil, err
-		}
-		return o.E[idx], nil
-	case string:
-		i, ok := key.(int64)
-		if !ok {
-			return nil, raisef("TypeError", "string indices must be integers (line %d)", line)
-		}
-		runes := []rune(o)
-		idx, err := normIndex(i, len(runes))
-		if err != nil {
-			return nil, err
-		}
-		return string(runes[idx]), nil
-	case *Dict:
-		ks, err := dictKey(key)
-		if err != nil {
-			return nil, err
-		}
-		if v, ok := o.Get(ks); ok {
-			return v, nil
+	if d, ok := obj.(*Dict); ok {
+		if ks, ok := key.(string); ok && d.Has(ks) {
+			return d.Value(ks), nil
 		}
 		return nil, raisef("KeyError", "%s (line %d)", pyRepr(key), line)
-	case rangeVal:
-		i, ok := key.(int64)
-		if !ok {
-			return nil, raisef("TypeError", "range indices must be integers (line %d)", line)
-		}
-		n := o.length()
-		if i < 0 {
-			i += n
-		}
-		if i < 0 || i >= n {
-			return nil, raisef("IndexError", "range object index out of range (line %d)", line)
-		}
-		return o.start + i*o.step, nil
 	}
-	return nil, raisef("TypeError", "'%s' object is not subscriptable (line %d)", pyTypeName(obj), line)
+	var n int
+	var at func(int) any
+	switch o := obj.(type) {
+	case *List:
+		n, at = len(o.E), func(i int) any { return o.E[i] }
+	case *Tuple:
+		n, at = len(o.E), func(i int) any { return o.E[i] }
+	case string:
+		runes := []rune(o)
+		n, at = len(runes), func(i int) any { return string(runes[i]) }
+	default:
+		return nil, raisef("TypeError", "'%s' object is not subscriptable (line %d)", pyTypeName(obj), line)
+	}
+	i, ok := boolToInt(key).(int64)
+	if !ok {
+		return nil, raisef("TypeError", "%s indices must be integers, not %s (line %d)", pyTypeName(obj), pyTypeName(key), line)
+	}
+	idx, err := normIndex(i, n)
+	if err != nil {
+		return nil, err
+	}
+	return at(idx), nil
 }
 
 // getAttr resolves method lookups and, as a CWL convenience extension, dict
 // item access via attribute syntax (File objects: f.basename).
-func (ip *Interp) getAttr(obj any, name string, line int) (any, error) {
+func getAttr(obj any, name string, line int) (any, error) {
+	var m pyMethod
 	switch o := obj.(type) {
 	case string:
-		if m, ok := strMethods[name]; ok {
-			return &boundPyMethod{name: name, recv: o, fn: m}, nil
-		}
+		m = strMethods[name]
 	case *List:
-		if m, ok := listMethods[name]; ok {
-			return &boundPyMethod{name: name, recv: o, fn: m}, nil
-		}
-	case *Tuple:
-		if m, ok := tupleMethods[name]; ok {
-			return &boundPyMethod{name: name, recv: o, fn: m}, nil
-		}
-	case *Set:
-		if m, ok := setMethods[name]; ok {
-			return &boundPyMethod{name: name, recv: o, fn: m}, nil
+		if name == "append" {
+			m = listAppend
 		}
 	case *Dict:
-		if m, ok := dictMethods[name]; ok {
-			return &boundPyMethod{name: name, recv: o, fn: m}, nil
-		}
-		if v, ok := o.Get(name); ok {
+		m = dictMethods[name]
+		if v, ok := o.Get(name); ok && m == nil {
 			return v, nil
 		}
-	case *Exception:
-		switch name {
-		case "args":
-			return &Tuple{E: []any{o.Msg}}, nil
-		case "message":
-			return o.Msg, nil
-		}
 	}
-	return nil, raisef("AttributeError", "'%s' object has no attribute '%s' (line %d)", pyTypeName(obj), name, line)
+	if m == nil {
+		return nil, raisef("AttributeError", "'%s' object has no attribute '%s' (line %d)", pyTypeName(obj), name, line)
+	}
+	return &boundPyMethod{name: name, recv: obj, fn: m}, nil
 }
 
-type pyMethod = func(ip *Interp, recv any, args []any, kw map[string]any) (any, error)
+// pyMethod is a method of a str, list or dict, called on its receiver.
+type pyMethod = func(recv any, args []any) (any, error)
 
-func strM(fn func(s string, args []any) (any, error)) pyMethod {
-	return func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
+// arity checks a call's positional argument count.
+func arity(name string, args []any, least, most int) error {
+	if len(args) < least || len(args) > most {
+		return raisef("TypeError", "%s() takes %d to %d arguments (%d given)", name, least, most, len(args))
+	}
+	return nil
+}
+
+// strMethod adapts a str method taking between least and most arguments.
+func strMethod(name string, least, most int, fn func(s string, args []any) (any, error)) pyMethod {
+	return func(recv any, args []any) (any, error) {
+		if err := arity(name, args, least, most); err != nil {
+			return nil, err
+		}
 		return fn(recv.(string), args)
 	}
 }
 
-func pyArgStr(args []any, i int, name string) (string, error) {
-	if i >= len(args) {
-		return "", raisef("TypeError", "missing argument %q", name)
-	}
+func strArg(args []any, i int, name string) (string, error) {
 	s, ok := args[i].(string)
 	if !ok {
 		return "", raisef("TypeError", "argument %q must be str, not %s", name, pyTypeName(args[i]))
@@ -539,75 +466,82 @@ func pyArgStr(args []any, i int, name string) (string, error) {
 	return s, nil
 }
 
+// stripMethod builds strip/lstrip/rstrip: with no argument (or None) they
+// trim whitespace, otherwise any of the given characters.
+func stripMethod(name string, trimFunc func(string, func(rune) bool) string) pyMethod {
+	return strMethod(name, 0, 1, func(s string, args []any) (any, error) {
+		if len(args) == 0 || args[0] == nil {
+			return trimFunc(s, unicode.IsSpace), nil
+		}
+		cut, err := strArg(args, 0, "chars")
+		if err != nil {
+			return nil, err
+		}
+		return trimFunc(s, func(r rune) bool { return strings.ContainsRune(cut, r) }), nil
+	})
+}
+
+// affixMethod builds startswith/endswith over a str or a tuple of str.
+func affixMethod(name string, has func(s, affix string) bool) pyMethod {
+	return strMethod(name, 1, 1, func(s string, args []any) (any, error) {
+		switch p := args[0].(type) {
+		case string:
+			return has(s, p), nil
+		case *Tuple:
+			for _, e := range p.E {
+				es, ok := e.(string)
+				if !ok {
+					return nil, raisef("TypeError", "tuple for %s must only contain str", name)
+				}
+				if has(s, es) {
+					return true, nil
+				}
+			}
+			return false, nil
+		}
+		return nil, raisef("TypeError", "%s first arg must be str or a tuple of str", name)
+	})
+}
+
 var strMethods = map[string]pyMethod{
-	"upper": strM(func(s string, _ []any) (any, error) { return strings.ToUpper(s), nil }),
-	"lower": strM(func(s string, _ []any) (any, error) { return strings.ToLower(s), nil }),
-	"title": strM(func(s string, _ []any) (any, error) { return pyTitle(s), nil }),
-	"capitalize": strM(func(s string, _ []any) (any, error) {
-		if s == "" {
+	"upper": strMethod("upper", 0, 0, func(s string, _ []any) (any, error) { return strings.ToUpper(s), nil }),
+	"lower": strMethod("lower", 0, 0, func(s string, _ []any) (any, error) { return strings.ToLower(s), nil }),
+	"title": strMethod("title", 0, 0, func(s string, _ []any) (any, error) { return pyTitle(s), nil }),
+	"capitalize": strMethod("capitalize", 0, 0, func(s string, _ []any) (any, error) {
+		r, n := utf8.DecodeRuneInString(s)
+		if n == 0 {
 			return s, nil
 		}
-		return strings.ToUpper(s[:1]) + strings.ToLower(s[1:]), nil
+		return string(unicode.ToTitle(r)) + strings.ToLower(s[n:]), nil
 	}),
-	"strip": strM(func(s string, args []any) (any, error) {
-		if len(args) == 0 {
-			return strings.TrimSpace(s), nil
-		}
-		cut, err := pyArgStr(args, 0, "chars")
-		if err != nil {
-			return nil, err
-		}
-		return strings.Trim(s, cut), nil
-	}),
-	"lstrip": strM(func(s string, args []any) (any, error) {
-		if len(args) == 0 {
-			return strings.TrimLeft(s, " \t\n\r\v\f"), nil
-		}
-		cut, err := pyArgStr(args, 0, "chars")
-		if err != nil {
-			return nil, err
-		}
-		return strings.TrimLeft(s, cut), nil
-	}),
-	"rstrip": strM(func(s string, args []any) (any, error) {
-		if len(args) == 0 {
-			return strings.TrimRight(s, " \t\n\r\v\f"), nil
-		}
-		cut, err := pyArgStr(args, 0, "chars")
-		if err != nil {
-			return nil, err
-		}
-		return strings.TrimRight(s, cut), nil
-	}),
-	"split": strM(func(s string, args []any) (any, error) {
-		if len(args) == 0 || args[0] == nil {
-			fields := strings.Fields(s)
-			out := &List{E: make([]any, len(fields))}
-			for i, f := range fields {
-				out.E[i] = f
-			}
-			return out, nil
-		}
-		sep, err := pyArgStr(args, 0, "sep")
-		if err != nil {
-			return nil, err
-		}
-		if sep == "" {
-			return nil, raisef("ValueError", "empty separator")
-		}
-		maxSplit := -1
+	"strip":  stripMethod("strip", strings.TrimFunc),
+	"lstrip": stripMethod("lstrip", strings.TrimLeftFunc),
+	"rstrip": stripMethod("rstrip", strings.TrimRightFunc),
+	"split": strMethod("split", 0, 2, func(s string, args []any) (any, error) {
+		maxSplit := int64(-1)
 		if len(args) > 1 {
-			n, ok := args[1].(int64)
+			n, ok := boolToInt(args[1]).(int64)
 			if !ok {
 				return nil, raisef("TypeError", "maxsplit must be int")
 			}
-			maxSplit = int(n)
+			maxSplit = n
 		}
 		var parts []string
-		if maxSplit < 0 {
-			parts = strings.Split(s, sep)
+		if len(args) == 0 || args[0] == nil {
+			parts = splitWhitespace(s, maxSplit)
 		} else {
-			parts = strings.SplitN(s, sep, maxSplit+1)
+			sep, err := strArg(args, 0, "sep")
+			if err != nil {
+				return nil, err
+			}
+			if sep == "" {
+				return nil, raisef("ValueError", "empty separator")
+			}
+			n := -1
+			if maxSplit >= 0 {
+				n = int(min(maxSplit, math.MaxInt32)) + 1
+			}
+			parts = strings.SplitN(s, sep, n)
 		}
 		out := &List{E: make([]any, len(parts))}
 		for i, p := range parts {
@@ -615,23 +549,7 @@ var strMethods = map[string]pyMethod{
 		}
 		return out, nil
 	}),
-	"splitlines": strM(func(s string, _ []any) (any, error) {
-		s = strings.ReplaceAll(s, "\r\n", "\n")
-		lines := strings.Split(strings.TrimSuffix(s, "\n"), "\n")
-		out := &List{}
-		if s == "" {
-			return out, nil
-		}
-		for _, l := range lines {
-			out.E = append(out.E, l)
-		}
-		return out, nil
-	}),
-	"join": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		sep := recv.(string)
-		if len(args) == 0 {
-			return nil, raisef("TypeError", "join() takes exactly one argument")
-		}
+	"join": strMethod("join", 1, 1, func(sep string, args []any) (any, error) {
 		items, err := iterValues(args[0], 0)
 		if err != nil {
 			return nil, err
@@ -645,164 +563,57 @@ var strMethods = map[string]pyMethod{
 			parts[i] = s
 		}
 		return strings.Join(parts, sep), nil
-	},
-	"replace": strM(func(s string, args []any) (any, error) {
-		old, err := pyArgStr(args, 0, "old")
-		if err != nil {
-			return nil, err
-		}
-		nw, err := pyArgStr(args, 1, "new")
-		if err != nil {
-			return nil, err
-		}
-		return strings.ReplaceAll(s, old, nw), nil
 	}),
-	"startswith": strM(func(s string, args []any) (any, error) {
-		switch p := arg0(args).(type) {
-		case string:
-			return strings.HasPrefix(s, p), nil
-		case *Tuple:
-			for _, e := range p.E {
-				if es, ok := e.(string); ok && strings.HasPrefix(s, es) {
-					return true, nil
-				}
+	"replace": strMethod("replace", 2, 3, func(s string, args []any) (any, error) {
+		old, err := strArg(args, 0, "old")
+		if err != nil {
+			return nil, err
+		}
+		nw, err := strArg(args, 1, "new")
+		if err != nil {
+			return nil, err
+		}
+		count := int64(-1)
+		if len(args) > 2 {
+			n, ok := boolToInt(args[2]).(int64)
+			if !ok {
+				return nil, raisef("TypeError", "count must be int")
 			}
-			return false, nil
+			count = n
 		}
-		return nil, raisef("TypeError", "startswith first arg must be str or a tuple of str")
+		return strings.Replace(s, old, nw, int(max(count, -1))), nil
 	}),
-	"endswith": strM(func(s string, args []any) (any, error) {
-		switch p := arg0(args).(type) {
-		case string:
-			return strings.HasSuffix(s, p), nil
-		case *Tuple:
-			for _, e := range p.E {
-				if es, ok := e.(string); ok && strings.HasSuffix(s, es) {
-					return true, nil
-				}
-			}
-			return false, nil
-		}
-		return nil, raisef("TypeError", "endswith first arg must be str or a tuple of str")
-	}),
-	"find": strM(func(s string, args []any) (any, error) {
-		sub, err := pyArgStr(args, 0, "sub")
-		if err != nil {
-			return nil, err
-		}
-		return int64(strings.Index(s, sub)), nil
-	}),
-	"rfind": strM(func(s string, args []any) (any, error) {
-		sub, err := pyArgStr(args, 0, "sub")
-		if err != nil {
-			return nil, err
-		}
-		return int64(strings.LastIndex(s, sub)), nil
-	}),
-	"index": strM(func(s string, args []any) (any, error) {
-		sub, err := pyArgStr(args, 0, "sub")
+	"startswith": affixMethod("startswith", strings.HasPrefix),
+	"endswith":   affixMethod("endswith", strings.HasSuffix),
+	"find": strMethod("find", 1, 1, func(s string, args []any) (any, error) {
+		sub, err := strArg(args, 0, "sub")
 		if err != nil {
 			return nil, err
 		}
 		i := strings.Index(s, sub)
 		if i < 0 {
-			return nil, raisef("ValueError", "substring not found")
+			return int64(-1), nil
 		}
-		return int64(i), nil
+		return int64(utf8.RuneCountInString(s[:i])), nil
 	}),
-	"count": strM(func(s string, args []any) (any, error) {
-		sub, err := pyArgStr(args, 0, "sub")
-		if err != nil {
-			return nil, err
-		}
-		return int64(strings.Count(s, sub)), nil
-	}),
-	"zfill": strM(func(s string, args []any) (any, error) {
-		n, ok := arg0(args).(int64)
-		if !ok {
-			return nil, raisef("TypeError", "zfill width must be int")
-		}
-		neg := strings.HasPrefix(s, "-")
-		body := s
-		if neg {
-			body = s[1:]
-		}
-		for int64(len(body))+b2i(neg) < n {
-			body = "0" + body
-		}
-		if neg {
-			return "-" + body, nil
-		}
-		return body, nil
-	}),
-	"ljust":   justMethod(false),
-	"rjust":   justMethod(true),
-	"isdigit": classMethod(unicode.IsDigit),
-	"isalpha": classMethod(unicode.IsLetter),
-	"isspace": classMethod(unicode.IsSpace),
-	"isalnum": classMethod(func(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }),
-	"islower": strM(func(s string, _ []any) (any, error) {
-		return s != "" && s == strings.ToLower(s) && s != strings.ToUpper(s), nil
-	}),
-	"isupper": strM(func(s string, _ []any) (any, error) {
-		return s != "" && s == strings.ToUpper(s) && s != strings.ToLower(s), nil
-	}),
-	"format": func(ip *Interp, recv any, args []any, kw map[string]any) (any, error) {
-		return pyStrFormat(recv.(string), args, kw)
-	},
 }
 
-func arg0(args []any) any {
-	if len(args) > 0 {
-		return args[0]
-	}
-	return nil
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func justMethod(right bool) pyMethod {
-	return strM(func(s string, args []any) (any, error) {
-		n, ok := arg0(args).(int64)
-		if !ok {
-			return nil, raisef("TypeError", "width must be int")
-		}
-		fill := " "
-		if len(args) > 1 {
-			f, ok := args[1].(string)
-			if !ok || len(f) != 1 {
-				return nil, raisef("TypeError", "fill character must be a single str")
-			}
-			fill = f
-		}
-		for int64(len(s)) < n {
-			if right {
-				s = fill + s
-			} else {
-				s = s + fill
-			}
-		}
-		return s, nil
-	})
-}
-
-func classMethod(pred func(rune) bool) pyMethod {
-	return strM(func(s string, _ []any) (any, error) {
+// splitWhitespace is str.split() with no separator: runs of whitespace
+// separate fields, and at most maxSplit splits happen (all when negative).
+func splitWhitespace(s string, maxSplit int64) []string {
+	out := []string{}
+	for {
+		s = strings.TrimLeftFunc(s, unicode.IsSpace)
 		if s == "" {
-			return false, nil
+			return out
 		}
-		for _, r := range s {
-			if !pred(r) {
-				return false, nil
-			}
+		i := strings.IndexFunc(s, unicode.IsSpace)
+		if i < 0 || int64(len(out)) == maxSplit {
+			return append(out, s)
 		}
-		return true, nil
-	})
+		out = append(out, s[:i])
+		s = s[i:]
+	}
 }
 
 // pyTitle reproduces str.title(): capitalize the first letter of each run of
@@ -815,7 +626,7 @@ func pyTitle(s string) string {
 			if prevLetter {
 				b.WriteRune(unicode.ToLower(r))
 			} else {
-				b.WriteRune(unicode.ToUpper(r))
+				b.WriteRune(unicode.ToTitle(r))
 			}
 			prevLetter = true
 		} else {
@@ -826,434 +637,157 @@ func pyTitle(s string) string {
 	return b.String()
 }
 
-// listMethods is populated in init to break the initialization cycle
-// through Interp.call.
-var listMethods map[string]pyMethod
-
-func init() {
-	listMethods = map[string]pyMethod{
-		"append": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-			l := recv.(*List)
-			l.E = append(l.E, arg0(args))
-			return nil, nil
-		},
-		"extend": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-			l := recv.(*List)
-			items, err := iterValues(arg0(args), 0)
-			if err != nil {
-				return nil, err
-			}
-			l.E = append(l.E, items...)
-			return nil, nil
-		},
-		"insert": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-			l := recv.(*List)
-			i, ok := arg0(args).(int64)
-			if !ok || len(args) < 2 {
-				return nil, raisef("TypeError", "insert(index, item) requires an int index")
-			}
-			idx := int(i)
-			if idx < 0 {
-				idx += len(l.E)
-			}
-			if idx < 0 {
-				idx = 0
-			}
-			if idx > len(l.E) {
-				idx = len(l.E)
-			}
-			l.E = append(l.E[:idx], append([]any{args[1]}, l.E[idx:]...)...)
-			return nil, nil
-		},
-		"pop": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-			l := recv.(*List)
-			if len(l.E) == 0 {
-				return nil, raisef("IndexError", "pop from empty list")
-			}
-			i := int64(len(l.E) - 1)
-			if len(args) > 0 {
-				n, ok := args[0].(int64)
-				if !ok {
-					return nil, raisef("TypeError", "pop index must be int")
-				}
-				i = n
-			}
-			idx, err := normIndex(i, len(l.E))
-			if err != nil {
-				return nil, err
-			}
-			v := l.E[idx]
-			l.E = append(l.E[:idx], l.E[idx+1:]...)
-			return v, nil
-		},
-		"remove": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-			l := recv.(*List)
-			for i, e := range l.E {
-				if pyEq(e, arg0(args)) {
-					l.E = append(l.E[:i], l.E[i+1:]...)
-					return nil, nil
-				}
-			}
-			return nil, raisef("ValueError", "list.remove(x): x not in list")
-		},
-		"index": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-			l := recv.(*List)
-			for i, e := range l.E {
-				if pyEq(e, arg0(args)) {
-					return int64(i), nil
-				}
-			}
-			return nil, raisef("ValueError", "%s is not in list", pyRepr(arg0(args)))
-		},
-		"count": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-			l := recv.(*List)
-			n := int64(0)
-			for _, e := range l.E {
-				if pyEq(e, arg0(args)) {
-					n++
-				}
-			}
-			return n, nil
-		},
-		"reverse": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-			l := recv.(*List)
-			for i, j := 0, len(l.E)-1; i < j; i, j = i+1, j-1 {
-				l.E[i], l.E[j] = l.E[j], l.E[i]
-			}
-			return nil, nil
-		},
-		"copy": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-			l := recv.(*List)
-			return &List{E: append([]any{}, l.E...)}, nil
-		},
-		"clear": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-			l := recv.(*List)
-			l.E = nil
-			return nil, nil
-		},
-		"sort": func(ip *Interp, recv any, args []any, kw map[string]any) (any, error) {
-			l := recv.(*List)
-			sorted, err := sortSeq(ip, l.E, kw)
-			if err != nil {
-				return nil, err
-			}
-			l.E = sorted
-			return nil, nil
-		},
+func listAppend(recv any, args []any) (any, error) {
+	if err := arity("append", args, 1, 1); err != nil {
+		return nil, err
 	}
+	l := recv.(*List)
+	l.E = append(l.E, args[0])
+	return nil, nil
 }
 
-var tupleMethods = map[string]pyMethod{
-	"count": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		t := recv.(*Tuple)
-		n := int64(0)
-		for _, e := range t.E {
-			if pyEq(e, arg0(args)) {
-				n++
-			}
+// dictView builds keys/values/items, which return lists here.
+func dictView(name string, item func(d *Dict, k string) any) pyMethod {
+	return func(recv any, args []any) (any, error) {
+		if err := arity(name, args, 0, 0); err != nil {
+			return nil, err
 		}
-		return n, nil
-	},
-	"index": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		t := recv.(*Tuple)
-		for i, e := range t.E {
-			if pyEq(e, arg0(args)) {
-				return int64(i), nil
-			}
-		}
-		return nil, raisef("ValueError", "tuple.index(x): x not in tuple")
-	},
-}
-
-var setMethods = map[string]pyMethod{
-	"add": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		setAdd(recv.(*Set), arg0(args))
-		return nil, nil
-	},
-	"discard": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		s := recv.(*Set)
-		for i, e := range s.E {
-			if pyEq(e, arg0(args)) {
-				s.E = append(s.E[:i], s.E[i+1:]...)
-				break
-			}
-		}
-		return nil, nil
-	},
-	"remove": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		s := recv.(*Set)
-		for i, e := range s.E {
-			if pyEq(e, arg0(args)) {
-				s.E = append(s.E[:i], s.E[i+1:]...)
-				return nil, nil
-			}
-		}
-		return nil, raisef("KeyError", "%s", pyRepr(arg0(args)))
-	},
-	"union": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		s := recv.(*Set)
-		out := &Set{E: append([]any{}, s.E...)}
-		for _, a := range args {
-			items, err := iterValues(a, 0)
-			if err != nil {
-				return nil, err
-			}
-			for _, it := range items {
-				setAdd(out, it)
-			}
+		d := recv.(*Dict)
+		out := &List{E: make([]any, 0, d.Len())}
+		for _, k := range d.Keys() {
+			out.E = append(out.E, item(d, k))
 		}
 		return out, nil
-	},
+	}
 }
 
 var dictMethods = map[string]pyMethod{
-	"get": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		d := recv.(*Dict)
-		ks, err := dictKey(arg0(args))
-		if err != nil {
+	"get": func(recv any, args []any) (any, error) {
+		if err := arity("get", args, 1, 2); err != nil {
 			return nil, err
 		}
-		if v, ok := d.Get(ks); ok {
-			return v, nil
+		if ks, ok := args[0].(string); ok && recv.(*Dict).Has(ks) {
+			return recv.(*Dict).Value(ks), nil
 		}
 		if len(args) > 1 {
 			return args[1], nil
 		}
 		return nil, nil
 	},
-	"keys": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		d := recv.(*Dict)
-		out := &List{}
-		for _, k := range d.Keys() {
-			out.E = append(out.E, k)
-		}
-		return out, nil
-	},
-	"values": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		d := recv.(*Dict)
-		out := &List{}
-		for _, k := range d.Keys() {
-			out.E = append(out.E, d.Value(k))
-		}
-		return out, nil
-	},
-	"items": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		d := recv.(*Dict)
-		out := &List{}
-		for _, k := range d.Keys() {
-			out.E = append(out.E, &Tuple{E: []any{k, d.Value(k)}})
-		}
-		return out, nil
-	},
-	"update": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		d := recv.(*Dict)
-		if o, ok := arg0(args).(*Dict); ok {
-			o.Range(func(k string, v any) bool {
-				d.Set(k, v)
-				return true
-			})
-			return nil, nil
-		}
-		return nil, raisef("TypeError", "update() argument must be dict")
-	},
-	"pop": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		d := recv.(*Dict)
-		ks, err := dictKey(arg0(args))
-		if err != nil {
-			return nil, err
-		}
-		if v, ok := d.Get(ks); ok {
-			d.Delete(ks)
-			return v, nil
-		}
-		if len(args) > 1 {
-			return args[1], nil
-		}
-		return nil, raisef("KeyError", "%s", pyRepr(arg0(args)))
-	},
-	"setdefault": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		d := recv.(*Dict)
-		ks, err := dictKey(arg0(args))
-		if err != nil {
-			return nil, err
-		}
-		if v, ok := d.Get(ks); ok {
-			return v, nil
-		}
-		var def any
-		if len(args) > 1 {
-			def = args[1]
-		}
-		d.Set(ks, def)
-		return def, nil
-	},
-	"copy": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		return recv.(*Dict).Clone(), nil
-	},
-	"clear": func(_ *Interp, recv any, args []any, _ map[string]any) (any, error) {
-		d := recv.(*Dict)
-		for _, k := range append([]string{}, d.Keys()...) {
-			d.Delete(k)
-		}
-		return nil, nil
-	},
+	"keys":   dictView("keys", func(_ *Dict, k string) any { return k }),
+	"values": dictView("values", func(d *Dict, k string) any { return d.Value(k) }),
+	"items":  dictView("items", func(d *Dict, k string) any { return &Tuple{E: []any{k, d.Value(k)}} }),
 }
 
-func sortSeq(ip *Interp, items []any, kw map[string]any) ([]any, error) {
-	out := append([]any{}, items...)
-	var keyFn any
-	reverse := false
-	if kw != nil {
-		if k, ok := kw["key"]; ok && k != nil {
-			keyFn = k
-		}
-		if r, ok := kw["reverse"]; ok {
-			reverse = pyTruthy(r)
-		}
-	}
-	keys := make([]any, len(out))
-	for i, e := range out {
-		if keyFn == nil {
-			keys[i] = e
-			continue
-		}
-		k, err := ip.call(keyFn, []any{e}, nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = k
-	}
-	var sortErr error
-	idx := make([]int, len(out))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if sortErr != nil {
-			return false
-		}
-		c, err := pyOrder(keys[idx[a]], keys[idx[b]], 0)
-		if err != nil {
-			sortErr = err
-			return false
-		}
-		if reverse {
-			return c > 0
-		}
-		return c < 0
-	})
-	if sortErr != nil {
-		return nil, sortErr
-	}
-	sorted := make([]any, len(out))
-	for i, j := range idx {
-		sorted[i] = out[j]
-	}
-	return sorted, nil
+// exceptionTypes are the exception classes Python code may construct and
+// raise.
+var exceptionTypes = map[string]bool{
+	"Exception": true, "ValueError": true, "TypeError": true, "KeyError": true,
+	"IndexError": true, "RuntimeError": true, "ZeroDivisionError": true,
+	"AttributeError": true, "NameError": true, "FileNotFoundError": true,
+	"NotImplementedError": true, "OverflowError": true, "RecursionError": true,
 }
 
-func installPyBuiltins(g *penv) {
-	bi := func(name string, fn func(ip *Interp, args []any, kw map[string]any) (any, error)) {
-		g.vars[name] = &Builtin{Name: name, Fn: fn}
-	}
-	bi("len", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		switch x := arg0(args).(type) {
-		case string:
-			return int64(len([]rune(x))), nil
-		case *List:
-			return int64(len(x.E)), nil
-		case *Tuple:
-			return int64(len(x.E)), nil
-		case *Set:
-			return int64(len(x.E)), nil
-		case *Dict:
-			return int64(x.Len()), nil
-		case rangeVal:
-			return x.length(), nil
+// builtinFunc is a builtin's implementation; kwargs lists the keyword
+// arguments it accepts, and "*" accepts any.
+type builtinFunc struct {
+	fn     func(args []any, kw map[string]any) (any, error)
+	kwargs []string
+}
+
+var builtinFuncs = map[string]builtinFunc{
+	"len": {fn: func(args []any, _ map[string]any) (any, error) {
+		if err := arity("len", args, 1, 1); err != nil {
+			return nil, err
 		}
-		return nil, raisef("TypeError", "object of type '%s' has no len()", pyTypeName(arg0(args)))
-	})
-	bi("str", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		if len(args) == 0 {
-			return "", nil
+		n, ok := pyLen(args[0])
+		switch {
+		case !ok:
+			return nil, raisef("TypeError", "object of type '%s' has no len()", pyTypeName(args[0]))
+		case n > math.MaxInt64:
+			return nil, raisef("OverflowError", "range length does not fit in 64 bits")
+		}
+		return int64(n), nil
+	}},
+	"str": {fn: func(args []any, _ map[string]any) (any, error) {
+		if err := arity("str", args, 0, 1); err != nil || len(args) == 0 {
+			return "", err
 		}
 		return pyStr(args[0]), nil
-	})
-	bi("repr", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		return pyRepr(arg0(args)), nil
-	})
-	bi("int", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		switch x := arg0(args).(type) {
-		case nil:
-			return int64(0), nil
+	}},
+	"repr": {fn: func(args []any, _ map[string]any) (any, error) {
+		if err := arity("repr", args, 1, 1); err != nil {
+			return nil, err
+		}
+		return pyRepr(args[0]), nil
+	}},
+	"int": {fn: func(args []any, _ map[string]any) (any, error) {
+		if err := arity("int", args, 0, 1); err != nil || len(args) == 0 {
+			return int64(0), err
+		}
+		switch x := boolToInt(args[0]).(type) {
 		case int64:
 			return x, nil
 		case float64:
-			return int64(math.Trunc(x)), nil
-		case bool:
-			return b2i(x), nil
+			return floatToInt(x)
 		case string:
-			n, err := strconv.ParseInt(strings.TrimSpace(x), 10, 64)
-			if err != nil {
-				return nil, raisef("ValueError", "invalid literal for int() with base 10: %s", pyRepr(x))
+			n, err := strconv.ParseInt(strings.ReplaceAll(strings.TrimSpace(x), "_", ""), 10, 64)
+			if errors.Is(err, strconv.ErrRange) {
+				return nil, raisef("OverflowError", "int(%s) does not fit in 64 bits", reprString(x))
+			}
+			if err != nil || strings.HasPrefix(x, "_") || strings.Contains(x, "__") {
+				return nil, raisef("ValueError", "invalid literal for int() with base 10: %s", reprString(x))
 			}
 			return n, nil
 		}
-		return nil, raisef("TypeError", "int() argument must be a string or a number")
-	})
-	bi("float", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		switch x := arg0(args).(type) {
-		case nil:
-			return 0.0, nil
-		case int64:
-			return float64(x), nil
-		case float64:
-			return x, nil
-		case bool:
-			return float64(b2i(x)), nil
+		return nil, raisef("TypeError", "int() argument must be a string or a number, not '%s'", pyTypeName(args[0]))
+	}},
+	"float": {fn: func(args []any, _ map[string]any) (any, error) {
+		if err := arity("float", args, 0, 1); err != nil || len(args) == 0 {
+			return 0.0, err
+		}
+		switch x := args[0].(type) {
 		case string:
 			f, err := strconv.ParseFloat(strings.TrimSpace(x), 64)
-			if err != nil {
-				return nil, raisef("ValueError", "could not convert string to float: %s", pyRepr(x))
+			if err != nil && !errors.Is(err, strconv.ErrRange) {
+				return nil, raisef("ValueError", "could not convert string to float: %s", reprString(x))
 			}
 			return f, nil
 		}
-		return nil, raisef("TypeError", "float() argument must be a string or a number")
-	})
-	bi("bool", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		return pyTruthy(arg0(args)), nil
-	})
-	bi("abs", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		switch x := arg0(args).(type) {
+		if f, ok := toFloat(args[0]); ok {
+			return f, nil
+		}
+		return nil, raisef("TypeError", "float() argument must be a string or a number, not '%s'", pyTypeName(args[0]))
+	}},
+	"bool": {fn: func(args []any, _ map[string]any) (any, error) {
+		if err := arity("bool", args, 0, 1); err != nil || len(args) == 0 {
+			return false, err
+		}
+		return pyTruthy(args[0]), nil
+	}},
+	"abs": {fn: func(args []any, _ map[string]any) (any, error) {
+		if err := arity("abs", args, 1, 1); err != nil {
+			return nil, err
+		}
+		switch x := boolToInt(args[0]).(type) {
 		case int64:
-			if x < 0 {
-				return -x, nil
+			if x == math.MinInt64 {
+				return nil, errOverflow(0)
 			}
-			return x, nil
+			return max(x, -x), nil
 		case float64:
 			return math.Abs(x), nil
 		}
-		return nil, raisef("TypeError", "bad operand type for abs(): '%s'", pyTypeName(arg0(args)))
-	})
-	bi("round", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		f, ok := toFloat(arg0(args))
-		if !ok {
-			return nil, raisef("TypeError", "round() argument must be a number")
+		return nil, raisef("TypeError", "bad operand type for abs(): '%s'", pyTypeName(args[0]))
+	}},
+	"round": {fn: pyRound, kwargs: []string{"ndigits"}},
+	"min":   {fn: extremum("min", -1)},
+	"max":   {fn: extremum("max", 1)},
+	"sum": {fn: func(args []any, _ map[string]any) (any, error) {
+		if err := arity("sum", args, 1, 2); err != nil {
+			return nil, err
 		}
-		if len(args) > 1 {
-			nd, ok := args[1].(int64)
-			if !ok {
-				return nil, raisef("TypeError", "ndigits must be int")
-			}
-			scale := math.Pow(10, float64(nd))
-			return math.Round(f*scale) / scale, nil
-		}
-		return int64(math.Round(f)), nil
-	})
-	bi("min", extremum(true))
-	bi("max", extremum(false))
-	bi("sum", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		items, err := iterValues(arg0(args), 0)
+		items, err := iterValues(args[0], 0)
 		if err != nil {
 			return nil, err
 		}
@@ -1262,165 +796,121 @@ func installPyBuiltins(g *penv) {
 			acc = args[1]
 		}
 		for _, it := range items {
-			acc, err = pyBinOp("+", acc, it, 0)
-			if err != nil {
+			if acc, err = pyBinOp("+", acc, it, 0); err != nil {
 				return nil, err
 			}
 		}
 		return acc, nil
-	})
-	bi("range", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		get := func(i int) (int64, error) {
-			n, ok := args[i].(int64)
+	}},
+	"range": {fn: func(args []any, _ map[string]any) (any, error) {
+		if err := arity("range", args, 1, 3); err != nil {
+			return nil, err
+		}
+		var n [3]int64
+		for i, a := range args {
+			v, ok := boolToInt(a).(int64)
 			if !ok {
-				return 0, raisef("TypeError", "range() arguments must be integers")
+				return nil, raisef("TypeError", "range() arguments must be integers, not '%s'", pyTypeName(a))
 			}
-			return n, nil
+			n[i] = v
 		}
 		switch len(args) {
 		case 1:
-			stop, err := get(0)
-			if err != nil {
-				return nil, err
-			}
-			return rangeVal{0, stop, 1}, nil
+			return rangeVal{0, n[0], 1}, nil
 		case 2:
-			start, err := get(0)
-			if err != nil {
-				return nil, err
-			}
-			stop, err := get(1)
-			if err != nil {
-				return nil, err
-			}
-			return rangeVal{start, stop, 1}, nil
-		case 3:
-			start, err := get(0)
-			if err != nil {
-				return nil, err
-			}
-			stop, err := get(1)
-			if err != nil {
-				return nil, err
-			}
-			step, err := get(2)
-			if err != nil {
-				return nil, err
-			}
-			if step == 0 {
-				return nil, raisef("ValueError", "range() arg 3 must not be zero")
-			}
-			return rangeVal{start, stop, step}, nil
+			return rangeVal{n[0], n[1], 1}, nil
 		}
-		return nil, raisef("TypeError", "range expected 1 to 3 arguments, got %d", len(args))
-	})
-	bi("enumerate", func(_ *Interp, args []any, kw map[string]any) (any, error) {
-		items, err := iterValues(arg0(args), 0)
+		if n[2] == 0 {
+			return nil, raisef("ValueError", "range() arg 3 must not be zero")
+		}
+		return rangeVal{n[0], n[1], n[2]}, nil
+	}},
+	"enumerate": {fn: func(args []any, kw map[string]any) (any, error) {
+		if err := arity("enumerate", args, 1, 2); err != nil {
+			return nil, err
+		}
+		items, err := iterValues(args[0], 0)
 		if err != nil {
 			return nil, err
 		}
-		start := int64(0)
+		start, ok := kw["start"]
 		if len(args) > 1 {
-			if n, ok := args[1].(int64); ok {
-				start = n
-			}
-		} else if kw != nil {
-			if s, ok := kw["start"].(int64); ok {
-				start = s
+			start, ok = args[1], true
+		}
+		first := int64(0)
+		if ok {
+			if first, ok = boolToInt(start).(int64); !ok {
+				return nil, raisef("TypeError", "enumerate() start must be an int, not '%s'", pyTypeName(start))
 			}
 		}
-		out := &List{}
+		out := &List{E: make([]any, len(items))}
 		for i, it := range items {
-			out.E = append(out.E, &Tuple{E: []any{start + int64(i), it}})
+			idx, err := pyBinOp("+", first, int64(i), 0)
+			if err != nil {
+				return nil, err
+			}
+			out.E[i] = &Tuple{E: []any{idx, it}}
 		}
 		return out, nil
-	})
-	bi("zip", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		var seqs [][]any
-		minLen := -1
-		for _, a := range args {
+	}, kwargs: []string{"start"}},
+	"zip": {fn: func(args []any, _ map[string]any) (any, error) {
+		seqs := make([][]any, len(args))
+		for i, a := range args {
 			items, err := iterValues(a, 0)
 			if err != nil {
 				return nil, err
 			}
-			seqs = append(seqs, items)
-			if minLen < 0 || len(items) < minLen {
-				minLen = len(items)
-			}
+			seqs[i] = items
 		}
 		out := &List{}
-		for i := 0; i < minLen; i++ {
-			row := &Tuple{}
-			for _, s := range seqs {
-				row.E = append(row.E, s[i])
+		for i := 0; len(seqs) > 0 && !slices.ContainsFunc(seqs, func(s []any) bool { return i >= len(s) }); i++ {
+			row := &Tuple{E: make([]any, len(seqs))}
+			for j, s := range seqs {
+				row.E[j] = s[i]
 			}
 			out.E = append(out.E, row)
 		}
 		return out, nil
-	})
-	bi("sorted", func(ip *Interp, args []any, kw map[string]any) (any, error) {
-		items, err := iterValues(arg0(args), 0)
-		if err != nil {
+	}},
+	"sorted": {fn: func(args []any, kw map[string]any) (any, error) {
+		if err := arity("sorted", args, 1, 1); err != nil {
 			return nil, err
-		}
-		out, err := sortSeq(ip, items, kw)
-		if err != nil {
-			return nil, err
-		}
-		return &List{E: out}, nil
-	})
-	bi("reversed", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		items, err := iterValues(arg0(args), 0)
-		if err != nil {
-			return nil, err
-		}
-		out := &List{E: make([]any, len(items))}
-		for i, it := range items {
-			out.E[len(items)-1-i] = it
-		}
-		return out, nil
-	})
-	bi("list", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		if len(args) == 0 {
-			return &List{}, nil
 		}
 		items, err := iterValues(args[0], 0)
 		if err != nil {
 			return nil, err
 		}
-		return &List{E: items}, nil
-	})
-	bi("tuple", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		if len(args) == 0 {
-			return &Tuple{}, nil
+		reverse := pyTruthy(kw["reverse"])
+		var sortErr error
+		sort.SliceStable(items, func(a, b int) bool {
+			if sortErr != nil {
+				return false
+			}
+			x, y := items[a], items[b]
+			if reverse {
+				x, y = y, x
+			}
+			c, err := pyOrder(x, y, 0)
+			sortErr = err
+			return c < 0
+		})
+		return &List{E: items}, sortErr
+	}, kwargs: []string{"reverse"}},
+	"list": {fn: func(args []any, _ map[string]any) (any, error) {
+		if err := arity("list", args, 0, 1); err != nil || len(args) == 0 {
+			return &List{}, err
 		}
 		items, err := iterValues(args[0], 0)
-		if err != nil {
+		return &List{E: items}, err
+	}},
+	"dict": {fn: func(args []any, kw map[string]any) (any, error) {
+		if err := arity("dict", args, 0, 1); err != nil {
 			return nil, err
 		}
-		return &Tuple{E: items}, nil
-	})
-	bi("set", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		out := &Set{}
-		if len(args) > 0 {
-			items, err := iterValues(args[0], 0)
-			if err != nil {
-				return nil, err
-			}
-			for _, it := range items {
-				setAdd(out, it)
-			}
-		}
-		return out, nil
-	})
-	bi("dict", func(_ *Interp, args []any, kw map[string]any) (any, error) {
 		d := yamlx.NewMap()
 		if len(args) > 0 {
 			if o, ok := args[0].(*Dict); ok {
-				o.Range(func(k string, v any) bool {
-					d.Set(k, v)
-					return true
-				})
+				d = o.Clone()
 			} else {
 				items, err := iterValues(args[0], 0)
 				if err != nil {
@@ -1439,509 +929,281 @@ func installPyBuiltins(g *penv) {
 				}
 			}
 		}
-		keys := make([]string, 0, len(kw))
-		for k := range kw {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(kw) {
 			d.Set(k, kw[k])
 		}
 		return d, nil
-	})
-	bi("any", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		items, err := iterValues(arg0(args), 0)
-		if err != nil {
+	}, kwargs: []string{"*"}},
+	"isinstance": {fn: func(args []any, _ map[string]any) (any, error) {
+		if err := arity("isinstance", args, 2, 2); err != nil {
 			return nil, err
 		}
-		for _, it := range items {
-			if pyTruthy(it) {
+		name := pyTypeName(args[0])
+		_, isExc := args[0].(*Exception)
+		classes := []any{args[1]}
+		if t, ok := args[1].(*Tuple); ok {
+			classes = t.E
+		}
+		for _, cls := range classes {
+			b, ok := cls.(*Builtin)
+			if !ok {
+				return nil, raisef("TypeError", "isinstance() arg 2 must be a type or tuple of types")
+			}
+			// bool is a subclass of int; every exception is an Exception.
+			if b.Name == name || (b.Name == "int" && name == "bool") || (b.Name == "Exception" && isExc) {
 				return true, nil
 			}
 		}
 		return false, nil
-	})
-	bi("all", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		items, err := iterValues(arg0(args), 0)
-		if err != nil {
-			return nil, err
-		}
-		for _, it := range items {
-			if !pyTruthy(it) {
-				return false, nil
-			}
-		}
-		return true, nil
-	})
-	bi("print", func(ip *Interp, args []any, kw map[string]any) (any, error) {
-		sep := " "
-		end := "\n"
-		if kw != nil {
-			if s, ok := kw["sep"].(string); ok {
-				sep = s
-			}
-			if e, ok := kw["end"].(string); ok {
-				end = e
-			}
-		}
-		parts := make([]string, len(args))
-		for i, a := range args {
-			parts[i] = pyStr(a)
-		}
-		ip.Stdout.WriteString(strings.Join(parts, sep) + end)
-		return nil, nil
-	})
-	bi("type", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		return pyTypeName(arg0(args)), nil
-	})
-	bi("isinstance", func(_ *Interp, args []any, _ map[string]any) (any, error) {
-		if len(args) != 2 {
-			return nil, raisef("TypeError", "isinstance expected 2 arguments")
-		}
-		name := pyTypeName(args[0])
-		check := func(cls any) bool {
-			b, ok := cls.(*Builtin)
-			if !ok {
-				return false
-			}
-			if b.Name == name {
-				return true
-			}
-			// int is acceptable where float is requested? No — but bool is
-			// a subclass of int in Python.
-			if b.Name == "int" && name == "bool" {
-				return true
-			}
-			return false
-		}
-		if t, ok := args[1].(*Tuple); ok {
-			for _, cls := range t.E {
-				if check(cls) {
-					return true, nil
-				}
-			}
-			return false, nil
-		}
-		return check(args[1]), nil
-	})
+	}},
+}
+
+func installPyBuiltins(g *penv) {
+	for name, b := range builtinFuncs {
+		g.vars[name] = &Builtin{Name: name, Fn: b.checked(name)}
+	}
 	// Exception classes: calling one constructs an Exception value.
-	for _, name := range []string{
-		"Exception", "ValueError", "TypeError", "KeyError", "IndexError",
-		"RuntimeError", "ZeroDivisionError", "AttributeError", "NameError",
-		"FileNotFoundError", "NotImplementedError", "OverflowError",
-	} {
-		name := name
-		bi(name, func(_ *Interp, args []any, _ map[string]any) (any, error) {
+	for name := range exceptionTypes {
+		g.vars[name] = &Builtin{Name: name, Fn: func(args []any, kw map[string]any) (any, error) {
+			if len(kw) > 0 {
+				return nil, raisef("TypeError", "%s() takes no keyword arguments", name)
+			}
 			msg := ""
 			if len(args) > 0 {
 				msg = pyStr(args[0])
 			}
 			return &Exception{Type: name, Msg: msg}, nil
-		})
+		}}
 	}
 }
 
-func extremum(isMin bool) func(ip *Interp, args []any, kw map[string]any) (any, error) {
-	return func(ip *Interp, args []any, kw map[string]any) (any, error) {
-		var items []any
+// checked wraps the builtin to reject keyword arguments it does not take.
+func (b builtinFunc) checked(name string) func([]any, map[string]any) (any, error) {
+	return func(args []any, kw map[string]any) (any, error) {
+		if !slices.Contains(b.kwargs, "*") {
+			for k := range kw {
+				if !slices.Contains(b.kwargs, k) {
+					return nil, raisef("TypeError", "%s() got an unexpected keyword argument '%s'", name, k)
+				}
+			}
+		}
+		return b.fn(args, kw)
+	}
+}
+
+// pyRound is round(x[, ndigits]): half to even, on the exact binary value
+// of x. ndigits must not be negative.
+func pyRound(args []any, kw map[string]any) (any, error) {
+	if err := arity("round", args, 1, 2); err != nil {
+		return nil, err
+	}
+	nd, hasND := kw["ndigits"]
+	if len(args) > 1 {
+		nd, hasND = args[1], true
+	}
+	x := boolToInt(args[0])
+	if !hasND || nd == nil {
+		switch v := x.(type) {
+		case int64:
+			return v, nil
+		case float64:
+			return floatToInt(math.RoundToEven(v))
+		}
+		return nil, raisef("TypeError", "type %s doesn't define __round__ method", pyTypeName(args[0]))
+	}
+	digits, ok := boolToInt(nd).(int64)
+	if !ok {
+		return nil, raisef("TypeError", "'%s' object cannot be interpreted as an integer", pyTypeName(nd))
+	}
+	if digits < 0 {
+		return nil, raisef("ValueError", "round() with negative ndigits is outside the inline-Python subset")
+	}
+	switch v := x.(type) {
+	case int64:
+		return v, nil
+	case float64:
+		if math.IsInf(v, 0) || math.IsNaN(v) || digits > 400 {
+			return v, nil
+		}
+		// FormatFloat rounds the exact binary value, ties to even.
+		f, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'f', int(digits), 64), 64)
+		return f, nil
+	}
+	return nil, raisef("TypeError", "type %s doesn't define __round__ method", pyTypeName(args[0]))
+}
+
+// extremum builds min (sign -1) and max (sign 1): over one iterable
+// argument, or over several arguments.
+func extremum(name string, sign int) func(args []any, kw map[string]any) (any, error) {
+	return func(args []any, _ map[string]any) (any, error) {
+		items := args
 		if len(args) == 1 {
 			var err error
-			items, err = iterValues(args[0], 0)
-			if err != nil {
+			if items, err = iterValues(args[0], 0); err != nil {
 				return nil, err
 			}
-		} else {
-			items = args
 		}
 		if len(items) == 0 {
-			if isMin {
-				return nil, raisef("ValueError", "min() arg is an empty sequence")
-			}
-			return nil, raisef("ValueError", "max() arg is an empty sequence")
-		}
-		var keyFn any
-		if kw != nil {
-			keyFn = kw["key"]
-		}
-		keyOf := func(v any) (any, error) {
-			if keyFn == nil {
-				return v, nil
-			}
-			return ip.call(keyFn, []any{v}, nil, 0)
+			return nil, raisef("ValueError", "%s() arg is an empty sequence", name)
 		}
 		best := items[0]
-		bestKey, err := keyOf(best)
-		if err != nil {
-			return nil, err
-		}
 		for _, it := range items[1:] {
-			k, err := keyOf(it)
+			c, err := pyOrder(it, best, 0)
 			if err != nil {
 				return nil, err
 			}
-			c, err := pyOrder(k, bestKey, 0)
-			if err != nil {
-				return nil, err
-			}
-			if (isMin && c < 0) || (!isMin && c > 0) {
-				best, bestKey = it, k
+			if c == sign {
+				best = it
 			}
 		}
 		return best, nil
 	}
 }
 
-// formatValue applies an f-string/format() spec to a value.
+// formatValue applies an f-string format spec.
 func formatValue(v any, spec string) (string, error) {
 	if spec == "" {
 		return pyStr(v), nil
 	}
-	return applyFormatSpec(v, spec)
-}
-
-func applySpec(s, spec string) string {
-	out, err := applyFormatSpec(s, spec)
+	f, err := parseSpec(spec)
 	if err != nil {
-		return s
-	}
-	return out
-}
-
-// applyFormatSpec supports the common subset: [[fill]align][0][width][,][.prec][type]
-func applyFormatSpec(v any, spec string) (string, error) {
-	fill := ' '
-	align := byte(0)
-	i := 0
-	if len(spec) >= 2 && (spec[1] == '<' || spec[1] == '>' || spec[1] == '^') {
-		fill = rune(spec[0])
-		align = spec[1]
-		i = 2
-	} else if len(spec) >= 1 && (spec[0] == '<' || spec[0] == '>' || spec[0] == '^') {
-		align = spec[0]
-		i = 1
-	}
-	zeroPad := false
-	if i < len(spec) && spec[i] == '0' {
-		zeroPad = true
-		i++
-	}
-	width := 0
-	for i < len(spec) && spec[i] >= '0' && spec[i] <= '9' {
-		width = width*10 + int(spec[i]-'0')
-		i++
-	}
-	comma := false
-	if i < len(spec) && spec[i] == ',' {
-		comma = true
-		i++
-	}
-	prec := -1
-	if i < len(spec) && spec[i] == '.' {
-		i++
-		prec = 0
-		for i < len(spec) && spec[i] >= '0' && spec[i] <= '9' {
-			prec = prec*10 + int(spec[i]-'0')
-			i++
-		}
-	}
-	typ := byte(0)
-	if i < len(spec) {
-		typ = spec[i]
-		i++
-	}
-	if i < len(spec) {
-		return "", raisef("ValueError", "invalid format spec %q", spec)
+		return "", err
 	}
 	var body string
-	switch typ {
-	case 'd':
-		n, ok := v.(int64)
-		if !ok {
-			if b, isB := v.(bool); isB {
-				n = b2i(b)
-			} else {
-				return "", raisef("ValueError", "unknown format code 'd' for object of type '%s'", pyTypeName(v))
-			}
-		}
-		body = strconv.FormatInt(n, 10)
-		if comma {
-			body = addThousands(body)
-		}
-	case 'f', 'F':
-		f, ok := toFloat(v)
-		if !ok {
-			return "", raisef("ValueError", "unknown format code 'f' for object of type '%s'", pyTypeName(v))
-		}
-		p := 6
-		if prec >= 0 {
-			p = prec
-		}
-		body = strconv.FormatFloat(f, 'f', p, 64)
-	case 'e', 'E':
-		f, ok := toFloat(v)
-		if !ok {
-			return "", raisef("ValueError", "bad value for format code 'e'")
-		}
-		p := 6
-		if prec >= 0 {
-			p = prec
-		}
-		body = strconv.FormatFloat(f, byte(typ), p, 64)
-	case 'x':
-		n, ok := v.(int64)
-		if !ok {
-			return "", raisef("ValueError", "bad value for format code 'x'")
-		}
-		body = strconv.FormatInt(n, 16)
-	case 'X':
-		n, ok := v.(int64)
-		if !ok {
-			return "", raisef("ValueError", "bad value for format code 'X'")
-		}
-		body = strings.ToUpper(strconv.FormatInt(n, 16))
-	case 'o':
-		n, ok := v.(int64)
-		if !ok {
-			return "", raisef("ValueError", "bad value for format code 'o'")
-		}
-		body = strconv.FormatInt(n, 8)
-	case 'b':
-		n, ok := v.(int64)
-		if !ok {
-			return "", raisef("ValueError", "bad value for format code 'b'")
-		}
-		body = strconv.FormatInt(n, 2)
-	case 'g':
-		f, ok := toFloat(v)
-		if !ok {
-			return "", raisef("ValueError", "bad value for format code 'g'")
-		}
-		p := -1
-		if prec >= 0 {
-			p = prec
-		}
-		body = strconv.FormatFloat(f, 'g', p, 64)
-	case 's', 0:
-		body = pyStr(v)
-		if prec >= 0 && prec < len(body) {
-			body = body[:prec]
-		}
-	case '%':
-		f, ok := toFloat(v)
-		if !ok {
-			return "", raisef("ValueError", "bad value for format code '%%'")
-		}
-		p := 6
-		if prec >= 0 {
-			p = prec
-		}
-		body = strconv.FormatFloat(f*100, 'f', p, 64) + "%"
-	default:
-		return "", raisef("ValueError", "unknown format code %q", string(typ))
-	}
-	if zeroPad && align == 0 {
-		neg := strings.HasPrefix(body, "-")
-		if neg {
-			body = body[1:]
-		}
-		for len(body)+int(b2i(neg)) < width {
-			body = "0" + body
-		}
-		if neg {
-			body = "-" + body
-		}
-	}
-	for len([]rune(body)) < width {
-		switch align {
-		case '<':
-			body = body + string(fill)
-		case '^':
-			if (width-len([]rune(body)))%2 == 1 {
-				body = body + string(fill)
-			} else {
-				body = string(fill) + body
-			}
-		default: // '>' and numeric default
-			if typ == 's' || typ == 0 {
-				if align == '>' {
-					body = string(fill) + body
-				} else {
-					body = body + string(fill)
-				}
-			} else {
-				body = string(fill) + body
-			}
-		}
-	}
-	return body, nil
-}
-
-func addThousands(s string) string {
-	neg := strings.HasPrefix(s, "-")
-	if neg {
-		s = s[1:]
-	}
-	var parts []string
-	for len(s) > 3 {
-		parts = append([]string{s[len(s)-3:]}, parts...)
-		s = s[:len(s)-3]
-	}
-	parts = append([]string{s}, parts...)
-	out := strings.Join(parts, ",")
-	if neg {
-		return "-" + out
-	}
-	return out
-}
-
-// pyStrFormat implements str.format with positional {} / {0} and named {key}
-// fields plus format specs.
-func pyStrFormat(tmpl string, args []any, kw map[string]any) (string, error) {
-	var b strings.Builder
-	auto := 0
-	i := 0
-	for i < len(tmpl) {
-		c := tmpl[i]
-		if c == '{' {
-			if i+1 < len(tmpl) && tmpl[i+1] == '{' {
-				b.WriteByte('{')
-				i += 2
-				continue
-			}
-			j := strings.IndexByte(tmpl[i:], '}')
-			if j < 0 {
-				return "", raisef("ValueError", "single '{' encountered in format string")
-			}
-			field := tmpl[i+1 : i+j]
-			i += j + 1
-			name, spec := field, ""
-			if k := strings.IndexByte(field, ':'); k >= 0 {
-				name, spec = field[:k], field[k+1:]
-			}
-			var v any
-			switch {
-			case name == "":
-				if auto >= len(args) {
-					return "", raisef("IndexError", "Replacement index %d out of range", auto)
-				}
-				v = args[auto]
-				auto++
-			case isAllDigits(name):
-				n, _ := strconv.Atoi(name)
-				if n >= len(args) {
-					return "", raisef("IndexError", "Replacement index %d out of range", n)
-				}
-				v = args[n]
-			default:
-				vv, ok := kw[name]
-				if !ok {
-					return "", raisef("KeyError", "'%s'", name)
-				}
-				v = vv
-			}
-			s, err := formatValue(v, spec)
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(s)
-			continue
-		}
-		if c == '}' {
-			if i+1 < len(tmpl) && tmpl[i+1] == '}' {
-				b.WriteByte('}')
-				i += 2
-				continue
-			}
-			return "", raisef("ValueError", "single '}' encountered in format string")
-		}
-		b.WriteByte(c)
-		i++
-	}
-	return b.String(), nil
-}
-
-func isAllDigits(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-// pyPercentFormat implements the "%" operator on strings for %s/%d/%f/%x/%%.
-func pyPercentFormat(tmpl string, right any) (any, error) {
-	var vals []any
-	if t, ok := right.(*Tuple); ok {
-		vals = t.E
-	} else {
-		vals = []any{right}
-	}
-	var b strings.Builder
-	vi := 0
-	for i := 0; i < len(tmpl); i++ {
-		c := tmpl[i]
-		if c != '%' {
-			b.WriteByte(c)
-			continue
-		}
-		i++
-		if i >= len(tmpl) {
-			return nil, raisef("ValueError", "incomplete format")
-		}
-		if tmpl[i] == '%' {
-			b.WriteByte('%')
-			continue
-		}
-		// precision like %.2f
-		spec := ""
-		for i < len(tmpl) && (tmpl[i] == '.' || (tmpl[i] >= '0' && tmpl[i] <= '9')) {
-			spec += string(tmpl[i])
-			i++
-		}
-		if i >= len(tmpl) {
-			return nil, raisef("ValueError", "incomplete format")
-		}
-		if vi >= len(vals) {
-			return nil, raisef("TypeError", "not enough arguments for format string")
-		}
-		v := vals[vi]
-		vi++
-		switch tmpl[i] {
-		case 's':
-			b.WriteString(pyStr(v))
-		case 'r':
-			b.WriteString(pyRepr(v))
-		case 'd', 'i':
-			f, ok := toFloat(v)
-			if !ok {
-				return nil, raisef("TypeError", "%%d format: a number is required, not %s", pyTypeName(v))
-			}
-			b.WriteString(strconv.FormatInt(int64(f), 10))
-		case 'f':
-			f, ok := toFloat(v)
-			if !ok {
-				return nil, raisef("TypeError", "float required")
-			}
-			p := 6
-			if strings.HasPrefix(spec, ".") {
-				if n, err := strconv.Atoi(spec[1:]); err == nil {
-					p = n
-				}
-			}
-			b.WriteString(strconv.FormatFloat(f, 'f', p, 64))
-		case 'x':
-			n, ok := v.(int64)
-			if !ok {
-				return nil, raisef("TypeError", "int required")
-			}
-			b.WriteString(strconv.FormatInt(n, 16))
+	switch x := v.(type) {
+	case bool, int64:
+		n := boolToInt(x).(int64)
+		switch {
+		case f.typ == 'f':
+			body = formatFixed(float64(n), f.prec)
+		case f.typ == 's':
+			return "", errFormatCode(f.typ, v)
+		case f.prec >= 0:
+			return "", raisef("ValueError", "Precision not allowed in integer format specifier")
 		default:
-			return nil, raisef("ValueError", "unsupported format character %q", string(tmpl[i]))
+			body = strconv.FormatInt(n, 10)
+		}
+	case float64:
+		switch {
+		case f.typ == 'f':
+			body = formatFixed(x, f.prec)
+		case f.typ != 0:
+			return "", errFormatCode(f.typ, v)
+		case f.prec >= 0:
+			return "", raisef("ValueError", "precision without a type for a float is outside the inline-Python subset; use 'f'")
+		default:
+			body = formatPyFloat(x)
+		}
+	case string:
+		switch {
+		case f.typ != 0 && f.typ != 's':
+			return "", errFormatCode(f.typ, v)
+		case f.align == '=':
+			return "", raisef("ValueError", "'=' alignment not allowed in string format specifier")
+		}
+		body = x
+		if r := []rune(x); f.prec >= 0 && f.prec < len(r) {
+			body = string(r[:f.prec])
+		}
+	default:
+		return "", raisef("TypeError", "unsupported format string passed to %s.__format__", pyTypeName(v))
+	}
+	return f.pad(body, isString(v)), nil
+}
+
+func isString(v any) bool {
+	_, ok := v.(string)
+	return ok
+}
+
+// pad aligns body in the spec's width: strings to the left and numbers to
+// the right by default; the 0 flag fills with zeros after a number's sign.
+func (f fmtSpec) pad(body string, str bool) string {
+	if f.zero && f.fill == 0 {
+		f.fill = '0'
+		if f.align == 0 && !str {
+			f.align = '='
 		}
 	}
-	return b.String(), nil
+	if f.fill == 0 {
+		f.fill = ' '
+	}
+	if f.align == 0 {
+		f.align = '>'
+		if str {
+			f.align = '<'
+		}
+	}
+	pad := f.width - utf8.RuneCountInString(body)
+	if pad <= 0 {
+		return body
+	}
+	sign := ""
+	if f.align == '=' && strings.HasPrefix(body, "-") {
+		sign, body = "-", body[1:]
+	}
+	left := 0
+	switch f.align {
+	case '>', '=':
+		left = pad
+	case '^':
+		left = pad / 2
+	}
+	fills := func(n int) string { return strings.Repeat(string(f.fill), n) }
+	return sign + fills(left) + body + fills(pad-left)
+}
+
+func errFormatCode(typ rune, v any) error {
+	return raisef("ValueError", "Unknown format code '%c' for object of type '%s'", typ, pyTypeName(v))
+}
+
+func formatFixed(f float64, prec int) string {
+	if prec < 0 {
+		prec = 6
+	}
+	return strconv.FormatFloat(f, 'f', prec, 64)
+}
+
+// fmtSpec is a parsed format spec; fill, align and typ are 0, and prec -1,
+// when absent.
+type fmtSpec struct {
+	fill, align, typ rune
+	zero             bool
+	width, prec      int
+}
+
+// specRE is the subset's format spec grammar:
+// [[fill]align][0][width][.precision][type] with type d, f or s.
+var specRE = regexp.MustCompile(`^(?s:(.)?([<>^=]))?(0)?(\d*)(?:\.(\d+))?([dfs])?$`)
+
+// maxWidth bounds a spec's width and precision.
+const maxWidth = 1 << 20
+
+func parseSpec(spec string) (fmtSpec, error) {
+	m := specRE.FindStringSubmatch(spec)
+	if m == nil {
+		return fmtSpec{}, raisef("ValueError", "format spec %s is outside the inline-Python subset", reprString(spec))
+	}
+	first := func(s string) rune {
+		for _, r := range s {
+			return r
+		}
+		return 0
+	}
+	number := func(s string, absent int) (int, error) {
+		if s == "" {
+			return absent, nil
+		}
+		n, err := strconv.Atoi(s)
+		if err != nil || n > maxWidth {
+			return 0, raisef("ValueError", "format spec %s: %s is too large", reprString(spec), s)
+		}
+		return n, nil
+	}
+	f := fmtSpec{fill: first(m[1]), align: first(m[2]), zero: m[3] != "", typ: first(m[6])}
+	var err error
+	if f.width, err = number(m[4], 0); err == nil {
+		f.prec, err = number(m[5], -1)
+	}
+	return f, err
 }

@@ -3,9 +3,13 @@ package pyexpr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/yamlx"
 )
@@ -13,18 +17,11 @@ import (
 // List is a mutable Python list.
 type List struct{ E []any }
 
-// NewList builds a list value.
-func NewList(elems ...any) *List { return &List{E: elems} }
-
 // Tuple is an immutable Python tuple.
 type Tuple struct{ E []any }
 
-// Set is a Python set with insertion-ordered elements (deterministic
-// iteration; membership uses value equality).
-type Set struct{ E []any }
-
-// Dict is a Python dict with insertion-ordered string keys. Non-string keys
-// are stored via their repr, which covers CWL usage.
+// Dict is a Python dict with insertion-ordered str keys: the CWL document's
+// map type, so inputs and outputs cross the boundary unchanged.
 type Dict = yamlx.Map
 
 // Exception is a Python exception value.
@@ -56,38 +53,42 @@ type PyFunc struct {
 	Defaults []any // evaluated at def time, aligned to tail of Params
 	Body     []stmt
 	env      *penv
-	isLambda bool
-	lambdaX  expr
 }
 
 // Builtin is a native function exposed to Python code.
 type Builtin struct {
 	Name string
-	Fn   func(ip *Interp, args []any, kw map[string]any) (any, error)
+	Fn   func(args []any, kw map[string]any) (any, error)
 }
 
 // rangeVal is the lazy result of range().
 type rangeVal struct{ start, stop, step int64 }
 
-func (r rangeVal) length() int64 {
+// length counts the range's items. The differences below can exceed
+// int64, so they are taken modulo 2^64 and read as unsigned, which is exact.
+func (r rangeVal) length() uint64 {
+	switch {
+	case r.step > 0 && r.start < r.stop:
+		return (uint64(r.stop-r.start)-1)/uint64(r.step) + 1
+	case r.step < 0 && r.start > r.stop:
+		return (uint64(r.start-r.stop)-1)/uint64(-r.step) + 1
+	}
+	return 0
+}
+
+// contains reports whether n is one of the range's items.
+func (r rangeVal) contains(n int64) bool {
 	if r.step > 0 {
-		if r.stop <= r.start {
-			return 0
-		}
-		return (r.stop - r.start + r.step - 1) / r.step
+		return n >= r.start && n < r.stop && uint64(n-r.start)%uint64(r.step) == 0
 	}
-	if r.stop >= r.start {
-		return 0
-	}
-	return (r.start - r.stop - r.step - 1) / (-r.step)
+	return n <= r.start && n > r.stop && uint64(r.start-n)%uint64(-r.step) == 0
 }
 
 type penv struct {
 	vars   map[string]any
 	parent *penv
-	// frozen marks the shared global scope after library loading: assignments
-	// never touch it, binding locally instead (closer to real Python scoping,
-	// and what makes concurrent evaluation race-free).
+	// frozen marks the shared global scope once evaluation has started:
+	// libraries may no longer load into it.
 	frozen bool
 }
 
@@ -102,64 +103,10 @@ func (e *penv) lookup(name string) (any, bool) {
 	return nil, false
 }
 
-func (e *penv) assign(name string, v any) {
-	// Python semantics-lite: assignment binds in the local scope unless the
-	// name already exists in an enclosing scope that we created via def
-	// nesting. For the CWL subset, local-bind is the right default; we update
-	// an existing binding if one is visible to keep loops working. Frozen
-	// (global) scopes are never written — a rebind of a library global binds
-	// locally, as real Python would without a `global` declaration.
-	for env := e; env != nil && !env.frozen; env = env.parent {
-		if _, ok := env.vars[name]; ok {
-			env.vars[name] = v
-			return
-		}
-	}
-	e.vars[name] = v
-}
-
-// Buffer is a concurrency-safe string sink; print() output from concurrent
-// evaluations is interleaved per-write but never torn. Retention is bounded:
-// pooled engines live for the process lifetime, so an unbounded sink would
-// leak under sustained print() traffic — past the cap the oldest half is
-// dropped (a "[...output trimmed...]\n" marker notes the cut).
-type Buffer struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-// BufferMaxBytes bounds how much print() output a Buffer retains.
-const BufferMaxBytes = 1 << 20
-
-// WriteString appends s (implements io.StringWriter).
-func (o *Buffer) WriteString(s string) (int, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.b.Len()+len(s) > BufferMaxBytes {
-		tail := o.b.String()
-		if len(tail) > BufferMaxBytes/2 {
-			tail = tail[len(tail)-BufferMaxBytes/2:]
-		}
-		o.b.Reset()
-		o.b.WriteString("[...output trimmed...]\n")
-		o.b.WriteString(tail)
-	}
-	return o.b.WriteString(s)
-}
-
-// String returns everything written so far.
-func (o *Buffer) String() string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.b.String()
-}
-
-// Reset discards accumulated output.
-func (o *Buffer) Reset() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.b.Reset()
-}
+// assign binds name in this scope, as Python assignment does without a
+// global or nonlocal declaration: enclosing scopes, the sealed global scope
+// among them, are never written.
+func (e *penv) assign(name string, v any) { e.vars[name] = v }
 
 // Interp is a Python interpreter instance holding the loaded expression
 // library. Load libraries first (LoadLib), then evaluate: the first
@@ -168,13 +115,14 @@ func (o *Buffer) Reset() {
 //
 // Concurrency is fully parallel when the library consists of functions and
 // scalar constants. A library holding mutable state reachable from globals —
-// list/dict/set globals, mutable function defaults, or functions over
+// list/dict globals, mutable function defaults, or functions over
 // captured scopes — can be mutated in place by expressions, so evaluation on
 // such an Interp is transparently serialized instead.
 type Interp struct {
 	global   *penv
 	steps    int
 	maxSteps int
+	calls    int // active PyFunc calls, bounded by maxCallDepth
 	sealOnce sync.Once
 	// builtinVals snapshots the installed builtins, so sealing can tell
 	// library-defined globals apart from the standard ones.
@@ -182,16 +130,18 @@ type Interp struct {
 	// serialize (decided at seal time) forces evaluations to take evalMu.
 	serialize bool
 	evalMu    sync.Mutex
-	// Stdout captures print() output (shared across per-call evaluators).
-	Stdout *Buffer
 }
 
 // DefaultMaxSteps bounds evaluation work per call.
 const DefaultMaxSteps = 5_000_000
 
+// maxCallDepth bounds how deeply Python functions may call each other,
+// CPython's default recursion limit. Going deeper raises RecursionError.
+const maxCallDepth = 1000
+
 // New creates an interpreter with builtins installed.
 func New() *Interp {
-	ip := &Interp{maxSteps: DefaultMaxSteps, Stdout: &Buffer{}}
+	ip := &Interp{maxSteps: DefaultMaxSteps}
 	ip.global = newPenv(nil)
 	installPyBuiltins(ip.global)
 	ip.builtinVals = make(map[string]any, len(ip.global.vars))
@@ -200,9 +150,6 @@ func New() *Interp {
 	}
 	return ip
 }
-
-// SetMaxSteps overrides the evaluation budget.
-func (ip *Interp) SetMaxSteps(n int) { ip.maxSteps = n }
 
 // LoadLib executes expressionLib source (def statements, constants) in the
 // global scope. All libraries must load before the first evaluation:
@@ -220,56 +167,10 @@ func (ip *Interp) LoadLib(src string) error {
 	return err
 }
 
-// EvalExpr evaluates one expression with vars in scope, returning a CWL
-// document value. It is a thin compile-then-run wrapper; callers on a hot
-// path should Compile once and RunProgram many times.
-func (ip *Interp) EvalExpr(src string, vars map[string]any) (any, error) {
-	p, err := CompileExpr(src)
-	if err != nil {
-		return nil, err
-	}
-	return ip.RunProgram(p, vars)
-}
-
-// EvalBody executes a statement block; the value of a top-level return (or
-// None) is converted back to document vocabulary. Like EvalExpr, it is a
-// thin wrapper over CompileBody + RunProgram.
-func (ip *Interp) EvalBody(src string, vars map[string]any) (any, error) {
-	p, err := CompileBody(src)
-	if err != nil {
-		return nil, err
-	}
-	return ip.RunProgram(p, vars)
-}
-
-// Call invokes a named function from the loaded library with document values.
-// Like RunProgram, it serializes on interpreters whose library holds mutable
-// state.
-func (ip *Interp) Call(name string, args ...any) (any, error) {
-	ev := ip.evaluator()
-	if ip.serialize {
-		ip.evalMu.Lock()
-		defer ip.evalMu.Unlock()
-	}
-	fnv, ok := ip.global.lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("python function %q is not defined", name)
-	}
-	pyArgs := make([]any, len(args))
-	for i, a := range args {
-		pyArgs[i] = ToPy(a)
-	}
-	v, err := ev.call(fnv, pyArgs, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	return FromPy(v), nil
-}
-
 func (ip *Interp) scopeWith(vars map[string]any) *penv {
 	env := newPenv(ip.global)
 	for k, v := range vars {
-		env.vars[k] = ToPy(v)
+		env.vars[k] = toPy(v)
 	}
 	return env
 }
@@ -313,7 +214,13 @@ func (ip *Interp) exec(s stmt, env *penv) (*ctrl, error) {
 	case *exprStatement:
 		_, err := ip.eval(st.X, env)
 		return nil, err
-	case *passStmt:
+	case *jumpStmt:
+		switch st.Word {
+		case "break":
+			return &ctrl{kind: ctrlBreak}, nil
+		case "continue":
+			return &ctrl{kind: ctrlContinue}, nil
+		}
 		return nil, nil
 	case *assignStmt:
 		val, err := ip.eval(st.Value, env)
@@ -341,10 +248,6 @@ func (ip *Interp) exec(s stmt, env *penv) (*ctrl, error) {
 			}
 		}
 		return &ctrl{kind: ctrlReturn, value: v}, nil
-	case *breakStatement:
-		return &ctrl{kind: ctrlBreak}, nil
-	case *continueStatement:
-		return &ctrl{kind: ctrlContinue}, nil
 	case *raiseStmt:
 		if st.X == nil {
 			return nil, raisef("RuntimeError", "no active exception to re-raise")
@@ -356,11 +259,11 @@ func (ip *Interp) exec(s stmt, env *penv) (*ctrl, error) {
 		switch exc := v.(type) {
 		case *Exception:
 			return nil, &Raised{Exc: exc}
-		case string:
-			return nil, &Raised{Exc: &Exception{Type: "Exception", Msg: exc}}
 		case *Builtin:
-			// raise ValueError  (class without call)
-			return nil, &Raised{Exc: &Exception{Type: exc.Name}}
+			if exceptionTypes[exc.Name] {
+				// raise ValueError  (class without call)
+				return nil, &Raised{Exc: &Exception{Type: exc.Name}}
+			}
 		}
 		return nil, raisef("TypeError", "exceptions must derive from BaseException")
 	case *ifStatement:
@@ -372,61 +275,26 @@ func (ip *Interp) exec(s stmt, env *penv) (*ctrl, error) {
 			return ip.execStmts(st.Then, env)
 		}
 		return ip.execStmts(st.Else, env)
-	case *whileStatement:
-		for {
-			if err := ip.tick(st.Line); err != nil {
-				return nil, err
-			}
-			t, err := ip.eval(st.Test, env)
-			if err != nil {
-				return nil, err
-			}
-			if !pyTruthy(t) {
-				return nil, nil
-			}
-			c, err := ip.execStmts(st.Body, env)
-			if err != nil {
-				return nil, err
-			}
-			if c != nil {
-				switch c.kind {
-				case ctrlBreak:
-					return nil, nil
-				case ctrlContinue:
-					continue
-				default:
-					return c, nil
-				}
-			}
-		}
 	case *forStatement:
-		items, err := ip.iterate(st.Iter, env, st.Line)
+		iter, err := ip.eval(st.Iter, env)
 		if err != nil {
 			return nil, err
 		}
-		for _, item := range items {
-			if err := ip.tick(st.Line); err != nil {
-				return nil, err
-			}
+		var out *ctrl
+		err = ip.each(iter, st.Line, func(item any) (bool, error) {
 			if err := bindLoopVars(env, st.Vars, item, st.Line); err != nil {
-				return nil, err
+				return false, err
 			}
 			c, err := ip.execStmts(st.Body, env)
-			if err != nil {
-				return nil, err
+			if err != nil || c == nil || c.kind == ctrlContinue {
+				return err == nil, err
 			}
-			if c != nil {
-				switch c.kind {
-				case ctrlBreak:
-					return nil, nil
-				case ctrlContinue:
-					continue
-				default:
-					return c, nil
-				}
+			if c.kind == ctrlReturn {
+				out = c
 			}
-		}
-		return nil, nil
+			return false, nil
+		})
+		return out, err
 	case *defStatement:
 		defaults := make([]any, len(st.Defaults))
 		for i, d := range st.Defaults {
@@ -441,57 +309,8 @@ func (ip *Interp) exec(s stmt, env *penv) (*ctrl, error) {
 			Body: st.Body, env: env,
 		}
 		return nil, nil
-	case *tryStatement:
-		c, err := ip.execStmts(st.Body, env)
-		if err != nil {
-			if raised, ok := err.(*Raised); ok {
-				for _, h := range st.Handlers {
-					if excMatches(h.Types, raised.Exc.Type) {
-						hEnv := env
-						if h.As != "" {
-							env.vars[h.As] = raised.Exc
-						}
-						c2, err2 := ip.execStmts(h.Body, hEnv)
-						fc, ferr := ip.execStmts(st.Finally, env)
-						if ferr != nil {
-							return nil, ferr
-						}
-						if fc != nil {
-							return fc, nil
-						}
-						return c2, err2
-					}
-				}
-			}
-			if _, ferr := ip.execStmts(st.Finally, env); ferr != nil {
-				return nil, ferr
-			}
-			return nil, err
-		}
-		fc, ferr := ip.execStmts(st.Finally, env)
-		if ferr != nil {
-			return nil, ferr
-		}
-		if fc != nil {
-			return fc, nil
-		}
-		return c, nil
 	}
 	return nil, fmt.Errorf("unsupported statement %T", s)
-}
-
-// excMatches reports whether an except clause with the given class names
-// catches excType. "Exception" and "BaseException" catch everything.
-func excMatches(types []string, excType string) bool {
-	if len(types) == 0 {
-		return true
-	}
-	for _, t := range types {
-		if t == excType || t == "Exception" || t == "BaseException" {
-			return true
-		}
-	}
-	return false
 }
 
 func bindLoopVars(env *penv, vars []string, item any, line int) error {
@@ -522,21 +341,39 @@ func sequenceOf(v any) ([]any, bool) {
 	return nil, false
 }
 
-func (ip *Interp) iterate(iterExpr expr, env *penv, line int) ([]any, error) {
-	v, err := ip.eval(iterExpr, env)
-	if err != nil {
-		return nil, err
+// each calls fn with each item of v, charging one step per item; fn
+// returning false stops the iteration. A range is walked lazily, so the
+// step budget, not memory, bounds a loop over a huge one.
+func (ip *Interp) each(v any, line int, fn func(item any) (bool, error)) error {
+	r, lazy := v.(rangeVal)
+	n, item := r.length(), func(i uint64) any { return r.start + int64(i)*r.step }
+	if !lazy {
+		items, err := iterValues(v, line)
+		if err != nil {
+			return err
+		}
+		n, item = uint64(len(items)), func(i uint64) any { return items[i] }
 	}
-	return iterValues(v, line)
+	for i := uint64(0); i < n; i++ {
+		if err := ip.tick(line); err != nil {
+			return err
+		}
+		if more, err := fn(item(i)); err != nil || !more {
+			return err
+		}
+	}
+	return nil
 }
 
+// maxMaterialized bounds how many items a builtin may build from a range.
+const maxMaterialized = 50_000_000
+
+// iterValues returns the items v iterates over, as a fresh slice.
 func iterValues(v any, line int) ([]any, error) {
 	switch x := v.(type) {
 	case *List:
 		return append([]any{}, x.E...), nil
 	case *Tuple:
-		return append([]any{}, x.E...), nil
-	case *Set:
 		return append([]any{}, x.E...), nil
 	case string:
 		out := make([]any, 0, len(x))
@@ -552,12 +389,12 @@ func iterValues(v any, line int) ([]any, error) {
 		return out, nil
 	case rangeVal:
 		n := x.length()
-		if n > 50_000_000 {
+		if n > maxMaterialized {
 			return nil, raisef("OverflowError", "range too large (line %d)", line)
 		}
-		out := make([]any, 0, n)
-		for i, val := int64(0), x.start; i < n; i, val = i+1, val+x.step {
-			out = append(out, val)
+		out := make([]any, n)
+		for i := range out {
+			out[i] = x.start + int64(i)*x.step
 		}
 		return out, nil
 	}
@@ -568,19 +405,6 @@ func (ip *Interp) assignTo(target expr, val any, env *penv) error {
 	switch t := target.(type) {
 	case *nameRef:
 		env.assign(t.Name, val)
-		return nil
-	case *tupleLit:
-		elems, ok := sequenceOf(val)
-		if !ok {
-			return raisef("TypeError", "cannot unpack non-sequence")
-		}
-		if len(elems) != len(t.Elems) {
-			return raisef("ValueError", "expected %d values to unpack, got %d", len(t.Elems), len(elems))
-		}
-		for i, el := range t.Elems {
-			name := el.(*nameRef)
-			env.assign(name.Name, elems[i])
-		}
 		return nil
 	case *subscript:
 		obj, err := ip.eval(t.Obj, env)
@@ -612,16 +436,6 @@ func (ip *Interp) assignTo(target expr, val any, env *penv) error {
 			return nil
 		}
 		return raisef("TypeError", "'%s' object does not support item assignment", pyTypeName(obj))
-	case *attrRef:
-		obj, err := ip.eval(t.Obj, env)
-		if err != nil {
-			return err
-		}
-		if d, ok := obj.(*Dict); ok {
-			d.Set(t.Name, val)
-			return nil
-		}
-		return raisef("AttributeError", "cannot set attribute %q on %s", t.Name, pyTypeName(obj))
 	}
 	return fmt.Errorf("invalid assignment target %T", target)
 }
@@ -636,18 +450,14 @@ func normIndex(i int64, n int) (int, error) {
 	return int(i), nil
 }
 
-// dictKey converts a key to the string form Dict stores. Strings pass through;
-// other hashables use their repr, keeping lookups consistent.
+// dictKey returns key as a Dict key. Dicts are the CWL document's
+// string-keyed maps, so storing any other key is a TypeError; a lookup by a
+// non-str key finds nothing.
 func dictKey(key any) (string, error) {
-	switch k := key.(type) {
-	case string:
+	if k, ok := key.(string); ok {
 		return k, nil
-	case int64, float64, bool, nil:
-		return pyRepr(k), nil
-	case *Tuple:
-		return pyRepr(k), nil
 	}
-	return "", raisef("TypeError", "unhashable type: '%s'", pyTypeName(key))
+	return "", raisef("TypeError", "dict keys must be str in the inline-Python subset, not '%s'", pyTypeName(key))
 }
 
 func (ip *Interp) eval(e expr, env *penv) (any, error) {
@@ -681,9 +491,11 @@ func (ip *Interp) eval(e expr, env *penv) (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			if part.Conv == 'r' {
-				b.WriteString(applySpec(pyRepr(v), part.Spec))
-				continue
+			switch part.Conv {
+			case 'r':
+				v = pyRepr(v)
+			case 's':
+				v = pyStr(v)
 			}
 			s, err := formatValue(v, part.Spec)
 			if err != nil {
@@ -693,35 +505,11 @@ func (ip *Interp) eval(e expr, env *penv) (any, error) {
 		}
 		return b.String(), nil
 	case *listLit:
-		l := &List{}
-		for _, el := range x.Elems {
-			v, err := ip.eval(el, env)
-			if err != nil {
-				return nil, err
-			}
-			l.E = append(l.E, v)
-		}
-		return l, nil
+		elems, err := ip.evalAll(x.Elems, env)
+		return &List{E: elems}, err
 	case *tupleLit:
-		t := &Tuple{}
-		for _, el := range x.Elems {
-			v, err := ip.eval(el, env)
-			if err != nil {
-				return nil, err
-			}
-			t.E = append(t.E, v)
-		}
-		return t, nil
-	case *setLit:
-		s := &Set{}
-		for _, el := range x.Elems {
-			v, err := ip.eval(el, env)
-			if err != nil {
-				return nil, err
-			}
-			setAdd(s, v)
-		}
-		return s, nil
+		elems, err := ip.evalAll(x.Elems, env)
+		return &Tuple{E: elems}, err
 	case *dictLit:
 		d := yamlx.NewMap()
 		for i := range x.Keys {
@@ -745,7 +533,7 @@ func (ip *Interp) eval(e expr, env *penv) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ip.getAttr(obj, x.Name, x.Line)
+		return getAttr(obj, x.Name, x.Line)
 	case *subscript:
 		obj, err := ip.eval(x.Obj, env)
 		if err != nil {
@@ -757,23 +545,15 @@ func (ip *Interp) eval(e expr, env *penv) (any, error) {
 		}
 		return pyGetItem(obj, key, x.Line)
 	case *sliceExpr:
-		obj, err := ip.eval(x.Obj, env)
-		if err != nil {
-			return nil, err
-		}
-		return ip.evalSlice(obj, x, env)
+		return ip.evalSlice(x, env)
 	case *callExpr:
 		fn, err := ip.eval(x.Fn, env)
 		if err != nil {
 			return nil, err
 		}
-		args := make([]any, 0, len(x.Args))
-		for _, a := range x.Args {
-			v, err := ip.eval(a, env)
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, v)
+		args, err := ip.evalAll(x.Args, env)
+		if err != nil {
+			return nil, err
 		}
 		var kw map[string]any
 		if len(x.KwName) > 0 {
@@ -792,29 +572,25 @@ func (ip *Interp) eval(e expr, env *penv) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch x.Op {
-		case "not":
+		if x.Op == "not" {
 			return !pyTruthy(v), nil
-		case "-":
-			switch n := v.(type) {
-			case int64:
-				return -n, nil
-			case float64:
-				return -n, nil
-			case bool:
-				if n {
-					return int64(-1), nil
-				}
-				return int64(0), nil
-			}
-			return nil, raisef("TypeError", "bad operand type for unary -: '%s'", pyTypeName(v))
-		case "+":
-			switch v.(type) {
-			case int64, float64:
-				return v, nil
-			}
-			return nil, raisef("TypeError", "bad operand type for unary +: '%s'", pyTypeName(v))
 		}
+		switch n := boolToInt(v).(type) {
+		case int64:
+			if x.Op == "+" {
+				return n, nil
+			}
+			if n == math.MinInt64 {
+				return nil, errOverflow(x.Line)
+			}
+			return -n, nil
+		case float64:
+			if x.Op == "+" {
+				return n, nil
+			}
+			return -n, nil
+		}
+		return nil, raisef("TypeError", "bad operand type for unary %s: '%s'", x.Op, pyTypeName(v))
 	case *binOp:
 		l, err := ip.eval(x.L, env)
 		if err != nil {
@@ -830,13 +606,7 @@ func (ip *Interp) eval(e expr, env *penv) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if x.Op == "and" {
-			if !pyTruthy(l) {
-				return l, nil
-			}
-			return ip.eval(x.R, env)
-		}
-		if pyTruthy(l) {
+		if pyTruthy(l) == (x.Op == "or") {
 			return l, nil
 		}
 		return ip.eval(x.R, env)
@@ -851,11 +621,8 @@ func (ip *Interp) eval(e expr, env *penv) (any, error) {
 				return nil, err
 			}
 			ok, err := pyCompare(op, left, right, x.Line)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return false, nil
+			if err != nil || !ok {
+				return false, err
 			}
 			left = right
 		}
@@ -869,185 +636,152 @@ func (ip *Interp) eval(e expr, env *penv) (any, error) {
 			return ip.eval(x.Then, env)
 		}
 		return ip.eval(x.Else, env)
-	case *lambdaExpr:
-		defaults := make([]any, len(x.Defaults))
-		for i, d := range x.Defaults {
-			v, err := ip.eval(d, env)
-			if err != nil {
-				return nil, err
-			}
-			defaults[i] = v
-		}
-		return &PyFunc{Name: "<lambda>", Params: x.Params, Defaults: defaults, env: env, isLambda: true, lambdaX: x.Body}, nil
 	case *listComp:
-		items, err := ip.iterate(x.Iter, env, x.Line)
+		iter, err := ip.eval(x.Iter, env)
 		if err != nil {
 			return nil, err
 		}
 		out := &List{}
 		compEnv := newPenv(env)
-		for _, item := range items {
-			if err := ip.tick(x.Line); err != nil {
-				return nil, err
-			}
+		err = ip.each(iter, x.Line, func(item any) (bool, error) {
 			if err := bindLoopVars(compEnv, x.Vars, item, x.Line); err != nil {
-				return nil, err
+				return false, err
 			}
 			if x.Cond != nil {
 				c, err := ip.eval(x.Cond, compEnv)
-				if err != nil {
-					return nil, err
-				}
-				if !pyTruthy(c) {
-					continue
+				if err != nil || !pyTruthy(c) {
+					return err == nil, err
 				}
 			}
 			v, err := ip.eval(x.Out, compEnv)
-			if err != nil {
-				return nil, err
-			}
 			out.E = append(out.E, v)
-		}
-		return out, nil
+			return err == nil, err
+		})
+		return out, err
 	}
 	return nil, fmt.Errorf("unsupported expression %T", e)
 }
 
-func (ip *Interp) evalSlice(obj any, x *sliceExpr, env *penv) (any, error) {
-	evalOr := func(e expr, def int64) (int64, error) {
+func (ip *Interp) evalAll(exprs []expr, env *penv) ([]any, error) {
+	out := make([]any, 0, len(exprs))
+	for _, e := range exprs {
+		v, err := ip.eval(e, env)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// evalSlice evaluates obj[low:high:step] over a str, list or tuple.
+func (ip *Interp) evalSlice(x *sliceExpr, env *penv) (any, error) {
+	obj, err := ip.eval(x.Obj, env)
+	if err != nil {
+		return nil, err
+	}
+	var bounds [3]*int64
+	for i, e := range []expr{x.Low, x.High, x.Step_} {
 		if e == nil {
-			return def, nil
+			continue
 		}
 		v, err := ip.eval(e, env)
 		if err != nil {
-			return 0, err
-		}
-		n, ok := v.(int64)
-		if !ok {
-			return 0, raisef("TypeError", "slice indices must be integers")
-		}
-		return n, nil
-	}
-	slice := func(n int) (int, int, int64, error) {
-		step, err := evalOr(x.Step_, 1)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if step == 0 {
-			return 0, 0, 0, raisef("ValueError", "slice step cannot be zero")
-		}
-		if step != 1 {
-			return 0, 0, step, nil // handled by caller via element walk
-		}
-		lo, err := evalOr(x.Low, 0)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		hi, err := evalOr(x.High, int64(n))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		norm := func(i int64) int {
-			if i < 0 {
-				i += int64(n)
-			}
-			if i < 0 {
-				i = 0
-			}
-			if i > int64(n) {
-				i = int64(n)
-			}
-			return int(i)
-		}
-		l, h := norm(lo), norm(hi)
-		if l > h {
-			h = l
-		}
-		return l, h, 1, nil
-	}
-	walk := func(elems []any) ([]any, error) {
-		n := len(elems)
-		lo, hi, step, err := slice(n)
-		if err != nil {
 			return nil, err
 		}
-		if step == 1 {
-			return append([]any{}, elems[lo:hi]...), nil
+		if v == nil {
+			continue
 		}
-		// General step (incl. negative).
-		loE, hiE := x.Low, x.High
-		var start, stop int64
-		if step > 0 {
-			start, stop = 0, int64(n)
-		} else {
-			start, stop = int64(n)-1, -1
+		n, ok := boolToInt(v).(int64)
+		if !ok {
+			return nil, raisef("TypeError", "slice indices must be integers or None (line %d)", x.Line)
 		}
-		if loE != nil {
-			v, err := evalOr(loE, 0)
-			if err != nil {
-				return nil, err
-			}
-			if v < 0 {
-				v += int64(n)
-			}
-			start = v
-		}
-		if hiE != nil {
-			v, err := evalOr(hiE, 0)
-			if err != nil {
-				return nil, err
-			}
-			if v < 0 {
-				v += int64(n)
-			}
-			stop = v
-		}
-		var out []any
-		if step > 0 {
-			for i := start; i < stop && i < int64(n); i += step {
-				if i >= 0 {
-					out = append(out, elems[i])
-				}
-			}
-		} else {
-			for i := start; i > stop && i >= 0; i += step {
-				if i < int64(n) {
-					out = append(out, elems[i])
-				}
-			}
-		}
-		return out, nil
+		bounds[i] = &n
 	}
+	var elems []any
 	switch o := obj.(type) {
 	case string:
-		runes := []rune(o)
-		elems := make([]any, len(runes))
-		for i, r := range runes {
-			elems[i] = string(r)
+		for _, r := range o {
+			elems = append(elems, string(r))
 		}
-		out, err := walk(elems)
-		if err != nil {
-			return nil, err
-		}
+	case *List:
+		elems = o.E
+	case *Tuple:
+		elems = o.E
+	default:
+		return nil, raisef("TypeError", "'%s' object is not subscriptable (line %d)", pyTypeName(obj), x.Line)
+	}
+	out, err := sliceItems(elems, bounds[0], bounds[1], bounds[2])
+	if err != nil {
+		return nil, err
+	}
+	switch obj.(type) {
+	case string:
 		var b strings.Builder
 		for _, s := range out {
 			b.WriteString(s.(string))
 		}
 		return b.String(), nil
 	case *List:
-		out, err := walk(o.E)
-		if err != nil {
-			return nil, err
-		}
 		return &List{E: out}, nil
-	case *Tuple:
-		out, err := walk(o.E)
-		if err != nil {
-			return nil, err
-		}
-		return &Tuple{E: out}, nil
 	}
-	return nil, raisef("TypeError", "'%s' object is not subscriptable", pyTypeName(obj))
+	return &Tuple{E: out}, nil
+}
+
+// sliceItems applies CPython's slice rules: missing bounds default by the
+// step's sign, negative bounds count from the end, and out-of-range bounds
+// clamp.
+func sliceItems(elems []any, low, high, stepp *int64) ([]any, error) {
+	n := int64(len(elems))
+	step := int64(1)
+	if stepp != nil {
+		step = *stepp
+	}
+	if step == 0 {
+		return nil, raisef("ValueError", "slice step cannot be zero")
+	}
+	back := int64(0) // where a backward slice's clamped bounds land
+	if step < 0 {
+		back = -1
+	}
+	adjust := func(b *int64, def int64) int64 {
+		if b == nil {
+			return def
+		}
+		switch i := *b; {
+		case i < 0 && i+n < 0:
+			return back
+		case i < 0:
+			return i + n
+		case i >= n:
+			return n + back
+		default:
+			return i
+		}
+	}
+	var start, stop int64
+	var count uint64
+	if step > 0 {
+		start, stop = adjust(low, 0), adjust(high, n)
+		if start < stop {
+			count = (uint64(stop-start)-1)/uint64(step) + 1
+		}
+	} else {
+		start, stop = adjust(low, n-1), adjust(high, -1)
+		if start > stop {
+			count = (uint64(start-stop)-1)/uint64(-step) + 1
+		}
+	}
+	out := make([]any, 0, count)
+	for i, k := start, uint64(0); k < count; i, k = i+step, k+1 {
+		out = append(out, elems[i])
+	}
+	return out, nil
+}
+
+// errOverflow is the OverflowError of int arithmetic leaving 64 bits.
+func errOverflow(line int) error {
+	return raisef("OverflowError", "int result does not fit in 64 bits (line %d)", line)
 }
 
 func (ip *Interp) call(fn any, args []any, kw map[string]any, line int) (any, error) {
@@ -1060,26 +794,32 @@ func (ip *Interp) call(fn any, args []any, kw map[string]any, line int) (any, er
 			return nil, raisef("TypeError", "%s() takes %d arguments but %d were given", f.Name, nParams, len(args))
 		}
 		for i, p := range f.Params {
+			v, ok := kw[p]
 			switch {
 			case i < len(args):
-				fnEnv.vars[p] = args[i]
-			case kw != nil && hasKw(kw, p):
-				fnEnv.vars[p] = kw[p]
+				if ok {
+					return nil, raisef("TypeError", "%s() got multiple values for argument '%s'", f.Name, p)
+				}
+				v = args[i]
+			case ok:
 			case i >= firstDefault:
-				fnEnv.vars[p] = f.Defaults[i-firstDefault]
+				v = f.Defaults[i-firstDefault]
 			default:
 				return nil, raisef("TypeError", "%s() missing required argument: '%s'", f.Name, p)
 			}
+			fnEnv.vars[p] = v
 		}
 		for k := range kw {
-			if !contains(f.Params, k) {
+			if !slices.Contains(f.Params, k) {
 				return nil, raisef("TypeError", "%s() got an unexpected keyword argument '%s'", f.Name, k)
 			}
 		}
-		if f.isLambda {
-			return ip.eval(f.lambdaX, fnEnv)
+		if ip.calls >= maxCallDepth {
+			return nil, raisef("RecursionError", "maximum recursion depth exceeded (line %d)", line)
 		}
+		ip.calls++
 		c, err := ip.execStmts(f.Body, fnEnv)
+		ip.calls--
 		if err != nil {
 			return nil, err
 		}
@@ -1088,45 +828,25 @@ func (ip *Interp) call(fn any, args []any, kw map[string]any, line int) (any, er
 		}
 		return nil, nil
 	case *Builtin:
-		return f.Fn(ip, args, kw)
+		return f.Fn(args, kw)
 	case *boundPyMethod:
-		return f.fn(ip, f.recv, args, kw)
+		if len(kw) > 0 {
+			return nil, raisef("TypeError", "%s() takes no keyword arguments", f.name)
+		}
+		return f.fn(f.recv, args)
 	}
 	return nil, raisef("TypeError", "'%s' object is not callable (line %d)", pyTypeName(fn), line)
-}
-
-func hasKw(kw map[string]any, name string) bool {
-	_, ok := kw[name]
-	return ok
-}
-
-func contains(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 type boundPyMethod struct {
 	name string
 	recv any
-	fn   func(ip *Interp, recv any, args []any, kw map[string]any) (any, error)
-}
-
-func setAdd(s *Set, v any) {
-	for _, e := range s.E {
-		if pyEq(e, v) {
-			return
-		}
-	}
-	s.E = append(s.E, v)
+	fn   pyMethod
 }
 
 // pyTypeName returns the Python type name for error messages.
 func pyTypeName(v any) string {
-	switch v.(type) {
+	switch x := v.(type) {
 	case nil:
 		return "NoneType"
 	case bool:
@@ -1141,14 +861,12 @@ func pyTypeName(v any) string {
 		return "list"
 	case *Tuple:
 		return "tuple"
-	case *Set:
-		return "set"
 	case *Dict:
 		return "dict"
 	case *PyFunc, *Builtin, *boundPyMethod:
 		return "function"
 	case *Exception:
-		return "Exception"
+		return x.Type
 	case rangeVal:
 		return "range"
 	}
@@ -1156,43 +874,44 @@ func pyTypeName(v any) string {
 }
 
 func pyTruthy(v any) bool {
-	switch x := v.(type) {
+	switch x := boolToInt(v).(type) {
 	case nil:
 		return false
-	case bool:
-		return x
 	case int64:
 		return x != 0
 	case float64:
 		return x != 0
-	case string:
-		return x != ""
-	case *List:
-		return len(x.E) > 0
-	case *Tuple:
-		return len(x.E) > 0
-	case *Set:
-		return len(x.E) > 0
-	case *Dict:
-		return x.Len() > 0
-	case rangeVal:
-		return x.length() > 0
-	default:
-		return true
 	}
+	n, sized := pyLen(v)
+	return !sized || n > 0
 }
 
-// ToPy converts a CWL document value to Python-space values.
-func ToPy(v any) any {
+// pyLen is len(v) for a str, list, tuple, dict or range.
+func pyLen(v any) (uint64, bool) {
 	switch x := v.(type) {
-	case nil, bool, int64, float64, string:
-		return x
+	case string:
+		return uint64(utf8.RuneCountInString(x)), true
+	case *List:
+		return uint64(len(x.E)), true
+	case *Tuple:
+		return uint64(len(x.E)), true
+	case *Dict:
+		return uint64(x.Len()), true
+	case rangeVal:
+		return x.length(), true
+	}
+	return 0, false
+}
+
+// toPy converts a CWL document value to Python-space values.
+func toPy(v any) any {
+	switch x := v.(type) {
 	case int:
 		return int64(x)
 	case []any:
 		l := &List{E: make([]any, len(x))}
 		for i, e := range x {
-			l.E[i] = ToPy(e)
+			l.E[i] = toPy(e)
 		}
 		return l
 	case []string:
@@ -1204,66 +923,63 @@ func ToPy(v any) any {
 	case *yamlx.Map:
 		d := yamlx.NewMap()
 		x.Range(func(k string, vv any) bool {
-			d.Set(k, ToPy(vv))
+			d.Set(k, toPy(vv))
 			return true
 		})
 		return d
 	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		d := yamlx.NewMap()
-		for _, k := range keys {
-			d.Set(k, ToPy(x[k]))
+		for _, k := range sortedKeys(x) {
+			d.Set(k, toPy(x[k]))
 		}
 		return d
-	default:
-		return v
 	}
+	return v
 }
 
-// FromPy converts interpreter values back to the CWL document vocabulary.
-func FromPy(v any) any {
+// fromPy converts interpreter values back to the CWL document vocabulary.
+func fromPy(v any) any {
 	switch x := v.(type) {
 	case *List:
-		out := make([]any, len(x.E))
-		for i, e := range x.E {
-			out[i] = FromPy(e)
-		}
-		return out
+		return fromPyAll(x.E)
 	case *Tuple:
-		out := make([]any, len(x.E))
-		for i, e := range x.E {
-			out[i] = FromPy(e)
-		}
-		return out
-	case *Set:
-		out := make([]any, len(x.E))
-		for i, e := range x.E {
-			out[i] = FromPy(e)
-		}
-		return out
+		return fromPyAll(x.E)
 	case *Dict:
 		d := yamlx.NewMap()
 		x.Range(func(k string, vv any) bool {
-			d.Set(k, FromPy(vv))
+			d.Set(k, fromPy(vv))
 			return true
 		})
 		return d
 	case rangeVal:
 		items, _ := iterValues(x, 0)
-		return FromPy(&List{E: items})
+		return fromPyAll(items)
 	case *Exception:
 		return x.String()
-	default:
-		return v
 	}
+	return v
+}
+
+func fromPyAll(elems []any) []any {
+	out := make([]any, len(elems))
+	for i, e := range elems {
+		out[i] = fromPy(e)
+	}
+	return out
 }
 
 // pyStr is str(v); pyRepr is repr(v).
 func pyStr(v any) string {
+	switch x := v.(type) {
+	case string:
+		return x
+	case *Exception:
+		return x.Msg
+	}
+	return pyRepr(v)
+}
+
+func pyRepr(v any) string {
 	switch x := v.(type) {
 	case nil:
 		return "None"
@@ -1273,79 +989,117 @@ func pyStr(v any) string {
 		}
 		return "False"
 	case int64:
-		return fmt.Sprintf("%d", x)
+		return strconv.FormatInt(x, 10)
 	case float64:
 		return formatPyFloat(x)
 	case string:
-		return x
-	case *Exception:
-		return x.Msg
-	default:
-		return pyRepr(v)
-	}
-}
-
-func pyRepr(v any) string {
-	switch x := v.(type) {
-	case string:
-		return "'" + strings.NewReplacer("\\", "\\\\", "'", "\\'", "\n", "\\n", "\t", "\\t").Replace(x) + "'"
+		return reprString(x)
 	case *List:
-		parts := make([]string, len(x.E))
-		for i, e := range x.E {
-			parts[i] = pyRepr(e)
-		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		return "[" + joinRepr(x.E) + "]"
 	case *Tuple:
-		parts := make([]string, len(x.E))
-		for i, e := range x.E {
-			parts[i] = pyRepr(e)
+		if len(x.E) == 1 {
+			return "(" + pyRepr(x.E[0]) + ",)"
 		}
-		if len(parts) == 1 {
-			return "(" + parts[0] + ",)"
-		}
-		return "(" + strings.Join(parts, ", ") + ")"
-	case *Set:
-		if len(x.E) == 0 {
-			return "set()"
-		}
-		parts := make([]string, len(x.E))
-		for i, e := range x.E {
-			parts[i] = pyRepr(e)
-		}
-		return "{" + strings.Join(parts, ", ") + "}"
+		return "(" + joinRepr(x.E) + ")"
 	case *Dict:
 		parts := make([]string, 0, x.Len())
 		x.Range(func(k string, vv any) bool {
-			parts = append(parts, pyRepr(k)+": "+pyRepr(vv))
+			parts = append(parts, reprString(k)+": "+pyRepr(vv))
 			return true
 		})
 		return "{" + strings.Join(parts, ", ") + "}"
 	case *Exception:
-		return x.Type + "(" + pyRepr(x.Msg) + ")"
+		if x.Msg == "" {
+			return x.Type + "()"
+		}
+		return x.Type + "(" + reprString(x.Msg) + ")"
 	case *PyFunc:
 		return "<function " + x.Name + ">"
+	case *Builtin:
+		return "<built-in function " + x.Name + ">"
+	case *boundPyMethod:
+		return "<built-in method " + x.name + ">"
 	case rangeVal:
 		if x.step == 1 {
 			return fmt.Sprintf("range(%d, %d)", x.start, x.stop)
 		}
 		return fmt.Sprintf("range(%d, %d, %d)", x.start, x.stop, x.step)
-	default:
-		return pyStr(v)
 	}
+	return fmt.Sprint(v)
 }
 
+func joinRepr(elems []any) string {
+	parts := make([]string, len(elems))
+	for i, e := range elems {
+		parts[i] = pyRepr(e)
+	}
+	return strings.Join(parts, ", ")
+}
+
+// reprString quotes s as CPython's repr does: single quotes unless s holds
+// a single quote and no double quote, with non-printable runes escaped.
+func reprString(s string) string {
+	quote := '\''
+	if strings.ContainsRune(s, '\'') && !strings.ContainsRune(s, '"') {
+		quote = '"'
+	}
+	var b strings.Builder
+	b.WriteRune(quote)
+	for _, r := range s {
+		switch {
+		case r == quote || r == '\\':
+			b.WriteByte('\\')
+			b.WriteRune(r)
+		case r == '\n':
+			b.WriteString(`\n`)
+		case r == '\r':
+			b.WriteString(`\r`)
+		case r == '\t':
+			b.WriteString(`\t`)
+		case r < 0x20 || r == 0x7f || (r >= 0x80 && r <= 0xff && !unicode.IsPrint(r)):
+			fmt.Fprintf(&b, `\x%02x`, r)
+		case r > 0xff && !unicode.IsPrint(r):
+			if r <= 0xffff {
+				fmt.Fprintf(&b, `\u%04x`, r)
+			} else {
+				fmt.Fprintf(&b, `\U%08x`, r)
+			}
+		default:
+			b.WriteRune(r)
+		}
+	}
+	b.WriteRune(quote)
+	return b.String()
+}
+
+// formatPyFloat is CPython's float repr: the shortest digits that round
+// trip, positional for decimal exponents in [-4, 16), scientific otherwise.
 func formatPyFloat(f float64) string {
-	if math.IsInf(f, 1) {
+	switch {
+	case math.IsInf(f, 1):
 		return "inf"
-	}
-	if math.IsInf(f, -1) {
+	case math.IsInf(f, -1):
 		return "-inf"
-	}
-	if math.IsNaN(f) {
+	case math.IsNaN(f):
 		return "nan"
 	}
-	if f == math.Trunc(f) && math.Abs(f) < 1e16 {
-		return fmt.Sprintf("%.1f", f)
+	sci := strconv.FormatFloat(f, 'e', -1, 64)
+	exp, _ := strconv.Atoi(sci[strings.IndexByte(sci, 'e')+1:])
+	if exp < -4 || exp >= 16 {
+		return sci
 	}
-	return fmt.Sprintf("%g", f)
+	s := strconv.FormatFloat(f, 'f', -1, 64)
+	if !strings.ContainsRune(s, '.') {
+		s += ".0"
+	}
+	return s
+}
+
+func sortedKeys(m map[string]any) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

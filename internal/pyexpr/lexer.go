@@ -1,7 +1,14 @@
-// Package pyexpr implements the Python expression subset the paper's
+// Package pyexpr implements the inline-Python subset the paper's
 // InlinePythonRequirement embeds in CWL documents: def functions with
-// docstrings, f-strings, if/elif/else, for/while, try/except, raise,
-// comprehensions, and the string/list/dict method surface the listings use.
+// docstrings, f-strings, if/elif/else, for loops, raise, list
+// comprehensions, and the str/list/dict methods the listings use. The README
+// section "Inline Python: the supported subset" is the table of what is in
+// it; testdata/cpython.txt pins each entry against CPython.
+//
+// Syntax outside the subset fails at compile time with an UnsupportedError;
+// a builtin or method outside it raises NameError or AttributeError, as an
+// undefined name does. Ints are 64-bit: arithmetic that leaves that range
+// raises OverflowError rather than wrapping.
 //
 // Like the real feature (Python running inside the Parsl runner process),
 // evaluation happens in-process — the architectural property behind the
@@ -9,6 +16,7 @@
 package pyexpr
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -47,6 +55,18 @@ type SyntaxError struct {
 
 func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("python syntax error at line %d: %s", e.Line, e.Msg)
+}
+
+// UnsupportedError reports valid Python outside the inline-Python subset.
+// Compilation returns it, so a document using such a construct fails before
+// any of it runs.
+type UnsupportedError struct {
+	Construct string // e.g. "while loop", "set literal"
+	Line      int
+}
+
+func (e *UnsupportedError) Error() string {
+	return fmt.Sprintf("python %s at line %d is outside the supported inline-Python subset", e.Construct, e.Line)
 }
 
 var pyKeywords = map[string]bool{
@@ -107,21 +127,18 @@ func lexPy(src string) ([]token, error) {
 				return nil, err
 			}
 		case c == '"' || c == '\'':
-			if err := l.lexString(false); err != nil {
+			if err := l.lexString(0); err != nil {
 				return nil, err
 			}
-		case (c == 'f' || c == 'F') && l.pos+1 < len(l.src) && (l.src[l.pos+1] == '"' || l.src[l.pos+1] == '\''):
+		case strings.IndexByte("fFrR", c) >= 0 && l.pos+1 < len(l.src) && (l.src[l.pos+1] == '"' || l.src[l.pos+1] == '\''):
 			l.pos++
-			if err := l.lexString(true); err != nil {
-				return nil, err
-			}
-		case (c == 'r' || c == 'R') && l.pos+1 < len(l.src) && (l.src[l.pos+1] == '"' || l.src[l.pos+1] == '\''):
-			l.pos++
-			if err := l.lexRawString(); err != nil {
+			if err := l.lexString(c | 0x20); err != nil { // lower case
 				return nil, err
 			}
 		case isNameStart(rune(c)) || c >= utf8.RuneSelf:
-			l.lexName()
+			if err := l.lexName(); err != nil {
+				return nil, err
+			}
 		default:
 			if err := l.lexOp(); err != nil {
 				return nil, err
@@ -151,7 +168,6 @@ func (l *lexer) skipSpaces() {
 // INDENT/DEDENT tokens.
 func (l *lexer) handleIndent() error {
 	for {
-		start := l.pos
 		width := 0
 		for l.pos < len(l.src) {
 			switch l.src[l.pos] {
@@ -194,7 +210,6 @@ func (l *lexer) handleIndent() error {
 				return &SyntaxError{Line: l.line, Msg: "inconsistent indentation"}
 			}
 		}
-		_ = start
 		return nil
 	}
 }
@@ -250,26 +265,27 @@ func (l *lexer) lexNumber() error {
 	}
 	n, err := strconv.ParseInt(text, 10, 64)
 	if err != nil {
-		f, ferr := strconv.ParseFloat(text, 64)
-		if ferr != nil {
-			return &SyntaxError{Line: l.line, Msg: "bad number literal " + text}
+		if errors.Is(err, strconv.ErrRange) {
+			return &UnsupportedError{Construct: "int literal beyond 64 bits", Line: l.line}
 		}
-		l.emit(token{kind: tNum, num: f, text: text, line: l.line})
-		return nil
+		return &SyntaxError{Line: l.line, Msg: "bad number literal " + text}
 	}
 	l.emit(token{kind: tNum, isInt: true, ival: n, text: text, line: l.line})
 	return nil
 }
 
-func (l *lexer) lexString(isF bool) error {
+// lexString lexes a string literal whose prefix (0, 'f' or 'r') has been
+// consumed. F-strings and raw strings keep their escapes as written; an
+// f-string's are decoded when its parts are parsed.
+func (l *lexer) lexString(prefix byte) error {
 	quote := l.src[l.pos]
 	startLine := l.line
-	// Triple-quoted?
-	triple := strings.HasPrefix(l.src[l.pos:], strings.Repeat(string(quote), 3))
-	var body strings.Builder
-	if triple {
+	kind := tStr
+	if prefix == 'f' {
+		kind = tFStr
+	}
+	if closing := strings.Repeat(string(quote), 3); strings.HasPrefix(l.src[l.pos:], closing) {
 		l.pos += 3
-		closing := strings.Repeat(string(quote), 3)
 		end := strings.Index(l.src[l.pos:], closing)
 		if end < 0 {
 			return &SyntaxError{Line: startLine, Msg: "unterminated triple-quoted string"}
@@ -277,102 +293,50 @@ func (l *lexer) lexString(isF bool) error {
 		raw := l.src[l.pos : l.pos+end]
 		l.line += strings.Count(raw, "\n")
 		l.pos += end + 3
-		if isF {
-			l.emit(token{kind: tFStr, text: raw, line: startLine})
-		} else {
-			l.emit(token{kind: tStr, text: raw, line: startLine})
-		}
+		l.emit(token{kind: kind, text: raw, line: startLine})
 		return nil
 	}
-	l.pos++
-	for l.pos < len(l.src) {
+	var body strings.Builder
+	for l.pos++; l.pos < len(l.src); {
 		c := l.src[l.pos]
-		if c == quote {
+		switch {
+		case c == quote:
 			l.pos++
-			kind := tStr
-			if isF {
-				kind = tFStr
-			}
 			l.emit(token{kind: kind, text: body.String(), line: startLine})
 			return nil
-		}
-		if c == '\n' {
+		case c == '\n':
 			return &SyntaxError{Line: startLine, Msg: "unterminated string literal"}
-		}
-		if c == '\\' && !isF {
-			l.pos++
-			if l.pos >= len(l.src) {
-				break
-			}
-			body.WriteString(unescapePy(l.src[l.pos]))
-			l.pos++
-			continue
-		}
-		if c == '\\' && isF {
-			// Keep escapes raw in f-strings; interpolation parsing handles them.
+		case c == '\\' && l.pos+1 < len(l.src) && prefix == 0:
+			text, n := unescapePy(l.src[l.pos+1:])
+			body.WriteString(text)
+			l.pos += 1 + n
+		case c == '\\' && l.pos+1 < len(l.src):
+			body.WriteString(l.src[l.pos : l.pos+2])
+			l.pos += 2
+		default:
 			body.WriteByte(c)
 			l.pos++
-			if l.pos < len(l.src) {
-				body.WriteByte(l.src[l.pos])
-				l.pos++
-			}
-			continue
 		}
-		body.WriteByte(c)
-		l.pos++
 	}
 	return &SyntaxError{Line: startLine, Msg: "unterminated string literal"}
 }
 
-func (l *lexer) lexRawString() error {
-	quote := l.src[l.pos]
-	startLine := l.line
-	l.pos++
-	start := l.pos
-	for l.pos < len(l.src) && l.src[l.pos] != quote {
-		if l.src[l.pos] == '\n' {
-			return &SyntaxError{Line: startLine, Msg: "unterminated raw string"}
+// unescapePy decodes the escape sequence after a backslash at the start of
+// s, returning its text and how many bytes of s it used. An unknown escape
+// keeps its backslash, as Python does.
+func unescapePy(s string) (string, int) {
+	if i := strings.IndexByte(`ntr\'"0abfv`, s[0]); i >= 0 {
+		return string("\n\t\r\\'\"\x00\a\b\f\v"[i]), 1
+	}
+	if digits := map[byte]int{'x': 2, 'u': 4, 'U': 8}[s[0]]; digits > 0 && len(s) > digits {
+		if n, err := strconv.ParseUint(s[1:1+digits], 16, 32); err == nil && n <= unicode.MaxRune {
+			return string(rune(n)), 1 + digits
 		}
-		l.pos++
 	}
-	if l.pos >= len(l.src) {
-		return &SyntaxError{Line: startLine, Msg: "unterminated raw string"}
-	}
-	l.emit(token{kind: tStr, text: l.src[start:l.pos], line: startLine})
-	l.pos++
-	return nil
+	return "\\" + s[:1], 1
 }
 
-func unescapePy(c byte) string {
-	switch c {
-	case 'n':
-		return "\n"
-	case 't':
-		return "\t"
-	case 'r':
-		return "\r"
-	case '\\':
-		return "\\"
-	case '\'':
-		return "'"
-	case '"':
-		return "\""
-	case '0':
-		return "\x00"
-	case 'a':
-		return "\a"
-	case 'b':
-		return "\b"
-	case 'f':
-		return "\f"
-	case 'v':
-		return "\v"
-	default:
-		return "\\" + string(c)
-	}
-}
-
-func (l *lexer) lexName() {
+func (l *lexer) lexName() error {
 	start := l.pos
 	for l.pos < len(l.src) {
 		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
@@ -381,22 +345,40 @@ func (l *lexer) lexName() {
 		}
 		l.pos += size
 	}
+	if l.pos == start { // a non-letter rune, or invalid UTF-8
+		r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+		return &SyntaxError{Line: l.line, Msg: fmt.Sprintf("unexpected character %q", r)}
+	}
 	l.emit(token{kind: tName, text: l.src[start:l.pos], line: l.line})
+	return nil
 }
 
 var pyOps = []string{
-	"**=", "//=", "...",
-	"**", "//", "==", "!=", "<=", ">=", "->", "+=", "-=", "*=", "/=", "%=",
+	"**=", "//=",
+	"**", "//", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=",
 	"+", "-", "*", "/", "%", "(", ")", "[", "]", "{", "}", ",", ":", ";",
-	".", "<", ">", "=", "@", "&", "|", "^", "~",
+	".", "<", ">", "=",
+}
+
+// unsupportedOps are Python operators outside the subset, longest first.
+var unsupportedOps = []string{
+	"<<=", ">>=", "...", ":=", "->", "<<", ">>", "&=", "|=", "^=", "@=",
+	"&", "|", "^", "~", "@",
 }
 
 func (l *lexer) lexOp() error {
+	for _, op := range unsupportedOps {
+		if strings.HasPrefix(l.src[l.pos:], op) {
+			return &UnsupportedError{Construct: fmt.Sprintf("operator %q", op), Line: l.line}
+		}
+	}
 	for _, op := range pyOps {
 		if strings.HasPrefix(l.src[l.pos:], op) {
 			switch op {
 			case "(", "[", "{":
-				l.paren++
+				if l.paren++; l.paren > maxNesting {
+					return &SyntaxError{Line: l.line, Msg: fmt.Sprintf("expression nested more than %d levels deep", maxNesting)}
+				}
 			case ")", "]", "}":
 				if l.paren > 0 {
 					l.paren--

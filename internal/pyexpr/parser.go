@@ -6,8 +6,41 @@ import (
 )
 
 type pparser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // current nesting, see nest
+}
+
+// maxNesting bounds how deeply code nests (CPython's parser stops at 200
+// nested brackets). Each bracket, statement block, elif, unary operand and
+// link of an operator or postfix chain counts as one level, so the
+// evaluator, which recurses once per level, never recurses deeper than this
+// within one function body.
+const maxNesting = 200
+
+// nest enters one more level of nesting; the caller undoes it by
+// subtracting what it entered from p.depth.
+func (p *pparser) nest() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return p.errHere("expression nested more than %d levels deep", maxNesting)
+	}
+	return nil
+}
+
+// unsupported reports a construct outside the subset at the current token.
+func (p *pparser) unsupported(construct string) error {
+	return &UnsupportedError{Construct: construct, Line: p.cur().line}
+}
+
+// unsupportedKeywords maps the statement and expression keywords outside the
+// subset to the construct they start.
+var unsupportedKeywords = map[string]string{
+	"while": "while loop", "try": "try statement", "except": "try statement",
+	"finally": "try statement", "lambda": "lambda", "import": "import statement",
+	"from": "import statement", "class": "class definition", "with": "with statement",
+	"global": "global statement", "nonlocal": "nonlocal statement", "yield": "yield",
+	"assert": "assert statement", "del": "del statement", "async": "async", "await": "await",
 }
 
 // parsePyProgram parses a module (an expressionLib entry).
@@ -31,12 +64,15 @@ func parsePyProgram(src string) ([]stmt, error) {
 }
 
 // parsePyExpression parses a single expression.
-func parsePyExpression(src string) (expr, error) {
+func parsePyExpression(src string) (expr, error) { return parseExpressionAt(src, 0) }
+
+// parseExpressionAt parses a single expression nested depth levels deep.
+func parseExpressionAt(src string, depth int) (expr, error) {
 	toks, err := lexPy(strings.TrimSpace(src))
 	if err != nil {
 		return nil, err
 	}
-	p := &pparser{toks: toks}
+	p := &pparser{toks: toks, depth: depth}
 	e, err := p.exprTop()
 	if err != nil {
 		return nil, err
@@ -81,17 +117,15 @@ func (p *pparser) expect(kind tokKind, text string) error {
 	if p.eat(kind, text) {
 		return nil
 	}
-	found := p.cur().text
-	if p.cur().kind == tNewline {
-		found = "newline"
-	} else if p.cur().kind == tEOF {
-		found = "end of input"
-	} else if p.cur().kind == tIndent {
-		found = "indent"
-	} else if p.cur().kind == tDedent {
-		found = "dedent"
+	return p.errHere("expected %q, found %q", text, p.found())
+}
+
+// found describes the current token for error messages.
+func (p *pparser) found() string {
+	if s := map[tokKind]string{tNewline: "newline", tEOF: "end of input", tIndent: "indent", tDedent: "dedent"}[p.cur().kind]; s != "" {
+		return s
 	}
-	return p.errHere("expected %q, found %q", text, found)
+	return p.cur().text
 }
 
 func (p *pparser) errHere(format string, args ...any) error {
@@ -114,50 +148,29 @@ func (p *pparser) statement() (stmt, error) {
 			return p.defStatementParse()
 		case "if":
 			return p.ifStatementParse()
-		case "while":
-			return p.whileStatementParse()
 		case "for":
 			return p.forStatementParse()
-		case "try":
-			return p.tryStatementParse()
-		case "return":
+		case "return", "raise":
 			p.next()
 			var x expr
 			if !p.at(tNewline, "") && !p.at(tEOF, "") && !p.at(tOp, ";") {
 				var err error
-				x, err = p.exprTop()
-				if err != nil {
+				if x, err = p.exprTop(); err != nil {
 					return nil, err
 				}
 			}
 			p.endSimple()
+			if t.text == "raise" {
+				return &raiseStmt{pos: pos{t.line}, X: x}, nil
+			}
 			return &returnStatement{pos: pos{t.line}, X: x}, nil
-		case "pass":
+		case "pass", "break", "continue":
 			p.next()
 			p.endSimple()
-			return &passStmt{pos: pos{t.line}}, nil
-		case "break":
-			p.next()
-			p.endSimple()
-			return &breakStatement{pos: pos{t.line}}, nil
-		case "continue":
-			p.next()
-			p.endSimple()
-			return &continueStatement{pos: pos{t.line}}, nil
-		case "raise":
-			p.next()
-			var x expr
-			if !p.at(tNewline, "") && !p.at(tEOF, "") {
-				var err error
-				x, err = p.exprTop()
-				if err != nil {
-					return nil, err
-				}
-			}
-			p.endSimple()
-			return &raiseStmt{pos: pos{t.line}, X: x}, nil
-		case "import", "from", "class", "with", "global", "yield", "assert", "del":
-			return nil, p.errHere("%q statements are not supported in CWL inline Python", t.text)
+			return &jumpStmt{pos: pos{t.line}, Word: t.text}, nil
+		}
+		if construct, ok := unsupportedKeywords[t.text]; ok {
+			return nil, p.unsupported(construct)
 		}
 	}
 	// Expression or assignment.
@@ -172,8 +185,8 @@ func (p *pparser) statement() (stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := validTarget(target); err != nil {
-				return nil, &SyntaxError{Line: t.line, Msg: err.Error()}
+			if err := validTarget(target, op, t.line); err != nil {
+				return nil, err
 			}
 			p.endSimple()
 			return &assignStmt{pos: pos{t.line}, Target: target, Op: op, Value: val}, nil
@@ -183,19 +196,18 @@ func (p *pparser) statement() (stmt, error) {
 	return &exprStatement{pos: pos{t.line}, X: target}, nil
 }
 
-func validTarget(e expr) error {
-	switch x := e.(type) {
-	case *nameRef, *subscript, *attrRef:
+// validTarget admits the subset's assignment targets: a name or a
+// subscript.
+func validTarget(e expr, op string, line int) error {
+	switch e.(type) {
+	case *nameRef, *subscript:
 		return nil
+	case *attrRef:
+		return &UnsupportedError{Construct: "attribute assignment", Line: line}
 	case *tupleLit:
-		for _, el := range x.Elems {
-			if _, ok := el.(*nameRef); !ok {
-				return fmt.Errorf("unsupported assignment target in tuple")
-			}
-		}
-		return nil
+		return &UnsupportedError{Construct: "tuple assignment", Line: line}
 	}
-	return fmt.Errorf("invalid assignment target")
+	return &SyntaxError{Line: line, Msg: fmt.Sprintf("invalid target for %q", op)}
 }
 
 // endSimple consumes the statement terminator (newline or semicolon).
@@ -206,8 +218,13 @@ func (p *pparser) endSimple() {
 	p.eat(tNewline, "")
 }
 
-// suite parses ":" NEWLINE INDENT stmts DEDENT, or an inline simple statement.
+// suite parses ":" NEWLINE INDENT stmts DEDENT, or an inline simple
+// statement, one nesting level deeper.
 func (p *pparser) suite() ([]stmt, error) {
+	return nested(p, p.block)
+}
+
+func (p *pparser) block() ([]stmt, error) {
 	if err := p.expect(tOp, ":"); err != nil {
 		return nil, err
 	}
@@ -258,11 +275,17 @@ func (p *pparser) defStatementParse() (stmt, error) {
 	var params []string
 	var defaults []expr
 	for !p.at(tOp, ")") {
+		if p.at(tOp, "*") || p.at(tOp, "**") || p.at(tOp, "/") {
+			return nil, p.unsupported("special parameter")
+		}
 		pt := p.cur()
 		if pt.kind != tName || pyKeywords[pt.text] {
 			return nil, p.errHere("expected parameter name")
 		}
 		p.next()
+		if p.at(tOp, ":") {
+			return nil, p.unsupported("parameter annotation")
+		}
 		params = append(params, pt.text)
 		if p.eat(tOp, "=") {
 			d, err := p.exprTop()
@@ -301,7 +324,7 @@ func (p *pparser) ifStatementParse() (stmt, error) {
 	for p.eat(tNewline, "") {
 	}
 	if p.atKw("elif") {
-		elifStmt, err := p.ifStatementParse()
+		elifStmt, err := nested(p, p.ifStatementParse)
 		if err != nil {
 			return nil, err
 		}
@@ -315,19 +338,6 @@ func (p *pparser) ifStatementParse() (stmt, error) {
 		node.Else = els
 	}
 	return node, nil
-}
-
-func (p *pparser) whileStatementParse() (stmt, error) {
-	t := p.next()
-	test, err := p.exprTop()
-	if err != nil {
-		return nil, err
-	}
-	body, err := p.suite()
-	if err != nil {
-		return nil, err
-	}
-	return &whileStatement{pos: pos{t.line}, Test: test, Body: body}, nil
 }
 
 func (p *pparser) forStatementParse() (stmt, error) {
@@ -372,70 +382,6 @@ func (p *pparser) targetNames() ([]string, error) {
 	return names, nil
 }
 
-func (p *pparser) tryStatementParse() (stmt, error) {
-	t := p.next() // try
-	body, err := p.suite()
-	if err != nil {
-		return nil, err
-	}
-	node := &tryStatement{pos: pos{t.line}, Body: body}
-	for {
-		for p.eat(tNewline, "") {
-		}
-		if p.atKw("except") {
-			p.next()
-			var clause exceptClause
-			if !p.at(tOp, ":") {
-				paren := p.eat(tOp, "(")
-				for {
-					et := p.cur()
-					if et.kind != tName {
-						return nil, p.errHere("expected exception class name")
-					}
-					p.next()
-					clause.Types = append(clause.Types, et.text)
-					if !paren || !p.eat(tOp, ",") {
-						break
-					}
-				}
-				if paren {
-					if err := p.expect(tOp, ")"); err != nil {
-						return nil, err
-					}
-				}
-				if p.eatKw("as") {
-					at := p.cur()
-					if at.kind != tName {
-						return nil, p.errHere("expected name after 'as'")
-					}
-					p.next()
-					clause.As = at.text
-				}
-			}
-			cbody, err := p.suite()
-			if err != nil {
-				return nil, err
-			}
-			clause.Body = cbody
-			node.Handlers = append(node.Handlers, clause)
-			continue
-		}
-		if p.atKw("finally") {
-			p.next()
-			fbody, err := p.suite()
-			if err != nil {
-				return nil, err
-			}
-			node.Finally = fbody
-		}
-		break
-	}
-	if len(node.Handlers) == 0 && node.Finally == nil {
-		return nil, p.errHere("try without except or finally")
-	}
-	return node, nil
-}
-
 // --- Expressions ---
 
 // exprList parses comma-separated expressions into a tuple (Python's "1, 2").
@@ -461,39 +407,14 @@ func (p *pparser) exprList() (expr, error) {
 	return tl, nil
 }
 
-// exprTop parses ternary / lambda level.
+// exprTop parses one full expression (the conditional-expression level).
+// Every bracketed or parenthesized sub-expression enters here, so it is
+// where nesting is counted.
 func (p *pparser) exprTop() (expr, error) {
-	if p.atKw("lambda") {
-		t := p.next()
-		var params []string
-		var defaults []expr
-		for !p.at(tOp, ":") {
-			pt := p.cur()
-			if pt.kind != tName || pyKeywords[pt.text] {
-				return nil, p.errHere("expected lambda parameter")
-			}
-			p.next()
-			params = append(params, pt.text)
-			if p.eat(tOp, "=") {
-				d, err := p.exprTop()
-				if err != nil {
-					return nil, err
-				}
-				defaults = append(defaults, d)
-			}
-			if !p.eat(tOp, ",") {
-				break
-			}
-		}
-		if err := p.expect(tOp, ":"); err != nil {
-			return nil, err
-		}
-		body, err := p.exprTop()
-		if err != nil {
-			return nil, err
-		}
-		return &lambdaExpr{pos: pos{t.line}, Params: params, Defaults: defaults, Body: body}, nil
+	if err := p.nest(); err != nil {
+		return nil, err
 	}
+	defer func() { p.depth-- }()
 	e, err := p.orExpr()
 	if err != nil {
 		return nil, err
@@ -516,48 +437,61 @@ func (p *pparser) exprTop() (expr, error) {
 	return e, nil
 }
 
-func (p *pparser) orExpr() (expr, error) {
-	l, err := p.andExpr()
+// binaryChain parses one left-associative operator level: operands from
+// operand, joined while match reports an operator. Each link nests the
+// tree one level deeper, so each counts toward maxNesting.
+func (p *pparser) binaryChain(operand func() (expr, error), match func() bool, build func(op token, l, r expr) expr) (expr, error) {
+	l, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for p.atKw("or") {
+	entered := 0
+	defer func() { p.depth -= entered }()
+	for match() {
 		t := p.next()
-		r, err := p.andExpr()
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		entered++
+		r, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		l = &boolOp{pos: pos{t.line}, Op: "or", L: l, R: r}
+		l = build(t, l, r)
 	}
 	return l, nil
 }
 
+func (p *pparser) orExpr() (expr, error) {
+	return p.binaryChain(p.andExpr, func() bool { return p.atKw("or") },
+		func(t token, l, r expr) expr { return &boolOp{pos: pos{t.line}, Op: "or", L: l, R: r} })
+}
+
 func (p *pparser) andExpr() (expr, error) {
-	l, err := p.notExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.atKw("and") {
-		t := p.next()
-		r, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &boolOp{pos: pos{t.line}, Op: "and", L: l, R: r}
-	}
-	return l, nil
+	return p.binaryChain(p.notExpr, func() bool { return p.atKw("and") },
+		func(t token, l, r expr) expr { return &boolOp{pos: pos{t.line}, Op: "and", L: l, R: r} })
 }
 
 func (p *pparser) notExpr() (expr, error) {
 	if p.atKw("not") {
 		t := p.next()
-		x, err := p.notExpr()
+		x, err := nested(p, p.notExpr)
 		if err != nil {
 			return nil, err
 		}
 		return &unaryOp{pos: pos{t.line}, Op: "not", X: x}, nil
 	}
 	return p.comparison()
+}
+
+// nested runs parse one nesting level deeper.
+func nested[T any](p *pparser, parse func() (T, error)) (T, error) {
+	if err := p.nest(); err != nil {
+		var zero T
+		return zero, err
+	}
+	defer func() { p.depth-- }()
+	return parse()
 }
 
 var compOps = map[string]bool{"==": true, "!=": true, "<": true, ">": true, "<=": true, ">=": true}
@@ -611,41 +545,20 @@ done:
 }
 
 func (p *pparser) arith() (expr, error) {
-	l, err := p.term()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tOp, "+") || p.at(tOp, "-") {
-		t := p.next()
-		r, err := p.term()
-		if err != nil {
-			return nil, err
-		}
-		l = &binOp{pos: pos{t.line}, Op: t.text, L: l, R: r}
-	}
-	return l, nil
+	return p.binaryChain(p.term, func() bool { return p.at(tOp, "+") || p.at(tOp, "-") },
+		func(t token, l, r expr) expr { return &binOp{pos: pos{t.line}, Op: t.text, L: l, R: r} })
 }
 
 func (p *pparser) term() (expr, error) {
-	l, err := p.factor()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tOp, "*") || p.at(tOp, "/") || p.at(tOp, "//") || p.at(tOp, "%") {
-		t := p.next()
-		r, err := p.factor()
-		if err != nil {
-			return nil, err
-		}
-		l = &binOp{pos: pos{t.line}, Op: t.text, L: l, R: r}
-	}
-	return l, nil
+	return p.binaryChain(p.factor, func() bool {
+		return p.at(tOp, "*") || p.at(tOp, "/") || p.at(tOp, "//") || p.at(tOp, "%")
+	}, func(t token, l, r expr) expr { return &binOp{pos: pos{t.line}, Op: t.text, L: l, R: r} })
 }
 
 func (p *pparser) factor() (expr, error) {
 	if p.at(tOp, "-") || p.at(tOp, "+") {
 		t := p.next()
-		x, err := p.factor()
+		x, err := nested(p, p.factor)
 		if err != nil {
 			return nil, err
 		}
@@ -661,7 +574,7 @@ func (p *pparser) power() (expr, error) {
 	}
 	if p.at(tOp, "**") {
 		t := p.next()
-		r, err := p.factor() // right-associative
+		r, err := nested(p, p.factor) // right-associative
 		if err != nil {
 			return nil, err
 		}
@@ -675,88 +588,102 @@ func (p *pparser) postfix() (expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		switch {
-		case p.at(tOp, "."):
-			p.next()
-			t := p.cur()
-			if t.kind != tName {
+	entered := 0
+	defer func() { p.depth -= entered }()
+	for p.at(tOp, ".") || p.at(tOp, "[") || p.at(tOp, "(") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		entered++
+		t := p.next()
+		switch t.text {
+		case ".":
+			name := p.cur()
+			if name.kind != tName {
 				return nil, p.errHere("expected attribute name after '.'")
 			}
 			p.next()
-			x = &attrRef{pos: pos{t.line}, Obj: x, Name: t.text}
-		case p.at(tOp, "["):
-			t := p.next()
-			// Slice or index.
-			var low, high, step expr
-			hasColon := false
-			if !p.at(tOp, ":") {
-				low, err = p.exprTop()
-				if err != nil {
-					return nil, err
-				}
-			}
-			if p.eat(tOp, ":") {
-				hasColon = true
-				if !p.at(tOp, ":") && !p.at(tOp, "]") {
-					high, err = p.exprTop()
-					if err != nil {
-						return nil, err
-					}
-				}
-				if p.eat(tOp, ":") {
-					if !p.at(tOp, "]") {
-						step, err = p.exprTop()
-						if err != nil {
-							return nil, err
-						}
-					}
-				}
-			}
-			if err := p.expect(tOp, "]"); err != nil {
-				return nil, err
-			}
-			if hasColon {
-				x = &sliceExpr{pos: pos{t.line}, Obj: x, Low: low, High: high, Step_: step}
-			} else {
-				x = &subscript{pos: pos{t.line}, Obj: x, Key: low}
-			}
-		case p.at(tOp, "("):
-			t := p.next()
-			c := &callExpr{pos: pos{t.line}, Fn: x}
-			for !p.at(tOp, ")") {
-				// keyword argument?
-				if p.cur().kind == tName && !pyKeywords[p.cur().text] && p.toks[p.pos+1].kind == tOp && p.toks[p.pos+1].text == "=" {
-					kw := p.next().text
-					p.next() // =
-					v, err := p.exprTop()
-					if err != nil {
-						return nil, err
-					}
-					c.KwName = append(c.KwName, kw)
-					c.KwVal = append(c.KwVal, v)
-				} else {
-					a, err := p.exprTop()
-					if err != nil {
-						return nil, err
-					}
-					if len(c.KwName) > 0 {
-						return nil, p.errHere("positional argument after keyword argument")
-					}
-					c.Args = append(c.Args, a)
-				}
-				if !p.eat(tOp, ",") {
-					break
-				}
-			}
-			if err := p.expect(tOp, ")"); err != nil {
-				return nil, err
-			}
-			x = c
-		default:
-			return x, nil
+			x = &attrRef{pos: pos{name.line}, Obj: x, Name: name.text}
+		case "[":
+			x, err = p.subscriptRest(x, t)
+		case "(":
+			x, err = p.callRest(x, t)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
+	return x, nil
+}
+
+// subscriptRest parses an index or slice after its '['.
+func (p *pparser) subscriptRest(obj expr, t token) (expr, error) {
+	var low, high, step expr
+	var err error
+	if !p.at(tOp, ":") {
+		if low, err = p.exprTop(); err != nil {
+			return nil, err
+		}
+	}
+	if !p.eat(tOp, ":") {
+		if err := p.expect(tOp, "]"); err != nil {
+			return nil, err
+		}
+		return &subscript{pos: pos{t.line}, Obj: obj, Key: low}, nil
+	}
+	if !p.at(tOp, ":") && !p.at(tOp, "]") {
+		if high, err = p.exprTop(); err != nil {
+			return nil, err
+		}
+	}
+	if p.eat(tOp, ":") && !p.at(tOp, "]") {
+		if step, err = p.exprTop(); err != nil {
+			return nil, err
+		}
+	}
+	if err := p.expect(tOp, "]"); err != nil {
+		return nil, err
+	}
+	return &sliceExpr{pos: pos{t.line}, Obj: obj, Low: low, High: high, Step_: step}, nil
+}
+
+// callRest parses a call's arguments after its '('.
+func (p *pparser) callRest(fn expr, t token) (expr, error) {
+	c := &callExpr{pos: pos{t.line}, Fn: fn}
+	for !p.at(tOp, ")") {
+		if p.at(tOp, "*") || p.at(tOp, "**") {
+			return nil, p.unsupported("argument unpacking")
+		}
+		if p.cur().kind == tName && !pyKeywords[p.cur().text] && p.toks[p.pos+1].kind == tOp && p.toks[p.pos+1].text == "=" {
+			kw := p.next().text
+			p.next() // =
+			v, err := p.exprTop()
+			if err != nil {
+				return nil, err
+			}
+			c.KwName = append(c.KwName, kw)
+			c.KwVal = append(c.KwVal, v)
+		} else {
+			a, err := p.exprTop()
+			if err != nil {
+				return nil, err
+			}
+			if len(c.KwName) > 0 {
+				return nil, p.errHere("positional argument after keyword argument")
+			}
+			if p.atKw("for") {
+				return nil, p.unsupported("generator expression")
+			}
+			c.Args = append(c.Args, a)
+		}
+		if !p.eat(tOp, ",") {
+			break
+		}
+	}
+	if err := p.expect(tOp, ")"); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 func (p *pparser) atom() (expr, error) {
@@ -778,7 +705,7 @@ func (p *pparser) atom() (expr, error) {
 		return &strLit{pos: pos{t.line}, V: s}, nil
 	case tFStr:
 		p.next()
-		return parseFString(t.text, t.line)
+		return p.parseFString(t.text, t.line)
 	case tName:
 		switch t.text {
 		case "True", "False":
@@ -788,7 +715,10 @@ func (p *pparser) atom() (expr, error) {
 			p.next()
 			return &noneLit{pos: pos{t.line}}, nil
 		}
-		if pyKeywords[t.text] && t.text != "lambda" {
+		if construct, ok := unsupportedKeywords[t.text]; ok {
+			return nil, p.unsupported(construct)
+		}
+		if pyKeywords[t.text] {
 			return nil, p.errHere("unexpected keyword %q", t.text)
 		}
 		p.next()
@@ -797,251 +727,205 @@ func (p *pparser) atom() (expr, error) {
 		switch t.text {
 		case "(":
 			p.next()
-			if p.eat(tOp, ")") {
-				return &tupleLit{pos: pos{t.line}}, nil
-			}
-			e, err := p.exprTop()
-			if err != nil {
-				return nil, err
-			}
-			if p.at(tOp, ",") {
-				tl := &tupleLit{pos: pos{t.line}, Elems: []expr{e}}
-				for p.eat(tOp, ",") {
-					if p.at(tOp, ")") {
-						break
-					}
-					e2, err := p.exprTop()
-					if err != nil {
-						return nil, err
-					}
-					tl.Elems = append(tl.Elems, e2)
-				}
-				if err := p.expect(tOp, ")"); err != nil {
-					return nil, err
-				}
-				return tl, nil
-			}
-			if err := p.expect(tOp, ")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			return p.parenRest(t)
 		case "[":
 			p.next()
-			if p.eat(tOp, "]") {
-				return &listLit{pos: pos{t.line}}, nil
-			}
-			first, err := p.exprTop()
-			if err != nil {
-				return nil, err
-			}
-			if p.atKw("for") {
-				// list comprehension
-				p.next()
-				vars, err := p.targetNames()
-				if err != nil {
-					return nil, err
-				}
-				if !p.eatKw("in") {
-					return nil, p.errHere("expected 'in' in comprehension")
-				}
-				iter, err := p.orExpr()
-				if err != nil {
-					return nil, err
-				}
-				var cond expr
-				if p.eatKw("if") {
-					cond, err = p.orExpr()
-					if err != nil {
-						return nil, err
-					}
-				}
-				if err := p.expect(tOp, "]"); err != nil {
-					return nil, err
-				}
-				return &listComp{pos: pos{t.line}, Out: first, Vars: vars, Iter: iter, Cond: cond}, nil
-			}
-			ll := &listLit{pos: pos{t.line}, Elems: []expr{first}}
-			for p.eat(tOp, ",") {
-				if p.at(tOp, "]") {
-					break
-				}
-				e, err := p.exprTop()
-				if err != nil {
-					return nil, err
-				}
-				ll.Elems = append(ll.Elems, e)
-			}
-			if err := p.expect(tOp, "]"); err != nil {
-				return nil, err
-			}
-			return ll, nil
+			return p.listRest(t)
 		case "{":
 			p.next()
-			if p.eat(tOp, "}") {
-				return &dictLit{pos: pos{t.line}}, nil
-			}
-			firstKey, err := p.exprTop()
-			if err != nil {
-				return nil, err
-			}
-			if p.at(tOp, ":") {
-				p.next()
-				firstVal, err := p.exprTop()
-				if err != nil {
-					return nil, err
-				}
-				dl := &dictLit{pos: pos{t.line}, Keys: []expr{firstKey}, Vals: []expr{firstVal}}
-				for p.eat(tOp, ",") {
-					if p.at(tOp, "}") {
-						break
-					}
-					k, err := p.exprTop()
-					if err != nil {
-						return nil, err
-					}
-					if err := p.expect(tOp, ":"); err != nil {
-						return nil, err
-					}
-					v, err := p.exprTop()
-					if err != nil {
-						return nil, err
-					}
-					dl.Keys = append(dl.Keys, k)
-					dl.Vals = append(dl.Vals, v)
-				}
-				if err := p.expect(tOp, "}"); err != nil {
-					return nil, err
-				}
-				return dl, nil
-			}
-			// set literal
-			sl := &setLit{pos: pos{t.line}, Elems: []expr{firstKey}}
-			for p.eat(tOp, ",") {
-				if p.at(tOp, "}") {
-					break
-				}
-				e, err := p.exprTop()
-				if err != nil {
-					return nil, err
-				}
-				sl.Elems = append(sl.Elems, e)
-			}
-			if err := p.expect(tOp, "}"); err != nil {
-				return nil, err
-			}
-			return sl, nil
+			return p.dictRest(t)
 		}
 	}
-	found := t.text
-	switch t.kind {
-	case tNewline:
-		found = "newline"
-	case tEOF:
-		found = "end of input"
+	return nil, p.errHere("unexpected %q", p.found())
+}
+
+// parenRest parses a parenthesized expression or a tuple after its '('.
+func (p *pparser) parenRest(t token) (expr, error) {
+	if p.eat(tOp, ")") {
+		return &tupleLit{pos: pos{t.line}}, nil
 	}
-	return nil, p.errHere("unexpected %q", found)
+	e, err := p.exprTop()
+	if err != nil {
+		return nil, err
+	}
+	if p.atKw("for") {
+		return nil, p.unsupported("generator expression")
+	}
+	if !p.at(tOp, ",") {
+		if err := p.expect(tOp, ")"); err != nil {
+			return nil, err
+		}
+		return e, nil
+	}
+	tl := &tupleLit{pos: pos{t.line}, Elems: []expr{e}}
+	for p.eat(tOp, ",") && !p.at(tOp, ")") {
+		e2, err := p.exprTop()
+		if err != nil {
+			return nil, err
+		}
+		tl.Elems = append(tl.Elems, e2)
+	}
+	if err := p.expect(tOp, ")"); err != nil {
+		return nil, err
+	}
+	return tl, nil
+}
+
+// listRest parses a list literal or list comprehension after its '['.
+func (p *pparser) listRest(t token) (expr, error) {
+	if p.eat(tOp, "]") {
+		return &listLit{pos: pos{t.line}}, nil
+	}
+	first, err := p.exprTop()
+	if err != nil {
+		return nil, err
+	}
+	if p.eatKw("for") {
+		vars, err := p.targetNames()
+		if err != nil {
+			return nil, err
+		}
+		if !p.eatKw("in") {
+			return nil, p.errHere("expected 'in' in comprehension")
+		}
+		iter, err := p.orExpr()
+		if err != nil {
+			return nil, err
+		}
+		var cond expr
+		if p.eatKw("if") {
+			if cond, err = p.orExpr(); err != nil {
+				return nil, err
+			}
+		}
+		if p.atKw("for") || p.atKw("if") {
+			return nil, p.unsupported("comprehension with several clauses")
+		}
+		if err := p.expect(tOp, "]"); err != nil {
+			return nil, err
+		}
+		return &listComp{pos: pos{t.line}, Out: first, Vars: vars, Iter: iter, Cond: cond}, nil
+	}
+	ll := &listLit{pos: pos{t.line}, Elems: []expr{first}}
+	for p.eat(tOp, ",") && !p.at(tOp, "]") {
+		e, err := p.exprTop()
+		if err != nil {
+			return nil, err
+		}
+		ll.Elems = append(ll.Elems, e)
+	}
+	if err := p.expect(tOp, "]"); err != nil {
+		return nil, err
+	}
+	return ll, nil
+}
+
+// dictRest parses a dict literal after its '{'; a set literal or a dict
+// comprehension is outside the subset.
+func (p *pparser) dictRest(t token) (expr, error) {
+	dl := &dictLit{pos: pos{t.line}}
+	for !p.at(tOp, "}") {
+		k, err := p.exprTop()
+		if err != nil {
+			return nil, err
+		}
+		if !p.at(tOp, ":") {
+			return nil, p.unsupported("set literal")
+		}
+		p.next()
+		v, err := p.exprTop()
+		if err != nil {
+			return nil, err
+		}
+		if p.atKw("for") {
+			return nil, p.unsupported("dict comprehension")
+		}
+		dl.Keys = append(dl.Keys, k)
+		dl.Vals = append(dl.Vals, v)
+		if !p.eat(tOp, ",") {
+			break
+		}
+	}
+	if err := p.expect(tOp, "}"); err != nil {
+		return nil, err
+	}
+	return dl, nil
 }
 
 // parseFString splits an f-string body into literal and expression parts.
-func parseFString(body string, line int) (expr, error) {
+// Interpolated expressions parse at the enclosing nesting depth.
+func (p *pparser) parseFString(body string, line int) (expr, error) {
 	node := &fstrLit{pos: pos{line}}
 	var lit strings.Builder
-	i := 0
-	for i < len(body) {
+	flush := func() {
+		if lit.Len() > 0 {
+			node.Parts = append(node.Parts, fstrPart{Text: unescapeLit(lit.String())})
+			lit.Reset()
+		}
+	}
+	for i := 0; i < len(body); i++ {
 		c := body[i]
-		if c == '{' {
-			if i+1 < len(body) && body[i+1] == '{' {
-				lit.WriteByte('{')
-				i += 2
-				continue
-			}
-			if lit.Len() > 0 {
-				node.Parts = append(node.Parts, fstrPart{Text: unescapeLit(lit.String())})
-				lit.Reset()
-			}
-			// Find the matching close brace, respecting nesting and quotes.
-			depth := 1
-			j := i + 1
-			for j < len(body) && depth > 0 {
-				switch body[j] {
-				case '{':
-					depth++
-				case '}':
-					depth--
-				case '\'', '"':
-					q := body[j]
-					j++
-					for j < len(body) && body[j] != q {
-						j++
-					}
-				}
-				j++
-			}
-			if depth != 0 {
+		switch {
+		case (c == '{' || c == '}') && i+1 < len(body) && body[i+1] == c:
+			lit.WriteByte(c)
+			i++
+		case c == '}':
+			return nil, &SyntaxError{Line: line, Msg: "single '}' in f-string"}
+		case c == '{':
+			flush()
+			end, colon := fieldEnd(body[i+1:])
+			if end < 0 {
 				return nil, &SyntaxError{Line: line, Msg: "unbalanced braces in f-string"}
 			}
-			inner := body[i+1 : j-1]
-			part := fstrPart{}
-			// Conversion: !r or !s before format spec.
-			if k := strings.LastIndex(inner, "!"); k >= 0 && k+1 < len(inner) && (inner[k+1] == 'r' || inner[k+1] == 's') && (k+2 == len(inner) || inner[k+2] == ':') {
-				part.Conv = inner[k+1]
-				rest := inner[k+2:]
-				inner = inner[:k]
-				if strings.HasPrefix(rest, ":") {
-					part.Spec = rest[1:]
-				}
-			} else if k := topLevelColon(inner); k >= 0 {
-				part.Spec = inner[k+1:]
-				inner = inner[:k]
+			field, part := body[i+1:i+1+end], fstrPart{}
+			if colon >= 0 {
+				field, part.Spec = field[:colon], field[colon+1:]
 			}
-			e, err := parsePyExpression(inner)
+			if n := len(field); n >= 2 && field[n-2] == '!' && (field[n-1] == 'r' || field[n-1] == 's') {
+				field, part.Conv = field[:n-2], field[n-1]
+			}
+			e, err := parseExpressionAt(field, p.depth)
 			if err != nil {
 				return nil, err
 			}
 			part.Expr = e
 			node.Parts = append(node.Parts, part)
-			i = j
-			continue
+			i += 1 + end
+		default:
+			lit.WriteByte(c)
 		}
-		if c == '}' {
-			if i+1 < len(body) && body[i+1] == '}' {
-				lit.WriteByte('}')
-				i += 2
-				continue
-			}
-			return nil, &SyntaxError{Line: line, Msg: "single '}' in f-string"}
-		}
-		lit.WriteByte(c)
-		i++
 	}
-	if lit.Len() > 0 {
-		node.Parts = append(node.Parts, fstrPart{Text: unescapeLit(lit.String())})
-	}
+	flush()
 	return node, nil
 }
 
-// topLevelColon finds a ':' outside brackets/quotes (format spec separator).
-func topLevelColon(s string) int {
-	depth := 0
+// fieldEnd scans an f-string replacement field that starts after its '{',
+// skipping brackets and quoted strings, and returns the index of the '}'
+// closing it (-1 if none) and of its format-spec ':' (-1 if none).
+func fieldEnd(s string) (end, colon int) {
+	depth, colon := 0, -1
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '(', '[', '{':
 			depth++
-		case ')', ']', '}':
+		case ')', ']':
+			depth--
+		case '}':
+			if depth == 0 {
+				return i, colon
+			}
 			depth--
 		case '\'', '"':
 			q := s[i]
-			i++
-			for i < len(s) && s[i] != q {
-				i++
+			for i++; i < len(s) && s[i] != q; i++ {
 			}
 		case ':':
-			if depth == 0 {
-				return i
+			if depth == 0 && colon < 0 {
+				colon = i
 			}
 		}
 	}
-	return -1
+	return -1, colon
 }
 
 // unescapeLit processes backslash escapes kept raw during f-string lexing.
@@ -1052,8 +936,9 @@ func unescapeLit(s string) string {
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		if s[i] == '\\' && i+1 < len(s) {
-			b.WriteString(unescapePy(s[i+1]))
-			i++
+			text, n := unescapePy(s[i+1:])
+			b.WriteString(text)
+			i += n
 			continue
 		}
 		b.WriteByte(s[i])

@@ -10,11 +10,7 @@ package pyexpr
 type Program struct {
 	expr  expr
 	stmts []stmt
-	src   string
 }
-
-// Source returns the source text the program was compiled from.
-func (p *Program) Source() string { return p.src }
 
 // CompileExpr parses a single Python expression into a reusable Program.
 func CompileExpr(src string) (*Program, error) {
@@ -22,7 +18,7 @@ func CompileExpr(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{expr: node, src: src}, nil
+	return &Program{expr: node}, nil
 }
 
 // CompileBody parses a statement block into a reusable Program; evaluation
@@ -32,7 +28,7 @@ func CompileBody(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{stmts: stmts, src: src}, nil
+	return &Program{stmts: stmts}, nil
 }
 
 // RunProgram evaluates a compiled program with the given variables in scope,
@@ -42,34 +38,31 @@ func CompileBody(src string) (*Program, error) {
 // library holds in-place-mutable state serialize their evaluations instead
 // (see Interp).
 func (ip *Interp) RunProgram(p *Program, vars map[string]any) (any, error) {
-	ev := ip.evaluator()
+	v, err := ip.run(p, vars)
+	if err != nil {
+		return nil, err
+	}
+	return fromPy(v), nil
+}
+
+// run evaluates p and returns its Python value: the expression's value, or
+// a body's top-level return value (None without one).
+func (ip *Interp) run(p *Program, vars map[string]any) (any, error) {
+	ip.seal()
 	if ip.serialize {
 		ip.evalMu.Lock()
 		defer ip.evalMu.Unlock()
 	}
+	ev := &Interp{global: ip.global, maxSteps: ip.maxSteps}
 	env := ev.scopeWith(vars)
 	if p.expr != nil {
-		v, err := ev.eval(p.expr, env)
-		if err != nil {
-			return nil, err
-		}
-		return FromPy(v), nil
+		return ev.eval(p.expr, env)
 	}
 	c, err := ev.execStmts(p.stmts, env)
-	if err != nil {
+	if err != nil || c == nil || c.kind != ctrlReturn {
 		return nil, err
 	}
-	if c != nil && c.kind == ctrlReturn {
-		return FromPy(c.value), nil
-	}
-	return nil, nil
-}
-
-// evaluator seals the global scope and returns a fresh per-call interpreter
-// sharing the (now read-only) global environment and the Stdout sink.
-func (ip *Interp) evaluator() *Interp {
-	ip.seal()
-	return &Interp{global: ip.global, maxSteps: ip.maxSteps, Stdout: ip.Stdout}
+	return c.value, nil
 }
 
 // seal freezes the global scope and decides whether mutable library state
@@ -82,7 +75,7 @@ func (ip *Interp) seal() {
 }
 
 // libHasMutableState reports whether any library-defined global carries
-// state an expression could mutate in place: lists, dicts, sets, tuples
+// state an expression could mutate in place: lists, dicts, tuples
 // containing them, functions with mutable defaults, or functions over a
 // captured (non-global) scope.
 func (ip *Interp) libHasMutableState() bool {
@@ -102,7 +95,7 @@ func pyMutable(ip *Interp, v any, depth int) bool {
 		return true // deep enough to stop looking; be conservative
 	}
 	switch x := v.(type) {
-	case *List, *Dict, *Set:
+	case *List, *Dict:
 		return true
 	case *Tuple:
 		for _, e := range x.E {

@@ -617,7 +617,7 @@ func (p *parser) parseValue(s string, lnum, ownerIndent int) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, rest, err := p.parseFlow(full, lnum)
+		v, rest, err := p.parseFlow(full, lnum, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -711,11 +711,19 @@ func flowBalanced(s string) bool {
 	return depth <= 0
 }
 
-// parseFlow parses a flow value at the start of s and returns the remainder.
-func (p *parser) parseFlow(s string, lnum int) (any, string, error) {
+// maxFlowDepth bounds how deeply flow collections nest: DecodeJSON's
+// limit, which is encoding/json's.
+const maxFlowDepth = 10000
+
+// parseFlow parses a flow value, nested depth collections deep, at the
+// start of s and returns the remainder.
+func (p *parser) parseFlow(s string, lnum, depth int) (any, string, error) {
 	s = strings.TrimLeft(s, " ")
 	if s == "" {
 		return nil, "", errf(lnum, "empty flow value")
+	}
+	if (s[0] == '[' || s[0] == '{') && depth >= maxFlowDepth {
+		return nil, "", errf(lnum, "flow collections nested more than %d deep", maxFlowDepth)
 	}
 	switch s[0] {
 	case '[':
@@ -728,7 +736,7 @@ func (p *parser) parseFlow(s string, lnum int) (any, string, error) {
 			if s[0] == ']' {
 				return items, s[1:], nil
 			}
-			v, rest, err := p.parseFlow(s, lnum)
+			v, rest, err := p.parseFlow(s, lnum, depth+1)
 			if err != nil {
 				return nil, "", err
 			}
@@ -776,7 +784,7 @@ func (p *parser) parseFlow(s string, lnum int) (any, string, error) {
 			if s != "" && (s[0] == ',' || s[0] == '}') {
 				m.Set(key, nil)
 			} else {
-				v, rest, err := p.parseFlow(s, lnum)
+				v, rest, err := p.parseFlow(s, lnum, depth+1)
 				if err != nil {
 					return nil, "", err
 				}

@@ -562,6 +562,25 @@ func TestDeepNesting(t *testing.T) {
 	}
 }
 
+// TestFlowNestingBound: two million nested flow brackets, which overflowed
+// the parser's stack before the bound, fail with an error naming it, in a
+// sequence or a mapping; nesting at the bound decodes.
+func TestFlowNestingBound(t *testing.T) {
+	const deep = 2_000_000
+	for _, src := range []string{
+		"a: " + strings.Repeat("[", deep) + strings.Repeat("]", deep) + "\n",
+		"a: " + strings.Repeat("{k: ", deep) + "1" + strings.Repeat("}", deep) + "\n",
+	} {
+		if _, err := Decode([]byte(src)); err == nil || !strings.Contains(err.Error(), "nested more than") {
+			t.Errorf("%.20s...: err = %v, want the nesting error", src, err)
+		}
+	}
+	ok := "a: " + strings.Repeat("[", maxFlowDepth) + strings.Repeat("]", maxFlowDepth) + "\n"
+	if _, err := Decode([]byte(ok)); err != nil {
+		t.Errorf("%d nested flow sequences: %v", maxFlowDepth, err)
+	}
+}
+
 func TestCRLFInput(t *testing.T) {
 	m := mustDecode(t, "a: 1\r\nb: 2\r\n").(*Map)
 	if m.Value("a") != int64(1) || m.Value("b") != int64(2) {

@@ -2,6 +2,7 @@ package yamlx
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -33,6 +34,7 @@ func FuzzDecode(f *testing.F) {
 		"&anchor x",
 		"key:\n  - {a: [}\n",
 		"0:\n 0:\n  0:\n   0:\n    0:\n",
+		"a: " + strings.Repeat("[", 20000) + strings.Repeat("]", 20000) + "\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
