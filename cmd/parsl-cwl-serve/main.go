@@ -275,7 +275,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		pprofServer := &http.Server{Handler: pm, ReadHeaderTimeout: 10 * time.Second}
 		defer pprofServer.Close()
 		go func() { _ = pprofServer.Serve(pln) }()
-		fmt.Fprintf(stdout, "pprof listening on http://%s/debug/pprof/\n", pln.Addr())
+		fmt.Fprintf(stdout, "pprof on http://%s/debug/pprof/\n", pln.Addr())
 	}
 	server := &http.Server{
 		Handler:           svc.Handler(),

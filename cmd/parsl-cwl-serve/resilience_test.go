@@ -36,7 +36,25 @@ func startServer(t *testing.T, dataDir string) (*exec.Cmd, string) {
 	t.Helper()
 	// Two WAL shards: the kill -9 cycle below also proves the sharded journal
 	// layout replays correctly after a crash.
-	args := []string{"-addr", "127.0.0.1:0", "-data-dir", dataDir, "-workers", "2", "-wal-shards", "2"}
+	cmd, lines := serveProcess(t, "-addr", "127.0.0.1:0", "-data-dir", dataDir, "-workers", "2", "-wal-shards", "2")
+	timeout := time.After(20 * time.Second)
+	for {
+		select {
+		case line := <-lines:
+			if i := strings.Index(line, "listening on http://"); i >= 0 {
+				return cmd, strings.Fields(line[i+len("listening on "):])[0]
+			}
+		case <-timeout:
+			t.Fatal("server never reported its listen address")
+			return nil, ""
+		}
+	}
+}
+
+// serveProcess starts the helper server with args and streams its stdout
+// lines; the process is killed at test cleanup.
+func serveProcess(t *testing.T, args ...string) (*exec.Cmd, <-chan string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run", "TestHelperServe")
 	cmd.Env = append(os.Environ(),
 		"PARSL_CWL_SERVE_HELPER=1",
@@ -56,23 +74,53 @@ func startServer(t *testing.T, dataDir string) (*exec.Cmd, string) {
 			cmd.Wait()
 		}
 	})
-
-	addr := make(chan string, 1)
+	// Room for every line serve prints at startup, so none is dropped
+	// before the test reads it.
+	lines := make(chan string, 16)
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
-			line := sc.Text()
-			if i := strings.Index(line, "listening on http://"); i >= 0 {
-				addr <- strings.Fields(line[i+len("listening on "):])[0]
+			select {
+			case lines <- sc.Text():
+			default: // nobody reads any more; keep draining the pipe
 			}
 		}
 	}()
-	select {
-	case url := <-addr:
-		return cmd, url
-	case <-time.After(20 * time.Second):
-		t.Fatal("server never reported its listen address")
-		return nil, ""
+	return cmd, lines
+}
+
+// TestPprofAddrKeepsOneListenLine: with -pprof-addr set, exactly one stdout
+// line says "listening on http://" — the API's — so a reader that takes the
+// first such line reaches the API and not the pprof mux.
+func TestPprofAddrKeepsOneListenLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real server process")
+	}
+	_, lines := serveProcess(t, "-addr", "127.0.0.1:0", "-pprof-addr", "127.0.0.1:0", "-workers", "1", "-work-dir", t.TempDir())
+	var listen []string
+	timeout := time.After(20 * time.Second)
+	for done := false; !done; {
+		select {
+		case line := <-lines:
+			if strings.Contains(line, "listening on http://") {
+				listen = append(listen, line)
+			}
+			done = strings.HasPrefix(line, "parsl-cwl-serve listening on")
+		case <-timeout:
+			t.Fatalf("server never printed its API address; listen lines so far: %q", listen)
+		}
+	}
+	if len(listen) != 1 {
+		t.Fatalf("%d stdout lines contain \"listening on http://\", want 1: %q", len(listen), listen)
+	}
+	_, rest, _ := strings.Cut(listen[0], "listening on ")
+	resp, err := http.Get(strings.Fields(rest)[0] + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz at the listen line's address = %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -372,11 +372,7 @@ func (l *Log) Append(kind string, v any) error {
 	if err != nil {
 		return fmt.Errorf("persist: encoding %q record: %w", kind, err)
 	}
-	line, err := json.Marshal(Record{Kind: kind, Data: data})
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	line = append(line, '\n')
+	line := encodeRecord(kind, data)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -403,6 +399,20 @@ func (l *Log) Append(kind string, v any) error {
 		return l.syncLocked()
 	}
 	return nil
+}
+
+// encodeRecord writes the journal line for Record{kind, data} plus a newline.
+// data comes from json.Marshal, so it is already compact and HTML-escaped:
+// splicing it in yields the bytes json.Marshal(Record{...}) would, without
+// validating and compacting the payload a second time.
+func encodeRecord(kind string, data []byte) []byte {
+	k, _ := json.Marshal(kind) // a string always encodes
+	line := make([]byte, 0, len(`{"k":,"d":}`)+len(k)+len(data)+1)
+	line = append(line, `{"k":`...)
+	line = append(line, k...)
+	line = append(line, `,"d":`...)
+	line = append(line, data...)
+	return append(line, "}\n"...)
 }
 
 // Sync forces any pending journal bytes to disk.

@@ -66,6 +66,60 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendWritesMarshalledRecord pins the journal line format: Append
+// splices the encoded payload into the record instead of marshalling it a
+// second time, and the bytes must still be exactly json.Marshal(Record{...})
+// plus a newline — HTML escaping, non-ASCII text and nested raw JSON included.
+func TestAppendWritesMarshalledRecord(t *testing.T) {
+	type nested struct {
+		Text string          `json:"text"`
+		Raw  json.RawMessage `json:"raw,omitempty"`
+		N    []int           `json:"n,omitempty"`
+	}
+	cases := []struct {
+		kind string
+		v    any
+	}{
+		{"submit", kv{K: "a<b & c>", V: 1}},
+		{"run", nested{Text: "naïve — ü 日本 \u2028 \"quoted\"\n", N: []int{1, 2}}},
+		{"memo", nested{Raw: json.RawMessage(` { "x" : [1, 2, {"y":"<&>"}] , "z":"é" } `)}},
+		{"k<&>é\"", map[string]any{"b": []any{"<", nil, 1.5}, "a": true}},
+		{"", nil},
+		{"str", "plain <string> & \u00e9"},
+		{"raw", json.RawMessage(`[ 1 ,"<>" ]`)},
+	}
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, c := range cases {
+		if err := l.Append(c.kind, c.v); err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(Record{Kind: c.kind, Data: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, line...), '\n')
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("journal bytes differ:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestCompactSnapshotsAndTruncates(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})

@@ -32,12 +32,23 @@ type DocCache struct {
 	misses   int
 }
 
+// CachedDoc is one parsed-and-validated document as the cache serves it.
+type CachedDoc struct {
+	Doc cwl.Document
+	// Index is the prebuilt dataflow index when Doc is a Workflow: cached
+	// runs skip rebuilding the source→dependents graph on every execution.
+	Index *runner.StepIndex
+	// InProcess marks a document whose runs are evaluated entirely in the
+	// engine process: a bare ExpressionTool, or a Workflow whose steps —
+	// nested subworkflows included — are all ExpressionTools. Such runs never
+	// reach the DFK, a provider or fork/exec.
+	InProcess bool
+	// Hash is the source's content hash (HashSource).
+	Hash string
+}
+
 type docEntry struct {
-	hash string
-	doc  cwl.Document
-	// idx is the prebuilt dataflow index when doc is a Workflow: cached runs
-	// skip rebuilding the source→dependents graph on every execution.
-	idx *runner.StepIndex
+	CachedDoc
 	err error
 	// size approximates the entry's memory cost: source length (the parsed
 	// tree is proportional to it) plus the prebuilt StepIndex estimate —
@@ -68,37 +79,33 @@ func HashSource(source []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Load returns the parsed document for the given CWL source, its content
-// hash, and whether it was served from cache. Documents are parsed with file
-// references disabled — service submissions must be self-contained (inline
-// `run:` bodies or a packed $graph). A parse or validation failure is
-// returned wrapped in ErrInvalidDocument.
-func (c *DocCache) Load(source []byte) (doc cwl.Document, hash string, hit bool, err error) {
-	doc, _, hash, hit, err = c.LoadIndexed(source)
-	return doc, hash, hit, err
-}
-
-// LoadIndexed is Load plus the document's prebuilt dataflow index (nil for
-// non-Workflow documents): one BuildStepIndex per cached document instead of
-// one per run.
-func (c *DocCache) LoadIndexed(source []byte) (doc cwl.Document, idx *runner.StepIndex, hash string, hit bool, err error) {
-	hash = HashSource(source)
+// Load returns the parsed document for the given CWL source and whether it
+// was served from cache. Documents are parsed with file references disabled —
+// service submissions must be self-contained (inline `run:` bodies or a
+// packed $graph). A parse or validation failure is returned wrapped in
+// ErrInvalidDocument.
+func (c *DocCache) Load(source []byte) (d CachedDoc, hit bool, err error) {
+	hash := HashSource(source)
 	c.mu.Lock()
 	if el, ok := c.entries[hash]; ok {
 		c.lru.MoveToFront(el)
 		c.hits++
 		ent := el.Value.(*docEntry)
 		c.mu.Unlock()
-		return ent.doc, ent.idx, hash, true, ent.err
+		return ent.CachedDoc, true, ent.err
 	}
 	c.misses++
 	c.mu.Unlock()
 
 	// Parse outside the lock; concurrent misses on the same document may
 	// duplicate work, but never block unrelated submissions.
-	doc, err = parseAndValidate(source)
-	if wf, ok := doc.(*cwl.Workflow); ok && err == nil {
-		idx = runner.BuildStepIndex(wf)
+	d.Hash = hash
+	d.Doc, err = parseAndValidate(source)
+	if err == nil {
+		d.InProcess = inProcess(d.Doc)
+		if wf, ok := d.Doc.(*cwl.Workflow); ok {
+			d.Index = runner.BuildStepIndex(wf)
+		}
 	}
 
 	c.mu.Lock()
@@ -106,19 +113,36 @@ func (c *DocCache) LoadIndexed(source []byte) (doc cwl.Document, idx *runner.Ste
 	if el, ok := c.entries[hash]; ok {
 		// Another goroutine raced us; keep its entry.
 		ent := el.Value.(*docEntry)
-		return ent.doc, ent.idx, hash, false, ent.err
+		return ent.CachedDoc, false, ent.err
 	}
-	size := int64(len(source)) + idx.SizeEstimate()
-	c.entries[hash] = c.lru.PushFront(&docEntry{hash: hash, doc: doc, idx: idx, err: err, size: size})
+	size := int64(len(source)) + d.Index.SizeEstimate()
+	c.entries[hash] = c.lru.PushFront(&docEntry{CachedDoc: d, err: err, size: size})
 	c.bytes += size
 	for c.lru.Len() > 1 && (c.lru.Len() > c.cap || (c.maxBytes > 0 && c.bytes > c.maxBytes)) {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
 		ent := oldest.Value.(*docEntry)
-		delete(c.entries, ent.hash)
+		delete(c.entries, ent.Hash)
 		c.bytes -= ent.size
 	}
-	return doc, idx, hash, false, err
+	return d, false, err
+}
+
+// inProcess reports whether every process in doc is an ExpressionTool, so a
+// run of it is evaluated in the engine process without a Parsl task.
+func inProcess(doc cwl.Document) bool {
+	switch d := doc.(type) {
+	case *cwl.ExpressionTool:
+		return true
+	case *cwl.Workflow:
+		for _, step := range d.Steps {
+			if !inProcess(step.Run) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 func parseAndValidate(source []byte) (cwl.Document, error) {

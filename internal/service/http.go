@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,6 +18,12 @@ import (
 // maxBodyBytes bounds request bodies so a single client cannot exhaust the
 // server's memory with one giant document.
 const maxBodyBytes = 8 << 20
+
+// inProcessWait bounds how long POST /runs holds its reply for an in-process
+// run (CachedDoc.InProcess) to finish, so an expression-only run is answered
+// terminal in one round trip; a run still going at the bound is answered
+// with its admission snapshot, as any other run is.
+const inProcessWait = 5 * time.Millisecond
 
 // submitBody is the JSON envelope accepted by POST /runs.
 type submitBody struct {
@@ -53,6 +60,7 @@ type taskEventJSON struct {
 // Handler returns the REST API over this service:
 //
 //	POST   /runs             submit a run  {"cwl": "...", "inputs": {...}}
+//	                         (?wait=1 replies once the run is terminal)
 //	GET    /runs             list runs (the caller's own, in tenant mode)
 //	GET    /runs/{id}        one run (?wait=1 blocks until terminal)
 //	GET    /runs/{id}/events the run's DFK task-event log
@@ -165,13 +173,35 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		req.Deadline = dl
 	}
 	req.Tenant = tn
-	snap, err := s.Submit(req)
+	snap, inProc, err := s.submit(req)
 	if err != nil {
 		writeServiceError(w, err)
 		return
 	}
+	// The run is admitted, journaled and enqueued; only the reply waits. A
+	// ?wait=1 client waits for the end, an in-process run gets a short bound
+	// and every other run is answered at once. A wait that ends early (the
+	// bound, a client gone) is answered with the admission snapshot.
+	if wait := wantsWait(r); !snap.State.Terminal() && (wait || inProc) {
+		ctx := r.Context()
+		if !wait {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, inProcessWait)
+			defer cancel()
+		}
+		if done, err := s.Wait(ctx, snap.ID); err == nil {
+			snap = done
+		}
+	}
 	w.Header().Set("Location", "/runs/"+snap.ID)
 	writeJSON(w, http.StatusCreated, snap)
+}
+
+// wantsWait reports whether the request asks to be answered only once its
+// run is terminal (?wait=1).
+func wantsWait(r *http.Request) bool {
+	wait := r.URL.Query().Get("wait")
+	return wait != "" && wait != "0" && wait != "false"
 }
 
 // parseSubmitBody accepts either the JSON envelope or, for yaml/plain
@@ -269,7 +299,7 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	if wait := r.URL.Query().Get("wait"); wait != "" && wait != "0" && wait != "false" {
+	if wantsWait(r) {
 		snap, err := s.Wait(r.Context(), id)
 		if errors.Is(err, ErrNotFound) {
 			writeServiceError(w, err)

@@ -381,7 +381,7 @@ func (s *Service) openPersistence() error {
 			fail("recovered run lost its submission payload")
 			continue
 		}
-		doc, idx, _, _, err := s.cache.LoadIndexed([]byte(w.Source))
+		d, _, err := s.cache.Load([]byte(w.Source))
 		if err != nil {
 			fail(fmt.Sprintf("recovered run no longer validates: %v", err))
 			continue
@@ -400,7 +400,7 @@ func (s *Service) openPersistence() error {
 		s.store.Restore(snap)
 		s.workMu.Lock()
 		s.work[snap.ID] = &pendingRun{
-			doc: doc, idx: idx, inputs: inputs, provider: snap.Provider,
+			doc: d.Doc, idx: d.Index, inputs: inputs, provider: snap.Provider,
 			resultKey: s.resultKeyFor(snap.Tenant, snap.DocHash, inputs),
 		}
 		s.workMu.Unlock()
@@ -552,6 +552,13 @@ func (s *Service) shedMetrics(tenantName, reason string) {
 // snapshot immediately — or, on a shared-result-cache hit, its already
 // succeeded snapshot without executing anything.
 func (s *Service) Submit(req SubmitRequest) (RunSnapshot, error) {
+	snap, _, err := s.submit(req)
+	return snap, err
+}
+
+// submit is Submit that also reports whether the run's document is
+// in-process (CachedDoc.InProcess), so POST /runs can wait briefly for it.
+func (s *Service) submit(req SubmitRequest) (RunSnapshot, bool, error) {
 	// Admission control runs first: a shed submission must cost nothing — no
 	// parse, no store entry, no journal record. Per-tenant checks (CPU
 	// budget here, queue quota at enqueue) shed only the offending tenant;
@@ -559,7 +566,7 @@ func (s *Service) Submit(req SubmitRequest) (RunSnapshot, error) {
 	tn, err := s.resolveTenant(req.Tenant)
 	if err != nil {
 		metRunsRejected.With(rejectReason(err)).Inc()
-		return RunSnapshot{}, err
+		return RunSnapshot{}, false, err
 	}
 	if s.opts.MaxInFlight > 0 {
 		queued, running := s.sched.Depths()
@@ -567,7 +574,7 @@ func (s *Service) Submit(req SubmitRequest) (RunSnapshot, error) {
 			err := fmt.Errorf("%w: %d runs in flight (cap %d)", ErrOverloaded, queued+running, s.opts.MaxInFlight)
 			s.shedMetrics(tn.Name, "inflight_cap")
 			metRunsRejected.With(rejectReason(err)).Inc()
-			return RunSnapshot{}, s.withRetryAfter(err)
+			return RunSnapshot{}, false, s.withRetryAfter(err)
 		}
 	}
 	if s.opts.Tenants != nil && s.opts.Tenants.OverBudget(tn.Name) {
@@ -575,29 +582,30 @@ func (s *Service) Submit(req SubmitRequest) (RunSnapshot, error) {
 			ErrQuotaExceeded, tn.Name, s.opts.Tenants.CPUUsed(tn.Name), tn.CPUSeconds)
 		s.shedMetrics(tn.Name, "cpu_budget")
 		metRunsRejected.With(rejectReason(err)).Inc()
-		return RunSnapshot{}, s.withRetryAfter(err)
+		return RunSnapshot{}, false, s.withRetryAfter(err)
 	}
 	if _, err := s.executorFor(req.Provider); err != nil {
 		metRunsRejected.With(rejectReason(err)).Inc()
-		return RunSnapshot{}, err
+		return RunSnapshot{}, false, err
 	}
-	doc, idx, hash, hit, err := s.cache.LoadIndexed(req.Source)
+	d, hit, err := s.cache.Load(req.Source)
 	if err != nil {
 		metRunsRejected.With(rejectReason(err)).Inc()
-		return RunSnapshot{}, err
+		return RunSnapshot{}, false, err
 	}
 	// Client priorities are clamped to the documented range and only order
 	// runs within this tenant's sub-queue; cross-tenant share is the tenant
 	// weight's job, so an inflated priority cannot starve other tenants.
 	effective := ClampPriority(req.Priority)
 	meta := RunMeta{
-		Name: req.Name, Class: doc.Class(), DocHash: hash,
+		Name: req.Name, Class: d.Doc.Class(), DocHash: d.Hash,
 		Provider: req.Provider, Tenant: tn.Name,
 		Priority: effective, CacheHit: hit,
 	}
 
-	if key := s.resultKeyFor(tn.Name, hash, req.Inputs); key != "" {
-		if outputs, ok := s.results.Get(key); ok {
+	resultKey := s.resultKeyFor(tn.Name, d.Hash, req.Inputs)
+	if resultKey != "" {
+		if outputs, ok := s.results.Get(resultKey); ok {
 			// Whole-run result hit: the run is recorded (and journaled) like
 			// any other, but completes immediately with the shared outputs —
 			// it never touches the scheduler.
@@ -607,22 +615,22 @@ func (s *Service) Submit(req SubmitRequest) (RunSnapshot, error) {
 				if err := s.pers.runSubmitted(snap, req.Source, req.Inputs); err != nil {
 					s.store.Delete(snap.ID)
 					metRunsRejected.With("journal").Inc()
-					return RunSnapshot{}, fmt.Errorf("journaling submission: %w", err)
+					return RunSnapshot{}, false, fmt.Errorf("journaling submission: %w", err)
 				}
 			}
 			metRunsAdmitted.Inc()
 			metTenantAdmitted.With(tn.Name).Inc()
 			metTenantResultHits.With(tn.Name).Inc()
 			snap, _ = s.finishRun(snap.ID, outputs, nil, false)
-			return snap, nil
+			return snap, d.InProcess, nil
 		}
 	}
 
 	snap := s.store.Create(meta)
 	s.workMu.Lock()
 	s.work[snap.ID] = &pendingRun{
-		doc: doc, idx: idx, inputs: req.Inputs, provider: req.Provider,
-		deadline: req.Deadline, resultKey: s.resultKeyFor(tn.Name, hash, req.Inputs),
+		doc: d.Doc, idx: d.Index, inputs: req.Inputs, provider: req.Provider,
+		deadline: req.Deadline, resultKey: resultKey,
 	}
 	s.workMu.Unlock()
 	// Journal the submission (with its payload) before it can start: the
@@ -633,7 +641,7 @@ func (s *Service) Submit(req SubmitRequest) (RunSnapshot, error) {
 			s.dropWork(snap.ID)
 			s.store.Delete(snap.ID)
 			metRunsRejected.With("journal").Inc()
-			return RunSnapshot{}, fmt.Errorf("journaling submission: %w", err)
+			return RunSnapshot{}, false, fmt.Errorf("journaling submission: %w", err)
 		}
 	}
 	if err := s.sched.Enqueue(snap.ID, tn.Name, effective); err != nil {
@@ -651,11 +659,11 @@ func (s *Service) Submit(req SubmitRequest) (RunSnapshot, error) {
 			err = s.withRetryAfter(err)
 		}
 		metRunsRejected.With(rejectReason(err)).Inc()
-		return RunSnapshot{}, err
+		return RunSnapshot{}, false, err
 	}
 	metRunsAdmitted.Inc()
 	metTenantAdmitted.With(tn.Name).Inc()
-	return snap, nil
+	return snap, d.InProcess, nil
 }
 
 func (s *Service) takeWork(id string) *pendingRun {

@@ -231,14 +231,14 @@ func TestDocCacheEvictsLRU(t *testing.T) {
 		return []byte(strings.Replace(echoTool, "out.txt", msg+".txt", 1))
 	}
 	for _, m := range []string{"a", "b", "c"} {
-		if _, _, hit, err := c.Load(mk(m)); err != nil || hit {
+		if _, hit, err := c.Load(mk(m)); err != nil || hit {
 			t.Fatalf("load %s: hit=%v err=%v", m, hit, err)
 		}
 	}
-	if _, _, hit, _ := c.Load(mk("a")); hit {
+	if _, hit, _ := c.Load(mk("a")); hit {
 		t.Error("evicted entry reported as hit")
 	}
-	if _, _, hit, _ := c.Load(mk("c")); !hit {
+	if _, hit, _ := c.Load(mk("c")); !hit {
 		t.Error("recent entry was evicted")
 	}
 	if _, _, size, bytes := c.Stats(); size != 2 || bytes == 0 {
@@ -254,26 +254,26 @@ func TestDocCacheByteCapEvicts(t *testing.T) {
 	// Room for two documents by bytes, many by count.
 	c := NewDocCache(100, 2*one+1)
 	for _, m := range []string{"a", "b", "c"} {
-		if _, _, _, err := c.Load(mk(m)); err != nil {
+		if _, _, err := c.Load(mk(m)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, _, size, bytes := c.Stats(); size != 2 || bytes > 2*one+1 {
 		t.Errorf("size = %d bytes = %d, want 2 entries within the byte cap", size, bytes)
 	}
-	if _, _, hit, _ := c.Load(mk("a")); hit {
+	if _, hit, _ := c.Load(mk("a")); hit {
 		t.Error("byte-cap-evicted entry reported as hit")
 	}
-	if _, _, hit, _ := c.Load(mk("c")); !hit {
+	if _, hit, _ := c.Load(mk("c")); !hit {
 		t.Error("recent entry was evicted")
 	}
 	// A single oversized document is still cached (the cap never evicts the
 	// newest entry itself).
 	big := NewDocCache(100, 10)
-	if _, _, _, err := big.Load(mk("oversized")); err != nil {
+	if _, _, err := big.Load(mk("oversized")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, hit, _ := big.Load(mk("oversized")); !hit {
+	if _, hit, _ := big.Load(mk("oversized")); !hit {
 		t.Error("oversized sole entry was evicted")
 	}
 }

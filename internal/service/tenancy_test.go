@@ -597,10 +597,11 @@ func TestConcurrentCancelRacingCompletion(t *testing.T) {
 // the configured byte bound actually bounds resident memory.
 func TestDocCacheBytesIncludeStepIndex(t *testing.T) {
 	c := NewDocCache(8, 0)
-	_, idx, _, _, err := c.LoadIndexed([]byte(twoStepWorkflow))
+	d, _, err := c.Load([]byte(twoStepWorkflow))
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx := d.Index
 	if idx == nil {
 		t.Fatal("workflow load built no step index")
 	}
@@ -617,10 +618,11 @@ func TestDocCacheBytesIncludeStepIndex(t *testing.T) {
 	// Tools have no index: accounting is source bytes alone, and the nil
 	// receiver is safe.
 	c2 := NewDocCache(8, 0)
-	_, idx2, _, _, err := c2.LoadIndexed([]byte(echoTool))
+	d2, _, err := c2.Load([]byte(echoTool))
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx2 := d2.Index
 	if idx2.SizeEstimate() != 0 {
 		t.Errorf("tool index estimate = %d, want 0", idx2.SizeEstimate())
 	}
