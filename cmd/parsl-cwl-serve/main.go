@@ -277,11 +277,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		go func() { _ = pprofServer.Serve(pln) }()
 		fmt.Fprintf(stdout, "pprof on http://%s/debug/pprof/\n", pln.Addr())
 	}
+	// Long polls (GET /runs/{id}?wait=1) end when shutdown begins: each is
+	// answered with its run's current snapshot, so the drain below waits for
+	// runs, not for clients waiting on them.
+	reqCtx, endRequests := context.WithCancel(context.Background())
+	defer endRequests()
 	server := &http.Server{
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
+		BaseContext:       func(net.Listener) context.Context { return reqCtx },
 	}
+	server.RegisterOnShutdown(endRequests)
 	var executors []string
 	for _, es := range dfk.ExecutorStats() {
 		executors = append(executors, es.Label)

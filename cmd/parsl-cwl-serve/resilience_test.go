@@ -354,3 +354,79 @@ steps:
 		t.Error("no WAL segments found in any shard directory")
 	}
 }
+
+// TestShutdownAnswersLongPoll: SIGTERM with a client long-polling a running
+// run answers that client at once with the run's current state, lets the run
+// finish in the drain, and exits 0; the finished run is there after a
+// restart.
+func TestShutdownAnswersLongPoll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	dataDir := t.TempDir()
+	srv, base := startServer(t, dataDir)
+	sleepTool := `cwlVersion: v1.2
+class: CommandLineTool
+baseCommand: [sleep, "3"]
+inputs: {}
+outputs: {}
+`
+	id := postRun(t, base, map[string]any{"cwl": sleepTool})["id"].(string)
+	deadline := time.Now().Add(10 * time.Second)
+	for getJSON(t, base+"/runs/"+id)["state"] != "running" {
+		if time.Now().After(deadline) {
+			t.Fatal("run never started")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	type reply struct {
+		state any
+		at    time.Time
+		err   error
+	}
+	polled := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get(base + "/runs/" + id + "?wait=1")
+		if err != nil {
+			polled <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		polled <- reply{state: out["state"], at: time.Now(), err: err}
+	}()
+	time.Sleep(200 * time.Millisecond) // the long poll reaches its handler
+
+	sigterm := time.Now()
+	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-polled:
+		if r.err != nil {
+			t.Fatalf("long poll: %v", r.err)
+		}
+		if wait := r.at.Sub(sigterm); wait > 1500*time.Millisecond || r.state != "running" {
+			t.Errorf("long poll answered %v after %v, want running at shutdown, not the run's end", r.state, wait)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("long poll never answered")
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- srv.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("serve exit after SIGTERM: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve did not exit after SIGTERM")
+	}
+
+	_, base2 := startServer(t, dataDir)
+	if run := getJSON(t, base2+"/runs/"+id); run["state"] != "succeeded" {
+		t.Errorf("after restart the drained run = %v, want succeeded", run)
+	}
+}

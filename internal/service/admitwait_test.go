@@ -219,9 +219,24 @@ func postRunJSON(t *testing.T, url string, body any) (*http.Response, []byte, ru
 	return resp, data, run
 }
 
+// postTimed POSTs body to url and reports how long the reply took.
+func postTimed(t *testing.T, url string, body any) (*http.Response, []byte, runJSON, time.Duration) {
+	t.Helper()
+	start := time.Now()
+	resp, data, run := postRunJSON(t, url, body)
+	return resp, data, run, time.Since(start)
+}
+
+// terminalState reports whether a run state from the REST API is final.
+func terminalState(state string) bool {
+	return state == "succeeded" || state == "failed" || state == "canceled"
+}
+
 // TestAdmissionWaitAnswersInProcessRunTerminal: POST of an expression-only
 // document replies with the finished run, so the client needs no second
-// request; a later GET serves the same snapshot.
+// request; a later GET serves the same snapshot. The bound is wall-clock, so
+// a reply that misses it on a stalled machine is retried; it must then have
+// waited the whole bound.
 func TestAdmissionWaitAnswersInProcessRunTerminal(t *testing.T) {
 	srv, _ := startTestServer(t, 2)
 	for _, tc := range []struct {
@@ -234,45 +249,48 @@ func TestAdmissionWaitAnswersInProcessRunTerminal(t *testing.T) {
 		{"bare", bareExpr, map[string]any{"n": 21}, "doubled", "42"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, data, run := postRunJSON(t, srv.URL+"/runs", map[string]any{"cwl": tc.doc, "inputs": tc.inputs})
-			if run.State != "succeeded" {
-				t.Fatalf("POST answered state %q, want succeeded: %s", run.State, data)
-			}
-			if got := string(run.Outputs[tc.output]); got != tc.want {
-				t.Errorf("%s = %s, want %s", tc.output, got, tc.want)
-			}
-			if loc := resp.Header.Get("Location"); loc != "/runs/"+run.ID {
-				t.Errorf("Location = %q, want /runs/%s", loc, run.ID)
-			}
-			get, err := http.Get(srv.URL + "/runs/" + run.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			later, _ := io.ReadAll(get.Body)
-			get.Body.Close()
-			if !bytes.Equal(later, data) {
-				t.Errorf("GET serves a different snapshot:\n POST %s GET  %s", data, later)
+			for attempt := 1; ; attempt++ {
+				resp, data, run, elapsed := postTimed(t, srv.URL+"/runs", map[string]any{"cwl": tc.doc, "inputs": tc.inputs})
+				if !terminalState(run.State) {
+					if elapsed < inProcessWait {
+						t.Fatalf("POST answered %q after %v, before the %v bound", run.State, elapsed, inProcessWait)
+					}
+					if attempt == 5 {
+						t.Fatalf("5 POSTs answered non-terminal; last: %s", data)
+					}
+					continue
+				}
+				if run.State != "succeeded" {
+					t.Fatalf("POST answered state %q, want succeeded: %s", run.State, data)
+				}
+				if got := string(run.Outputs[tc.output]); got != tc.want {
+					t.Errorf("%s = %s, want %s", tc.output, got, tc.want)
+				}
+				if loc := resp.Header.Get("Location"); loc != "/runs/"+run.ID {
+					t.Errorf("Location = %q, want /runs/%s", loc, run.ID)
+				}
+				get, err := http.Get(srv.URL + "/runs/" + run.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				later, _ := io.ReadAll(get.Body)
+				get.Body.Close()
+				if !bytes.Equal(later, data) {
+					t.Errorf("GET serves a different snapshot:\n POST %s GET  %s", data, later)
+				}
+				return
 			}
 		})
 	}
 }
 
 // TestAdmissionWaitLeavesOtherRunsUnheld: a forked run is answered at
-// admission, not held for its end — unless the client asks with ?wait=1.
+// admission, not held for its end.
 func TestAdmissionWaitLeavesOtherRunsUnheld(t *testing.T) {
 	srv, _ := startTestServer(t, 2)
-	start := time.Now()
-	_, _, run := postRunJSON(t, srv.URL+"/runs", map[string]any{"cwl": shortSleepTool})
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Errorf("POST of a sleep 0.3 run took %v, want its admission reply within 100ms", elapsed)
-	}
-	if run.State == "succeeded" || run.State == "failed" || run.State == "canceled" {
-		t.Errorf("POST answered terminal state %q for a 0.3s run", run.State)
-	}
-
-	_, data, waited := postRunJSON(t, srv.URL+"/runs?wait=1", map[string]any{"cwl": shortSleepTool})
-	if waited.State != "succeeded" {
-		t.Errorf("POST ?wait=1 answered state %q, want succeeded: %s", waited.State, data)
+	_, data, run := postRunJSON(t, srv.URL+"/runs", map[string]any{"cwl": shortSleepTool})
+	if terminalState(run.State) {
+		t.Errorf("POST answered terminal state %q for a 0.3s run: %s", run.State, data)
 	}
 }
 
@@ -280,14 +298,12 @@ func TestAdmissionWaitLeavesOtherRunsUnheld(t *testing.T) {
 // answered non-terminal once the bound passes, and finishes afterwards.
 func TestAdmissionWaitIsBounded(t *testing.T) {
 	srv, _ := startTestServer(t, 2)
-	start := time.Now()
-	_, _, run := postRunJSON(t, srv.URL+"/runs", map[string]any{"cwl": slowExpr})
-	elapsed := time.Since(start)
-	if run.State != "queued" && run.State != "running" {
-		t.Fatalf("POST answered state %q after %v, want the run still going", run.State, elapsed)
+	_, data, run, elapsed := postTimed(t, srv.URL+"/runs", map[string]any{"cwl": slowExpr})
+	if terminalState(run.State) {
+		t.Fatalf("POST answered state %q after %v, want the run still going: %s", run.State, elapsed, data)
 	}
-	if elapsed < inProcessWait || elapsed > inProcessWait+150*time.Millisecond {
-		t.Errorf("POST took %v, want near the %v bound", elapsed, inProcessWait)
+	if elapsed < inProcessWait {
+		t.Errorf("POST took %v, want at least the %v bound", elapsed, inProcessWait)
 	}
 	var done runJSON
 	getJSON(t, srv.URL+"/runs/"+run.ID+"?wait=1", &done)
@@ -296,27 +312,26 @@ func TestAdmissionWaitIsBounded(t *testing.T) {
 	}
 }
 
-// TestAdmissionWaitClientDisconnect: a client that goes away during
-// POST ?wait=1 abandons only the reply; its run still finishes.
+// TestAdmissionWaitClientDisconnect: a client already gone when an in-process
+// run is admitted gets the admission snapshot at once; its run still
+// finishes.
 func TestAdmissionWaitClientDisconnect(t *testing.T) {
-	srv, svc := startTestServer(t, 2)
-	payload, _ := json.Marshal(map[string]any{"cwl": shortSleepTool})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/runs?wait=1", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, svc := startTestServer(t, 2)
+	payload, _ := json.Marshal(map[string]any{"cwl": slowExpr})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/runs", bytes.NewReader(payload)).WithContext(ctx)
 	req.Header.Set("Content-Type", "application/json")
-	if resp, err := http.DefaultClient.Do(req); err == nil {
-		resp.Body.Close()
-		t.Fatalf("POST ?wait=1 of a 0.3s run answered %d within 50ms", resp.StatusCode)
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, req)
+	var run runJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &run); err != nil || rec.Code != http.StatusCreated {
+		t.Fatalf("POST = %d %s (%v)", rec.Code, rec.Body, err)
 	}
-	runs := svc.List()
-	if len(runs) != 1 {
-		t.Fatalf("%d runs after the abandoned POST, want 1", len(runs))
+	if terminalState(run.State) {
+		t.Errorf("POST from a gone client answered %q, want the admission snapshot", run.State)
 	}
-	if snap := waitTerminal(t, svc, runs[0].ID); snap.State != RunSucceeded {
+	if snap := waitTerminal(t, svc, run.ID); snap.State != RunSucceeded {
 		t.Errorf("abandoned run ended %s (%s), want succeeded", snap.State, snap.Error)
 	}
 }
@@ -377,16 +392,40 @@ func TestAdmissionWaitDurable(t *testing.T) {
 	dfk, svc, srv := start()
 	var ids []string
 	var charged float64
-	for _, m := range []string{"a", "b"} {
-		_, data, run := postRunJSON(t, srv.URL+"/runs", map[string]any{"cwl": exprWorkflow, "inputs": map[string]any{"m": m}})
-		if run.State != "succeeded" {
-			t.Fatalf("POST answered state %q, want succeeded: %s", run.State, data)
+	answered := 0
+	for _, m := range []string{"a", "b", "c", "d"} {
+		_, data, run, elapsed := postTimed(t, srv.URL+"/runs", map[string]any{"cwl": exprWorkflow, "inputs": map[string]any{"m": m}})
+		if terminalState(run.State) {
+			answered++
+		} else if elapsed < inProcessWait {
+			t.Errorf("POST answered %q after %v, before the %v bound", run.State, elapsed, inProcessWait)
+		}
+		// A reply that missed the wall-clock bound is finished by a poll.
+		if snap := waitTerminal(t, svc, run.ID); snap.State != RunSucceeded {
+			t.Fatalf("run ended %s, want succeeded: %s", snap.State, data)
 		}
 		snap, _ := svc.Get(run.ID)
 		charged += snap.Finished.Sub(*snap.Started).Seconds()
 		ids = append(ids, run.ID)
 	}
+	if answered == 0 {
+		t.Errorf("none of %d POSTs answered terminal", len(ids))
+	}
+	// finishRun releases waiters when the store marks a run terminal, just
+	// before it charges the ledger and journals the terminal record, so a
+	// run's last record may still be on its way.
 	kinds := journalKinds(t, dataDir)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		pending := false
+		for _, id := range ids {
+			pending = pending || len(kinds[id]) < 3
+		}
+		if !pending {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+		kinds = journalKinds(t, dataDir)
+	}
 	for _, id := range ids {
 		if got := strings.Join(kinds[id], ","); got != "submit,run,run" {
 			t.Errorf("run %s journal kinds = %s, want submit,run,run", id, got)

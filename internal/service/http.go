@@ -60,7 +60,6 @@ type taskEventJSON struct {
 // Handler returns the REST API over this service:
 //
 //	POST   /runs             submit a run  {"cwl": "...", "inputs": {...}}
-//	                         (?wait=1 replies once the run is terminal)
 //	GET    /runs             list runs (the caller's own, in tenant mode)
 //	GET    /runs/{id}        one run (?wait=1 blocks until terminal)
 //	GET    /runs/{id}/events the run's DFK task-event log
@@ -178,30 +177,19 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	// The run is admitted, journaled and enqueued; only the reply waits. A
-	// ?wait=1 client waits for the end, an in-process run gets a short bound
-	// and every other run is answered at once. A wait that ends early (the
-	// bound, a client gone) is answered with the admission snapshot.
-	if wait := wantsWait(r); !snap.State.Terminal() && (wait || inProc) {
-		ctx := r.Context()
-		if !wait {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, inProcessWait)
-			defer cancel()
-		}
+	// The run is admitted, journaled and enqueued; only the reply waits, and
+	// only for an in-process run, at most inProcessWait. Every other run, and
+	// a wait that ends early (the bound, a client gone, shutdown), is answered
+	// with the admission snapshot.
+	if inProc && !snap.State.Terminal() {
+		ctx, cancel := context.WithTimeout(r.Context(), inProcessWait)
+		defer cancel()
 		if done, err := s.Wait(ctx, snap.ID); err == nil {
 			snap = done
 		}
 	}
 	w.Header().Set("Location", "/runs/"+snap.ID)
 	writeJSON(w, http.StatusCreated, snap)
-}
-
-// wantsWait reports whether the request asks to be answered only once its
-// run is terminal (?wait=1).
-func wantsWait(r *http.Request) bool {
-	wait := r.URL.Query().Get("wait")
-	return wait != "" && wait != "0" && wait != "false"
 }
 
 // parseSubmitBody accepts either the JSON envelope or, for yaml/plain
@@ -299,13 +287,14 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	if wantsWait(r) {
+	if wait := r.URL.Query().Get("wait"); wait != "" && wait != "0" && wait != "false" {
 		snap, err := s.Wait(r.Context(), id)
 		if errors.Is(err, ErrNotFound) {
 			writeServiceError(w, err)
 			return
 		}
-		// A client timeout still reports the run's current state.
+		// A client timeout, or the server shutting down, still reports the
+		// run's current state.
 		writeJSON(w, http.StatusOK, snap)
 		return
 	}
