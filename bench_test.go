@@ -1,5 +1,5 @@
 // Benchmarks regenerating every figure in the paper's evaluation (§VI), plus
-// the ablations DESIGN.md calls out. Each figure has one benchmark per
+// the ablations listed below. Each figure has one benchmark per
 // series point-set; `go test -bench=.` prints the measured values and the
 // simulated makespans are reported as the custom metric "makespan_s".
 //

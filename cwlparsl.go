@@ -34,8 +34,8 @@
 //     svc, _ := cwlparsl.NewService(dfk, cwlparsl.ServiceOptions{Workers: 8, DataDir: "data"})
 //     http.ListenAndServe(":8080", svc.Handler())
 //
-// See the examples/ directory for complete programs and DESIGN.md for the
-// architecture.
+// See the examples/ directory for complete programs and docs/ARCHITECTURE.md
+// for the architecture.
 package cwlparsl
 
 import (

@@ -4,8 +4,7 @@
 // *shapes* of the paper's results hold: linear scaling in workload size,
 // Parsl-CWL ≈1.5× faster than cwltool at 1,000 images, Toil slowest, and
 // constant InlinePython vs superlinear InlineJavaScript expression cost.
-// Absolute numbers are not expected to match the authors' testbed (see
-// DESIGN.md §2).
+// Absolute numbers are not expected to match the authors' testbed.
 package bench
 
 // EngineKind names a workflow engine architecture in the evaluation.

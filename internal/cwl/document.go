@@ -369,7 +369,7 @@ type ResourceReq struct {
 
 // DockerReq mirrors DockerRequirement. The runners parse it and record the
 // image, executing the tool as a plain command (container engines are out of
-// scope for the reproduction; see DESIGN.md).
+// scope for the reproduction).
 type DockerReq struct {
 	Pull string
 	Load string

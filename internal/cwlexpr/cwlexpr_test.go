@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cwl"
+	"repro/internal/jsexpr"
 	"repro/internal/pyexpr"
 	"repro/internal/yamlx"
 )
@@ -359,4 +360,67 @@ func TestPythonUnsupportedPassesThrough(t *testing.T) {
 	_, err = e.Eval("$({1, 2})", testCtx())
 	check("$() expression", err, "set literal")
 	check("validate", e.RunValidate(`f"{[x for x in [1] for y in [2]]}"`, testCtx()), "comprehension with several clauses")
+}
+
+// TestExpressionBounds puts each evaluation and parse bound through both
+// languages: the step budget, the call depth and the nesting bound. Each
+// fails with the language's own error, and the error's text is the one
+// each interpreter has always reported.
+func TestExpressionBounds(t *testing.T) {
+	deep := strings.Repeat("(", 201) + "1" + strings.Repeat(")", 201)
+	js := func(lib string) *Engine {
+		e, err := NewEngine(cwl.Requirements{InlineJavascript: true, JSExpressionLib: []string{lib}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	py := func(lib string) *Engine {
+		e, err := NewEngine(cwl.Requirements{InlinePython: true, PyExpressionLib: []string{lib}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	for _, c := range []struct {
+		name string
+		e    *Engine
+		src  string
+		exc  string // the exception type raised, if one is
+		want string // the end of the error's text
+	}{
+		{"js steps", js(""), "${ while (true) {} }", "",
+			"javascript evaluation exceeded 5000000 steps (offset 8): possible infinite loop"},
+		{"py steps", py("def spin():\n    for i in range(10 ** 18):\n        pass\n"), "$(spin())", "",
+			"python evaluation exceeded 5000000 steps (line 2): possible infinite loop"},
+		{"js call depth", js("function f(n) { return f(n + 1); }"), "$(f(0))", "RangeError",
+			"javascript exception: RangeError: Maximum call stack size exceeded"},
+		{"py call depth", py("def f(n):\n    return f(n + 1)\n"), "$(f(0))", "RecursionError",
+			"python exception: RecursionError: maximum recursion depth exceeded (line 2)"},
+		{"js nesting", js(""), "$(" + deep + ")", "",
+			"javascript syntax error at offset 200: expression nested more than 200 levels deep"},
+		{"py nesting", py(""), "$(" + deep + ")", "",
+			"python syntax error at line 1: expression nested more than 200 levels deep"},
+	} {
+		_, err := c.e.Eval(c.src, testCtx())
+		if err == nil || !strings.HasSuffix(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to end %q", c.name, err, c.want)
+			continue
+		}
+		var thrown *jsexpr.ThrownError
+		var raised *pyexpr.Raised
+		switch {
+		case c.exc == "":
+		case errors.As(err, &thrown):
+			if name := thrown.Value.(*yamlx.Map).GetString("name"); name != c.exc {
+				t.Errorf("%s: threw %s, want %s", c.name, name, c.exc)
+			}
+		case errors.As(err, &raised):
+			if raised.Exc.Type != c.exc {
+				t.Errorf("%s: raised %s, want %s", c.name, raised.Exc.Type, c.exc)
+			}
+		default:
+			t.Errorf("%s: err = %T, want a %s", c.name, err, c.exc)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/exprcore"
 	"repro/internal/yamlx"
 )
 
@@ -38,11 +39,25 @@ func argStr(args []any, i int) string {
 	return jsToString(v)
 }
 
-func installBuiltins(g *environ) {
-	g.define("NaN", math.NaN())
-	g.define("Infinity", math.Inf(1))
+// jsRound is Math.round: the nearest integer, with halves going toward +∞,
+// so -2.5 rounds to -2 and -0.5 to -0. x minus its floor is exact, so
+// 0.49999999999999994 rounds to 0, which floor(x + 0.5) gets wrong.
+func jsRound(x float64) float64 {
+	r := math.Floor(x)
+	if x-r >= 0.5 {
+		r++
+	}
+	if r == 0 && math.Signbit(x) {
+		return math.Copysign(0, -1)
+	}
+	return r
+}
 
-	g.define("parseInt", nf("parseInt", func(_ any, args []any) (any, error) {
+func installBuiltins(g *exprcore.Scope) {
+	g.Define("NaN", math.NaN())
+	g.Define("Infinity", math.Inf(1))
+
+	g.Define("parseInt", nf("parseInt", func(_ any, args []any) (any, error) {
 		s := strings.TrimSpace(argStr(args, 0))
 		radix, err := argNum(args, 1, 10)
 		if err != nil {
@@ -73,7 +88,7 @@ func installBuiltins(g *environ) {
 		}
 		return sign * float64(n), nil
 	}))
-	g.define("parseFloat", nf("parseFloat", func(_ any, args []any) (any, error) {
+	g.Define("parseFloat", nf("parseFloat", func(_ any, args []any) (any, error) {
 		s := strings.TrimSpace(argStr(args, 0))
 		end := len(s)
 		for end > 0 {
@@ -88,20 +103,20 @@ func installBuiltins(g *environ) {
 		f, _ := strconv.ParseFloat(s[:end], 64)
 		return f, nil
 	}))
-	g.define("isNaN", nf("isNaN", func(_ any, args []any) (any, error) {
+	g.Define("isNaN", nf("isNaN", func(_ any, args []any) (any, error) {
 		n, err := toNumber(arg(args, 0))
 		if err != nil {
 			return true, nil
 		}
 		return math.IsNaN(n), nil
 	}))
-	g.define("String", nf("String", func(_ any, args []any) (any, error) {
+	g.Define("String", nf("String", func(_ any, args []any) (any, error) {
 		return jsToString(arg(args, 0)), nil
 	}))
-	g.define("Number", nf("Number", func(_ any, args []any) (any, error) {
+	g.Define("Number", nf("Number", func(_ any, args []any) (any, error) {
 		return toNumber(arg(args, 0))
 	}))
-	g.define("Boolean", nf("Boolean", func(_ any, args []any) (any, error) {
+	g.Define("Boolean", nf("Boolean", func(_ any, args []any) (any, error) {
 		return truthy(arg(args, 0)), nil
 	}))
 
@@ -117,7 +132,7 @@ func installBuiltins(g *environ) {
 	}
 	math1("floor", math.Floor)
 	math1("ceil", math.Ceil)
-	math1("round", math.Round)
+	math1("round", jsRound)
 	math1("abs", math.Abs)
 	math1("sqrt", math.Sqrt)
 	math1("log", math.Log)
@@ -153,7 +168,7 @@ func installBuiltins(g *environ) {
 	varadicMath("max", math.Max, math.Inf(-1))
 	mathObj.Set("PI", math.Pi)
 	mathObj.Set("E", math.E)
-	g.define("Math", mathObj)
+	g.Define("Math", mathObj)
 
 	jsonObj := yamlx.NewMap()
 	jsonObj.Set("stringify", nf("JSON.stringify", func(_ any, args []any) (any, error) {
@@ -168,9 +183,9 @@ func installBuiltins(g *environ) {
 		if err := json.Unmarshal([]byte(argStr(args, 0)), &v); err != nil {
 			return nil, fmt.Errorf("JSON.parse: %w", err)
 		}
-		return ToJS(jsonToDoc(v)), nil
+		return ToJS(v), nil
 	}))
-	g.define("JSON", jsonObj)
+	g.Define("JSON", jsonObj)
 
 	objectObj := yamlx.NewMap()
 	objectObj.Set("keys", nf("Object.keys", func(_ any, args []any) (any, error) {
@@ -221,14 +236,14 @@ func installBuiltins(g *environ) {
 		}
 		return dst, nil
 	}))
-	g.define("Object", objectObj)
+	g.Define("Object", objectObj)
 
 	arrayObj := yamlx.NewMap()
 	arrayObj.Set("isArray", nf("Array.isArray", func(_ any, args []any) (any, error) {
 		_, ok := arg(args, 0).(*Array)
 		return ok, nil
 	}))
-	g.define("Array", arrayObj)
+	g.Define("Array", arrayObj)
 }
 
 func digitVal(c byte) int {
@@ -241,32 +256,6 @@ func digitVal(c byte) int {
 		return int(c-'A') + 10
 	}
 	return -1
-}
-
-// jsonToDoc normalizes encoding/json output into the document vocabulary
-// (map[string]any → *yamlx.Map with sorted keys for determinism).
-func jsonToDoc(v any) any {
-	switch x := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		m := yamlx.NewMap()
-		for _, k := range keys {
-			m.Set(k, jsonToDoc(x[k]))
-		}
-		return m
-	case []any:
-		out := make([]any, len(x))
-		for i, e := range x {
-			out[i] = jsonToDoc(e)
-		}
-		return out
-	default:
-		return v
-	}
 }
 
 // getProp resolves obj.name: data properties on objects, length, and the

@@ -4,11 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
+	"repro/internal/exprcore"
 	"repro/internal/yamlx"
 )
 
@@ -20,9 +19,6 @@ func (Undefined) String() string { return "undefined" }
 // Array is a mutable JS array (reference semantics, like the real thing).
 type Array struct{ E []any }
 
-// NewArray wraps elems in a JS array value.
-func NewArray(elems ...any) *Array { return &Array{E: elems} }
-
 // Object is a JS object with deterministic (insertion-ordered) keys. CWL File
 // objects and input maps flow through unchanged.
 type Object = yamlx.Map
@@ -30,7 +26,7 @@ type Object = yamlx.Map
 // Closure is a user-defined function value.
 type Closure struct {
 	decl *funcLit
-	env  *environ
+	env  *exprcore.Scope
 }
 
 // NativeFunc is a builtin function value. this is the receiver for method
@@ -55,166 +51,81 @@ func (t *ThrownError) Error() string {
 	return "javascript exception: " + jsToString(t.Value)
 }
 
-type environ struct {
-	vars   map[string]any
-	parent *environ
-	// frozen marks an environment as sealed for writes: the shared global
-	// scope after library loading. Assignments never touch a frozen
-	// environment; they bind into the innermost per-evaluation scope instead,
-	// which is what makes concurrent evaluation of one Program race-free.
-	frozen bool
-}
-
-func newEnviron(parent *environ) *environ {
-	return &environ{vars: map[string]any{}, parent: parent}
-}
-
-func (e *environ) lookup(name string) (any, bool) {
-	for env := e; env != nil; env = env.parent {
-		if v, ok := env.vars[name]; ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-func (e *environ) assign(name string, v any) bool {
-	for env := e; env != nil && !env.frozen; env = env.parent {
-		if _, ok := env.vars[name]; ok {
-			env.vars[name] = v
+// assignVar sets name in the innermost scope of e's chain that binds it,
+// stopping at the frozen globals, and reports whether one did.
+func assignVar(e *exprcore.Scope, name string, v any) bool {
+	for env := e; env != nil && !env.Frozen; env = env.Parent {
+		if _, ok := env.Vars[name]; ok {
+			env.Vars[name] = v
 			return true
 		}
 	}
 	return false
 }
 
-func (e *environ) define(name string, v any) { e.vars[name] = v }
-
-// defineOutermost binds name in the outermost writable scope of e's chain —
-// the stand-in for an implicit global when the true global is frozen.
-func defineOutermost(e *environ, name string, v any) {
+// defineOutermost binds name in the outermost writable scope of e's chain:
+// the global scope while libraries load, and once it is frozen the
+// evaluation's own outermost scope, which stands in for it.
+func defineOutermost(e *exprcore.Scope, name string, v any) {
 	target := e
-	for env := e; env != nil && !env.frozen; env = env.parent {
+	for env := e; env != nil && !env.Frozen; env = env.Parent {
 		target = env
 	}
-	target.define(name, v)
+	target.Define(name, v)
 }
 
 // Interp is a JavaScript interpreter instance holding an expression library
 // (global functions and variables). Load libraries first (LoadLib), then
 // evaluate: the first evaluation seals the global scope, after which one
-// Interp may evaluate compiled Programs from many goroutines concurrently.
-//
-// Concurrency is fully parallel when the library consists of functions and
-// scalar constants (the overwhelmingly common case). A library that stores
-// mutable state reachable from globals — an object or array global, or a
-// closure over a non-global scope — can be mutated in place by expressions,
-// so evaluation on such an Interp is transparently serialized instead.
+// Interp may evaluate compiled Programs from many goroutines concurrently
+// (see exprcore.Globals for when evaluations take turns instead).
 type Interp struct {
-	global   *environ
-	steps    int
-	maxSteps int
-	calls    int // active Closure calls, bounded by maxCallDepth
-	sealOnce sync.Once
-	// builtinVals snapshots the builtin globals installed by New, so sealing
-	// can tell library-defined globals apart from the standard ones.
-	builtinVals map[string]any
-	// serialize (decided at seal time) forces evaluations to take evalMu.
-	serialize bool
-	evalMu    sync.Mutex
+	lib      *exprcore.Globals
+	meter    exprcore.Meter
+	maxSteps int // the step budget of each evaluation
 }
 
-// DefaultMaxSteps bounds evaluation work per expression; generous for any
-// realistic CWL expression but small enough to stop runaway loops quickly.
-const DefaultMaxSteps = 5_000_000
-
-// maxCallDepth bounds how deeply JavaScript functions may call each other.
-// Going deeper throws a RangeError, as an engine's stack limit does.
-const maxCallDepth = 1000
+var jsLang = exprcore.Lang{Name: "javascript", Pos: "offset"}
 
 // New creates an interpreter with the standard builtins installed.
 func New() *Interp {
-	ip := &Interp{maxSteps: DefaultMaxSteps}
-	ip.global = newEnviron(nil)
-	installBuiltins(ip.global)
-	ip.builtinVals = make(map[string]any, len(ip.global.vars))
-	for k, v := range ip.global.vars {
-		ip.builtinVals[k] = v
+	g := exprcore.NewScope(nil)
+	installBuiltins(g)
+	return &Interp{lib: exprcore.NewGlobals(g, func(v any) bool { return jsMutable(g, v) }), maxSteps: exprcore.MaxSteps}
+}
+
+// jsMutable reports whether a library-defined global carries state an
+// expression could mutate in place: an array, an object, or a closure over
+// a non-global scope.
+func jsMutable(global *exprcore.Scope, v any) bool {
+	switch x := v.(type) {
+	case *Array, *Object:
+		return true
+	case *Closure:
+		return x.env != global
 	}
-	return ip
+	return false
 }
 
 // LoadLib executes expressionLib source (function declarations, consts) into
 // the interpreter's global scope. All libraries must load before the first
 // evaluation: evaluating seals the global scope for concurrent use.
 func (ip *Interp) LoadLib(src string) error {
-	if ip.global.frozen {
-		return errors.New("jsexpr: LoadLib called after evaluation started (global scope is sealed)")
+	if err := ip.lib.Loadable(); err != nil {
+		return fmt.Errorf("jsexpr: %w", err)
 	}
 	prog, err := parseProgram(src)
 	if err != nil {
 		return err
 	}
-	ip.steps = 0
-	_, err = ip.execStmts(prog, ip.global)
+	ip.meter = exprcore.NewMeter(&jsLang, ip.maxSteps)
+	_, err = ip.execStmts(prog, ip.lib.Scope)
 	return err
 }
 
-// EvalExpr evaluates a single JavaScript expression (the inside of $(...))
-// with the given variables in scope. The result is converted back to plain Go
-// values (CWL document vocabulary). It is a thin compile-then-run wrapper;
-// callers on a hot path should Compile once and RunProgram many times.
-func (ip *Interp) EvalExpr(src string, vars map[string]any) (any, error) {
-	p, err := CompileExpr(src)
-	if err != nil {
-		return nil, err
-	}
-	return ip.RunProgram(p, vars)
-}
-
-// EvalBody evaluates a ${...} function body: statements that should return a
-// value. Like EvalExpr, it is a thin wrapper over CompileBody + RunProgram.
-func (ip *Interp) EvalBody(src string, vars map[string]any) (any, error) {
-	p, err := CompileBody(src)
-	if err != nil {
-		return nil, err
-	}
-	return ip.RunProgram(p, vars)
-}
-
-func (ip *Interp) scopeWith(vars map[string]any) *environ {
-	env := newEnviron(ip.global)
-	for k, v := range vars {
-		env.define(k, ToJS(v))
-	}
-	return env
-}
-
-func (ip *Interp) tick(pos int) error {
-	ip.steps++
-	if ip.steps > ip.maxSteps {
-		return fmt.Errorf("javascript evaluation exceeded %d steps (offset %d): possible infinite loop", ip.maxSteps, pos)
-	}
-	return nil
-}
-
-// control-flow signals returned by statement execution.
-type ctrl struct {
-	kind  ctrlKind
-	value any
-}
-
-type ctrlKind int
-
-const (
-	ctrlReturn ctrlKind = iota + 1
-	ctrlBreak
-	ctrlContinue
-)
-
-// execStmts runs statements; a non-nil *ctrl reports return/break/continue
+// execStmts runs statements; a non-nil Ctrl reports return/break/continue
 // propagation.
-func (ip *Interp) execStmts(stmts []Node, env *environ) (*ctrl, error) {
+func (ip *Interp) execStmts(stmts []Node, env *exprcore.Scope) (*exprcore.Ctrl, error) {
 	for _, s := range stmts {
 		c, err := ip.exec(s, env)
 		if err != nil || c != nil {
@@ -224,8 +135,8 @@ func (ip *Interp) execStmts(stmts []Node, env *environ) (*ctrl, error) {
 	return nil, nil
 }
 
-func (ip *Interp) exec(s Node, env *environ) (*ctrl, error) {
-	if err := ip.tick(s.nodePos()); err != nil {
+func (ip *Interp) exec(s Node, env *exprcore.Scope) (*exprcore.Ctrl, error) {
+	if err := ip.meter.Tick(s.nodePos()); err != nil {
 		return nil, err
 	}
 	switch st := s.(type) {
@@ -239,12 +150,12 @@ func (ip *Interp) exec(s Node, env *environ) (*ctrl, error) {
 					return nil, err
 				}
 			}
-			env.define(name, v)
+			env.Define(name, v)
 		}
 		return nil, nil
 	case *exprStmt:
 		if fn, ok := st.X.(*funcLit); ok && fn.Name != "" {
-			env.define(fn.Name, &Closure{decl: fn, env: env})
+			env.Define(fn.Name, &Closure{decl: fn, env: env})
 			return nil, nil
 		}
 		_, err := ip.eval(st.X, env)
@@ -258,22 +169,22 @@ func (ip *Interp) exec(s Node, env *environ) (*ctrl, error) {
 				return nil, err
 			}
 		}
-		return &ctrl{kind: ctrlReturn, value: v}, nil
+		return &exprcore.Ctrl{Kind: exprcore.Return, Value: v}, nil
 	case *ifStmt:
 		t, err := ip.eval(st.Test, env)
 		if err != nil {
 			return nil, err
 		}
 		if truthy(t) {
-			return ip.execStmts(st.Then, newEnviron(env))
+			return ip.execStmts(st.Then, exprcore.NewScope(env))
 		}
 		if st.Else != nil {
-			return ip.execStmts(st.Else, newEnviron(env))
+			return ip.execStmts(st.Else, exprcore.NewScope(env))
 		}
 		return nil, nil
 	case *whileStmt:
 		for {
-			if err := ip.tick(st.Pos); err != nil {
+			if err := ip.meter.Tick(st.Pos); err != nil {
 				return nil, err
 			}
 			t, err := ip.eval(st.Test, env)
@@ -283,15 +194,15 @@ func (ip *Interp) exec(s Node, env *environ) (*ctrl, error) {
 			if !truthy(t) {
 				return nil, nil
 			}
-			c, err := ip.execStmts(st.Body, newEnviron(env))
+			c, err := ip.execStmts(st.Body, exprcore.NewScope(env))
 			if err != nil {
 				return nil, err
 			}
 			if c != nil {
-				switch c.kind {
-				case ctrlBreak:
+				switch c.Kind {
+				case exprcore.Break:
 					return nil, nil
-				case ctrlContinue:
+				case exprcore.Continue:
 					continue
 				default:
 					return c, nil
@@ -299,14 +210,14 @@ func (ip *Interp) exec(s Node, env *environ) (*ctrl, error) {
 			}
 		}
 	case *forStmt:
-		loopEnv := newEnviron(env)
+		loopEnv := exprcore.NewScope(env)
 		if st.Init != nil {
 			if c, err := ip.exec(st.Init, loopEnv); err != nil || c != nil {
 				return c, err
 			}
 		}
 		for {
-			if err := ip.tick(st.Pos); err != nil {
+			if err := ip.meter.Tick(st.Pos); err != nil {
 				return nil, err
 			}
 			if st.Test != nil {
@@ -318,15 +229,15 @@ func (ip *Interp) exec(s Node, env *environ) (*ctrl, error) {
 					return nil, nil
 				}
 			}
-			c, err := ip.execStmts(st.Body, newEnviron(loopEnv))
+			c, err := ip.execStmts(st.Body, exprcore.NewScope(loopEnv))
 			if err != nil {
 				return nil, err
 			}
 			if c != nil {
-				switch c.kind {
-				case ctrlBreak:
+				switch c.Kind {
+				case exprcore.Break:
 					return nil, nil
-				case ctrlContinue:
+				case exprcore.Continue:
 				default:
 					return c, nil
 				}
@@ -373,20 +284,20 @@ func (ip *Interp) exec(s Node, env *environ) (*ctrl, error) {
 			return nil, fmt.Errorf("cannot iterate %s (offset %d)", typeName(obj), st.Pos)
 		}
 		for _, it := range items {
-			if err := ip.tick(st.Pos); err != nil {
+			if err := ip.meter.Tick(st.Pos); err != nil {
 				return nil, err
 			}
-			iterEnv := newEnviron(env)
-			iterEnv.define(st.VarName, it)
+			iterEnv := exprcore.NewScope(env)
+			iterEnv.Define(st.VarName, it)
 			c, err := ip.execStmts(st.Body, iterEnv)
 			if err != nil {
 				return nil, err
 			}
 			if c != nil {
-				switch c.kind {
-				case ctrlBreak:
+				switch c.Kind {
+				case exprcore.Break:
 					return nil, nil
-				case ctrlContinue:
+				case exprcore.Continue:
 					continue
 				default:
 					return c, nil
@@ -395,9 +306,9 @@ func (ip *Interp) exec(s Node, env *environ) (*ctrl, error) {
 		}
 		return nil, nil
 	case *breakStmt:
-		return &ctrl{kind: ctrlBreak}, nil
+		return &exprcore.Ctrl{Kind: exprcore.Break}, nil
 	case *continueStmt:
-		return &ctrl{kind: ctrlContinue}, nil
+		return &exprcore.Ctrl{Kind: exprcore.Continue}, nil
 	case *throwStmt:
 		v, err := ip.eval(st.X, env)
 		if err != nil {
@@ -405,14 +316,14 @@ func (ip *Interp) exec(s Node, env *environ) (*ctrl, error) {
 		}
 		return nil, &ThrownError{Value: FromJS(v)}
 	case *blockStmt:
-		return ip.execStmts(st.Stmts, newEnviron(env))
+		return ip.execStmts(st.Stmts, exprcore.NewScope(env))
 	default:
 		return nil, fmt.Errorf("unsupported statement %T", s)
 	}
 }
 
-func (ip *Interp) eval(n Node, env *environ) (any, error) {
-	if err := ip.tick(n.nodePos()); err != nil {
+func (ip *Interp) eval(n Node, env *exprcore.Scope) (any, error) {
+	if err := ip.meter.Tick(n.nodePos()); err != nil {
 		return nil, err
 	}
 	switch e := n.(type) {
@@ -427,7 +338,7 @@ func (ip *Interp) eval(n Node, env *environ) (any, error) {
 	case *undefLit:
 		return Undefined{}, nil
 	case *ident:
-		if v, ok := env.lookup(e.Name); ok {
+		if v, ok := env.Lookup(e.Name); ok {
 			return v, nil
 		}
 		return nil, fmt.Errorf("%s is not defined (offset %d)", e.Name, e.Pos)
@@ -538,7 +449,7 @@ func (ip *Interp) eval(n Node, env *environ) (any, error) {
 	}
 }
 
-func (ip *Interp) evalUnary(e *unary, env *environ) (any, error) {
+func (ip *Interp) evalUnary(e *unary, env *exprcore.Scope) (any, error) {
 	if e.Op == "++" || e.Op == "--" {
 		old, err := ip.eval(e.X, env)
 		if err != nil {
@@ -587,7 +498,7 @@ func (ip *Interp) evalUnary(e *unary, env *environ) (any, error) {
 	return nil, fmt.Errorf("unsupported unary operator %q", e.Op)
 }
 
-func (ip *Interp) evalAssign(e *assign, env *environ) (any, error) {
+func (ip *Interp) evalAssign(e *assign, env *exprcore.Scope) (any, error) {
 	val, err := ip.eval(e.Val, env)
 	if err != nil {
 		return nil, err
@@ -608,18 +519,14 @@ func (ip *Interp) evalAssign(e *assign, env *environ) (any, error) {
 	return val, nil
 }
 
-func (ip *Interp) setTarget(target Node, val any, env *environ) error {
+func (ip *Interp) setTarget(target Node, val any, env *exprcore.Scope) error {
 	switch t := target.(type) {
 	case *ident:
-		if !env.assign(t.Name, val) {
+		if !assignVar(env, t.Name, val) {
 			// Implicit global, as sloppy-mode JS would. Once the true global
 			// is sealed, the binding lands in the outermost per-eval scope so
 			// concurrent evaluations stay isolated.
-			if ip.global.frozen {
-				defineOutermost(env, t.Name, val)
-			} else {
-				ip.global.define(t.Name, val)
-			}
+			defineOutermost(env, t.Name, val)
 		}
 		return nil
 	case *member:
@@ -665,7 +572,7 @@ func (ip *Interp) setTarget(target Node, val any, env *environ) error {
 	return errors.New("invalid assignment target")
 }
 
-func (ip *Interp) evalCall(e *call, env *environ) (any, error) {
+func (ip *Interp) evalCall(e *call, env *exprcore.Scope) (any, error) {
 	// Method call: evaluate receiver, resolve property on it.
 	if m, ok := e.Callee.(*member); ok {
 		recv, err := ip.eval(m.Obj, env)
@@ -693,7 +600,7 @@ func (ip *Interp) evalCall(e *call, env *environ) (any, error) {
 	return ip.callValue(fn, nil, args, e.Pos)
 }
 
-func (ip *Interp) evalArgs(nodes []Node, env *environ) ([]any, error) {
+func (ip *Interp) evalArgs(nodes []Node, env *exprcore.Scope) ([]any, error) {
 	args := make([]any, 0, len(nodes))
 	for _, a := range nodes {
 		v, err := ip.eval(a, env)
@@ -708,26 +615,25 @@ func (ip *Interp) evalArgs(nodes []Node, env *environ) ([]any, error) {
 func (ip *Interp) callValue(fn any, this any, args []any, pos int) (any, error) {
 	switch f := fn.(type) {
 	case *Closure:
-		if ip.calls >= maxCallDepth {
+		if ip.meter.Call() != nil {
 			return nil, &ThrownError{Value: yamlx.MapOf("name", "RangeError", "message", "Maximum call stack size exceeded")}
 		}
-		fnEnv := newEnviron(f.env)
+		fnEnv := exprcore.NewScope(f.env)
 		for i, p := range f.decl.Params {
 			if i < len(args) {
-				fnEnv.define(p, args[i])
+				fnEnv.Define(p, args[i])
 			} else {
-				fnEnv.define(p, Undefined{})
+				fnEnv.Define(p, Undefined{})
 			}
 		}
-		fnEnv.define("arguments", &Array{E: args})
-		ip.calls++
+		fnEnv.Define("arguments", &Array{E: args})
 		c, err := ip.execStmts(f.decl.Body, fnEnv)
-		ip.calls--
+		ip.meter.Return()
 		if err != nil {
 			return nil, err
 		}
-		if c != nil && c.kind == ctrlReturn {
-			return c.value, nil
+		if c != nil && c.Kind == exprcore.Return {
+			return c.Value, nil
 		}
 		return Undefined{}, nil
 	case *NativeFunc:
@@ -1014,75 +920,36 @@ func looseEq(l, r any) bool {
 
 // ToJS converts a CWL document value into the interpreter's value space.
 func ToJS(v any) any {
-	switch x := v.(type) {
-	case nil:
-		return nil
-	case bool, string, float64:
-		return x
-	case int:
-		return float64(x)
-	case int64:
-		return float64(x)
-	case []any:
-		arr := &Array{E: make([]any, len(x))}
-		for i, e := range x {
-			arr.E[i] = ToJS(e)
+	return exprcore.FromDoc(v, func(v any) any {
+		switch x := v.(type) {
+		case int:
+			return float64(x)
+		case int64:
+			return float64(x)
 		}
-		return arr
-	case []string:
-		arr := &Array{E: make([]any, len(x))}
-		for i, e := range x {
-			arr.E[i] = e
-		}
-		return arr
-	case *yamlx.Map:
-		o := yamlx.NewMap()
-		x.Range(func(k string, vv any) bool {
-			o.Set(k, ToJS(vv))
-			return true
-		})
-		return o
-	case map[string]any:
-		o := yamlx.NewMap()
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			o.Set(k, ToJS(x[k]))
-		}
-		return o
-	default:
 		return v
-	}
+	}, func(e []any) any { return &Array{E: e} })
 }
 
 // FromJS converts an interpreter value back into the CWL document vocabulary:
 // integral floats become int64, arrays become []any, undefined becomes nil.
-func FromJS(v any) any {
+func FromJS(v any) any { return exprcore.ToDoc(v, fromJSScalar, jsElems) }
+
+func fromJSScalar(v any) any {
 	switch x := v.(type) {
 	case Undefined:
 		return nil
 	case float64:
-		if x == math.Trunc(x) && math.Abs(x) < 1e15 && !math.Signbit(x) || (x == math.Trunc(x) && math.Abs(x) < 1e15) {
+		if x == math.Trunc(x) && math.Abs(x) < 1e15 {
 			return int64(x)
 		}
-		return x
-	case *Array:
-		out := make([]any, len(x.E))
-		for i, e := range x.E {
-			out[i] = FromJS(e)
-		}
-		return out
-	case *Object:
-		o := yamlx.NewMap()
-		x.Range(func(k string, vv any) bool {
-			o.Set(k, FromJS(vv))
-			return true
-		})
-		return o
-	default:
-		return v
 	}
+	return v
+}
+
+func jsElems(v any) ([]any, bool) {
+	if a, ok := v.(*Array); ok {
+		return a.E, true
+	}
+	return nil, false
 }

@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/exprcore"
 )
 
 // FuzzCompileJS: compiling any input, as an expression or as a function
@@ -29,7 +31,7 @@ func FuzzCompileJS(f *testing.F) {
 		"var x = [1, 2]; return {out: x.map(function (v) { return v * 2; })};",
 		"for (var i = 0; i < 3; i++) { if (i == 1) break; } return i;",
 		"function f(n) { return f(n + 1); } return f(0);",
-		strings.Repeat("(", maxNesting) + "1" + strings.Repeat(")", maxNesting),
+		strings.Repeat("(", exprcore.MaxNesting) + "1" + strings.Repeat(")", exprcore.MaxNesting),
 		strings.Repeat("{", 5000),
 		strings.Repeat("!", 5000) + "1",
 	} {

@@ -8,16 +8,33 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exprcore"
 	"repro/internal/yamlx"
 )
 
 func evalX(t *testing.T, src string, vars map[string]any) any {
 	t.Helper()
-	v, err := New().EvalExpr(src, vars)
+	v, err := runExpr(New(), src, vars)
 	if err != nil {
-		t.Fatalf("EvalExpr(%q): %v", src, err)
+		t.Fatalf("runExpr(%q): %v", src, err)
 	}
 	return v
+}
+
+func runExpr(ip *Interp, src string, vars map[string]any) (any, error) {
+	p, err := CompileExpr(src)
+	if err != nil {
+		return nil, err
+	}
+	return ip.RunProgram(p, vars)
+}
+
+func runBody(ip *Interp, src string, vars map[string]any) (any, error) {
+	p, err := CompileBody(src)
+	if err != nil {
+		return nil, err
+	}
+	return ip.RunProgram(p, vars)
 }
 
 func TestLiterals(t *testing.T) {
@@ -276,6 +293,11 @@ func TestMathAndGlobals(t *testing.T) {
 		{"Math.floor(3.7)", int64(3)},
 		{"Math.ceil(3.2)", int64(4)},
 		{"Math.round(3.5)", int64(4)},
+		{"Math.round(-2.5)", int64(-2)},
+		{"1 / Math.round(-0.5)", math.Inf(-1)},
+		{"Math.round(2.5)", int64(3)},
+		{"Math.round(0.49999999999999994)", int64(0)},
+		{"Math.round(-1.5)", int64(-1)},
 		{"Math.abs(-5)", int64(5)},
 		{"Math.min(3, 1, 2)", int64(1)},
 		{"Math.max(3, 1, 2)", int64(3)},
@@ -309,7 +331,7 @@ func TestJSONBuiltins(t *testing.T) {
 
 func TestEvalBody(t *testing.T) {
 	ip := New()
-	v, err := ip.EvalBody(`
+	v, err := runBody(ip, `
 		var total = 0;
 		for (var i = 1; i <= 10; i++) {
 			total += i;
@@ -332,7 +354,7 @@ func TestEvalBodyWithInputs(t *testing.T) {
 			yamlx.MapOf("basename", "b.txt"),
 		}),
 	}
-	v, err := ip.EvalBody(`
+	v, err := runBody(ip, `
 		var names = [];
 		for (var f of inputs.files) {
 			names.push(f.basename);
@@ -348,7 +370,7 @@ func TestEvalBodyWithInputs(t *testing.T) {
 }
 
 func TestEvalBodyNoReturn(t *testing.T) {
-	v, err := New().EvalBody("var x = 1;", nil)
+	v, err := runBody(New(), "var x = 1;", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,20 +389,20 @@ func TestExpressionLib(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := ip.EvalExpr("double(21)", nil); err != nil || v != int64(42) {
+	if v, err := runExpr(ip, "double(21)", nil); err != nil || v != int64(42) {
 		t.Errorf("double = %#v err=%v", v, err)
 	}
-	if v, err := ip.EvalExpr(`greet("CWL")`, nil); err != nil || v != "Hello, CWL!" {
+	if v, err := runExpr(ip, `greet("CWL")`, nil); err != nil || v != "Hello, CWL!" {
 		t.Errorf("greet = %#v err=%v", v, err)
 	}
-	if v, err := ip.EvalExpr("BASE + 1", nil); err != nil || v != int64(101) {
+	if v, err := runExpr(ip, "BASE + 1", nil); err != nil || v != int64(101) {
 		t.Errorf("BASE = %#v err=%v", v, err)
 	}
 }
 
 func TestClosures(t *testing.T) {
 	ip := New()
-	v, err := ip.EvalBody(`
+	v, err := runBody(ip, `
 		function makeAdder(n) {
 			return function(x) { return x + n; };
 		}
@@ -397,7 +419,7 @@ func TestClosures(t *testing.T) {
 
 func TestRecursion(t *testing.T) {
 	ip := New()
-	v, err := ip.EvalBody(`
+	v, err := runBody(ip, `
 		function fib(n) {
 			if (n < 2) { return n; }
 			return fib(n-1) + fib(n-2);
@@ -413,7 +435,7 @@ func TestRecursion(t *testing.T) {
 }
 
 func TestWhileBreakContinue(t *testing.T) {
-	v, err := New().EvalBody(`
+	v, err := runBody(New(), `
 		var sum = 0;
 		var i = 0;
 		while (true) {
@@ -433,7 +455,7 @@ func TestWhileBreakContinue(t *testing.T) {
 }
 
 func TestForInOverObject(t *testing.T) {
-	v, err := New().EvalBody(`
+	v, err := runBody(New(), `
 		var keys = [];
 		for (var k in obj) { keys.push(k); }
 		return keys.join(",");
@@ -447,7 +469,7 @@ func TestForInOverObject(t *testing.T) {
 }
 
 func TestThrow(t *testing.T) {
-	_, err := New().EvalBody(`throw "boom";`, nil)
+	_, err := runBody(New(), `throw "boom";`, nil)
 	te, ok := err.(*ThrownError)
 	if !ok {
 		t.Fatalf("err = %v (%T)", err, err)
@@ -458,7 +480,7 @@ func TestThrow(t *testing.T) {
 }
 
 func TestThrowNewError(t *testing.T) {
-	_, err := New().EvalBody(`throw new Error("bad input");`, nil)
+	_, err := runBody(New(), `throw new Error("bad input");`, nil)
 	if err == nil || !strings.Contains(err.Error(), "bad input") {
 		t.Fatalf("err = %v", err)
 	}
@@ -467,14 +489,14 @@ func TestThrowNewError(t *testing.T) {
 func TestInfiniteLoopBudget(t *testing.T) {
 	ip := New()
 	ip.maxSteps = 10_000
-	_, err := ip.EvalBody("while (true) {}", nil)
+	_, err := runBody(ip, "while (true) {}", nil)
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestUndefinedVariableError(t *testing.T) {
-	_, err := New().EvalExpr("nonexistent + 1", nil)
+	_, err := runExpr(New(), "nonexistent + 1", nil)
 	if err == nil || !strings.Contains(err.Error(), "not defined") {
 		t.Fatalf("err = %v", err)
 	}
@@ -491,21 +513,21 @@ func TestSyntaxErrors(t *testing.T) {
 		"1 ~~ 2",
 	}
 	for _, src := range bad {
-		if _, err := New().EvalExpr(src, nil); err == nil {
-			t.Errorf("EvalExpr(%q) succeeded, want error", src)
+		if _, err := runExpr(New(), src, nil); err == nil {
+			t.Errorf("runExpr(%q) succeeded, want error", src)
 		}
 	}
 }
 
 func TestNullPropertyAccessError(t *testing.T) {
-	_, err := New().EvalExpr("inputs.x.y", map[string]any{"inputs": yamlx.MapOf("x", nil)})
+	_, err := runExpr(New(), "inputs.x.y", map[string]any{"inputs": yamlx.MapOf("x", nil)})
 	if err == nil || !strings.Contains(err.Error(), "null") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestAssignmentOps(t *testing.T) {
-	v, err := New().EvalBody(`
+	v, err := runBody(New(), `
 		var x = 10;
 		x += 5; x -= 3; x *= 2; x /= 4; x %= 4;
 		return x;
@@ -519,7 +541,7 @@ func TestAssignmentOps(t *testing.T) {
 }
 
 func TestIncDec(t *testing.T) {
-	v, err := New().EvalBody(`
+	v, err := runBody(New(), `
 		var i = 0;
 		var a = i++;
 		var b = ++i;
@@ -536,7 +558,7 @@ func TestIncDec(t *testing.T) {
 }
 
 func TestObjectMutation(t *testing.T) {
-	v, err := New().EvalBody(`
+	v, err := runBody(New(), `
 		var o = {};
 		o.a = 1;
 		o["b"] = 2;
@@ -553,7 +575,7 @@ func TestObjectMutation(t *testing.T) {
 }
 
 func TestArrayIndexAssignGrows(t *testing.T) {
-	v, err := New().EvalBody(`
+	v, err := runBody(New(), `
 		var a = [];
 		a[2] = "x";
 		return a.length;
@@ -610,7 +632,7 @@ func TestCWLRealisticExpressions(t *testing.T) {
 }
 
 func TestComments(t *testing.T) {
-	v, err := New().EvalBody(`
+	v, err := runBody(New(), `
 		// line comment
 		var x = 1; /* block
 		comment */ var y = 2;
@@ -676,7 +698,7 @@ func TestConversionRoundTripProperty(t *testing.T) {
 func TestArithmeticProperty(t *testing.T) {
 	ip := New()
 	f := func(a, b int16) bool {
-		v, err := ip.EvalExpr("a + b * 2 - a % 7", map[string]any{
+		v, err := runExpr(ip, "a + b * 2 - a % 7", map[string]any{
 			"a": int64(a), "b": int64(b),
 		})
 		if err != nil {
@@ -706,7 +728,7 @@ func TestSplitJoinProperty(t *testing.T) {
 			return true
 		}
 		s := strings.Join(parts, "|")
-		v, err := ip.EvalExpr(`s.split("|").join("|")`, map[string]any{"s": s})
+		v, err := runExpr(ip, `s.split("|").join("|")`, map[string]any{"s": s})
 		if err != nil {
 			return false
 		}
@@ -733,7 +755,7 @@ func TestPaperCapitalizeEquivalent(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	v, err := ip.EvalExpr("capitalizeWords(inputs.message)", map[string]any{
+	v, err := runExpr(ip, "capitalizeWords(inputs.message)", map[string]any{
 		"inputs": yamlx.MapOf("message", "hello cwl world"),
 	})
 	if err != nil {
@@ -745,20 +767,20 @@ func TestPaperCapitalizeEquivalent(t *testing.T) {
 }
 
 // TestJSCallDepthBound: unbounded recursion throws a RangeError at
-// maxCallDepth instead of overflowing the Go stack, and recursion just under
+// exprcore.MaxCallDepth instead of overflowing the Go stack, and recursion just under
 // the bound still works.
 func TestJSCallDepthBound(t *testing.T) {
 	ip := New()
 	if err := ip.LoadLib("function f(n) { return f(n + 1); }\nfunction down(n) { return n == 0 ? 0 : down(n - 1) + 1; }"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ip.EvalBody("return {out: f(0)};", nil)
+	_, err := runBody(ip, "return {out: f(0)};", nil)
 	var thrown *ThrownError
 	if !errors.As(err, &thrown) || !strings.Contains(err.Error(), "RangeError") {
 		t.Fatalf("err = %v, want a thrown RangeError", err)
 	}
-	if v, err := ip.EvalExpr("down(n)", map[string]any{"n": maxCallDepth - 1}); err != nil || v != int64(maxCallDepth-1) {
-		t.Fatalf("down(%d) = %v, %v", maxCallDepth-1, v, err)
+	if v, err := runExpr(ip, "down(n)", map[string]any{"n": exprcore.MaxCallDepth - 1}); err != nil || v != int64(exprcore.MaxCallDepth-1) {
+		t.Fatalf("down(%d) = %v, %v", exprcore.MaxCallDepth-1, v, err)
 	}
 }
 
@@ -796,9 +818,9 @@ func TestJSNestingBound(t *testing.T) {
 			t.Errorf("%s: err = %v, want the nesting SyntaxError", name, err)
 		}
 	}
-	ok := strings.Repeat("(", maxNesting-1) + "1" + strings.Repeat(")", maxNesting-1)
-	if v, err := New().EvalExpr(ok, nil); err != nil || v != int64(1) {
-		t.Errorf("%d nested parens: %v, %v", maxNesting-1, v, err)
+	ok := strings.Repeat("(", exprcore.MaxNesting-1) + "1" + strings.Repeat(")", exprcore.MaxNesting-1)
+	if v, err := runExpr(New(), ok, nil); err != nil || v != int64(1) {
+		t.Errorf("%d nested parens: %v, %v", exprcore.MaxNesting-1, v, err)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/exprcore"
 )
 
 type tokKind int
@@ -54,7 +55,7 @@ type lexer struct {
 	src  string
 	pos  int
 	toks []token
-	open int // brackets open at pos
+	open exprcore.Depth // brackets open at pos
 }
 
 func lex(src string) ([]token, error) {
@@ -67,7 +68,7 @@ func lex(src string) ([]token, error) {
 		}
 		c := l.src[l.pos]
 		switch {
-		case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
+		case exprcore.IsDigit(c), c == '.' && l.pos+1 < len(l.src) && exprcore.IsDigit(l.src[l.pos+1]):
 			if err := l.lexNumber(); err != nil {
 				return nil, err
 			}
@@ -75,7 +76,7 @@ func lex(src string) ([]token, error) {
 			if err := l.lexString(c); err != nil {
 				return nil, err
 			}
-		case isIdentStart(rune(c)) || c >= utf8.RuneSelf:
+		case exprcore.IsNameStart(rune(c), true) || c >= utf8.RuneSelf:
 			if err := l.lexIdent(); err != nil {
 				return nil, err
 			}
@@ -117,21 +118,11 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-func isIdentStart(r rune) bool {
-	return r == '_' || r == '$' || unicode.IsLetter(r)
-}
-
-func isIdentPart(r rune) bool {
-	return isIdentStart(r) || unicode.IsDigit(r)
-}
-
 func (l *lexer) lexNumber() error {
 	start := l.pos
 	if strings.HasPrefix(l.src[l.pos:], "0x") || strings.HasPrefix(l.src[l.pos:], "0X") {
 		l.pos += 2
-		for l.pos < len(l.src) && isHexDigit(l.src[l.pos]) {
+		for l.pos < len(l.src) && exprcore.IsHexDigit(l.src[l.pos]) {
 			l.pos++
 		}
 		n, err := strconv.ParseInt(l.src[start+2:l.pos], 16, 64)
@@ -141,23 +132,16 @@ func (l *lexer) lexNumber() error {
 		l.emit(token{kind: tNum, num: float64(n), text: l.src[start:l.pos], pos: start})
 		return nil
 	}
-	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-		l.pos++
-	}
+	l.pos = exprcore.Digits(l.src, l.pos, false)
 	if l.pos < len(l.src) && l.src[l.pos] == '.' {
-		l.pos++
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.pos++
-		}
+		l.pos = exprcore.Digits(l.src, l.pos+1, false)
 	}
 	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
 		l.pos++
 		if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
 			l.pos++
 		}
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.pos++
-		}
+		l.pos = exprcore.Digits(l.src, l.pos, false)
 	}
 	text := l.src[start:l.pos]
 	f, err := strconv.ParseFloat(text, 64)
@@ -166,10 +150,6 @@ func (l *lexer) lexNumber() error {
 	}
 	l.emit(token{kind: tNum, num: f, text: text, pos: start})
 	return nil
-}
-
-func isHexDigit(c byte) bool {
-	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
 func (l *lexer) lexString(quote byte) error {
@@ -188,43 +168,17 @@ func (l *lexer) lexString(quote byte) error {
 			if l.pos >= len(l.src) {
 				break
 			}
-			switch e := l.src[l.pos]; e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case 'b':
-				b.WriteByte(8)
-			case 'f':
-				b.WriteByte(12)
-			case 'v':
-				b.WriteByte(11)
-			case '0':
-				b.WriteByte(0)
-			case 'u':
-				if l.pos+4 < len(l.src) {
-					if n, err := strconv.ParseUint(l.src[l.pos+1:l.pos+5], 16, 32); err == nil {
-						b.WriteRune(rune(n))
-						l.pos += 4
-						break
-					}
-				}
-				return &SyntaxError{Pos: l.pos, Msg: "bad \\u escape"}
-			case 'x':
-				if l.pos+2 < len(l.src) {
-					if n, err := strconv.ParseUint(l.src[l.pos+1:l.pos+3], 16, 16); err == nil {
-						b.WriteByte(byte(n))
-						l.pos += 2
-						break
-					}
-				}
-				return &SyntaxError{Pos: l.pos, Msg: "bad \\x escape"}
+			text, n, ok := exprcore.Escape(l.src[l.pos:])
+			switch e := l.src[l.pos]; {
+			case ok:
+				b.WriteString(text)
+				l.pos += n
+			case e == 'u' || e == 'x':
+				return &SyntaxError{Pos: l.pos, Msg: `bad \` + string(e) + " escape"}
 			default:
 				b.WriteByte(e)
+				l.pos++
 			}
-			l.pos++
 			continue
 		}
 		b.WriteByte(c)
@@ -234,19 +188,12 @@ func (l *lexer) lexString(quote byte) error {
 }
 
 func (l *lexer) lexIdent() error {
-	start := l.pos
-	for l.pos < len(l.src) {
-		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
-		if !isIdentPart(r) {
-			break
-		}
-		l.pos += size
+	end, err := exprcore.Name(l.src, l.pos, true)
+	if err != nil {
+		return &SyntaxError{Pos: l.pos, Msg: err.Error()}
 	}
-	if l.pos == start { // a non-letter rune, or invalid UTF-8
-		r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
-		return &SyntaxError{Pos: l.pos, Msg: fmt.Sprintf("unexpected character %q", r)}
-	}
-	l.emit(token{kind: tIdent, text: l.src[start:l.pos], pos: start})
+	l.emit(token{kind: tIdent, text: l.src[l.pos:end], pos: l.pos})
+	l.pos = end
 	return nil
 }
 
@@ -264,11 +211,11 @@ func (l *lexer) lexPunct() error {
 		if strings.HasPrefix(l.src[l.pos:], p) {
 			switch p {
 			case "(", "[", "{":
-				if l.open++; l.open > maxNesting {
-					return errNesting(l.pos)
+				if err := l.open.Enter(); err != nil {
+					return &SyntaxError{Pos: l.pos, Msg: err.Error()}
 				}
 			case ")", "]", "}":
-				l.open = max(l.open-1, 0)
+				l.open.Leave(1)
 			}
 			l.emit(token{kind: tPunct, text: p, pos: l.pos})
 			l.pos += len(p)

@@ -1,28 +1,22 @@
 package jsexpr
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/exprcore"
+)
 
 type parser struct {
 	toks  []token
 	pos   int
-	depth int // current nesting, see nest
+	depth exprcore.Depth // current nesting, see nest
 }
 
-// maxNesting bounds how deeply expressions and statements nest. Each
-// bracket, statement block, unary operand and link of an operator or member
-// chain counts as one level, so the evaluator, which recurses once per
-// level, never recurses deeper than this within one function.
-const maxNesting = 200
-
-func errNesting(pos int) error {
-	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf("expression nested more than %d levels deep", maxNesting)}
-}
-
-// nest enters one more level of nesting; the caller undoes it by
-// subtracting what it entered from p.depth.
+// nest enters one more level of nesting (see exprcore.MaxNesting); the
+// caller undoes it by leaving what it entered.
 func (p *parser) nest() error {
-	if p.depth++; p.depth > maxNesting {
-		return errNesting(p.cur().pos)
+	if err := p.depth.Enter(); err != nil {
+		return &SyntaxError{Pos: p.cur().pos, Msg: err.Error()}
 	}
 	return nil
 }
@@ -33,20 +27,20 @@ func nested[T any](p *parser, parse func() (T, error)) (T, error) {
 		var zero T
 		return zero, err
 	}
-	defer func() { p.depth-- }()
+	defer p.depth.Leave(1)
 	return parse()
 }
 
 // chain parses one left-associative operator level: operands from operand,
 // joined while match accepts the current token. Each link nests the tree
-// one level deeper, so each counts toward maxNesting.
+// one level deeper, so each counts toward exprcore.MaxNesting.
 func (p *parser) chain(operand func() (Node, error), match func() bool, build func(op token, l, r Node) Node) (Node, error) {
 	left, err := operand()
 	if err != nil {
 		return nil, err
 	}
 	links := 0
-	defer func() { p.depth -= links }()
+	defer func() { p.depth.Leave(links) }()
 	for match() {
 		t := p.next()
 		if err := p.nest(); err != nil {
@@ -539,7 +533,7 @@ func (p *parser) callMemberExpr() (Node, error) {
 	var x Node
 	var err error
 	links := 0
-	defer func() { p.depth -= links }()
+	defer func() { p.depth.Leave(links) }()
 	if p.atIdent("new") {
 		t := p.next()
 		callee, err := p.primary()

@@ -1,21 +1,13 @@
 package jsexpr
 
-// Compile-once / evaluate-many support. A Program is a parsed expression or
-// statement body that can be evaluated repeatedly — and concurrently — against
-// one Interp. All per-evaluation interpreter state (the step counter and the
-// variable scope) lives in a per-call evaluator, so a single Program plus a
-// single Interp are safe for use from many goroutines at once.
+import "repro/internal/exprcore"
 
 // Program is a reusable, goroutine-safe compiled JavaScript fragment. The AST
 // is immutable after Compile; evaluation never mutates it.
 type Program struct {
 	expr  Node   // set for expression programs ($(...) bodies)
 	stmts []Node // set for statement programs (${...} bodies, libraries)
-	src   string
 }
-
-// Source returns the source text the program was compiled from.
-func (p *Program) Source() string { return p.src }
 
 // CompileExpr parses a single JavaScript expression (the inside of $(...))
 // into a reusable Program.
@@ -24,7 +16,7 @@ func CompileExpr(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{expr: node, src: src}, nil
+	return &Program{expr: node}, nil
 }
 
 // CompileBody parses a ${...} function body (statements that should return a
@@ -34,26 +26,19 @@ func CompileBody(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{stmts: stmts, src: src}, nil
+	return &Program{stmts: stmts}, nil
 }
 
 // RunProgram evaluates a compiled program with the given variables in scope,
-// returning a CWL document value. It is safe to call concurrently: the global
-// environment is sealed (frozen) on first use, and each call evaluates on a
-// fresh per-call evaluator holding its own step counter and scope. Writes
-// that would previously create or mutate global bindings land in the
-// per-call scope instead, so evaluations cannot observe each other. When the
-// library holds mutable state (object/array globals, closures over captured
-// scopes) binding-freezing cannot isolate in-place mutation, so such
-// interpreters serialize their evaluations instead (see Interp).
+// returning a CWL document value. It is safe to call concurrently: each call
+// evaluates on a fresh per-call evaluator holding its own step meter and
+// scope, and writes that would create or mutate global bindings land in the
+// per-call scope instead, so evaluations cannot observe each other.
 func (ip *Interp) RunProgram(p *Program, vars map[string]any) (any, error) {
-	ip.seal()
-	if ip.serialize {
-		ip.evalMu.Lock()
-		defer ip.evalMu.Unlock()
-	}
-	ev := &Interp{global: ip.global, maxSteps: ip.maxSteps}
-	env := ev.scopeWith(vars)
+	ip.lib.Begin()
+	defer ip.lib.End()
+	ev := &Interp{meter: exprcore.NewMeter(&jsLang, ip.maxSteps)}
+	env := ip.lib.CallScope(vars, ToJS)
 	if p.expr != nil {
 		v, err := ev.eval(p.expr, env)
 		if err != nil {
@@ -62,44 +47,8 @@ func (ip *Interp) RunProgram(p *Program, vars map[string]any) (any, error) {
 		return FromJS(v), nil
 	}
 	ret, err := ev.execStmts(p.stmts, env)
-	if err != nil {
+	if err != nil || ret == nil {
 		return nil, err
 	}
-	if ret == nil {
-		return nil, nil
-	}
-	return FromJS(ret.value), nil
-}
-
-// seal freezes the interpreter's global environment: library loading is
-// complete and evaluation begins. Sealing is what makes concurrent
-// RunProgram calls race-free — after it, no evaluation writes to shared
-// bindings — and it decides whether mutable library state forces
-// serialization.
-func (ip *Interp) seal() {
-	ip.sealOnce.Do(func() {
-		ip.global.frozen = true
-		ip.serialize = ip.libHasMutableState()
-	})
-}
-
-// libHasMutableState reports whether any library-defined global (a global
-// not identical to the builtin installed under the same name) carries state
-// an expression could mutate in place: arrays, objects, or closures that
-// captured a non-global scope.
-func (ip *Interp) libHasMutableState() bool {
-	for k, v := range ip.global.vars {
-		if bv, ok := ip.builtinVals[k]; ok && bv == v {
-			continue
-		}
-		switch x := v.(type) {
-		case *Array, *Object:
-			return true
-		case *Closure:
-			if x.env != ip.global {
-				return true
-			}
-		}
-	}
-	return false
+	return FromJS(ret.Value), nil
 }

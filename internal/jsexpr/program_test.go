@@ -118,7 +118,7 @@ func TestMutableLibGlobalsSerialize(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	v, err := ip.EvalExpr("hits.length", nil)
+	v, err := runExpr(ip, "hits.length", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +134,14 @@ func TestFunctionOnlyLibsStayParallel(t *testing.T) {
 	if err := ip.LoadLib(`var K = 3; function f(v) { return v + K; }`); err != nil {
 		t.Fatal(err)
 	}
-	ip.seal()
-	if ip.serialize {
+	if ip.lib.Serialized() {
 		t.Error("function-and-scalar library forced serialization")
 	}
 	mut := New()
 	if err := mut.LoadLib(`var cache = {};`); err != nil {
 		t.Fatal(err)
 	}
-	mut.seal()
-	if !mut.serialize {
+	if !mut.lib.Serialized() {
 		t.Error("object-global library not serialized")
 	}
 }
@@ -156,14 +154,14 @@ func TestSealedGlobalIsolation(t *testing.T) {
 	if err := ip.LoadLib("var MODE = \"lib\";"); err != nil {
 		t.Fatal(err)
 	}
-	v, err := ip.EvalBody(`MODE = "local"; return MODE;`, nil)
+	v, err := runBody(ip, `MODE = "local"; return MODE;`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != "local" {
 		t.Fatalf("in-eval read = %v, want shadowed value", v)
 	}
-	v, err = ip.EvalExpr("MODE", nil)
+	v, err = runExpr(ip, "MODE", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +174,7 @@ func TestSealedGlobalIsolation(t *testing.T) {
 // has sealed the global scope.
 func TestLoadLibAfterSeal(t *testing.T) {
 	ip := New()
-	if _, err := ip.EvalExpr("1 + 1", nil); err != nil {
+	if _, err := runExpr(ip, "1 + 1", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := ip.LoadLib("function f() { return 1; }"); err == nil {
@@ -204,7 +202,7 @@ func TestCompiledEvalAllocs(t *testing.T) {
 		}
 	})
 	uncompiledAllocs := testing.AllocsPerRun(200, func() {
-		if _, err := ip.EvalExpr(src, vars); err != nil {
+		if _, err := runExpr(ip, src, vars); err != nil {
 			t.Fatal(err)
 		}
 	})

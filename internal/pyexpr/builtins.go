@@ -12,6 +12,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"repro/internal/exprcore"
 	"repro/internal/yamlx"
 )
 
@@ -958,13 +959,13 @@ var builtinFuncs = map[string]builtinFunc{
 	}},
 }
 
-func installPyBuiltins(g *penv) {
+func installPyBuiltins(g *exprcore.Scope) {
 	for name, b := range builtinFuncs {
-		g.vars[name] = &Builtin{Name: name, Fn: b.checked(name)}
+		g.Vars[name] = &Builtin{Name: name, Fn: b.checked(name)}
 	}
 	// Exception classes: calling one constructs an Exception value.
 	for name := range exceptionTypes {
-		g.vars[name] = &Builtin{Name: name, Fn: func(args []any, kw map[string]any) (any, error) {
+		g.Vars[name] = &Builtin{Name: name, Fn: func(args []any, kw map[string]any) (any, error) {
 			if len(kw) > 0 {
 				return nil, raisef("TypeError", "%s() takes no keyword arguments", name)
 			}

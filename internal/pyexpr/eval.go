@@ -7,10 +7,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode"
 	"unicode/utf8"
 
+	"repro/internal/exprcore"
 	"repro/internal/yamlx"
 )
 
@@ -52,7 +52,7 @@ type PyFunc struct {
 	Params   []string
 	Defaults []any // evaluated at def time, aligned to tail of Params
 	Body     []stmt
-	env      *penv
+	env      *exprcore.Scope
 }
 
 // Builtin is a native function exposed to Python code.
@@ -84,119 +84,43 @@ func (r rangeVal) contains(n int64) bool {
 	return n <= r.start && n > r.stop && uint64(r.start-n)%uint64(-r.step) == 0
 }
 
-type penv struct {
-	vars   map[string]any
-	parent *penv
-	// frozen marks the shared global scope once evaluation has started:
-	// libraries may no longer load into it.
-	frozen bool
-}
-
-func newPenv(parent *penv) *penv { return &penv{vars: map[string]any{}, parent: parent} }
-
-func (e *penv) lookup(name string) (any, bool) {
-	for env := e; env != nil; env = env.parent {
-		if v, ok := env.vars[name]; ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-// assign binds name in this scope, as Python assignment does without a
-// global or nonlocal declaration: enclosing scopes, the sealed global scope
-// among them, are never written.
-func (e *penv) assign(name string, v any) { e.vars[name] = v }
-
 // Interp is a Python interpreter instance holding the loaded expression
 // library. Load libraries first (LoadLib), then evaluate: the first
 // evaluation seals the global scope, after which one Interp may evaluate
-// compiled Programs from many goroutines concurrently.
-//
-// Concurrency is fully parallel when the library consists of functions and
-// scalar constants. A library holding mutable state reachable from globals —
-// list/dict globals, mutable function defaults, or functions over
-// captured scopes — can be mutated in place by expressions, so evaluation on
-// such an Interp is transparently serialized instead.
+// compiled Programs from many goroutines concurrently (see exprcore.Globals
+// for when evaluations take turns instead).
 type Interp struct {
-	global   *penv
-	steps    int
-	maxSteps int
-	calls    int // active PyFunc calls, bounded by maxCallDepth
-	sealOnce sync.Once
-	// builtinVals snapshots the installed builtins, so sealing can tell
-	// library-defined globals apart from the standard ones.
-	builtinVals map[string]any
-	// serialize (decided at seal time) forces evaluations to take evalMu.
-	serialize bool
-	evalMu    sync.Mutex
+	lib      *exprcore.Globals
+	meter    exprcore.Meter
+	maxSteps int // the step budget of each evaluation
 }
 
-// DefaultMaxSteps bounds evaluation work per call.
-const DefaultMaxSteps = 5_000_000
-
-// maxCallDepth bounds how deeply Python functions may call each other,
-// CPython's default recursion limit. Going deeper raises RecursionError.
-const maxCallDepth = 1000
+var pyLang = exprcore.Lang{Name: "python", Pos: "line"}
 
 // New creates an interpreter with builtins installed.
 func New() *Interp {
-	ip := &Interp{maxSteps: DefaultMaxSteps}
-	ip.global = newPenv(nil)
-	installPyBuiltins(ip.global)
-	ip.builtinVals = make(map[string]any, len(ip.global.vars))
-	for k, v := range ip.global.vars {
-		ip.builtinVals[k] = v
-	}
-	return ip
+	g := exprcore.NewScope(nil)
+	installPyBuiltins(g)
+	return &Interp{lib: exprcore.NewGlobals(g, func(v any) bool { return pyMutable(g, v, 0) }), maxSteps: exprcore.MaxSteps}
 }
 
 // LoadLib executes expressionLib source (def statements, constants) in the
 // global scope. All libraries must load before the first evaluation:
 // evaluating seals the global scope for concurrent use.
 func (ip *Interp) LoadLib(src string) error {
-	if ip.global.frozen {
-		return fmt.Errorf("pyexpr: LoadLib called after evaluation started (global scope is sealed)")
+	if err := ip.lib.Loadable(); err != nil {
+		return fmt.Errorf("pyexpr: %w", err)
 	}
 	prog, err := parsePyProgram(src)
 	if err != nil {
 		return err
 	}
-	ip.steps = 0
-	_, err = ip.execStmts(prog, ip.global)
+	ip.meter = exprcore.NewMeter(&pyLang, ip.maxSteps)
+	_, err = ip.execStmts(prog, ip.lib.Scope)
 	return err
 }
 
-func (ip *Interp) scopeWith(vars map[string]any) *penv {
-	env := newPenv(ip.global)
-	for k, v := range vars {
-		env.vars[k] = toPy(v)
-	}
-	return env
-}
-
-func (ip *Interp) tick(line int) error {
-	ip.steps++
-	if ip.steps > ip.maxSteps {
-		return fmt.Errorf("python evaluation exceeded %d steps (line %d): possible infinite loop", ip.maxSteps, line)
-	}
-	return nil
-}
-
-type ctrl struct {
-	kind  ctrlKind
-	value any
-}
-
-type ctrlKind int
-
-const (
-	ctrlReturn ctrlKind = iota + 1
-	ctrlBreak
-	ctrlContinue
-)
-
-func (ip *Interp) execStmts(stmts []stmt, env *penv) (*ctrl, error) {
+func (ip *Interp) execStmts(stmts []stmt, env *exprcore.Scope) (*exprcore.Ctrl, error) {
 	for _, s := range stmts {
 		c, err := ip.exec(s, env)
 		if err != nil || c != nil {
@@ -206,8 +130,8 @@ func (ip *Interp) execStmts(stmts []stmt, env *penv) (*ctrl, error) {
 	return nil, nil
 }
 
-func (ip *Interp) exec(s stmt, env *penv) (*ctrl, error) {
-	if err := ip.tick(s.stmtLine()); err != nil {
+func (ip *Interp) exec(s stmt, env *exprcore.Scope) (*exprcore.Ctrl, error) {
+	if err := ip.meter.Tick(s.stmtLine()); err != nil {
 		return nil, err
 	}
 	switch st := s.(type) {
@@ -217,9 +141,9 @@ func (ip *Interp) exec(s stmt, env *penv) (*ctrl, error) {
 	case *jumpStmt:
 		switch st.Word {
 		case "break":
-			return &ctrl{kind: ctrlBreak}, nil
+			return &exprcore.Ctrl{Kind: exprcore.Break}, nil
 		case "continue":
-			return &ctrl{kind: ctrlContinue}, nil
+			return &exprcore.Ctrl{Kind: exprcore.Continue}, nil
 		}
 		return nil, nil
 	case *assignStmt:
@@ -247,7 +171,7 @@ func (ip *Interp) exec(s stmt, env *penv) (*ctrl, error) {
 				return nil, err
 			}
 		}
-		return &ctrl{kind: ctrlReturn, value: v}, nil
+		return &exprcore.Ctrl{Kind: exprcore.Return, Value: v}, nil
 	case *raiseStmt:
 		if st.X == nil {
 			return nil, raisef("RuntimeError", "no active exception to re-raise")
@@ -280,16 +204,16 @@ func (ip *Interp) exec(s stmt, env *penv) (*ctrl, error) {
 		if err != nil {
 			return nil, err
 		}
-		var out *ctrl
+		var out *exprcore.Ctrl
 		err = ip.each(iter, st.Line, func(item any) (bool, error) {
 			if err := bindLoopVars(env, st.Vars, item, st.Line); err != nil {
 				return false, err
 			}
 			c, err := ip.execStmts(st.Body, env)
-			if err != nil || c == nil || c.kind == ctrlContinue {
+			if err != nil || c == nil || c.Kind == exprcore.Continue {
 				return err == nil, err
 			}
-			if c.kind == ctrlReturn {
+			if c.Kind == exprcore.Return {
 				out = c
 			}
 			return false, nil
@@ -304,7 +228,7 @@ func (ip *Interp) exec(s stmt, env *penv) (*ctrl, error) {
 			}
 			defaults[i] = v
 		}
-		env.vars[st.Name] = &PyFunc{
+		env.Vars[st.Name] = &PyFunc{
 			Name: st.Name, Params: st.Params, Defaults: defaults,
 			Body: st.Body, env: env,
 		}
@@ -313,9 +237,9 @@ func (ip *Interp) exec(s stmt, env *penv) (*ctrl, error) {
 	return nil, fmt.Errorf("unsupported statement %T", s)
 }
 
-func bindLoopVars(env *penv, vars []string, item any, line int) error {
+func bindLoopVars(env *exprcore.Scope, vars []string, item any, line int) error {
 	if len(vars) == 1 {
-		env.assign(vars[0], item)
+		env.Define(vars[0], item)
 		return nil
 	}
 	elems, ok := sequenceOf(item)
@@ -326,7 +250,7 @@ func bindLoopVars(env *penv, vars []string, item any, line int) error {
 		return raisef("ValueError", "expected %d values to unpack, got %d (line %d)", len(vars), len(elems), line)
 	}
 	for i, name := range vars {
-		env.assign(name, elems[i])
+		env.Define(name, elems[i])
 	}
 	return nil
 }
@@ -355,7 +279,7 @@ func (ip *Interp) each(v any, line int, fn func(item any) (bool, error)) error {
 		n, item = uint64(len(items)), func(i uint64) any { return items[i] }
 	}
 	for i := uint64(0); i < n; i++ {
-		if err := ip.tick(line); err != nil {
+		if err := ip.meter.Tick(line); err != nil {
 			return err
 		}
 		if more, err := fn(item(i)); err != nil || !more {
@@ -401,10 +325,13 @@ func iterValues(v any, line int) ([]any, error) {
 	return nil, raisef("TypeError", "'%s' object is not iterable (line %d)", pyTypeName(v), line)
 }
 
-func (ip *Interp) assignTo(target expr, val any, env *penv) error {
+func (ip *Interp) assignTo(target expr, val any, env *exprcore.Scope) error {
 	switch t := target.(type) {
 	case *nameRef:
-		env.assign(t.Name, val)
+		// Without global or nonlocal, Python assignment binds in the current
+		// scope: enclosing ones, the sealed globals among them, are never
+		// written.
+		env.Define(t.Name, val)
 		return nil
 	case *subscript:
 		obj, err := ip.eval(t.Obj, env)
@@ -460,8 +387,8 @@ func dictKey(key any) (string, error) {
 	return "", raisef("TypeError", "dict keys must be str in the inline-Python subset, not '%s'", pyTypeName(key))
 }
 
-func (ip *Interp) eval(e expr, env *penv) (any, error) {
-	if err := ip.tick(e.exprLine()); err != nil {
+func (ip *Interp) eval(e expr, env *exprcore.Scope) (any, error) {
+	if err := ip.meter.Tick(e.exprLine()); err != nil {
 		return nil, err
 	}
 	switch x := e.(type) {
@@ -476,7 +403,7 @@ func (ip *Interp) eval(e expr, env *penv) (any, error) {
 	case *noneLit:
 		return nil, nil
 	case *nameRef:
-		if v, ok := env.lookup(x.Name); ok {
+		if v, ok := env.Lookup(x.Name); ok {
 			return v, nil
 		}
 		return nil, raisef("NameError", "name '%s' is not defined (line %d)", x.Name, x.Line)
@@ -642,7 +569,7 @@ func (ip *Interp) eval(e expr, env *penv) (any, error) {
 			return nil, err
 		}
 		out := &List{}
-		compEnv := newPenv(env)
+		compEnv := exprcore.NewScope(env)
 		err = ip.each(iter, x.Line, func(item any) (bool, error) {
 			if err := bindLoopVars(compEnv, x.Vars, item, x.Line); err != nil {
 				return false, err
@@ -662,7 +589,7 @@ func (ip *Interp) eval(e expr, env *penv) (any, error) {
 	return nil, fmt.Errorf("unsupported expression %T", e)
 }
 
-func (ip *Interp) evalAll(exprs []expr, env *penv) ([]any, error) {
+func (ip *Interp) evalAll(exprs []expr, env *exprcore.Scope) ([]any, error) {
 	out := make([]any, 0, len(exprs))
 	for _, e := range exprs {
 		v, err := ip.eval(e, env)
@@ -675,7 +602,7 @@ func (ip *Interp) evalAll(exprs []expr, env *penv) ([]any, error) {
 }
 
 // evalSlice evaluates obj[low:high:step] over a str, list or tuple.
-func (ip *Interp) evalSlice(x *sliceExpr, env *penv) (any, error) {
+func (ip *Interp) evalSlice(x *sliceExpr, env *exprcore.Scope) (any, error) {
 	obj, err := ip.eval(x.Obj, env)
 	if err != nil {
 		return nil, err
@@ -787,7 +714,7 @@ func errOverflow(line int) error {
 func (ip *Interp) call(fn any, args []any, kw map[string]any, line int) (any, error) {
 	switch f := fn.(type) {
 	case *PyFunc:
-		fnEnv := newPenv(f.env)
+		fnEnv := exprcore.NewScope(f.env)
 		nParams := len(f.Params)
 		firstDefault := nParams - len(f.Defaults)
 		if len(args) > nParams {
@@ -807,24 +734,23 @@ func (ip *Interp) call(fn any, args []any, kw map[string]any, line int) (any, er
 			default:
 				return nil, raisef("TypeError", "%s() missing required argument: '%s'", f.Name, p)
 			}
-			fnEnv.vars[p] = v
+			fnEnv.Vars[p] = v
 		}
 		for k := range kw {
 			if !slices.Contains(f.Params, k) {
 				return nil, raisef("TypeError", "%s() got an unexpected keyword argument '%s'", f.Name, k)
 			}
 		}
-		if ip.calls >= maxCallDepth {
+		if ip.meter.Call() != nil {
 			return nil, raisef("RecursionError", "maximum recursion depth exceeded (line %d)", line)
 		}
-		ip.calls++
 		c, err := ip.execStmts(f.Body, fnEnv)
-		ip.calls--
+		ip.meter.Return()
 		if err != nil {
 			return nil, err
 		}
-		if c != nil && c.kind == ctrlReturn {
-			return c.value, nil
+		if c != nil && c.Kind == exprcore.Return {
+			return c.Value, nil
 		}
 		return nil, nil
 	case *Builtin:
@@ -905,67 +831,35 @@ func pyLen(v any) (uint64, bool) {
 
 // toPy converts a CWL document value to Python-space values.
 func toPy(v any) any {
-	switch x := v.(type) {
-	case int:
-		return int64(x)
-	case []any:
-		l := &List{E: make([]any, len(x))}
-		for i, e := range x {
-			l.E[i] = toPy(e)
+	return exprcore.FromDoc(v, func(v any) any {
+		if n, ok := v.(int); ok {
+			return int64(n)
 		}
-		return l
-	case []string:
-		l := &List{E: make([]any, len(x))}
-		for i, e := range x {
-			l.E[i] = e
-		}
-		return l
-	case *yamlx.Map:
-		d := yamlx.NewMap()
-		x.Range(func(k string, vv any) bool {
-			d.Set(k, toPy(vv))
-			return true
-		})
-		return d
-	case map[string]any:
-		d := yamlx.NewMap()
-		for _, k := range sortedKeys(x) {
-			d.Set(k, toPy(x[k]))
-		}
-		return d
-	}
-	return v
+		return v
+	}, func(e []any) any { return &List{E: e} })
 }
 
 // fromPy converts interpreter values back to the CWL document vocabulary.
-func fromPy(v any) any {
-	switch x := v.(type) {
-	case *List:
-		return fromPyAll(x.E)
-	case *Tuple:
-		return fromPyAll(x.E)
-	case *Dict:
-		d := yamlx.NewMap()
-		x.Range(func(k string, vv any) bool {
-			d.Set(k, fromPy(vv))
-			return true
-		})
-		return d
-	case rangeVal:
-		items, _ := iterValues(x, 0)
-		return fromPyAll(items)
-	case *Exception:
-		return x.String()
+func fromPy(v any) any { return exprcore.ToDoc(v, fromPyScalar, pyElems) }
+
+func fromPyScalar(v any) any {
+	if e, ok := v.(*Exception); ok {
+		return e.String()
 	}
 	return v
 }
 
-func fromPyAll(elems []any) []any {
-	out := make([]any, len(elems))
-	for i, e := range elems {
-		out[i] = fromPy(e)
+func pyElems(v any) ([]any, bool) {
+	switch x := v.(type) {
+	case *List:
+		return x.E, true
+	case *Tuple:
+		return x.E, true
+	case rangeVal:
+		items, _ := iterValues(x, 0)
+		return items, true
 	}
-	return out
+	return nil, false
 }
 
 // pyStr is str(v); pyRepr is repr(v).

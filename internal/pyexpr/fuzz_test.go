@@ -3,6 +3,8 @@ package pyexpr
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/exprcore"
 )
 
 // FuzzCompilePy: compiling any input, as an expression or as a statement
@@ -12,7 +14,7 @@ func FuzzCompilePy(f *testing.F) {
 	for _, r := range loadGolden(f) {
 		f.Add(strings.ReplaceAll(r.src, bodyMarker, "\n"))
 	}
-	f.Add(strings.Repeat("(", maxNesting) + "1" + strings.Repeat(")", maxNesting))
+	f.Add(strings.Repeat("(", exprcore.MaxNesting) + "1" + strings.Repeat(")", exprcore.MaxNesting))
 	f.Add("f\"{" + strings.Repeat("[", 5000) + "}\"")
 	f.Add(strings.Repeat("-", 5000) + "1")
 	f.Fuzz(func(t *testing.T, src string) {

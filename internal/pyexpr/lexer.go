@@ -20,8 +20,9 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/exprcore"
 )
 
 type tokKind int
@@ -85,7 +86,7 @@ type lexer struct {
 	line    int
 	indents []int
 	toks    []token
-	paren   int // bracket nesting depth: newlines inside brackets are ignored
+	paren   exprcore.Depth // bracket nesting: newlines inside brackets are ignored
 }
 
 func lexPy(src string) ([]token, error) {
@@ -122,7 +123,7 @@ func lexPy(src string) ([]token, error) {
 		case c == '\\' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '\n':
 			l.pos += 2
 			l.line++
-		case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && isDig(l.src[l.pos+1]):
+		case exprcore.IsDigit(c), c == '.' && l.pos+1 < len(l.src) && exprcore.IsDigit(l.src[l.pos+1]):
 			if err := l.lexNumber(); err != nil {
 				return nil, err
 			}
@@ -135,7 +136,7 @@ func lexPy(src string) ([]token, error) {
 			if err := l.lexString(c | 0x20); err != nil { // lower case
 				return nil, err
 			}
-		case isNameStart(rune(c)) || c >= utf8.RuneSelf:
+		case exprcore.IsNameStart(rune(c), false) || c >= utf8.RuneSelf:
 			if err := l.lexName(); err != nil {
 				return nil, err
 			}
@@ -214,29 +215,19 @@ func (l *lexer) handleIndent() error {
 	}
 }
 
-func isDig(c byte) bool { return c >= '0' && c <= '9' }
-
-func isNameStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
-func isNamePart(r rune) bool  { return isNameStart(r) || unicode.IsDigit(r) }
-
 func (l *lexer) lexNumber() error {
 	start := l.pos
 	isFloat := false
-	for l.pos < len(l.src) && (isDig(l.src[l.pos]) || l.src[l.pos] == '_') {
-		l.pos++
-	}
+	l.pos = exprcore.Digits(l.src, l.pos, true)
 	if l.pos < len(l.src) && l.src[l.pos] == '.' && (l.pos+1 >= len(l.src) || l.src[l.pos+1] != '.') {
 		// not part of a name/method chain like 1..real; Python floats
 		nxt := byte(0)
 		if l.pos+1 < len(l.src) {
 			nxt = l.src[l.pos+1]
 		}
-		if isDig(nxt) || !isNameStart(rune(nxt)) {
+		if exprcore.IsDigit(nxt) || !exprcore.IsNameStart(rune(nxt), false) {
 			isFloat = true
-			l.pos++
-			for l.pos < len(l.src) && (isDig(l.src[l.pos]) || l.src[l.pos] == '_') {
-				l.pos++
-			}
+			l.pos = exprcore.Digits(l.src, l.pos+1, true)
 		}
 	}
 	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
@@ -245,11 +236,9 @@ func (l *lexer) lexNumber() error {
 		if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
 			l.pos++
 		}
-		if l.pos < len(l.src) && isDig(l.src[l.pos]) {
+		if l.pos < len(l.src) && exprcore.IsDigit(l.src[l.pos]) {
 			isFloat = true
-			for l.pos < len(l.src) && isDig(l.src[l.pos]) {
-				l.pos++
-			}
+			l.pos = exprcore.Digits(l.src, l.pos, false)
 		} else {
 			l.pos = save
 		}
@@ -307,7 +296,7 @@ func (l *lexer) lexString(prefix byte) error {
 		case c == '\n':
 			return &SyntaxError{Line: startLine, Msg: "unterminated string literal"}
 		case c == '\\' && l.pos+1 < len(l.src) && prefix == 0:
-			text, n := unescapePy(l.src[l.pos+1:])
+			text, n := unescape(l.src[l.pos+1:])
 			body.WriteString(text)
 			l.pos += 1 + n
 		case c == '\\' && l.pos+1 < len(l.src):
@@ -321,35 +310,32 @@ func (l *lexer) lexString(prefix byte) error {
 	return &SyntaxError{Line: startLine, Msg: "unterminated string literal"}
 }
 
-// unescapePy decodes the escape sequence after a backslash at the start of
-// s, returning its text and how many bytes of s it used. An unknown escape
-// keeps its backslash, as Python does.
-func unescapePy(s string) (string, int) {
-	if i := strings.IndexByte(`ntr\'"0abfv`, s[0]); i >= 0 {
-		return string("\n\t\r\\'\"\x00\a\b\f\v"[i]), 1
-	}
-	if digits := map[byte]int{'x': 2, 'u': 4, 'U': 8}[s[0]]; digits > 0 && len(s) > digits {
-		if n, err := strconv.ParseUint(s[1:1+digits], 16, 32); err == nil && n <= unicode.MaxRune {
-			return string(rune(n)), 1 + digits
+// unescape decodes the escape sequence after a backslash at the start of
+// s, returning its text and how many bytes of s it used. Python adds \a and
+// \UHHHHHHHH to the escapes the core knows, and an unknown escape keeps its
+// backslash.
+func unescape(s string) (string, int) {
+	switch s[0] {
+	case 'a':
+		return "\a", 1
+	case 'U':
+		if r, ok := exprcore.HexRune(s[1:], 8); ok {
+			return string(r), 9
 		}
+	}
+	if text, n, ok := exprcore.Escape(s); ok {
+		return text, n
 	}
 	return "\\" + s[:1], 1
 }
 
 func (l *lexer) lexName() error {
-	start := l.pos
-	for l.pos < len(l.src) {
-		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
-		if !isNamePart(r) {
-			break
-		}
-		l.pos += size
+	end, err := exprcore.Name(l.src, l.pos, false)
+	if err != nil {
+		return &SyntaxError{Line: l.line, Msg: err.Error()}
 	}
-	if l.pos == start { // a non-letter rune, or invalid UTF-8
-		r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
-		return &SyntaxError{Line: l.line, Msg: fmt.Sprintf("unexpected character %q", r)}
-	}
-	l.emit(token{kind: tName, text: l.src[start:l.pos], line: l.line})
+	l.emit(token{kind: tName, text: l.src[l.pos:end], line: l.line})
+	l.pos = end
 	return nil
 }
 
@@ -376,13 +362,11 @@ func (l *lexer) lexOp() error {
 		if strings.HasPrefix(l.src[l.pos:], op) {
 			switch op {
 			case "(", "[", "{":
-				if l.paren++; l.paren > maxNesting {
-					return &SyntaxError{Line: l.line, Msg: fmt.Sprintf("expression nested more than %d levels deep", maxNesting)}
+				if err := l.paren.Enter(); err != nil {
+					return &SyntaxError{Line: l.line, Msg: err.Error()}
 				}
 			case ")", "]", "}":
-				if l.paren > 0 {
-					l.paren--
-				}
+				l.paren.Leave(1)
 			}
 			l.emit(token{kind: tOp, text: op, line: l.line})
 			l.pos += len(op)

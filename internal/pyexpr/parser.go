@@ -3,27 +3,21 @@ package pyexpr
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/exprcore"
 )
 
 type pparser struct {
 	toks  []token
 	pos   int
-	depth int // current nesting, see nest
+	depth exprcore.Depth // current nesting, see nest
 }
 
-// maxNesting bounds how deeply code nests (CPython's parser stops at 200
-// nested brackets). Each bracket, statement block, elif, unary operand and
-// link of an operator or postfix chain counts as one level, so the
-// evaluator, which recurses once per level, never recurses deeper than this
-// within one function body.
-const maxNesting = 200
-
-// nest enters one more level of nesting; the caller undoes it by
-// subtracting what it entered from p.depth.
+// nest enters one more level of nesting (see exprcore.MaxNesting); the
+// caller undoes it by leaving what it entered.
 func (p *pparser) nest() error {
-	p.depth++
-	if p.depth > maxNesting {
-		return p.errHere("expression nested more than %d levels deep", maxNesting)
+	if err := p.depth.Enter(); err != nil {
+		return p.errHere("%v", err)
 	}
 	return nil
 }
@@ -67,7 +61,7 @@ func parsePyProgram(src string) ([]stmt, error) {
 func parsePyExpression(src string) (expr, error) { return parseExpressionAt(src, 0) }
 
 // parseExpressionAt parses a single expression nested depth levels deep.
-func parseExpressionAt(src string, depth int) (expr, error) {
+func parseExpressionAt(src string, depth exprcore.Depth) (expr, error) {
 	toks, err := lexPy(strings.TrimSpace(src))
 	if err != nil {
 		return nil, err
@@ -414,7 +408,7 @@ func (p *pparser) exprTop() (expr, error) {
 	if err := p.nest(); err != nil {
 		return nil, err
 	}
-	defer func() { p.depth-- }()
+	defer p.depth.Leave(1)
 	e, err := p.orExpr()
 	if err != nil {
 		return nil, err
@@ -439,14 +433,14 @@ func (p *pparser) exprTop() (expr, error) {
 
 // binaryChain parses one left-associative operator level: operands from
 // operand, joined while match reports an operator. Each link nests the
-// tree one level deeper, so each counts toward maxNesting.
+// tree one level deeper, so each counts toward exprcore.MaxNesting.
 func (p *pparser) binaryChain(operand func() (expr, error), match func() bool, build func(op token, l, r expr) expr) (expr, error) {
 	l, err := operand()
 	if err != nil {
 		return nil, err
 	}
 	entered := 0
-	defer func() { p.depth -= entered }()
+	defer func() { p.depth.Leave(entered) }()
 	for match() {
 		t := p.next()
 		if err := p.nest(); err != nil {
@@ -490,7 +484,7 @@ func nested[T any](p *pparser, parse func() (T, error)) (T, error) {
 		var zero T
 		return zero, err
 	}
-	defer func() { p.depth-- }()
+	defer p.depth.Leave(1)
 	return parse()
 }
 
@@ -589,7 +583,7 @@ func (p *pparser) postfix() (expr, error) {
 		return nil, err
 	}
 	entered := 0
-	defer func() { p.depth -= entered }()
+	defer func() { p.depth.Leave(entered) }()
 	for p.at(tOp, ".") || p.at(tOp, "[") || p.at(tOp, "(") {
 		if err := p.nest(); err != nil {
 			return nil, err
@@ -936,7 +930,7 @@ func unescapeLit(s string) string {
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		if s[i] == '\\' && i+1 < len(s) {
-			text, n := unescapePy(s[i+1:])
+			text, n := unescape(s[i+1:])
 			b.WriteString(text)
 			i += n
 			continue

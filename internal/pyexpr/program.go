@@ -1,9 +1,6 @@
 package pyexpr
 
-// Compile-once / evaluate-many support, mirroring jsexpr: a Program is a
-// parsed expression or statement block that can be evaluated repeatedly —
-// and concurrently — against one Interp. Per-evaluation interpreter state
-// (the step counter and the variable scope) lives in a per-call evaluator.
+import "repro/internal/exprcore"
 
 // Program is a reusable, goroutine-safe compiled Python fragment. The AST is
 // immutable after Compile; evaluation never mutates it.
@@ -32,11 +29,8 @@ func CompileBody(src string) (*Program, error) {
 }
 
 // RunProgram evaluates a compiled program with the given variables in scope,
-// returning a CWL document value. Safe to call concurrently: the global
-// scope is sealed on first use and each call runs on a fresh per-call
-// evaluator holding its own step counter and scope. Interpreters whose
-// library holds in-place-mutable state serialize their evaluations instead
-// (see Interp).
+// returning a CWL document value. Safe to call concurrently: each call runs
+// on a fresh per-call evaluator holding its own step meter and scope.
 func (ip *Interp) RunProgram(p *Program, vars map[string]any) (any, error) {
 	v, err := ip.run(p, vars)
 	if err != nil {
@@ -48,49 +42,25 @@ func (ip *Interp) RunProgram(p *Program, vars map[string]any) (any, error) {
 // run evaluates p and returns its Python value: the expression's value, or
 // a body's top-level return value (None without one).
 func (ip *Interp) run(p *Program, vars map[string]any) (any, error) {
-	ip.seal()
-	if ip.serialize {
-		ip.evalMu.Lock()
-		defer ip.evalMu.Unlock()
-	}
-	ev := &Interp{global: ip.global, maxSteps: ip.maxSteps}
-	env := ev.scopeWith(vars)
+	ip.lib.Begin()
+	defer ip.lib.End()
+	ev := &Interp{meter: exprcore.NewMeter(&pyLang, ip.maxSteps)}
+	env := ip.lib.CallScope(vars, toPy)
 	if p.expr != nil {
 		return ev.eval(p.expr, env)
 	}
 	c, err := ev.execStmts(p.stmts, env)
-	if err != nil || c == nil || c.kind != ctrlReturn {
+	if err != nil || c == nil || c.Kind != exprcore.Return {
 		return nil, err
 	}
-	return c.value, nil
+	return c.Value, nil
 }
 
-// seal freezes the global scope and decides whether mutable library state
-// forces serialized evaluation; see the jsexpr counterpart.
-func (ip *Interp) seal() {
-	ip.sealOnce.Do(func() {
-		ip.global.frozen = true
-		ip.serialize = ip.libHasMutableState()
-	})
-}
-
-// libHasMutableState reports whether any library-defined global carries
-// state an expression could mutate in place: lists, dicts, tuples
-// containing them, functions with mutable defaults, or functions over a
-// captured (non-global) scope.
-func (ip *Interp) libHasMutableState() bool {
-	for k, v := range ip.global.vars {
-		if bv, ok := ip.builtinVals[k]; ok && bv == v {
-			continue
-		}
-		if pyMutable(ip, v, 0) {
-			return true
-		}
-	}
-	return false
-}
-
-func pyMutable(ip *Interp, v any, depth int) bool {
+// pyMutable reports whether a library-defined global carries state an
+// expression could mutate in place: lists, dicts, tuples containing them,
+// functions with mutable defaults, or functions over a captured
+// (non-global) scope.
+func pyMutable(global *exprcore.Scope, v any, depth int) bool {
 	if depth > 8 {
 		return true // deep enough to stop looking; be conservative
 	}
@@ -99,17 +69,17 @@ func pyMutable(ip *Interp, v any, depth int) bool {
 		return true
 	case *Tuple:
 		for _, e := range x.E {
-			if pyMutable(ip, e, depth+1) {
+			if pyMutable(global, e, depth+1) {
 				return true
 			}
 		}
 		return false
 	case *PyFunc:
-		if x.env != ip.global {
+		if x.env != global {
 			return true
 		}
 		for _, d := range x.Defaults {
-			if pyMutable(ip, d, depth+1) {
+			if pyMutable(global, d, depth+1) {
 				return true
 			}
 		}

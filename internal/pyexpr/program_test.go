@@ -89,16 +89,14 @@ func TestFunctionOnlyLibsStayParallel(t *testing.T) {
 	if err := ip.LoadLib("K = 3\ndef f(v):\n    return v + K\n"); err != nil {
 		t.Fatal(err)
 	}
-	ip.seal()
-	if ip.serialize {
+	if ip.lib.Serialized() {
 		t.Error("function-and-scalar library forced serialization")
 	}
 	mut := New()
 	if err := mut.LoadLib("def g(v, acc=[]):\n    acc.append(v)\n    return acc\n"); err != nil {
 		t.Fatal(err)
 	}
-	mut.seal()
-	if !mut.serialize {
+	if !mut.lib.Serialized() {
 		t.Error("mutable-default library not serialized")
 	}
 }

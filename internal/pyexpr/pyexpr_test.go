@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exprcore"
 	"repro/internal/yamlx"
 )
 
@@ -246,7 +247,7 @@ func TestPyRecursion(t *testing.T) {
 }
 
 // TestPyCallDepthBound: unbounded recursion raises RecursionError at
-// maxCallDepth instead of overflowing the Go stack, and recursion just
+// exprcore.MaxCallDepth instead of overflowing the Go stack, and recursion just
 // under the bound still works.
 func TestPyCallDepthBound(t *testing.T) {
 	ip := New()
@@ -257,8 +258,8 @@ func TestPyCallDepthBound(t *testing.T) {
 	if r, ok := err.(*Raised); !ok || r.Exc.Type != "RecursionError" {
 		t.Fatalf("err = %v, want RecursionError", err)
 	}
-	if v, err := runExpr(ip, "down(n)", map[string]any{"n": maxCallDepth - 1}); err != nil || v != int64(maxCallDepth-1) {
-		t.Fatalf("down(%d) = %v, %v", maxCallDepth-1, v, err)
+	if v, err := runExpr(ip, "down(n)", map[string]any{"n": exprcore.MaxCallDepth - 1}); err != nil || v != int64(exprcore.MaxCallDepth-1) {
+		t.Fatalf("down(%d) = %v, %v", exprcore.MaxCallDepth-1, v, err)
 	}
 }
 
@@ -295,9 +296,9 @@ func TestPyNestingBound(t *testing.T) {
 	if _, err := CompileBody(elifs); err == nil || !strings.Contains(err.Error(), "nested more than") {
 		t.Errorf("elif chain: err = %v", err)
 	}
-	ok := strings.Repeat("(", maxNesting-1) + "1" + strings.Repeat(")", maxNesting-1)
+	ok := strings.Repeat("(", exprcore.MaxNesting-1) + "1" + strings.Repeat(")", exprcore.MaxNesting-1)
 	if v, err := runExpr(New(), ok, nil); err != nil || v != int64(1) {
-		t.Errorf("%d nested parens: %v, %v", maxNesting-1, v, err)
+		t.Errorf("%d nested parens: %v, %v", exprcore.MaxNesting-1, v, err)
 	}
 }
 

@@ -6,17 +6,20 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/parsl"
 	"repro/internal/persist"
+	"repro/internal/yamlx"
 )
 
 // exprWorkflow is a Workflow whose only step is an ExpressionTool.
@@ -368,6 +371,60 @@ func journalKinds(t *testing.T, dataDir string) map[string][]string {
 	return kinds
 }
 
+// slowLog is a log sink that takes a millisecond per record, as a slow
+// stderr can.
+type slowLog struct{ slog.Handler }
+
+func (h slowLog) Handle(ctx context.Context, r slog.Record) error {
+	time.Sleep(time.Millisecond)
+	return h.Handler.Handle(ctx, r)
+}
+
+// TestWaitAnswersAfterJournal: the moment Wait reports a run finished, the
+// run's terminal record is in the journal and its CPU time is on the
+// tenant ledger, however slow the log sink. Nothing polls: each check
+// reads the state as the answer arrives, so a crash right after the answer
+// cannot lose the run.
+func TestWaitAnswersAfterJournal(t *testing.T) {
+	dataDir, workRoot := t.TempDir(), t.TempDir()
+	dfk, err := parsl.Load(parsl.Config{
+		Executors: []parsl.Executor{parsl.NewThreadPoolExecutor("threads", 2)},
+		RunDir:    workRoot,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dfk.Cleanup()
+	svc, err := New(dfk, Options{
+		Workers: 2, DataDir: dataDir, WorkRoot: workRoot, WALShards: 2, CheckpointPeriod: time.Hour,
+		Logger: slog.New(slowLog{slog.NewTextHandler(io.Discard, nil)}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	var charged float64
+	for i := 0; i < 20; i++ {
+		snap, err := svc.Submit(SubmitRequest{Source: []byte(exprWorkflow), Inputs: yamlx.MapOf("m", strconv.Itoa(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := waitTerminal(t, svc, snap.ID)
+		ledger := svc.cpuUsedByTenant()["default"]
+		kinds := journalKinds(t, dataDir)[snap.ID]
+		if done.State != RunSucceeded {
+			t.Fatalf("run %s ended %s: %s", snap.ID, done.State, done.Error)
+		}
+		charged += done.Finished.Sub(*done.Started).Seconds()
+		if math.Abs(ledger-charged) > 1e-9 {
+			t.Errorf("run %s: tenant CPU ledger = %v s when Wait answered, want %v s", snap.ID, ledger, charged)
+		}
+		if got := strings.Join(kinds, ","); got != "submit,run,run" {
+			t.Errorf("run %s: journal kinds = %s when Wait answered, want submit,run,run", snap.ID, got)
+		}
+	}
+}
+
 // TestAdmissionWaitDurable: on a durable service an in-process run answered
 // at POST writes the journal records any run writes (submit, running,
 // terminal), survives a restart as succeeded, and charges its tenant's CPU
@@ -411,21 +468,9 @@ func TestAdmissionWaitDurable(t *testing.T) {
 	if answered == 0 {
 		t.Errorf("none of %d POSTs answered terminal", len(ids))
 	}
-	// finishRun releases waiters when the store marks a run terminal, just
-	// before it charges the ledger and journals the terminal record, so a
-	// run's last record may still be on its way.
+	// finishRun journals a run's terminal record before it releases
+	// waiters, so every run's records are all in place by now.
 	kinds := journalKinds(t, dataDir)
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		pending := false
-		for _, id := range ids {
-			pending = pending || len(kinds[id]) < 3
-		}
-		if !pending {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-		kinds = journalKinds(t, dataDir)
-	}
 	for _, id := range ids {
 		if got := strings.Join(kinds[id], ","); got != "submit,run,run" {
 			t.Errorf("run %s journal kinds = %s, want submit,run,run", id, got)

@@ -415,7 +415,7 @@ func (s *Service) openPersistence() error {
 	p.removeMemo = s.dfk.OnMemoCommit(p.memoCommitted)
 	for _, r := range rerun {
 		if err := s.sched.EnqueueRestored(r.id, r.tenant, r.priority); err != nil {
-			s.finishRun(r.id, nil, fmt.Errorf("re-enqueue after restart: %w", err), false)
+			s.finishRun(r.id, nil, fmt.Errorf("re-enqueue after restart: %w", err), false, "")
 		}
 	}
 	go p.checkpointLoop(s, s.opts.CheckpointPeriod)
@@ -423,29 +423,39 @@ func (s *Service) openPersistence() error {
 }
 
 // finishRun finalizes a run, journals the terminal transition, charges the
-// tenant's CPU account, and feeds the drain-rate estimator behind Retry-After.
-func (s *Service) finishRun(id string, outputs json.RawMessage, runErr error, canceled bool) (RunSnapshot, bool) {
-	snap, ok := s.store.Finish(id, outputs, runErr, canceled)
-	if ok && snap.State.Terminal() {
-		if snap.Started != nil && snap.Finished != nil {
-			dur := snap.Finished.Sub(*snap.Started).Seconds()
-			metRunDuration.With(snap.State.String()).Observe(dur)
-			s.cpuMu.Lock()
-			s.cpu[tenantLabel(snap.Tenant)] += dur
-			s.cpuMu.Unlock()
-			if s.opts.Tenants != nil {
-				s.opts.Tenants.ChargeCPU(tenantLabel(snap.Tenant), dur)
-			}
-		}
-		s.drain.record(time.Now())
-		if logger := s.opts.Logger; logger != nil {
-			logger.Info("run finished", "runId", id, "state", snap.State.String(), "error", snap.Error)
-		}
+// tenant's CPU account, publishes a success under resultKey (when set) to
+// the result cache, and feeds the drain-rate estimator behind Retry-After.
+// Waiters are released last, so a client told that a run finished can rely
+// on its terminal record being in the journal.
+func (s *Service) finishRun(id string, outputs json.RawMessage, runErr error, canceled bool, resultKey string) (RunSnapshot, bool) {
+	snap, release, ok := s.store.Finish(id, outputs, runErr, canceled)
+	defer release()
+	if !ok {
+		return snap, false
 	}
-	if ok && s.pers != nil && snap.State.Terminal() {
+	if s.pers != nil {
 		s.pers.runChanged(snap)
 	}
-	return snap, ok
+	if snap.Started != nil && snap.Finished != nil {
+		dur := snap.Finished.Sub(*snap.Started).Seconds()
+		metRunDuration.With(snap.State.String()).Observe(dur)
+		s.cpuMu.Lock()
+		s.cpu[tenantLabel(snap.Tenant)] += dur
+		s.cpuMu.Unlock()
+		if s.opts.Tenants != nil {
+			s.opts.Tenants.ChargeCPU(tenantLabel(snap.Tenant), dur)
+		}
+	}
+	if resultKey != "" && snap.State == RunSucceeded {
+		// Publish the whole-run result for identical future submissions,
+		// from any non-private tenant.
+		s.results.Put(resultKey, snap.Outputs)
+	}
+	s.drain.record(time.Now())
+	if logger := s.opts.Logger; logger != nil {
+		logger.Info("run finished", "runId", id, "state", snap.State.String(), "error", snap.Error)
+	}
+	return snap, true
 }
 
 // cpuUsedByTenant copies the CPU-seconds ledger for the metrics collector.
@@ -621,7 +631,7 @@ func (s *Service) submit(req SubmitRequest) (RunSnapshot, bool, error) {
 			metRunsAdmitted.Inc()
 			metTenantAdmitted.With(tn.Name).Inc()
 			metTenantResultHits.With(tn.Name).Inc()
-			snap, _ = s.finishRun(snap.ID, outputs, nil, false)
+			snap, _ = s.finishRun(snap.ID, outputs, nil, false, "")
 			return snap, d.InProcess, nil
 		}
 	}
@@ -700,7 +710,7 @@ func (s *Service) execute(ctx context.Context, id string) {
 	if err != nil {
 		// The provider disappeared between restarts (a restored run pinned a
 		// backend this process does not offer).
-		s.finishRun(id, nil, err, false)
+		s.finishRun(id, nil, err, false, "")
 		return
 	}
 	r := &core.Runner{
@@ -735,12 +745,7 @@ func (s *Service) execute(ctx context.Context, id string) {
 			err = fmt.Errorf("encoding run outputs: %w", err)
 		}
 	}
-	if err == nil && w.resultKey != "" {
-		// Publish the whole-run result for identical future submissions,
-		// from any non-private tenant.
-		s.results.Put(w.resultKey, raw)
-	}
-	s.finishRun(id, raw, err, canceled)
+	s.finishRun(id, raw, err, canceled, w.resultKey)
 }
 
 // Get returns the current snapshot of a run.
@@ -770,7 +775,7 @@ func (s *Service) Cancel(id string) (RunSnapshot, error) {
 	switch s.sched.Cancel(id) {
 	case CancelDequeued:
 		s.dropWork(id)
-		snap, _ = s.finishRun(id, nil, context.Canceled, true)
+		snap, _ = s.finishRun(id, nil, context.Canceled, true, "")
 		return snap, nil
 	case CancelSignaled:
 		// The worker observes the canceled context and finishes the run;
@@ -789,7 +794,7 @@ func (s *Service) Cancel(id string) (RunSnapshot, error) {
 		// The submission is between store registration and enqueue: mark it
 		// canceled and drop its payload so a later dequeue is a no-op.
 		s.dropWork(id)
-		snap, _ = s.finishRun(id, nil, context.Canceled, true)
+		snap, _ = s.finishRun(id, nil, context.Canceled, true, "")
 		return snap, nil
 	}
 }
@@ -876,7 +881,7 @@ func (s *Service) Close(ctx context.Context) error {
 	dropped, err := s.sched.Close(ctx)
 	for _, id := range dropped {
 		s.dropWork(id)
-		s.finishRun(id, nil, ErrDraining, true)
+		s.finishRun(id, nil, ErrDraining, true, "")
 	}
 	if s.pers != nil {
 		if perr := s.pers.close(s); err == nil {

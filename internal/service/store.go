@@ -312,16 +312,19 @@ func (st *RunStore) MarkRunning(id string) bool {
 
 // Finish moves a run to its terminal state: canceled when canceled is set,
 // failed when runErr is non-nil, succeeded otherwise. It is a no-op on runs
-// already terminal. The run's done channel closes exactly once.
-func (st *RunStore) Finish(id string, outputs json.RawMessage, runErr error, canceled bool) (RunSnapshot, bool) {
+// already terminal. It returns release, which closes the run's done channel
+// and so answers every Wait: the caller journals the terminal record first
+// and calls release last, exactly once. On a run already terminal release
+// does nothing.
+func (st *RunStore) Finish(id string, outputs json.RawMessage, runErr error, canceled bool) (snap RunSnapshot, release func(), ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	rec, ok := st.runs[id]
 	if !ok {
-		return RunSnapshot{}, false
+		return RunSnapshot{}, func() {}, false
 	}
 	if rec.snap.State.Terminal() {
-		return rec.snap, true
+		return rec.snap, func() {}, true
 	}
 	now := time.Now()
 	rec.snap.Finished = &now
@@ -338,10 +341,10 @@ func (st *RunStore) Finish(id string, outputs json.RawMessage, runErr error, can
 		rec.snap.State = RunSucceeded
 		rec.snap.Outputs = outputs
 	}
-	close(rec.done)
+	done := rec.done
 	st.terminal++
 	st.pruneLocked()
-	return rec.snap, true
+	return rec.snap, func() { close(done) }, true
 }
 
 // pruneLocked evicts the oldest terminal runs past the retention cap. The
