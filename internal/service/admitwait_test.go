@@ -410,7 +410,7 @@ func TestWaitAnswersAfterJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 		done := waitTerminal(t, svc, snap.ID)
-		ledger := svc.cpuUsedByTenant()["default"]
+		ledger := svc.store.cpuSeconds("default")
 		kinds := journalKinds(t, dataDir)[snap.ID]
 		if done.State != RunSucceeded {
 			t.Fatalf("run %s ended %s: %s", snap.ID, done.State, done.Error)
@@ -476,7 +476,7 @@ func TestAdmissionWaitDurable(t *testing.T) {
 			t.Errorf("run %s journal kinds = %s, want submit,run,run", id, got)
 		}
 	}
-	if got := svc.cpuUsedByTenant()["default"]; math.Abs(got-charged) > 1e-9 {
+	if got := svc.store.cpuSeconds("default"); math.Abs(got-charged) > 1e-9 {
 		t.Errorf("tenant CPU ledger = %v s, want the runs' %v s", got, charged)
 	}
 	srv.Close()

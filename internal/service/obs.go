@@ -151,9 +151,9 @@ func (s *Service) registerCollectors() {
 		}
 
 		// CPU seconds are fractional, so they live here as a gather-time
-		// counter family over the service's float accumulator rather than an
+		// counter family over the run store's float ledger rather than an
 		// integer counter vector.
-		if cpu := s.cpuUsedByTenant(); len(cpu) > 0 {
+		if cpu := s.store.cpuLedger(); len(cpu) > 0 {
 			fam := obs.Family{Name: "pcwl_tenant_cpu_seconds_total", Help: "Whole-run execution seconds consumed, by tenant.", Type: obs.TypeCounter}
 			names := make([]string, 0, len(cpu))
 			for name := range cpu {

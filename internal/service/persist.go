@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/parsl"
 	"repro/internal/persist"
-	"repro/internal/yamlx"
 )
 
 // persister is the service's durability glue over a persist.Log. It journals
@@ -24,7 +23,9 @@ import (
 //
 // — and periodically compacts them into a snapshot of the full service state
 // (every retained run, payloads for non-terminal ones, the DFK memo table,
-// and the run-ID sequence). On startup, replay rebuilds the store, restores
+// and the run-ID sequence). Payloads live in the run store's records, never
+// here: a snapshot reads them from the store, and replay hands each back to
+// the store with its run. On startup, replay rebuilds the store, restores
 // the memo table, and re-enqueues runs that were queued or running at crash
 // time; their re-execution is cheap because step results hit the restored
 // memo table.
@@ -46,9 +47,8 @@ import (
 type persister struct {
 	log *persist.ShardedLog
 
-	mu       sync.Mutex
-	payloads map[string]payloadRec // non-terminal runs' submission payloads
-	lastErr  error                 // most recent journal failure, for /healthz
+	mu      sync.Mutex
+	lastErr error // most recent journal failure, for /healthz
 
 	// Restore counters, reported by /healthz.
 	restoredRuns int // terminal runs recovered as history
@@ -59,11 +59,6 @@ type persister struct {
 	done       chan struct{}
 	closeOnce  sync.Once
 	removeMemo func() // detaches the DFK memo hook
-}
-
-type payloadRec struct {
-	source []byte
-	inputs json.RawMessage // canonical JSON, encoded once at submission
 }
 
 // runFields is RunSnapshot under the journal's field tags, so a conversion
@@ -117,57 +112,35 @@ func toWire(snap RunSnapshot) runWire { return runWire{runFields: runFields(snap
 
 func newPersister(log *persist.ShardedLog) *persister {
 	return &persister{
-		log:      log,
-		payloads: map[string]payloadRec{},
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		log:  log,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 }
 
 // --- journaling (called by the Service at each lifecycle transition) ---
 
-// runSubmitted journals a new submission. Its error is returned (unlike the
-// later transitions) so Submit can refuse to ACK a run the journal never
-// recorded — a durable service must not hand out IDs it would forget.
-func (p *persister) runSubmitted(snap RunSnapshot, source []byte, inputs *yamlx.Map) error {
+// runSubmitted journals a new submission with the source and canonical
+// inputs its work holds. Its error is returned (unlike the later
+// transitions) so Submit can refuse to ACK a run the journal never recorded
+// — a durable service must not hand out IDs it would forget.
+func (p *persister) runSubmitted(snap RunSnapshot, work *pendingRun) error {
 	w := toWire(snap)
-	w.Source = string(source)
-	if inputs != nil {
-		if raw, err := inputs.MarshalJSON(); err == nil {
-			w.Inputs = raw
-		}
-	}
-	p.mu.Lock()
-	p.payloads[snap.ID] = payloadRec{source: source, inputs: w.Inputs}
-	p.mu.Unlock()
-	if err := p.append(snap.ID, "submit", w); err != nil {
-		p.dropPayload(snap.ID)
-		return err
-	}
-	return nil
+	w.Source, w.Inputs = work.source, work.inputsJSON
+	return p.append(snap.ID, "submit", w)
 }
 
 func (p *persister) runRejected(id string) {
-	p.dropPayload(id)
 	p.append(id, "reject", rejectWire{ID: id})
 }
 
 // runChanged journals a running or terminal transition.
 func (p *persister) runChanged(snap RunSnapshot) {
-	if snap.State.Terminal() {
-		p.dropPayload(snap.ID)
-	}
 	p.append(snap.ID, "run", toWire(snap))
 }
 
 func (p *persister) memoCommitted(e parsl.MemoEntry) {
 	p.append(e.Key, "memo", memoWire{Key: e.Key, App: e.App, Value: e.Raw})
-}
-
-func (p *persister) dropPayload(id string) {
-	p.mu.Lock()
-	delete(p.payloads, id)
-	p.mu.Unlock()
 }
 
 // append journals one record on the shard owning key (run records key on
@@ -326,28 +299,9 @@ func (p *persister) restoreMemo(dfk *parsl.DFK, wires []memoWire) {
 // global run-ID sequence high-water mark (replay takes the max).
 func (p *persister) snapshot(s *Service) error {
 	return p.log.Compact(func(shard int) (any, error) {
-		p.mu.Lock()
-		payloads := make(map[string]payloadRec, len(p.payloads))
-		for id, pl := range p.payloads {
-			payloads[id] = pl
-		}
-		p.mu.Unlock()
-
-		snap := snapshotWire{Seq: runSeq.Load()}
-		for _, rs := range s.store.List() {
-			if p.log.ShardOf(rs.ID) != shard {
-				continue
-			}
-			w := toWire(rs)
-			if !rs.State.Terminal() {
-				if pl, ok := payloads[rs.ID]; ok {
-					w.Source, w.Inputs = string(pl.source), pl.inputs
-				}
-				// A non-terminal run with no payload (a transition raced this
-				// build) is snapshotted as-is; replay marks it failed rather
-				// than silently dropping it.
-			}
-			snap.Runs = append(snap.Runs, w)
+		snap := snapshotWire{
+			Seq:  runSeq.Load(),
+			Runs: s.store.journalRuns(func(id string) bool { return p.log.ShardOf(id) == shard }),
 		}
 		for _, e := range s.dfk.MemoSnapshot() {
 			if p.log.ShardOf(e.Key) == shard {

@@ -67,15 +67,14 @@ type Scheduler struct {
 	ring   []*tenantQueue
 	cursor int
 
-	byID          map[string]*schedJob // queued jobs, for cancel + duplicates
-	running       map[string]context.CancelFunc
-	runningTenant map[string]string // running job id → tenant
-	runningBy     map[string]int    // tenant → running count
-	seq           int64
-	depth         int // global queued cap; <= 0 unbounded
-	closed        bool
-	exec          func(ctx context.Context, id string)
-	wg            sync.WaitGroup
+	byID      map[string]*schedJob // queued jobs, for cancel + duplicates
+	running   map[string]context.CancelFunc
+	runningBy map[string]int // tenant → running count
+	seq       int64
+	depth     int // global queued cap; <= 0 unbounded
+	closed    bool
+	exec      func(ctx context.Context, id string)
+	wg        sync.WaitGroup
 }
 
 type schedJob struct {
@@ -144,14 +143,13 @@ func NewScheduler(workers, depth int, limits func(tenant string) TenantLimits, e
 		workers = 1
 	}
 	s := &Scheduler{
-		limits:        limits,
-		tenants:       map[string]*tenantQueue{},
-		byID:          map[string]*schedJob{},
-		running:       map[string]context.CancelFunc{},
-		runningTenant: map[string]string{},
-		runningBy:     map[string]int{},
-		depth:         depth,
-		exec:          exec,
+		limits:    limits,
+		tenants:   map[string]*tenantQueue{},
+		byID:      map[string]*schedJob{},
+		running:   map[string]context.CancelFunc{},
+		runningBy: map[string]int{},
+		depth:     depth,
+		exec:      exec,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < workers; i++ {
@@ -303,7 +301,6 @@ func (s *Scheduler) worker() {
 		delete(s.byID, j.id)
 		ctx, cancel := context.WithCancel(context.Background())
 		s.running[j.id] = cancel
-		s.runningTenant[j.id] = j.tenant
 		s.runningBy[j.tenant]++
 		s.mu.Unlock()
 
@@ -312,7 +309,6 @@ func (s *Scheduler) worker() {
 
 		s.mu.Lock()
 		delete(s.running, j.id)
-		delete(s.runningTenant, j.id)
 		if s.runningBy[j.tenant]--; s.runningBy[j.tenant] <= 0 {
 			delete(s.runningBy, j.tenant)
 		}

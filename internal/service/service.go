@@ -2,18 +2,23 @@
 // engine: it turns the single-run parsl-cwl library into a servable system
 // that multiplexes many concurrent CWL runs over one shared DataFlowKernel.
 //
-// The subsystem has five pieces:
+// The subsystem has six pieces:
 //
-//   - RunStore tracks every submission through the
-//     queued → running → succeeded/failed/canceled lifecycle with per-run
-//     outputs and errors; task-event logs are served from the DFK's
-//     per-label event index (attributed by submission label) and released
-//     when retention evicts the run.
-//   - Scheduler bounds run concurrency with a worker pool over a
-//     priority+FIFO queue, supports cancellation of queued and running work,
-//     and drains gracefully on shutdown.
+//   - RunStore holds each run in one record through the
+//     queued → running → succeeded/failed/canceled lifecycle: its snapshot,
+//     outputs and errors, the payload a worker executes, and the per-tenant
+//     CPU ledger charged as it finishes. Task-event logs are served from the
+//     DFK's per-label event index (attributed by submission label) and
+//     released when retention evicts the run.
+//   - Scheduler bounds run concurrency with a worker pool that drains
+//     per-tenant priority+FIFO sub-queues by weighted round-robin, supports
+//     cancellation of queued and running work, and drains gracefully on
+//     shutdown.
 //   - DocCache memoizes parse+validate by content hash so repeated
 //     submissions of the same CWL source skip the load path.
+//   - ResultCache (resultcache.go) shares a succeeded run's outputs across
+//     tenants, keyed by document hash and inputs, so an identical submission
+//     finishes without executing.
 //   - Handler (http.go) exposes the whole thing as a REST API:
 //     POST /runs, GET /runs, GET /runs/{id}, GET /runs/{id}/events,
 //     DELETE /runs/{id}, GET /healthz.
@@ -24,10 +29,10 @@
 //     return as history, interrupted runs are re-enqueued, and the restored
 //     memo table turns their completed steps into memo hits.
 //
-// One Service owns its RunStore/Scheduler/DocCache but deliberately shares
-// the DFK: executor capacity is the scarce resource the scheduler is
-// multiplexing, exactly the multi-workflow regime the paper's single-run
-// prototype could not express.
+// One Service owns its RunStore, Scheduler, DocCache and ResultCache but
+// deliberately shares the DFK: executor capacity is the scarce resource the
+// scheduler is multiplexing, exactly the multi-workflow regime the paper's
+// single-run prototype could not express.
 package service
 
 import (
@@ -38,7 +43,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -220,7 +224,8 @@ type TenantStats struct {
 	// Queued/Running are the tenant's live scheduler depths.
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
-	// CPUSeconds is the tenant's accumulated whole-run execution time.
+	// CPUSeconds is the tenant's accumulated whole-run execution time, read
+	// from the run store's ledger (in memory: a restart resets it).
 	CPUSeconds float64 `json:"cpuSeconds"`
 }
 
@@ -240,11 +245,6 @@ type Service struct {
 	// reflects the actual drain rate instead of a constant.
 	drain drainEstimator
 
-	// cpuMu guards cpu, the per-tenant whole-run execution-seconds ledger
-	// behind pcwl_tenant_cpu_seconds_total (kept even without a registry).
-	cpuMu sync.Mutex
-	cpu   map[string]float64
-
 	// reg is the service-scoped metrics registry: gather-time collectors
 	// over the same sources /healthz reads. Merged with obs.Default() (the
 	// engine layers' process-wide counters) on GET /metrics.
@@ -252,12 +252,10 @@ type Service struct {
 	// removeSpanLog detaches the debug span log from the shared DFK at Close,
 	// so a closed service is not retained by the DFK's hook list.
 	removeSpanLog func()
-
-	workMu sync.Mutex
-	work   map[string]*pendingRun
 }
 
-// pendingRun is a run's execution payload between Submit and dequeue.
+// pendingRun is a run's payload, held by its store record from submission
+// until the run finishes.
 type pendingRun struct {
 	doc cwl.Document
 	// idx is the DocCache's prebuilt dataflow index (nil for tools).
@@ -271,6 +269,11 @@ type pendingRun struct {
 	// ("" when result sharing is off or the tenant opted out): on success the
 	// outputs are inserted under it.
 	resultKey string
+	// source and inputsJSON are the CWL text and canonical inputs the journal
+	// records for a run that must survive a restart; set only on a durable
+	// service.
+	source     string
+	inputsJSON json.RawMessage
 }
 
 // New builds a Service over a loaded DFK.
@@ -305,8 +308,6 @@ func New(dfk *parsl.DFK, opts Options) (*Service, error) {
 		cache:   NewDocCache(opts.CacheSize, opts.CacheBytes),
 		results: NewResultCache(opts.ResultCacheSize),
 		reg:     obs.NewRegistry(),
-		work:    map[string]*pendingRun{},
-		cpu:     map[string]float64{},
 		// A debug span log is the only reader of a live event hook; without
 		// one the DFK pays no per-event callback.
 		removeSpanLog: func() {},
@@ -365,7 +366,7 @@ func (s *Service) openPersistence() error {
 		snap := RunSnapshot(w.runFields)
 		snap.Restored = true
 		if snap.State.Terminal() {
-			s.store.Restore(snap)
+			s.store.Restore(snap, nil)
 			p.restoredRuns++
 			continue
 		}
@@ -374,7 +375,7 @@ func (s *Service) openPersistence() error {
 			snap.State = RunFailed
 			snap.Finished = &t
 			snap.Error = cause
-			s.store.Restore(snap)
+			s.store.Restore(snap, nil)
 			p.restoredRuns++
 		}
 		if w.Source == "" {
@@ -397,16 +398,11 @@ func (s *Service) openPersistence() error {
 		}
 		snap.State = RunQueued
 		snap.Started = nil
-		s.store.Restore(snap)
-		s.workMu.Lock()
-		s.work[snap.ID] = &pendingRun{
+		s.store.Restore(snap, &pendingRun{
 			doc: d.Doc, idx: d.Index, inputs: inputs, provider: snap.Provider,
 			resultKey: s.resultKeyFor(snap.Tenant, snap.DocHash, inputs),
-		}
-		s.workMu.Unlock()
-		p.mu.Lock()
-		p.payloads[snap.ID] = payloadRec{source: []byte(w.Source), inputs: w.Inputs}
-		p.mu.Unlock()
+			source:    w.Source, inputsJSON: w.Inputs,
+		})
 		rerun = append(rerun, resubmit{id: snap.ID, tenant: snap.Tenant, priority: snap.Priority})
 		p.resubmitted++
 	}
@@ -422,9 +418,10 @@ func (s *Service) openPersistence() error {
 	return nil
 }
 
-// finishRun finalizes a run, journals the terminal transition, charges the
-// tenant's CPU account, publishes a success under resultKey (when set) to
-// the result cache, and feeds the drain-rate estimator behind Retry-After.
+// finishRun finalizes a run (the store drops its payload and charges the
+// tenant's CPU ledger), journals the terminal transition, publishes a
+// success under resultKey (when set) to the result cache, and feeds the
+// drain-rate estimator behind Retry-After.
 // Waiters are released last, so a client told that a run finished can rely
 // on its terminal record being in the journal.
 func (s *Service) finishRun(id string, outputs json.RawMessage, runErr error, canceled bool, resultKey string) (RunSnapshot, bool) {
@@ -436,15 +433,8 @@ func (s *Service) finishRun(id string, outputs json.RawMessage, runErr error, ca
 	if s.pers != nil {
 		s.pers.runChanged(snap)
 	}
-	if snap.Started != nil && snap.Finished != nil {
-		dur := snap.Finished.Sub(*snap.Started).Seconds()
-		metRunDuration.With(snap.State.String()).Observe(dur)
-		s.cpuMu.Lock()
-		s.cpu[tenantLabel(snap.Tenant)] += dur
-		s.cpuMu.Unlock()
-		if s.opts.Tenants != nil {
-			s.opts.Tenants.ChargeCPU(tenantLabel(snap.Tenant), dur)
-		}
+	if snap.Started != nil {
+		metRunDuration.With(snap.State.String()).Observe(snap.Finished.Sub(*snap.Started).Seconds())
 	}
 	if resultKey != "" && snap.State == RunSucceeded {
 		// Publish the whole-run result for identical future submissions,
@@ -456,17 +446,6 @@ func (s *Service) finishRun(id string, outputs json.RawMessage, runErr error, ca
 		logger.Info("run finished", "runId", id, "state", snap.State.String(), "error", snap.Error)
 	}
 	return snap, true
-}
-
-// cpuUsedByTenant copies the CPU-seconds ledger for the metrics collector.
-func (s *Service) cpuUsedByTenant() map[string]float64 {
-	s.cpuMu.Lock()
-	defer s.cpuMu.Unlock()
-	out := make(map[string]float64, len(s.cpu))
-	for k, v := range s.cpu {
-		out[k] = v
-	}
-	return out
 }
 
 // tenantLabel maps the empty tenant onto the default name so metrics and
@@ -571,8 +550,9 @@ func (s *Service) Submit(req SubmitRequest) (RunSnapshot, error) {
 func (s *Service) submit(req SubmitRequest) (RunSnapshot, bool, error) {
 	// Admission control runs first: a shed submission must cost nothing — no
 	// parse, no store entry, no journal record. Per-tenant checks (CPU
-	// budget here, queue quota at enqueue) shed only the offending tenant;
-	// the global in-flight cap sheds everyone.
+	// budget here, read from the store's ledger only for a budgeted tenant;
+	// queue quota at enqueue) shed only the offending tenant; the global
+	// in-flight cap sheds everyone.
 	tn, err := s.resolveTenant(req.Tenant)
 	if err != nil {
 		metRunsRejected.With(rejectReason(err)).Inc()
@@ -587,12 +567,14 @@ func (s *Service) submit(req SubmitRequest) (RunSnapshot, bool, error) {
 			return RunSnapshot{}, false, s.withRetryAfter(err)
 		}
 	}
-	if s.opts.Tenants != nil && s.opts.Tenants.OverBudget(tn.Name) {
-		err := fmt.Errorf("%w: tenant %q has consumed its CPU-seconds budget (%.0fs of %.0fs)",
-			ErrQuotaExceeded, tn.Name, s.opts.Tenants.CPUUsed(tn.Name), tn.CPUSeconds)
-		s.shedMetrics(tn.Name, "cpu_budget")
-		metRunsRejected.With(rejectReason(err)).Inc()
-		return RunSnapshot{}, false, s.withRetryAfter(err)
+	if tn.CPUSeconds > 0 {
+		if used := s.store.cpuSeconds(tn.Name); used >= tn.CPUSeconds {
+			err := fmt.Errorf("%w: tenant %q has consumed its CPU-seconds budget (%.0fs of %.0fs)",
+				ErrQuotaExceeded, tn.Name, used, tn.CPUSeconds)
+			s.shedMetrics(tn.Name, "cpu_budget")
+			metRunsRejected.With(rejectReason(err)).Inc()
+			return RunSnapshot{}, false, s.withRetryAfter(err)
+		}
 	}
 	if _, err := s.executorFor(req.Provider); err != nil {
 		metRunsRejected.With(rejectReason(err)).Inc()
@@ -620,13 +602,9 @@ func (s *Service) submit(req SubmitRequest) (RunSnapshot, bool, error) {
 			// any other, but completes immediately with the shared outputs —
 			// it never touches the scheduler.
 			meta.ResultCached = true
-			snap := s.store.Create(meta)
-			if s.pers != nil {
-				if err := s.pers.runSubmitted(snap, req.Source, req.Inputs); err != nil {
-					s.store.Delete(snap.ID)
-					metRunsRejected.With("journal").Inc()
-					return RunSnapshot{}, false, fmt.Errorf("journaling submission: %w", err)
-				}
+			snap, err := s.register(meta, nil, req)
+			if err != nil {
+				return RunSnapshot{}, false, err
 			}
 			metRunsAdmitted.Inc()
 			metTenantAdmitted.With(tn.Name).Inc()
@@ -636,29 +614,19 @@ func (s *Service) submit(req SubmitRequest) (RunSnapshot, bool, error) {
 		}
 	}
 
-	snap := s.store.Create(meta)
-	s.workMu.Lock()
-	s.work[snap.ID] = &pendingRun{
+	// The submission is journaled before it can start: the worker's own
+	// transitions must never precede the submit record.
+	snap, err := s.register(meta, &pendingRun{
 		doc: d.Doc, idx: d.Index, inputs: req.Inputs, provider: req.Provider,
 		deadline: req.Deadline, resultKey: resultKey,
-	}
-	s.workMu.Unlock()
-	// Journal the submission (with its payload) before it can start: the
-	// worker's own transitions must never precede the submit record, and a
-	// durable service must not ACK a run its journal failed to record.
-	if s.pers != nil {
-		if err := s.pers.runSubmitted(snap, req.Source, req.Inputs); err != nil {
-			s.dropWork(snap.ID)
-			s.store.Delete(snap.ID)
-			metRunsRejected.With("journal").Inc()
-			return RunSnapshot{}, false, fmt.Errorf("journaling submission: %w", err)
-		}
+	}, req)
+	if err != nil {
+		return RunSnapshot{}, false, err
 	}
 	if err := s.sched.Enqueue(snap.ID, tn.Name, effective); err != nil {
 		if s.pers != nil {
 			s.pers.runRejected(snap.ID)
 		}
-		s.dropWork(snap.ID)
 		s.store.Delete(snap.ID)
 		switch {
 		case errors.Is(err, ErrQueueFull):
@@ -676,30 +644,40 @@ func (s *Service) submit(req SubmitRequest) (RunSnapshot, bool, error) {
 	return snap, d.InProcess, nil
 }
 
-func (s *Service) takeWork(id string) *pendingRun {
-	s.workMu.Lock()
-	defer s.workMu.Unlock()
-	w := s.work[id]
-	delete(s.work, id)
-	return w
-}
-
-func (s *Service) dropWork(id string) {
-	s.workMu.Lock()
-	defer s.workMu.Unlock()
-	delete(s.work, id)
+// register records a new run holding work in the store. On a durable
+// service it first adds the journal's source and canonical inputs to work
+// (allocating one for a run that never executes) and journals the
+// submission; a durable service must not ACK a run its journal failed to
+// record, so on a journal error the run is deleted again.
+func (s *Service) register(meta RunMeta, work *pendingRun, req SubmitRequest) (RunSnapshot, error) {
+	if s.pers == nil {
+		return s.store.Create(meta, work), nil
+	}
+	if work == nil {
+		work = &pendingRun{}
+	}
+	work.source = string(req.Source)
+	if req.Inputs != nil {
+		if raw, err := req.Inputs.MarshalJSON(); err == nil {
+			work.inputsJSON = raw
+		}
+	}
+	snap := s.store.Create(meta, work)
+	if err := s.pers.runSubmitted(snap, work); err != nil {
+		s.store.Delete(snap.ID)
+		metRunsRejected.With("journal").Inc()
+		return RunSnapshot{}, fmt.Errorf("journaling submission: %w", err)
+	}
+	return snap, nil
 }
 
 // execute is the scheduler worker body: one whole run on the shared DFK.
 func (s *Service) execute(ctx context.Context, id string) {
-	w := s.takeWork(id)
-	if w == nil || !s.store.MarkRunning(id) {
+	snap, w, ok := s.store.Start(id)
+	if !ok {
 		return // canceled between dequeue and start
 	}
-	snap, _ := s.store.Get(id)
-	if snap.Started != nil {
-		metRunQueueWait.Observe(snap.Started.Sub(snap.Created).Seconds())
-	}
+	metRunQueueWait.Observe(snap.Started.Sub(snap.Created).Seconds())
 	if logger := s.opts.Logger; logger != nil {
 		logger.Info("run started", "runId", id, "class", snap.Class, "provider", snap.Provider)
 	}
@@ -774,7 +752,6 @@ func (s *Service) Cancel(id string) (RunSnapshot, error) {
 	}
 	switch s.sched.Cancel(id) {
 	case CancelDequeued:
-		s.dropWork(id)
 		snap, _ = s.finishRun(id, nil, context.Canceled, true, "")
 		return snap, nil
 	case CancelSignaled:
@@ -791,9 +768,8 @@ func (s *Service) Cancel(id string) (RunSnapshot, error) {
 		if snap.State.Terminal() {
 			return snap, ErrAlreadyFinished
 		}
-		// The submission is between store registration and enqueue: mark it
-		// canceled and drop its payload so a later dequeue is a no-op.
-		s.dropWork(id)
+		// The submission is between store registration and enqueue: marking
+		// it canceled drops its payload, so a later dequeue is a no-op.
 		snap, _ = s.finishRun(id, nil, context.Canceled, true, "")
 		return snap, nil
 	}
@@ -849,12 +825,16 @@ func (s *Service) Stats() Stats {
 	if reg := s.opts.Tenants; reg != nil {
 		st.Tenants = map[string]TenantStats{}
 		depths := s.sched.TenantDepths()
+		cpu := map[string]float64{}
+		for _, smp := range obs.Samples(fams, "pcwl_tenant_cpu_seconds_total") {
+			cpu[smp.Labels[0].Value] = smp.Value
+		}
 		for _, name := range reg.Names() {
 			d := depths[name]
 			st.Tenants[name] = TenantStats{
 				Queued:     d.Queued,
 				Running:    d.Running,
-				CPUSeconds: reg.CPUUsed(name),
+				CPUSeconds: cpu[name],
 			}
 		}
 	}
@@ -880,7 +860,6 @@ func (s *Service) Registry() *obs.Registry { return s.reg }
 func (s *Service) Close(ctx context.Context) error {
 	dropped, err := s.sched.Close(ctx)
 	for _, id := range dropped {
-		s.dropWork(id)
 		s.finishRun(id, nil, ErrDraining, true, "")
 	}
 	if s.pers != nil {

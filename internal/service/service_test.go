@@ -282,7 +282,7 @@ func TestStoreRetentionEvictsOldestTerminal(t *testing.T) {
 	st := NewRunStore(2)
 	var ids []string
 	for i := 0; i < 4; i++ {
-		snap := st.Create(RunMeta{Name: fmt.Sprintf("r%d", i), Class: "CommandLineTool", DocHash: "h"})
+		snap := st.Create(RunMeta{Name: fmt.Sprintf("r%d", i), Class: "CommandLineTool", DocHash: "h"}, nil)
 		ids = append(ids, snap.ID)
 	}
 	// A non-terminal run older than the evicted ones must survive pruning.

@@ -139,18 +139,25 @@ func (s RunSnapshot) OutputMap() *yamlx.Map {
 type runRecord struct {
 	snap RunSnapshot
 	done chan struct{}
+	// work is the run's payload: set by Create or Restore, handed to the
+	// worker by Start, dropped by Finish. It stays through the running state
+	// because a compaction snapshot journals it for every non-terminal run.
+	work *pendingRun
 	// prev and next link the records in creation order, so eviction and
 	// rollback unlink a run in O(1).
 	prev, next *runRecord
 }
 
 // RunStore tracks every submitted run through the
-// queued → running → succeeded/failed/canceled lifecycle, with per-run
-// outputs and errors. Task-event logs stay in the DFK's per-label index
-// (events are attributed by CallOpts.Label == run ID) and are released via
-// the eviction callback. Terminal runs beyond the retention cap are evicted
-// oldest-first so a long-lived service does not grow without bound; an
-// eviction costs O(active runs), never O(retained history).
+// queued → running → succeeded/failed/canceled lifecycle. It is the one
+// holder of a run's state: the snapshot, the payload a worker executes (and
+// a durable service journals), and the done channel waiters block on. It
+// also keeps the per-tenant CPU ledger, charged once per run as it finishes.
+// Task-event logs stay in the DFK's per-label index (events are attributed
+// by CallOpts.Label == run ID) and are released via the eviction callback.
+// Terminal runs beyond the retention cap are evicted oldest-first so a
+// long-lived service does not grow without bound; an eviction costs
+// O(active runs), never O(retained history).
 type RunStore struct {
 	mu       sync.Mutex
 	runs     map[string]*runRecord
@@ -158,12 +165,15 @@ type RunStore struct {
 	retain   int       // max terminal runs kept; <= 0 means unbounded
 	terminal int       // current terminal-run count
 	onEvict  func(id string)
+	// cpu is the per-tenant ledger of whole-run seconds (Finished − Started),
+	// in memory only: a restart resets it.
+	cpu map[string]float64
 }
 
 // NewRunStore returns an empty store retaining at most retain terminal runs
 // (retain <= 0 keeps everything).
 func NewRunStore(retain int) *RunStore {
-	st := &RunStore{runs: map[string]*runRecord{}, retain: retain}
+	st := &RunStore{runs: map[string]*runRecord{}, retain: retain, cpu: map[string]float64{}}
 	st.order.prev, st.order.next = &st.order, &st.order
 	return st
 }
@@ -198,10 +208,11 @@ type RunMeta struct {
 	ResultCached bool
 }
 
-// Create registers a new queued run and returns its snapshot. The generated
-// ID doubles as the DFK submission label for event attribution; the sequence
-// is process-global so IDs never collide across stores sharing a DFK.
-func (st *RunStore) Create(meta RunMeta) RunSnapshot {
+// Create registers a new queued run holding work (nil for a run that never
+// executes) and returns its snapshot. The generated ID doubles as the DFK
+// submission label for event attribution; the sequence is process-global so
+// IDs never collide across stores sharing a DFK.
+func (st *RunStore) Create(meta RunMeta, work *pendingRun) RunSnapshot {
 	id := fmt.Sprintf("run-%06d", runSeq.Add(1))
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -220,6 +231,7 @@ func (st *RunStore) Create(meta RunMeta) RunSnapshot {
 			Created:      time.Now(),
 		},
 		done: make(chan struct{}),
+		work: work,
 	}
 	st.runs[id] = rec
 	st.pushLocked(rec)
@@ -240,11 +252,12 @@ func (rec *runRecord) unlink() {
 
 // Restore inserts a run recovered from the persistence journal, preserving
 // its recorded timestamps. Terminal runs become finished history (their done
-// channel is closed); non-terminal runs are registered as restartable (the
-// caller re-enqueues them). Runs whose ID is already present are skipped.
-// Restores happen at startup, so insertion order is journal order — which is
-// creation order — keeping List chronological.
-func (st *RunStore) Restore(snap RunSnapshot) {
+// channel is closed, work is not kept); non-terminal runs are registered
+// with work as restartable (the caller re-enqueues them). Runs whose ID is
+// already present are skipped. Restores happen at startup, so insertion
+// order is journal order — which is creation order — keeping List
+// chronological.
+func (st *RunStore) Restore(snap RunSnapshot, work *pendingRun) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.runs[snap.ID]; ok {
@@ -253,7 +266,9 @@ func (st *RunStore) Restore(snap RunSnapshot) {
 	rec := &runRecord{snap: snap, done: make(chan struct{})}
 	st.runs[snap.ID] = rec
 	st.pushLocked(rec)
-	if snap.State.Terminal() {
+	if !snap.State.Terminal() {
+		rec.work = work
+	} else {
 		close(rec.done)
 		st.terminal++
 		st.pruneLocked()
@@ -295,27 +310,31 @@ func (st *RunStore) List() []RunSnapshot {
 	return out
 }
 
-// MarkRunning moves a queued run to running. It reports false when the run
-// is unknown or no longer queued (e.g. canceled before a worker picked it up).
-func (st *RunStore) MarkRunning(id string) bool {
+// Start moves a queued run that holds work to running and returns its
+// running snapshot with the work to execute. It reports false, changing
+// nothing, when the run is unknown, has no work, or is no longer queued
+// (e.g. canceled before a worker picked it up).
+func (st *RunStore) Start(id string) (RunSnapshot, *pendingRun, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	rec, ok := st.runs[id]
-	if !ok || rec.snap.State != RunQueued {
-		return false
+	if !ok || rec.snap.State != RunQueued || rec.work == nil {
+		return RunSnapshot{}, nil, false
 	}
 	now := time.Now()
 	rec.snap.State = RunRunning
 	rec.snap.Started = &now
-	return true
+	return rec.snap, rec.work, true
 }
 
 // Finish moves a run to its terminal state: canceled when canceled is set,
-// failed when runErr is non-nil, succeeded otherwise. It is a no-op on runs
-// already terminal. It returns release, which closes the run's done channel
-// and so answers every Wait: the caller journals the terminal record first
-// and calls release last, exactly once. On a run already terminal release
-// does nothing.
+// failed when runErr is non-nil, succeeded otherwise. It drops the run's work
+// and charges a run that started its Finished − Started seconds on the
+// tenant's CPU ledger. It is a no-op on runs already terminal, so a run is
+// charged once. It returns release, which closes the run's done channel and
+// so answers every Wait: the caller journals the terminal record first and
+// calls release last, exactly once. On a run already terminal release does
+// nothing.
 func (st *RunStore) Finish(id string, outputs json.RawMessage, runErr error, canceled bool) (snap RunSnapshot, release func(), ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -328,6 +347,10 @@ func (st *RunStore) Finish(id string, outputs json.RawMessage, runErr error, can
 	}
 	now := time.Now()
 	rec.snap.Finished = &now
+	rec.work = nil
+	if rec.snap.Started != nil {
+		st.cpu[tenantLabel(rec.snap.Tenant)] += now.Sub(*rec.snap.Started).Seconds()
+	}
 	switch {
 	case canceled:
 		rec.snap.State = RunCanceled
@@ -377,6 +400,44 @@ func (st *RunStore) Done(id string) (<-chan struct{}, bool) {
 		return nil, false
 	}
 	return rec.done, true
+}
+
+// cpuLedger copies the per-tenant CPU ledger (whole-run seconds by tenant).
+func (st *RunStore) cpuLedger() map[string]float64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	out := make(map[string]float64, len(st.cpu))
+	for k, v := range st.cpu {
+		out[k] = v
+	}
+	return out
+}
+
+// cpuSeconds returns the whole-run seconds charged to the tenant.
+func (st *RunStore) cpuSeconds(tenantName string) float64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.cpu[tenantLabel(tenantName)]
+}
+
+// journalRuns returns the journal form of every retained run keep selects,
+// oldest first; a non-terminal run carries the source and inputs its work
+// holds, so a compaction snapshot can re-execute it after a restart.
+func (st *RunStore) journalRuns(keep func(id string) bool) []runWire {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var out []runWire
+	for rec := st.order.next; rec != &st.order; rec = rec.next {
+		if !keep(rec.snap.ID) {
+			continue
+		}
+		w := toWire(rec.snap)
+		if rec.work != nil {
+			w.Source, w.Inputs = rec.work.source, rec.work.inputsJSON
+		}
+		out = append(out, w)
+	}
+	return out
 }
 
 // Counts aggregates runs by state.

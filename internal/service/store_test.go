@@ -7,44 +7,70 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
 
-// refStore is the reference model for RunStore retention: the slice-based
-// algorithm that rebuilt the whole creation order on every prune. The linked
+// refStore is the reference model for RunStore: the slice-based retention
+// algorithm that rebuilt the whole creation order on every prune, plus which
+// run holds which payload and what the CPU ledger should read. The linked
 // store must make exactly the same decisions.
 type refStore struct {
 	state    map[string]RunState
+	work     map[string]*pendingRun // present only on non-terminal runs created with one
+	started  map[string]bool
+	tenant   map[string]string
+	cpu      map[string]float64
 	order    []string
 	retain   int
 	terminal int
 	evicted  []string
 }
 
-func (r *refStore) add(id string, s RunState) {
+func newRefStore(retain int) *refStore {
+	return &refStore{
+		state: map[string]RunState{}, work: map[string]*pendingRun{},
+		started: map[string]bool{}, tenant: map[string]string{},
+		cpu: map[string]float64{}, retain: retain,
+	}
+}
+
+func (r *refStore) add(id string, s RunState, tenantName string, work *pendingRun, started bool) {
 	if _, ok := r.state[id]; ok {
 		return
 	}
 	r.state[id] = s
+	r.tenant[id] = tenantName
+	r.started[id] = started
 	r.order = append(r.order, id)
 	if s.Terminal() {
 		r.terminal++
 		r.prune()
+	} else if work != nil {
+		r.work[id] = work
 	}
 }
 
-func (r *refStore) markRunning(id string) {
-	if s, ok := r.state[id]; ok && s == RunQueued {
-		r.state[id] = RunRunning
+// start reports the payload Start must return, and whether it must succeed.
+func (r *refStore) start(id string) (*pendingRun, bool) {
+	w := r.work[id]
+	if r.state[id] != RunQueued || w == nil {
+		return nil, false
 	}
+	r.state[id] = RunRunning
+	r.started[id] = true
+	return w, true
 }
 
-func (r *refStore) finish(id string, s RunState) {
+// finish reports whether Finish moves the run to s (and so may charge it).
+func (r *refStore) finish(id string, s RunState) bool {
 	if cur, ok := r.state[id]; !ok || cur.Terminal() {
-		return
+		return false
 	}
 	r.state[id] = s
+	delete(r.work, id)
 	r.terminal++
 	r.prune()
+	return true
 }
 
 func (r *refStore) delete(id string) {
@@ -52,6 +78,7 @@ func (r *refStore) delete(id string) {
 		return
 	}
 	delete(r.state, id)
+	delete(r.work, id)
 	for i, oid := range r.order {
 		if oid == id {
 			r.order = append(r.order[:i], r.order[i+1:]...)
@@ -83,7 +110,11 @@ func (r *refStore) prune() {
 
 // TestStoreMatchesReferenceModel drives seeded random interleavings of every
 // store mutation at small retention caps and checks, after each step, that
-// List, Get and the eviction sequence agree with the reference model.
+// List, Get, the eviction sequence, the payloads the store holds and the CPU
+// ledger agree with the reference model: a payload lives only on a
+// non-terminal run created with one, Start hands it out only for a queued
+// run, and Finish charges a started run once — a second Finish charges
+// nothing.
 func TestStoreMatchesReferenceModel(t *testing.T) {
 	for _, retain := range []int{0, 1, 2, 5} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -98,29 +129,45 @@ func checkStoreAgainstModel(t *testing.T, retain int, rng *rand.Rand, steps int)
 	st := NewRunStore(retain)
 	var evicted []string
 	st.SetOnEvict(func(id string) { evicted = append(evicted, id) })
-	ref := &refStore{state: map[string]RunState{}, retain: retain}
+	ref := newRefStore(retain)
 	var known []string // every ID ever seen, including evicted and deleted ones
 	terminalStates := []RunState{RunSucceeded, RunFailed, RunCanceled}
+	tenants := []string{"", "t1", "t2"}
 	pick := func() string {
 		if len(known) == 0 {
 			return "run-missing"
 		}
 		return known[rng.Intn(len(known))]
 	}
+	// payload returns a fresh payload, or nil for a run that never executes.
+	payload := func(step int) *pendingRun {
+		if rng.Intn(3) == 0 {
+			return nil
+		}
+		return &pendingRun{source: fmt.Sprintf("source-%d", step)}
+	}
+	starts, charges := 0, 0
 
 	for step := 0; step < steps; step++ {
 		var op string
 		switch n := rng.Intn(100); {
 		case n < 30:
-			snap := st.Create(RunMeta{Class: "CommandLineTool"})
-			ref.add(snap.ID, RunQueued)
+			tn, work := tenants[rng.Intn(len(tenants))], payload(step)
+			snap := st.Create(RunMeta{Class: "CommandLineTool", Tenant: tn}, work)
+			ref.add(snap.ID, RunQueued, tn, work, false)
 			known = append(known, snap.ID)
 			op = "create " + snap.ID
 		case n < 45:
 			id := pick()
-			st.MarkRunning(id)
-			ref.markRunning(id)
-			op = "running " + id
+			snap, work, ok := st.Start(id)
+			want, wantOK := ref.start(id)
+			if ok != wantOK || work != want || (ok && (snap.State != RunRunning || snap.Started == nil)) {
+				t.Fatalf("step %d: Start(%s) = %v/%p/%v, model %p/%v", step, id, snap.State, work, ok, want, wantOK)
+			}
+			if ok {
+				starts++
+			}
+			op = "start " + id
 		case n < 80:
 			id := pick()
 			s := terminalStates[rng.Intn(len(terminalStates))]
@@ -128,8 +175,14 @@ func checkStoreAgainstModel(t *testing.T, retain int, rng *rand.Rand, steps int)
 			if s == RunFailed {
 				err = errors.New("boom")
 			}
-			st.Finish(id, nil, err, s == RunCanceled)
-			ref.finish(id, s)
+			snap, _, _ := st.Finish(id, nil, err, s == RunCanceled)
+			if ref.finish(id, s) && ref.started[id] {
+				if snap.Started == nil {
+					t.Fatalf("step %d: finished started run %s has no start time", step, id)
+				}
+				ref.cpu[tenantLabel(ref.tenant[id])] += snap.Finished.Sub(*snap.Started).Seconds()
+				charges++
+			}
 			op = fmt.Sprintf("finish %s %v", id, s)
 		case n < 88:
 			id := pick()
@@ -144,8 +197,14 @@ func checkStoreAgainstModel(t *testing.T, retain int, rng *rand.Rand, steps int)
 				id = pick()
 			}
 			s := []RunState{RunQueued, RunRunning, RunSucceeded, RunFailed, RunCanceled}[rng.Intn(5)]
-			st.Restore(RunSnapshot{ID: id, State: s})
-			ref.add(id, s)
+			snap := RunSnapshot{ID: id, State: s, Tenant: tenants[rng.Intn(len(tenants))]}
+			if s == RunRunning {
+				started := time.Now().Add(-time.Duration(rng.Intn(1000)) * time.Millisecond)
+				snap.Started = &started
+			}
+			work := payload(step)
+			st.Restore(snap, work)
+			ref.add(id, s, snap.Tenant, work, snap.Started != nil)
 			known = append(known, id)
 			op = fmt.Sprintf("restore %s %v", id, s)
 		}
@@ -170,9 +229,26 @@ func checkStoreAgainstModel(t *testing.T, retain int, rng *rand.Rand, steps int)
 				t.Fatalf("step %d (%s): Get(%s) = %v/%v, model %v/%v", step, op, id, snap.State, ok, s, wantOK)
 			}
 		}
+		// The payload a compaction snapshot journals is the one the record
+		// holds.
+		for _, w := range st.journalRuns(func(string) bool { return true }) {
+			want := ""
+			if p := ref.work[w.ID]; p != nil {
+				want = p.source
+			}
+			if w.Source != want {
+				t.Fatalf("step %d (%s): %s (%v) holds payload %q, model %q", step, op, w.ID, w.State, w.Source, want)
+			}
+		}
+		if ledger := st.cpuLedger(); !reflect.DeepEqual(ledger, ref.cpu) {
+			t.Fatalf("step %d (%s): CPU ledger %v, model %v", step, op, ledger, ref.cpu)
+		}
 	}
 	if len(ref.evicted) == 0 && retain > 0 {
 		t.Fatalf("retain=%d: the interleaving never evicted a run", retain)
+	}
+	if starts == 0 || charges == 0 {
+		t.Fatalf("the interleaving started %d runs and charged %d", starts, charges)
 	}
 }
 
@@ -198,7 +274,7 @@ func TestStoreEvictionCostIndependentOfRetention(t *testing.T) {
 		evictions := 0
 		st.SetOnEvict(func(string) { evictions++ })
 		cycle := func() {
-			snap := st.Create(RunMeta{Class: "CommandLineTool"})
+			snap := st.Create(RunMeta{Class: "CommandLineTool"}, nil)
 			st.Finish(snap.ID, nil, nil, false)
 		}
 		for i := 0; i < retain+64; i++ {

@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/parsl"
 	"repro/internal/tenant"
 	"repro/internal/yamlx"
@@ -523,7 +527,7 @@ func TestTenantCPUBudgetShedsSubmissions(t *testing.T) {
 	}
 	waitTerminal(t, svc, first.ID)
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.CPUUsed("metered") == 0 {
+	for svc.store.cpuSeconds("metered") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("completed run never charged CPU seconds")
 		}
@@ -535,6 +539,108 @@ func TestTenantCPUBudgetShedsSubmissions(t *testing.T) {
 	}
 	if _, err := svc.Submit(SubmitRequest{Source: []byte(echoTool), Inputs: yamlx.MapOf("message", "z"), Tenant: "free"}); err != nil {
 		t.Errorf("unbudgeted tenant shed: %v", err)
+	}
+}
+
+// TestTenantCPULedger checks that the admission gate, /healthz and /metrics
+// read one ledger: the run store's, charged once per finished run. A tenant
+// under its budget is admitted and one at it is shed; a tenant without a
+// budget is never shed; a tenant the registry does not know (a restored
+// run's, say) is charged and shown on /metrics, but no budget gates it.
+func TestTenantCPULedger(t *testing.T) {
+	reg := testRegistry(t,
+		tenant.Tenant{Name: "a", Key: "ka", CPUSeconds: 10},
+		tenant.Tenant{Name: "b", Key: "kb"},
+	)
+	svc, _ := newTestService(t, Options{Workers: 2, Tenants: reg})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	open, _ := newTestService(t, Options{Workers: 1})
+
+	// charge finishes on s a run of tenantName that started secs ago.
+	n := 0
+	charge := func(s *Service, tenantName string, secs float64) {
+		t.Helper()
+		n++
+		started := time.Now().Add(-time.Duration(secs * float64(time.Second)))
+		id := fmt.Sprintf("ledger-%d", n)
+		s.store.Restore(RunSnapshot{ID: id, State: RunRunning, Tenant: tenantName, Started: &started}, nil)
+		_, release, ok := s.store.Finish(id, nil, nil, false)
+		if !ok {
+			t.Fatalf("Finish(%s) found no run", id)
+		}
+		release()
+	}
+	submit := func(s *Service, tenantName string) error {
+		snap, err := s.Submit(SubmitRequest{Source: []byte(echoTool), Inputs: yamlx.MapOf("message", tenantName), Tenant: tenantName})
+		if err == nil {
+			waitTerminal(t, s, snap.ID)
+		}
+		return err
+	}
+	// agree checks /healthz and /metrics report the ledger's seconds for
+	// each tenant, and returns them.
+	agree := func() map[string]float64 {
+		t.Helper()
+		ledger := svc.store.cpuLedger()
+		var health struct {
+			Stats Stats `json:"stats"`
+		}
+		getJSON(t, srv.URL+"/healthz", &health)
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fams, err := obs.ParseExposition(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scraped := map[string]float64{}
+		if fam := fams["pcwl_tenant_cpu_seconds_total"]; fam != nil {
+			for _, sr := range fam.Series {
+				scraped[sr.Labels[0].Value] = sr.Value
+			}
+		}
+		if !reflect.DeepEqual(scraped, ledger) {
+			t.Errorf("/metrics cpu seconds %v, ledger %v", scraped, ledger)
+		}
+		for _, name := range reg.Names() {
+			if got := health.Stats.Tenants[name].CPUSeconds; got != ledger[name] {
+				t.Errorf("/healthz tenant %s cpuSeconds %v, ledger %v", name, got, ledger[name])
+			}
+		}
+		if _, ok := health.Stats.Tenants["ghost"]; ok {
+			t.Error("/healthz lists a tenant the registry does not define")
+		}
+		return ledger
+	}
+
+	charge(svc, "a", 9.5)
+	if err := submit(svc, "a"); err != nil {
+		t.Fatalf("tenant under its budget shed: %v", err)
+	}
+	if used := agree()["a"]; used < 9.5 || used >= 10 {
+		t.Fatalf("tenant a charged %v s, want its runs' 9.5 s and a bit", used)
+	}
+	charge(svc, "a", 1)
+	if err := submit(svc, "a"); !errors.Is(err, ErrQuotaExceeded) {
+		t.Errorf("tenant at its budget = %v, want ErrQuotaExceeded", err)
+	}
+	charge(svc, "b", 1e9)
+	if err := submit(svc, "b"); err != nil {
+		t.Errorf("tenant without a budget shed: %v", err)
+	}
+	charge(svc, "ghost", 3)
+	if used := agree()["ghost"]; used < 3 {
+		t.Errorf("unregistered tenant charged %v s, want 3 s", used)
+	}
+	if err := submit(svc, "ghost"); !errors.Is(err, ErrUnauthorized) {
+		t.Errorf("unregistered tenant = %v, want ErrUnauthorized, not a budget shed", err)
+	}
+	charge(open, "ghost", 1e9)
+	if err := submit(open, "ghost"); err != nil {
+		t.Errorf("open service gated a charged tenant: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package tenant is the multi-tenancy policy layer of the submission
-// service: a registry of API tenants (key, fair-share weight, quotas) plus
-// per-tenant usage accounting.
+// service: a registry of API tenants (key, fair-share weight, quotas). It
+// holds policy only; usage (the CPU-seconds ledger) is metered by the
+// service's run store.
 //
 // The registry is loaded from a YAML config file (parsl-cwl-serve
 // -tenant-config) or built programmatically. Authentication compares the
@@ -18,7 +19,8 @@
 //   - MaxRunning bounds the tenant's concurrently executing runs; the
 //     scheduler skips a capped tenant's queue instead of blocking a worker.
 //   - CPUSeconds budgets whole-run execution time; once consumed, further
-//     submissions are shed until an operator raises the budget.
+//     submissions are shed until an operator raises the budget or the
+//     service restarts (the ledger is in memory, so a restart resets it).
 //   - Private opts the tenant out of the cross-tenant shared result cache,
 //     both reads and writes.
 package tenant
@@ -28,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 
 	"repro/internal/yamlx"
 )
@@ -55,7 +56,8 @@ type Tenant struct {
 	// (0 = unlimited).
 	MaxRunning int
 	// CPUSeconds is the tenant's whole-run execution-time budget in seconds
-	// (0 = unlimited). Consumed time accumulates in the registry.
+	// (0 = unlimited). The service meters consumed time in memory, so a
+	// restart resets it.
 	CPUSeconds float64
 	// Private keeps the tenant's run results out of the shared cross-tenant
 	// result cache (neither served from it nor inserted into it).
@@ -70,19 +72,17 @@ func (t Tenant) normalized() Tenant {
 	return t
 }
 
-// Registry holds the configured tenants and their accumulated usage.
-// All methods are safe for concurrent use.
+// Registry holds the configured tenants. It is immutable once built, so all
+// methods are safe for concurrent use without a lock.
 type Registry struct {
-	mu     sync.Mutex
 	byName map[string]Tenant
 	names  []string // registration order, for stable iteration
-	cpu    map[string]float64
 }
 
 // NewRegistry builds a registry from explicit tenants, validating that names
 // and keys are unique and that every non-default tenant has a key.
 func NewRegistry(tenants ...Tenant) (*Registry, error) {
-	r := &Registry{byName: map[string]Tenant{}, cpu: map[string]float64{}}
+	r := &Registry{byName: map[string]Tenant{}}
 	keys := map[string]string{}
 	for _, t := range tenants {
 		t = t.normalized()
@@ -202,8 +202,6 @@ func (r *Registry) Authenticate(key string) (Tenant, bool) {
 	if key == "" {
 		return Tenant{}, false
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var (
 		found Tenant
 		ok    bool
@@ -219,55 +217,16 @@ func (r *Registry) Authenticate(key string) (Tenant, bool) {
 
 // Get returns the named tenant.
 func (r *Registry) Get(name string) (Tenant, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	t, ok := r.byName[name]
 	return t, ok
 }
 
 // Names returns the tenant names in registration order.
 func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]string, len(r.names))
 	copy(out, r.names)
 	return out
 }
 
 // Len reports the number of registered tenants.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.names)
-}
-
-// ChargeCPU adds consumed whole-run execution seconds to the tenant's
-// account. Unknown tenants are charged too (the account outlives registry
-// edits), but never gated.
-func (r *Registry) ChargeCPU(name string, seconds float64) {
-	if seconds <= 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cpu[name] += seconds
-}
-
-// CPUUsed returns the tenant's consumed whole-run execution seconds.
-func (r *Registry) CPUUsed(name string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cpu[name]
-}
-
-// OverBudget reports whether the tenant has consumed its CPU-seconds budget.
-// Tenants with no budget (or unknown tenants) are never over budget.
-func (r *Registry) OverBudget(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.byName[name]
-	if !ok || t.CPUSeconds <= 0 {
-		return false
-	}
-	return r.cpu[name] >= t.CPUSeconds
-}
+func (r *Registry) Len() int { return len(r.names) }

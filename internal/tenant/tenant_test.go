@@ -132,40 +132,6 @@ func TestAuthenticate(t *testing.T) {
 	}
 }
 
-func TestCPUAccounting(t *testing.T) {
-	reg, err := NewRegistry(Tenant{Name: "a", Key: "ka", CPUSeconds: 10}, Tenant{Name: "b", Key: "kb"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.OverBudget("a") {
-		t.Error("fresh tenant over budget")
-	}
-	reg.ChargeCPU("a", 4)
-	reg.ChargeCPU("a", -1) // non-positive charges are ignored
-	reg.ChargeCPU("a", 5.5)
-	if got := reg.CPUUsed("a"); got != 9.5 {
-		t.Errorf("CPUUsed = %v", got)
-	}
-	if reg.OverBudget("a") {
-		t.Error("tenant under budget reported over")
-	}
-	reg.ChargeCPU("a", 1)
-	if !reg.OverBudget("a") {
-		t.Error("tenant past budget not reported over")
-	}
-	// No budget configured: never over, however much is charged.
-	reg.ChargeCPU("b", 1e9)
-	if reg.OverBudget("b") {
-		t.Error("unlimited tenant over budget")
-	}
-	// Unknown tenants are charged (the ledger outlives registry edits) but
-	// never gated.
-	reg.ChargeCPU("ghost", 3)
-	if reg.CPUUsed("ghost") != 3 || reg.OverBudget("ghost") {
-		t.Errorf("ghost: used=%v over=%v", reg.CPUUsed("ghost"), reg.OverBudget("ghost"))
-	}
-}
-
 func TestLoadWrapsErrors(t *testing.T) {
 	_, err := Load(filepath.Join(t.TempDir(), "nope.yaml"))
 	if !errors.Is(err, os.ErrNotExist) {
