@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -95,13 +96,11 @@ type Config struct {
 	Memoize bool
 	// RunDir is where BashApps run and redirect output by default.
 	RunDir string
-	// MaxEvents bounds each monitoring log (one per label, one for unlabeled
-	// tasks): when exceeded, the oldest events are discarded so a long-lived
-	// DFK (e.g. under the submission service) does not grow without bound.
-	// It also bounds the task-state table:
-	// TaskStates reports every live task plus the MaxEvents most recently
-	// finished ones. 0 selects the default of 65536; negative retains
-	// everything.
+	// MaxEvents bounds each label's monitoring log (EventsFor): when
+	// exceeded, the oldest events are discarded so a long-lived DFK (e.g.
+	// under the submission service) does not grow without bound. Events of
+	// unlabeled tasks are not retained; OnTaskEvent hooks see every event.
+	// 0 selects the default of 65536; negative retains everything.
 	MaxEvents int
 	// MaxLabels bounds how many distinct labels the per-label event index
 	// (EventsFor) holds; past it, the least-recently-active label is
@@ -133,61 +132,58 @@ type DFK struct {
 	order     []string // executor labels in Load order
 	defaultEx string
 
-	mu       sync.Mutex
-	nextID   int
-	states   map[int]TaskState // live tasks plus a window of finished ones
-	counts   [StateMemoHit + 1]int
-	finished []int // ring of recently finished task IDs bounding states
-	finNext  int   // next ring slot to overwrite once finished is full
-	// Every retained event lives in exactly one log: its label's entry in
-	// byLabel (EventsFor), or unlabeled for tasks submitted without a label.
+	mu     sync.Mutex
+	nextID int
+	counts [StateMemoHit + 1]int
+	// Every retained event lives in its label's log (EventsFor); events of
+	// tasks submitted without a label are seen only by hooks.
 	byLabel   map[string]*eventLog
-	unlabeled eventLog
-	eventSeq  uint64 // events appended so far; orders records across logs
+	eventTick uint64 // labeled events appended so far; orders label activity
 	hooks     []*taskEventHook
 	memoHooks []*memoHook
 	memo      map[string]*memoEntry
 	memoTick  int64
-	pendingAt map[int]time.Time // submit time per live task, for WaitDur
-	launchAt  map[int]time.Time // first-launch time per live task, for ExecDur
+	pendingAt map[int]time.Time // submit time per live task, for WaitDur; its keys are the live tasks
+	launchAt  map[int]time.Time // first-launch time per launched live task, for ExecDur
 	submitted int               // total Submit calls, immune to event truncation
 	perApp    map[string]int    // per-app Submit counts, ditto
 	pending   sync.WaitGroup
 	cleaned   bool
 }
 
-// eventLog is the retained event history of one label, or of the tasks
-// submitted without a label. Records hold no strings: the label is the log's
-// key and each app name is stored once in apps.
+// eventLog is the retained event history of one label. Records hold no
+// strings: the label is the log's key and each app name is stored once in
+// apps.
 type eventLog struct {
 	events []eventRec
 	apps   []string
+	// tick is the DFK's eventTick at the log's newest event, used to evict
+	// the least-recently-active label once the index is full — a straggler
+	// event recreating a forgotten label cannot leak forever.
+	tick uint64
 }
 
-// lastSeq is the append tick of the log's newest event (a log always holds
-// one), used to evict the least-recently-active label once the index is full
-// — a straggler event recreating a forgotten label cannot leak forever.
-func (l *eventLog) lastSeq() uint64 { return l.events[len(l.events)-1].seq }
-
-// eventRec is the retained form of one TaskEvent: 48 pointer-free bytes where
+// eventRec is the retained form of one TaskEvent: 32 pointer-free bytes where
 // a TaskEvent is 96 bytes holding two strings.
 type eventRec struct {
-	seq   uint64        // position in the DFK-wide append order (Events)
 	at    int64         // Time in Unix nanoseconds
 	dur   time.Duration // ExecDur when exec is set, else WaitDur
 	task  int
 	tries int32
-	app   uint32 // index into eventLog.apps
+	app   uint16 // index into eventLog.apps
 	state uint8
 	exec  bool
 }
 
+// maxLogApps bounds the distinct app names one log interns, so an app index
+// fits eventRec.app.
+var maxLogApps = math.MaxUint16 + 1
+
 // add records ev as the log's newest event, discarding the oldest events once
 // the log doubles the retention limit (amortized O(1); limit <= 0 keeps
 // everything).
-func (l *eventLog) add(ev TaskEvent, seq uint64, limit int) {
+func (l *eventLog) add(ev TaskEvent, limit int) {
 	rec := eventRec{
-		seq:   seq,
 		at:    ev.Time.UnixNano(),
 		dur:   ev.WaitDur,
 		task:  ev.TaskID,
@@ -206,21 +202,26 @@ func (l *eventLog) add(ev TaskEvent, seq uint64, limit int) {
 
 // intern returns the index of app in l.apps, adding it if new. A log holds a
 // handful of apps (one per workflow step) and consecutive events mostly share
-// one, so the scan starts from the newest.
-func (l *eventLog) intern(app string) uint32 {
+// one, so the scan starts from the newest. A new name that would overflow the
+// index first drops the older half of the log's events (at most
+// maxLogApps/2 stay, so at most that many names do).
+func (l *eventLog) intern(app string) uint16 {
 	for i := len(l.apps) - 1; i >= 0; i-- {
 		if l.apps[i] == app {
-			return uint32(i)
+			return uint16(i)
 		}
 	}
+	if len(l.apps) >= maxLogApps {
+		l.truncate(min(len(l.events), maxLogApps/2))
+	}
 	l.apps = append(l.apps, app)
-	return uint32(len(l.apps) - 1)
+	return uint16(len(l.apps) - 1)
 }
 
 // truncate keeps the newest keep events and only the app names they use.
 func (l *eventLog) truncate(keep int) {
 	old := *l
-	*l = eventLog{events: make([]eventRec, 0, keep)}
+	*l = eventLog{events: make([]eventRec, 0, keep), tick: old.tick}
 	for _, r := range old.events[len(old.events)-keep:] {
 		r.app = l.intern(old.apps[r.app])
 		l.events = append(l.events, r)
@@ -257,7 +258,6 @@ func Load(cfg Config) (*DFK, error) {
 	d := &DFK{
 		cfg:       cfg,
 		executors: map[string]Executor{},
-		states:    map[int]TaskState{},
 		byLabel:   map[string]*eventLog{},
 		memo:      map[string]*memoEntry{},
 		perApp:    map[string]int{},
@@ -359,7 +359,6 @@ func (d *DFK) Submit(app App, args Args, opts CallOpts) *AppFuture {
 		// The DFK is shut down: fail fast instead of racing Cleanup's
 		// pending.Wait and the executors' shutdown.
 		d.recordStateLocked(id, StateFailed)
-		d.retireLocked(id)
 		ev := TaskEvent{TaskID: id, App: app.Name(), State: StateFailed, Time: time.Now(), Label: opts.Label}
 		metTaskTransitions.With(StateFailed.String()).Inc()
 		d.appendEventLocked(ev)
@@ -544,7 +543,6 @@ func (d *DFK) setState(id int, app, label string, s TaskState, tries int) {
 		}
 		delete(d.pendingAt, id)
 		delete(d.launchAt, id)
-		d.retireLocked(id)
 	}
 	d.appendEventLocked(ev)
 	hooks := d.hooks
@@ -559,32 +557,17 @@ func (d *DFK) setState(id int, app, label string, s TaskState, tries int) {
 const DefaultMaxEvents = 65536
 
 // recordStateLocked moves task id to state s and keeps the per-state totals
-// exact, so StateCounts never depends on how many tasks states still holds.
-// Caller holds d.mu.
+// exact. A live task's current state is in the timing maps: launched once
+// launchAt holds it, else pending while pendingAt does; a task in neither is
+// new. Callers record a transition before updating those maps. Caller holds
+// d.mu.
 func (d *DFK) recordStateLocked(id int, s TaskState) {
-	if old, ok := d.states[id]; ok {
-		d.counts[old]--
+	if _, ok := d.launchAt[id]; ok {
+		d.counts[StateLaunched]--
+	} else if _, ok := d.pendingAt[id]; ok {
+		d.counts[StatePending]--
 	}
-	d.states[id] = s
 	d.counts[s]++
-}
-
-// retireLocked records that task id reached a terminal state. Once MaxEvents
-// finished tasks are remembered, the oldest one leaves the state table (its
-// state stays in the totals), so a long-lived DFK tracks live tasks plus a
-// bounded recent window. Caller holds d.mu.
-func (d *DFK) retireLocked(id int) {
-	limit := d.eventLimit()
-	if limit < 0 {
-		return
-	}
-	if len(d.finished) < limit {
-		d.finished = append(d.finished, id)
-		return
-	}
-	delete(d.states, d.finished[d.finNext])
-	d.finished[d.finNext] = id
-	d.finNext = (d.finNext + 1) % limit
 }
 
 // DefaultMaxLabels is the per-label index retention used when
@@ -600,29 +583,31 @@ func (d *DFK) eventLimit() int {
 	return d.cfg.MaxEvents
 }
 
-// appendEventLocked records ev once: in its label's log, so EventsFor is
-// O(label) rather than a scan, or in the unlabeled log. Each log keeps at
-// least the newest MaxEvents of its events and the index at most MaxLabels
-// labels — consumers needing unbounded logs must mirror events via
-// OnTaskEvent, whose hooks see every event regardless. Caller holds d.mu.
+// appendEventLocked records a labeled ev once, in its label's log, so
+// EventsFor is O(label) rather than a scan; an unlabeled event is not
+// retained. Each log keeps at least the newest MaxEvents of its events and
+// the index at most MaxLabels labels — consumers needing unbounded logs, or
+// unlabeled events, must mirror events via OnTaskEvent, whose hooks see every
+// event regardless. Caller holds d.mu.
 func (d *DFK) appendEventLocked(ev TaskEvent) {
-	d.eventSeq++
-	l := &d.unlabeled
-	if ev.Label != "" {
+	if ev.Label == "" {
+		return
+	}
+	l := d.byLabel[ev.Label]
+	if l == nil {
 		maxLabels := d.cfg.MaxLabels
 		if maxLabels == 0 {
 			maxLabels = DefaultMaxLabels
 		}
-		l = d.byLabel[ev.Label]
-		if l == nil {
-			if maxLabels > 0 && len(d.byLabel) >= maxLabels {
-				d.evictLabelsLocked(maxLabels)
-			}
-			l = &eventLog{}
-			d.byLabel[ev.Label] = l
+		if maxLabels > 0 && len(d.byLabel) >= maxLabels {
+			d.evictLabelsLocked(maxLabels)
 		}
+		l = &eventLog{}
+		d.byLabel[ev.Label] = l
 	}
-	l.add(ev, d.eventSeq, d.eventLimit())
+	d.eventTick++
+	l.tick = d.eventTick
+	l.add(ev, d.eventLimit())
 }
 
 // evictLabelsLocked drops the least-recently-active ~1/16 of the label index
@@ -635,17 +620,17 @@ func (d *DFK) evictLabelsLocked(maxLabels int) {
 	if batch < 1 {
 		batch = 1
 	}
-	seqs := make([]uint64, 0, len(d.byLabel))
+	ticks := make([]uint64, 0, len(d.byLabel))
 	for _, e := range d.byLabel {
-		seqs = append(seqs, e.lastSeq())
+		ticks = append(ticks, e.tick)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	if batch > len(seqs) {
-		batch = len(seqs)
+	sort.Slice(ticks, func(i, j int) bool { return ticks[i] < ticks[j] })
+	if batch > len(ticks) {
+		batch = len(ticks)
 	}
-	cutoff := seqs[batch-1]
+	cutoff := ticks[batch-1]
 	for l, e := range d.byLabel {
-		if e.lastSeq() <= cutoff {
+		if e.tick <= cutoff {
 			delete(d.byLabel, l)
 		}
 	}
@@ -789,70 +774,25 @@ type IndexStats struct {
 	LabelEvents int
 	// MemoEntries is the memoization-table size.
 	MemoEntries int
-	// Tasks is how many tasks the state table holds: every live task plus
-	// the window of recently finished ones.
+	// Tasks is how many tasks are live: submitted and not yet terminal.
 	Tasks int
 }
 
 // IndexStats reports the current sizes of the per-label event index and the
-// memo table. Exposed as gauges on /metrics so operators can watch the
-// bounded structures approach their caps.
+// memo table, and the live task count. Exposed as gauges on /metrics so
+// operators can watch the bounded structures approach their caps.
 func (d *DFK) IndexStats() IndexStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := IndexStats{
 		Labels:      len(d.byLabel),
 		MemoEntries: len(d.memo),
-		Tasks:       len(d.states),
+		Tasks:       len(d.pendingAt),
 	}
 	for _, l := range d.byLabel {
 		st.LabelEvents += len(l.events)
 	}
 	return st
-}
-
-// TaskStates returns a snapshot of the state of every live task and of the
-// most recently finished ones (see Config.MaxEvents).
-func (d *DFK) TaskStates() map[int]TaskState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[int]TaskState, len(d.states))
-	for k, v := range d.states {
-		out[k] = v
-	}
-	return out
-}
-
-// Events returns the newest MaxEvents retained events, labeled or not, in
-// append order. Events of a label that ForgetLabel or MaxLabels dropped are no
-// longer retained. It merges every log, so it is for tests and diagnostics;
-// per-run readers use EventsFor.
-func (d *DFK) Events() []TaskEvent {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	type ref struct {
-		rec   eventRec
-		log   *eventLog
-		label string
-	}
-	var all []ref
-	for _, r := range d.unlabeled.events {
-		all = append(all, ref{r, &d.unlabeled, ""})
-	}
-	for label, l := range d.byLabel {
-		for _, r := range l.events {
-			all = append(all, ref{r, l, label})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].rec.seq < all[j].rec.seq })
-	if limit := d.eventLimit(); limit > 0 && len(all) > limit {
-		all = all[len(all)-limit:]
-	}
-	out := make([]TaskEvent, len(all))
-	for i, r := range all {
-		out[i] = r.log.event(r.rec, r.label)
-	}
-	return out
 }
 
 // StateCounts aggregates the current state of every task ever submitted,

@@ -2,10 +2,12 @@ package parsl
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestEventLogTruncation(t *testing.T) {
@@ -19,26 +21,88 @@ func TestEventLogTruncation(t *testing.T) {
 	defer dfk.Cleanup()
 	app := NewGoApp("noop", func(Args) (any, error) { return nil, nil })
 	for i := 0; i < 20; i++ {
-		if _, err := dfk.Submit(app, Args{}, CallOpts{}).Wait(); err != nil {
+		if _, err := dfk.Submit(app, Args{}, CallOpts{Label: "run"}).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// 20 tasks × 3 events each with a cap of 4: the log must have been
 	// truncated to at most 2×cap, keeping the most recent events.
-	events := dfk.Events()
+	events := dfk.EventsFor("run")
 	if len(events) > 8 {
 		t.Errorf("event log holds %d events, cap 4 should bound it to ≤ 8", len(events))
 	}
 	last := events[len(events)-1]
-	if last.State != StateDone {
-		t.Errorf("newest event = %v, want exec_done", last.State)
+	if last.State != StateDone || last.TaskID != 19 {
+		t.Errorf("newest event = task %d %v, want task 19 exec_done", last.TaskID, last.State)
 	}
 }
 
-// TestTaskStatesBounded submits far more tasks than the retention cap — a mix
-// that finishes done, failed, dep_fail and memo_done — and checks the state
-// table holds only the recent window while StateCounts stays exact.
-func TestTaskStatesBounded(t *testing.T) {
+// TestEventRecordIs32Bytes pins the retained size of one task event.
+func TestEventRecordIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(eventRec{}); n != 32 {
+		t.Errorf("eventRec is %d bytes, want 32", n)
+	}
+}
+
+// TestUnlabeledEventsNotRetained checks that tasks submitted without a label
+// leave nothing in the event index: only hooks see their events.
+func TestUnlabeledEventsNotRetained(t *testing.T) {
+	d := loadTest(t, Config{})
+	mirror := mirrorEvents(t, d)
+	app := NewGoApp("noop", func(Args) (any, error) { return nil, nil })
+	for i := 0; i < 5; i++ {
+		if _, err := d.Submit(app, Args{}, CallOpts{}).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Wait()
+	if st := d.IndexStats(); st.Labels != 0 || st.LabelEvents != 0 || st.Tasks != 0 {
+		t.Errorf("index after unlabeled tasks = %+v, want empty", st)
+	}
+	if n := len(mirror.all()); n != 15 {
+		t.Errorf("hook saw %d events, want 15", n)
+	}
+}
+
+// TestAppInterningOverflowSafe fills one log with more distinct app names
+// than its index holds: the log drops its older events to make room and every
+// retained event keeps its own app name.
+func TestAppInterningOverflowSafe(t *testing.T) {
+	saved := maxLogApps
+	maxLogApps = 8
+	defer func() { maxLogApps = saved }()
+	d := loadTest(t, Config{MaxEvents: -1})
+	const n = 30
+	for i := 0; i < n; i++ {
+		app := NewGoApp(fmt.Sprintf("app-%d", i), func(Args) (any, error) { return nil, nil })
+		if _, err := d.Submit(app, Args{}, CallOpts{Label: "run"}).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events := d.EventsFor("run")
+	if len(events) == 0 || len(events) >= 3*n {
+		t.Fatalf("log holds %d of %d events, want a truncated tail", len(events), 3*n)
+	}
+	for _, ev := range events {
+		if want := fmt.Sprintf("app-%d", ev.TaskID); ev.App != want {
+			t.Errorf("task %d event carries app %q, want %q", ev.TaskID, ev.App, want)
+		}
+	}
+	if last := events[len(events)-1]; last.TaskID != n-1 || last.State != StateDone {
+		t.Errorf("newest event = task %d %v, want task %d exec_done", last.TaskID, last.State, n-1)
+	}
+	d.mu.Lock()
+	apps := len(d.byLabel["run"].apps)
+	d.mu.Unlock()
+	if apps > maxLogApps {
+		t.Errorf("log interned %d apps, cap %d", apps, maxLogApps)
+	}
+}
+
+// TestStateCountsExact submits far more tasks than the retention cap — a mix
+// that finishes done, failed, dep_fail and memo_done — and checks StateCounts
+// stays exact and no finished task stays tracked.
+func TestStateCountsExact(t *testing.T) {
 	const limit, rounds = 8, 100
 	dfk, err := Load(Config{
 		Executors: []Executor{NewThreadPoolExecutor("threads", 2)},
@@ -60,11 +124,8 @@ func TestTaskStatesBounded(t *testing.T) {
 	}
 	dfk.Wait()
 
-	if st := dfk.IndexStats(); st.Tasks > limit {
-		t.Errorf("state table holds %d tasks after %d finished, cap %d", st.Tasks, 4*rounds, limit)
-	}
-	if n := len(dfk.TaskStates()); n > limit {
-		t.Errorf("TaskStates returned %d tasks, cap %d", n, limit)
+	if st := dfk.IndexStats(); st.Tasks != 0 {
+		t.Errorf("%d tasks still tracked after all %d finished", st.Tasks, 4*rounds)
 	}
 	want := map[TaskState]int{
 		StateDone:    rounds + 1, // every ok task plus the one memo owner
@@ -84,6 +145,55 @@ func TestTaskStatesBounded(t *testing.T) {
 		t.Errorf("StateCounts = %v, want %v", counts, want)
 	}
 }
+
+// TestStateCountsTrackLiveTasks checks the pending and launched totals while
+// tasks are in flight, including a relaunch, which must not count twice.
+func TestStateCountsTrackLiveTasks(t *testing.T) {
+	ex := &heldExec{launched: make(chan heldTask, 4)}
+	d := loadTest(t, Config{Executors: []Executor{ex}})
+	gate := NewGoApp("gate", func(Args) (any, error) { return nil, nil })
+	first := d.Submit(gate, Args{}, CallOpts{})
+	d.Submit(gate, Args{"dep": first}, CallOpts{})
+	held := <-ex.launched
+	check := func(when string, want map[TaskState]int) {
+		t.Helper()
+		if got := d.StateCounts(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: StateCounts = %v, want %v", when, got, want)
+		}
+		live := 0
+		for _, n := range want {
+			live += n
+		}
+		if st := d.IndexStats(); st.Tasks != live-want[StateDone] {
+			t.Errorf("%s: %d live tasks, want %d", when, st.Tasks, live-want[StateDone])
+		}
+	}
+	check("one launched, one waiting", map[TaskState]int{StateLaunched: 1, StatePending: 1})
+	held.task.Retried(errors.New("worker lost"))
+	check("after a relaunch", map[TaskState]int{StateLaunched: 1, StatePending: 1})
+	held.done(nil, nil)
+	second := <-ex.launched
+	check("second launched", map[TaskState]int{StateLaunched: 1, StateDone: 1})
+	second.done(nil, nil)
+	d.Wait()
+	check("all done", map[TaskState]int{StateDone: 2})
+}
+
+// heldExec hands every launched task to the test, which completes it by hand.
+type heldExec struct{ launched chan heldTask }
+
+type heldTask struct {
+	task *Task
+	done func(any, error)
+}
+
+func (h *heldExec) Label() string { return "held" }
+func (h *heldExec) Start() error  { return nil }
+func (h *heldExec) Submit(t *Task, done func(any, error)) {
+	h.launched <- heldTask{task: t, done: done}
+}
+func (h *heldExec) Outstanding() int { return 0 }
+func (h *heldExec) Shutdown() error  { return nil }
 
 func TestEventHookSeesAllEventsAndUnregisters(t *testing.T) {
 	dfk, err := Load(Config{

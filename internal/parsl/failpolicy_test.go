@@ -107,6 +107,7 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 	// Retries > 0 proves the DFK does not burn retry budget relaunching a
 	// quarantined task.
 	d := loadTest(t, Config{Executors: []Executor{htex}, Retries: 2})
+	mirror := mirrorEvents(t, d)
 
 	poison := NewGoApp("poison", func(Args) (any, error) { return "unreachable", nil })
 	pfut := d.Submit(poison, Args{}, CallOpts{})
@@ -159,7 +160,7 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 	// budget). Exactly one terminal event proves the DFK retry gate held —
 	// a retry of the quarantined task would have emitted a second one.
 	failures, tries := 0, 0
-	for _, ev := range d.Events() {
+	for _, ev := range mirror.all() {
 		if ev.TaskID == 0 && ev.State == StateFailed {
 			failures++
 			tries = ev.Tries

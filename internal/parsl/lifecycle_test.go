@@ -132,6 +132,7 @@ func TestHTEXManagerLossRedispatch(t *testing.T) {
 		HeartbeatPeriod: 2 * time.Millisecond, HeartbeatThreshold: 25 * time.Millisecond,
 	})
 	d := loadTest(t, Config{Executors: []Executor{htex}})
+	mirror := mirrorEvents(t, d)
 
 	gate := make(chan struct{})
 	var gateOnce sync.Once
@@ -187,7 +188,7 @@ func TestHTEXManagerLossRedispatch(t *testing.T) {
 	}
 	// The loss surfaced to the DFK: some task carries a second launch event.
 	relaunched := map[int]int{}
-	for _, ev := range d.Events() {
+	for _, ev := range mirror.all() {
 		if ev.State == StateLaunched {
 			relaunched[ev.TaskID]++
 		}
@@ -349,9 +350,10 @@ func TestUsageSummarySurvivesTruncation(t *testing.T) {
 }
 
 // TestEventsForIndex checks the per-label index agrees with a filter of the
-// shared log and that ForgetLabel releases it.
+// full event stream and that ForgetLabel releases it.
 func TestEventsForIndex(t *testing.T) {
 	d := loadTest(t, Config{})
+	mirror := mirrorEvents(t, d)
 	app := NewGoApp("labeled", func(Args) (any, error) { return nil, nil })
 	for i := 0; i < 5; i++ {
 		label := "run-a"
@@ -364,7 +366,7 @@ func TestEventsForIndex(t *testing.T) {
 	}
 	d.Wait()
 	want := map[string]int{}
-	for _, ev := range d.Events() {
+	for _, ev := range mirror.all() {
 		if ev.Label != "" {
 			want[ev.Label]++
 		}

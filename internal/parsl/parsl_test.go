@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -24,6 +25,32 @@ func loadTest(t *testing.T, cfg Config) *DFK {
 	}
 	t.Cleanup(func() { d.Cleanup() })
 	return d
+}
+
+// eventMirror records every task event a DFK emits, labeled or not, in the
+// order its hook sees them — the OnTaskEvent consumer a caller needing the
+// whole stream registers.
+type eventMirror struct {
+	mu     sync.Mutex
+	events []TaskEvent
+}
+
+// mirrorEvents attaches an eventMirror to d for the rest of the test.
+func mirrorEvents(t *testing.T, d *DFK) *eventMirror {
+	m := &eventMirror{}
+	t.Cleanup(d.OnTaskEvent(func(ev TaskEvent) {
+		m.mu.Lock()
+		m.events = append(m.events, ev)
+		m.mu.Unlock()
+	}))
+	return m
+}
+
+// all returns a copy of the events seen so far.
+func (m *eventMirror) all() []TaskEvent {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]TaskEvent(nil), m.events...)
 }
 
 func TestGoAppBasic(t *testing.T) {
@@ -138,9 +165,9 @@ func TestDependencyFailurePropagates(t *testing.T) {
 	if ran {
 		t.Error("child ran despite failed dependency")
 	}
-	states := d.TaskStates()
-	if states[child.TaskID()] != StateDepFail {
-		t.Errorf("state = %v", states[child.TaskID()])
+	d.Wait()
+	if counts := d.StateCounts(); counts[StateDepFail] != 1 || counts[StateFailed] != 1 || len(counts) != 2 {
+		t.Errorf("state counts = %v, want one failed and one dep_fail", counts)
 	}
 }
 
@@ -402,11 +429,12 @@ func TestMultipleExecutors(t *testing.T) {
 
 func TestEventsLog(t *testing.T) {
 	d := loadTest(t, Config{})
+	mirror := mirrorEvents(t, d)
 	app := NewGoApp("e", func(Args) (any, error) { return nil, nil })
 	f := d.Submit(app, Args{}, CallOpts{})
 	f.Wait()
 	d.Wait()
-	events := d.Events()
+	events := mirror.all()
 	var states []TaskState
 	for _, e := range events {
 		if e.TaskID == f.TaskID() {

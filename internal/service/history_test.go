@@ -31,30 +31,19 @@ func (m *manualExec) Submit(t *parsl.Task, done func(any, error)) {
 func (m *manualExec) Outstanding() int { return 0 }
 func (m *manualExec) Shutdown() error  { return nil }
 
-// refEvent is one event of the reference model, numbered in append order.
-type refEvent struct {
-	seq uint64
-	ev  parsl.TaskEvent
-}
-
 type refLabelLog struct {
-	events []refEvent
+	events []parsl.TaskEvent
 	seq    int64
 }
 
-// refHistory is the DFK's event retention before it was compacted: a global
-// log plus a per-label index, each holding full TaskEvents, with the same
-// truncation and label-eviction rules (copied from the old appendEventLocked
-// and evictLabelsLocked). unlabeled applies the per-log rule to events
-// without a label, which the old DFK kept only in the global log; it tells
-// which of those are still retained.
+// refHistory is the DFK's per-label event retention before it was compacted:
+// a per-label index holding full TaskEvents, with the same truncation and
+// label-eviction rules (copied from the old appendEventLocked and
+// evictLabelsLocked). Events without a label are not retained.
 type refHistory struct {
 	limit, maxLabels int
-	seq              uint64
-	events           []refEvent
 	byLabel          map[string]*refLabelLog
 	labelSeq         int64
-	unlabeled        []refEvent
 	dropped          map[string]bool // labels forgotten or evicted at least once
 	truncated        map[string]bool // labels whose log lost events to the limit
 	evictions        int
@@ -68,17 +57,7 @@ func newRefHistory(limit, maxLabels int) *refHistory {
 }
 
 func (h *refHistory) append(ev parsl.TaskEvent) {
-	h.seq++
-	re := refEvent{seq: h.seq, ev: ev}
-	h.events = append(h.events, re)
-	if len(h.events) > 2*h.limit {
-		h.events = append([]refEvent{}, h.events[len(h.events)-h.limit:]...)
-	}
 	if ev.Label == "" {
-		h.unlabeled = append(h.unlabeled, re)
-		if len(h.unlabeled) > 2*h.limit {
-			h.unlabeled = append([]refEvent{}, h.unlabeled[len(h.unlabeled)-h.limit:]...)
-		}
 		return
 	}
 	h.labelSeq++
@@ -91,9 +70,9 @@ func (h *refHistory) append(ev parsl.TaskEvent) {
 		h.byLabel[ev.Label] = ll
 	}
 	ll.seq = h.labelSeq
-	ll.events = append(ll.events, re)
+	ll.events = append(ll.events, ev)
 	if len(ll.events) > 2*h.limit {
-		ll.events = append([]refEvent{}, ll.events[len(ll.events)-h.limit:]...)
+		ll.events = append([]parsl.TaskEvent{}, ll.events[len(ll.events)-h.limit:]...)
 		h.truncated[ev.Label] = true
 	}
 }
@@ -127,13 +106,10 @@ func (h *refHistory) forget(label string) {
 }
 
 func (h *refHistory) eventsFor(label string) []parsl.TaskEvent {
-	var out []parsl.TaskEvent
 	if ll := h.byLabel[label]; ll != nil {
-		for _, re := range ll.events {
-			out = append(out, re.ev)
-		}
+		return ll.events
 	}
-	return out
+	return nil
 }
 
 // refTrack and refRecorder are the service's span recorder before spans were
@@ -229,15 +205,15 @@ type historyCoverage struct {
 	redispatches, memoHits, depFails, forgets, evictions, truncations, unlabeled int
 }
 
-// TestTaskHistoryMatchesTwoLogModel drives a DFK through seeded
-// interleavings of submit, launch, redispatch, completion, memo hit,
-// dependency failure and ForgetLabel under small MaxEvents and MaxLabels,
-// and checks after every step that the compact one-log-per-label store
-// reproduces the old two-log DFK: EventsFor equal per label; Events the
-// newest MaxEvents retained events, ending with what the old global log
-// still shows of them; and the spans derived on read equal to what the old
-// recorder kept, for every run the service could still serve.
-func TestTaskHistoryMatchesTwoLogModel(t *testing.T) {
+// TestTaskHistoryMatchesLabeledLogModel drives a DFK through seeded
+// interleavings of submit (labeled and unlabeled), launch, redispatch,
+// completion, memo hit, dependency failure and ForgetLabel under small
+// MaxEvents and MaxLabels, and checks after every step that the compact
+// one-log-per-label store reproduces the model: EventsFor equal per label;
+// the index holding exactly the model's labels and events, unlabeled ones
+// never; and the spans derived on read equal to what the old recorder kept,
+// for every run the service could still serve.
+func TestTaskHistoryMatchesLabeledLogModel(t *testing.T) {
 	var total historyCoverage
 	for seed := int64(1); seed <= 12; seed++ {
 		c := checkHistoryAgainstModel(t, seed, 300)
@@ -412,42 +388,12 @@ func checkHistoryStep(t *testing.T, where string, dfk *parsl.DFK, ref *refHistor
 		}
 	}
 
-	// Events: the newest MaxEvents of the events still retained anywhere.
-	var retained []refEvent
-	kept := map[uint64]bool{}
+	st, events := dfk.IndexStats(), 0
 	for _, ll := range ref.byLabel {
-		retained = append(retained, ll.events...)
+		events += len(ll.events)
 	}
-	retained = append(retained, ref.unlabeled...)
-	sort.Slice(retained, func(i, j int) bool { return retained[i].seq < retained[j].seq })
-	for _, re := range retained {
-		kept[re.seq] = true
-	}
-	if len(retained) > ref.limit {
-		retained = retained[len(retained)-ref.limit:]
-	}
-	want := make([]parsl.TaskEvent, len(retained))
-	for i, re := range retained {
-		want[i] = re.ev
-	}
-	got := wallEvents(dfk.Events())
-	if !reflect.DeepEqual(got, wallEvents(want)) {
-		t.Errorf("%s: Events()\n got %+v\nwant %+v", where, got, want)
-		return
-	}
-	// Within the old global log's window the two agree: what it still shows
-	// of the retained events is the tail of Events.
-	var window []parsl.TaskEvent
-	for _, re := range ref.events {
-		if kept[re.seq] {
-			window = append(window, re.ev)
-		}
-	}
-	if len(window) > ref.limit {
-		window = window[len(window)-ref.limit:]
-	}
-	if len(window) > len(got) || !reflect.DeepEqual(got[len(got)-len(window):], wallEvents(window)) {
-		t.Errorf("%s: Events() %+v does not end with the old log's retained window %+v", where, got, window)
+	if st.Labels != len(ref.byLabel) || st.LabelEvents != events {
+		t.Errorf("%s: index holds %d labels and %d events, model %d and %d", where, st.Labels, st.LabelEvents, len(ref.byLabel), events)
 		return
 	}
 

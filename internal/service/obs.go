@@ -176,7 +176,7 @@ func (s *Service) registerCollectors() {
 			gaugeFam("pcwl_dfk_event_labels", "Labels held by the per-label event index.", float64(ix.Labels)),
 			gaugeFam("pcwl_dfk_label_events", "Events across the per-label event index.", float64(ix.LabelEvents)),
 			gaugeFam("pcwl_dfk_memo_entries", "Entries in the DFK memoization table.", float64(ix.MemoEntries)),
-			gaugeFam("pcwl_dfk_tracked_tasks", "Tasks in the DFK state table: live ones plus a bounded window of finished ones.", float64(ix.Tasks)),
+			gaugeFam("pcwl_dfk_tracked_tasks", "Live DFK tasks: submitted and not yet terminal.", float64(ix.Tasks)),
 		)
 
 		if s.pers != nil {

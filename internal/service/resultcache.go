@@ -34,9 +34,12 @@ type ResultCache struct {
 	misses  int
 }
 
+// resultEntry holds the held form of a run's outputs (runOutputs.held),
+// shared with the run store.
 type resultEntry struct {
-	key     string
-	outputs json.RawMessage
+	key      string
+	held     []byte
+	deflated bool
 }
 
 // NewResultCache returns a cache holding up to capacity run results.
@@ -119,28 +122,32 @@ func canonicalInto(sb *strings.Builder, v any) {
 	}
 }
 
-// Get returns the cached outputs for a result key. The returned bytes are
-// shared with the run that produced them — callers must treat them as
-// read-only.
-func (c *ResultCache) Get(key string) (json.RawMessage, bool) {
+// Get returns the cached outputs for a result key: the held form, shared with
+// the run that produced them, and its JSON in raw (inflated outside the
+// cache lock when held is deflated). Callers must treat both as read-only.
+func (c *ResultCache) Get(key string) (runOutputs, bool) {
 	if c == nil {
-		return nil, false
+		return runOutputs{}, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		c.mu.Unlock()
+		return runOutputs{}, false
 	}
 	c.lru.MoveToFront(el)
 	c.hits++
-	return el.Value.(*resultEntry).outputs, true
+	e := el.Value.(*resultEntry)
+	out := runOutputs{held: e.held, deflated: e.deflated}
+	c.mu.Unlock()
+	out.raw = heldJSON(out.held, out.deflated)
+	return out, true
 }
 
-// Put caches the outputs of a succeeded run, evicting least-recently-used
-// entries past the capacity cap.
-func (c *ResultCache) Put(key string, outputs json.RawMessage) {
+// Put caches the held outputs of a succeeded run, evicting
+// least-recently-used entries past the capacity cap.
+func (c *ResultCache) Put(key string, out runOutputs) {
 	if c == nil {
 		return
 	}
@@ -148,10 +155,11 @@ func (c *ResultCache) Put(key string, outputs json.RawMessage) {
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
-		el.Value.(*resultEntry).outputs = outputs
+		e := el.Value.(*resultEntry)
+		e.held, e.deflated = out.held, out.deflated
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&resultEntry{key: key, outputs: outputs})
+	c.entries[key] = c.lru.PushFront(&resultEntry{key: key, held: out.held, deflated: out.deflated})
 	for c.lru.Len() > c.cap {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)

@@ -46,11 +46,13 @@ func liveHeap() uint64 {
 }
 
 // TestRetainedBytesPerScatterRun is the retention guard: each finished run is
-// kept once — its task history in the DFK label index, its outputs as
-// canonical JSON shared by the run store and the result cache, its spans
-// derived on read. It finishes 32-task scatter runs and bounds the heap that
-// stays live per run: about 23 KB here, where keeping decoded result trees,
-// a second copy of every task event and a stored span per task cost 74 KB.
+// kept once — its task history as 32-byte records in the DFK label index,
+// its outputs JSON held deflated (it is over packMin) in one copy shared by
+// the run store and the result cache, its spans derived on read. It finishes
+// 32-task scatter runs and bounds the heap that stays live per run: about
+// 8 KB here, where raw outputs, 48-byte event records and a task-state table
+// cost 23 KB, and decoded result trees, a second copy of every task event
+// and a stored span per task cost 74 KB.
 func TestRetainedBytesPerScatterRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks 32 processes per run")
@@ -79,8 +81,8 @@ func TestRetainedBytesPerScatterRun(t *testing.T) {
 	}
 	perRun := (float64(liveHeap()) - float64(before)) / runs
 	t.Logf("live heap per finished %d-task run: %.0f B", width, perRun)
-	if perRun > 40<<10 {
-		t.Errorf("each finished %d-task run keeps %.0f B live, want at most %d", width, perRun, 40<<10)
+	if perRun > 16<<10 {
+		t.Errorf("each finished %d-task run keeps %.0f B live, want at most %d", width, perRun, 16<<10)
 	}
 }
 

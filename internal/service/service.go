@@ -411,21 +411,21 @@ func (s *Service) openPersistence() error {
 	p.removeMemo = s.dfk.OnMemoCommit(p.memoCommitted)
 	for _, r := range rerun {
 		if err := s.sched.EnqueueRestored(r.id, r.tenant, r.priority); err != nil {
-			s.finishRun(r.id, nil, fmt.Errorf("re-enqueue after restart: %w", err), false, "")
+			s.finishRun(r.id, runOutputs{}, fmt.Errorf("re-enqueue after restart: %w", err), false, "")
 		}
 	}
 	go p.checkpointLoop(s, s.opts.CheckpointPeriod)
 	return nil
 }
 
-// finishRun finalizes a run (the store drops its payload and charges the
-// tenant's CPU ledger), journals the terminal transition, publishes a
-// success under resultKey (when set) to the result cache, and feeds the
-// drain-rate estimator behind Retry-After.
+// finishRun finalizes a run (the store drops its payload, keeps the held
+// form of its outputs and charges the tenant's CPU ledger), journals the
+// terminal transition, publishes a success under resultKey (when set) to the
+// result cache, and feeds the drain-rate estimator behind Retry-After.
 // Waiters are released last, so a client told that a run finished can rely
 // on its terminal record being in the journal.
-func (s *Service) finishRun(id string, outputs json.RawMessage, runErr error, canceled bool, resultKey string) (RunSnapshot, bool) {
-	snap, release, ok := s.store.Finish(id, outputs, runErr, canceled)
+func (s *Service) finishRun(id string, out runOutputs, runErr error, canceled bool, resultKey string) (RunSnapshot, bool) {
+	snap, release, ok := s.store.Finish(id, out, runErr, canceled)
 	defer release()
 	if !ok {
 		return snap, false
@@ -438,8 +438,8 @@ func (s *Service) finishRun(id string, outputs json.RawMessage, runErr error, ca
 	}
 	if resultKey != "" && snap.State == RunSucceeded {
 		// Publish the whole-run result for identical future submissions,
-		// from any non-private tenant.
-		s.results.Put(resultKey, snap.Outputs)
+		// from any non-private tenant: the store's held copy, shared.
+		s.results.Put(resultKey, out)
 	}
 	s.drain.record(time.Now())
 	if logger := s.opts.Logger; logger != nil {
@@ -600,7 +600,8 @@ func (s *Service) submit(req SubmitRequest) (RunSnapshot, bool, error) {
 		if outputs, ok := s.results.Get(resultKey); ok {
 			// Whole-run result hit: the run is recorded (and journaled) like
 			// any other, but completes immediately with the shared outputs —
-			// it never touches the scheduler.
+			// it never touches the scheduler, and its record keeps the
+			// cache's held copy.
 			meta.ResultCached = true
 			snap, err := s.register(meta, nil, req)
 			if err != nil {
@@ -688,7 +689,7 @@ func (s *Service) execute(ctx context.Context, id string) {
 	if err != nil {
 		// The provider disappeared between restarts (a restored run pinned a
 		// backend this process does not offer).
-		s.finishRun(id, nil, err, false, "")
+		s.finishRun(id, runOutputs{}, err, false, "")
 		return
 	}
 	r := &core.Runner{
@@ -714,16 +715,20 @@ func (s *Service) execute(ctx context.Context, id string) {
 	// A deadline expiry is a failure, not a cancellation — only an operator
 	// cancel (scheduler context canceled) reports RunCanceled.
 	canceled := err != nil && errors.Is(ctx.Err(), context.Canceled)
-	// The outputs are encoded once, here; the store, the result cache, the
-	// journal and GET /runs/{id} share these bytes, and the decoded task
-	// results become garbage as the run finishes.
-	var raw json.RawMessage
+	// The outputs are encoded and packed once, here, outside every lock; the
+	// journal and the finished run's waiters get these bytes, the store and
+	// the result cache share their held form, and the decoded task results
+	// become garbage as the run finishes.
+	var out runOutputs
 	if err == nil && outputs != nil {
-		if raw, err = outputs.MarshalJSON(); err != nil {
-			err = fmt.Errorf("encoding run outputs: %w", err)
+		raw, merr := outputs.MarshalJSON()
+		if merr != nil {
+			err = fmt.Errorf("encoding run outputs: %w", merr)
+		} else {
+			out = packOutputs(raw)
 		}
 	}
-	s.finishRun(id, raw, err, canceled, w.resultKey)
+	s.finishRun(id, out, err, canceled, w.resultKey)
 }
 
 // Get returns the current snapshot of a run.
@@ -752,7 +757,7 @@ func (s *Service) Cancel(id string) (RunSnapshot, error) {
 	}
 	switch s.sched.Cancel(id) {
 	case CancelDequeued:
-		snap, _ = s.finishRun(id, nil, context.Canceled, true, "")
+		snap, _ = s.finishRun(id, runOutputs{}, context.Canceled, true, "")
 		return snap, nil
 	case CancelSignaled:
 		// The worker observes the canceled context and finishes the run;
@@ -770,7 +775,7 @@ func (s *Service) Cancel(id string) (RunSnapshot, error) {
 		}
 		// The submission is between store registration and enqueue: marking
 		// it canceled drops its payload, so a later dequeue is a no-op.
-		snap, _ = s.finishRun(id, nil, context.Canceled, true, "")
+		snap, _ = s.finishRun(id, runOutputs{}, context.Canceled, true, "")
 		return snap, nil
 	}
 }
@@ -860,7 +865,7 @@ func (s *Service) Registry() *obs.Registry { return s.reg }
 func (s *Service) Close(ctx context.Context) error {
 	dropped, err := s.sched.Close(ctx)
 	for _, id := range dropped {
-		s.finishRun(id, nil, ErrDraining, true, "")
+		s.finishRun(id, runOutputs{}, ErrDraining, true, "")
 	}
 	if s.pers != nil {
 		if perr := s.pers.close(s); err == nil {

@@ -287,7 +287,7 @@ func TestStoreRetentionEvictsOldestTerminal(t *testing.T) {
 	}
 	// A non-terminal run older than the evicted ones must survive pruning.
 	for _, id := range ids[1:] {
-		st.Finish(id, nil, nil, false)
+		st.Finish(id, runOutputs{}, nil, false)
 	}
 	if _, ok := st.Get(ids[1]); ok {
 		t.Errorf("oldest terminal run %s survived retention cap", ids[1])

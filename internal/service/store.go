@@ -137,8 +137,12 @@ func (s RunSnapshot) OutputMap() *yamlx.Map {
 }
 
 type runRecord struct {
-	snap RunSnapshot
-	done chan struct{}
+	// snap.Outputs of a succeeded run holds the held form of its outputs
+	// (runOutputs.held), shared with the result cache; deflated says whether
+	// a reader must inflate it.
+	snap     RunSnapshot
+	deflated bool
+	done     chan struct{}
 	// work is the run's payload: set by Create or Restore, handed to the
 	// worker by Start, dropped by Finish. It stays through the running state
 	// because a compaction snapshot journals it for every non-terminal run.
@@ -252,18 +256,20 @@ func (rec *runRecord) unlink() {
 
 // Restore inserts a run recovered from the persistence journal, preserving
 // its recorded timestamps. Terminal runs become finished history (their done
-// channel is closed, work is not kept); non-terminal runs are registered
-// with work as restartable (the caller re-enqueues them). Runs whose ID is
-// already present are skipped. Restores happen at startup, so insertion
-// order is journal order — which is creation order — keeping List
-// chronological.
+// channel is closed, work is not kept, outputs are held as a finish holds
+// them); non-terminal runs are registered with work as restartable (the
+// caller re-enqueues them). Runs whose ID is already present are skipped.
+// Restores happen at startup, so insertion order is journal order — which is
+// creation order — keeping List chronological.
 func (st *RunStore) Restore(snap RunSnapshot, work *pendingRun) {
+	out := packOutputs(snap.Outputs)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.runs[snap.ID]; ok {
 		return
 	}
-	rec := &runRecord{snap: snap, done: make(chan struct{})}
+	rec := &runRecord{snap: snap, deflated: out.deflated, done: make(chan struct{})}
+	rec.snap.Outputs = out.held
 	st.runs[snap.ID] = rec
 	st.pushLocked(rec)
 	if !snap.State.Terminal() {
@@ -291,21 +297,31 @@ func (st *RunStore) Delete(id string) {
 // Get returns the current snapshot of a run.
 func (st *RunStore) Get(id string) (RunSnapshot, bool) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	rec, ok := st.runs[id]
 	if !ok {
+		st.mu.Unlock()
 		return RunSnapshot{}, false
 	}
-	return rec.snap, true
+	snap, deflated := rec.snap, rec.deflated
+	st.mu.Unlock()
+	snap.Outputs = heldJSON(snap.Outputs, deflated)
+	return snap, true
 }
 
 // List returns snapshots of every retained run, oldest first.
 func (st *RunStore) List() []RunSnapshot {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	out := make([]RunSnapshot, 0, len(st.runs))
+	var packed []int // indexes into out of deflated outputs
 	for rec := st.order.next; rec != &st.order; rec = rec.next {
+		if rec.deflated {
+			packed = append(packed, len(out))
+		}
 		out = append(out, rec.snap)
+	}
+	st.mu.Unlock()
+	for _, i := range packed {
+		out[i].Outputs = inflate(out[i].Outputs)
 	}
 	return out
 }
@@ -328,23 +344,28 @@ func (st *RunStore) Start(id string) (RunSnapshot, *pendingRun, bool) {
 }
 
 // Finish moves a run to its terminal state: canceled when canceled is set,
-// failed when runErr is non-nil, succeeded otherwise. It drops the run's work
-// and charges a run that started its Finished − Started seconds on the
-// tenant's CPU ledger. It is a no-op on runs already terminal, so a run is
-// charged once. It returns release, which closes the run's done channel and
-// so answers every Wait: the caller journals the terminal record first and
-// calls release last, exactly once. On a run already terminal release does
-// nothing.
-func (st *RunStore) Finish(id string, outputs json.RawMessage, runErr error, canceled bool) (snap RunSnapshot, release func(), ok bool) {
+// failed when runErr is non-nil, succeeded otherwise, keeping out.held as a
+// succeeded run's outputs. It drops the run's work and charges a run that
+// started its Finished − Started seconds on the tenant's CPU ledger. It is a
+// no-op on runs already terminal, so a run is charged once. It returns
+// release, which closes the run's done channel and so answers every Wait:
+// the caller journals the terminal record first and calls release last,
+// exactly once. On a run already terminal release does nothing. The returned
+// snapshot carries the outputs JSON: out.raw for a run this call finished.
+func (st *RunStore) Finish(id string, out runOutputs, runErr error, canceled bool) (snap RunSnapshot, release func(), ok bool) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	rec, ok := st.runs[id]
 	if !ok {
+		st.mu.Unlock()
 		return RunSnapshot{}, func() {}, false
 	}
 	if rec.snap.State.Terminal() {
-		return rec.snap, func() {}, true
+		snap, deflated := rec.snap, rec.deflated
+		st.mu.Unlock()
+		snap.Outputs = heldJSON(snap.Outputs, deflated)
+		return snap, func() {}, true
 	}
+	defer st.mu.Unlock()
 	now := time.Now()
 	rec.snap.Finished = &now
 	rec.work = nil
@@ -362,12 +383,16 @@ func (st *RunStore) Finish(id string, outputs json.RawMessage, runErr error, can
 		rec.snap.Error = runErr.Error()
 	default:
 		rec.snap.State = RunSucceeded
-		rec.snap.Outputs = outputs
+		rec.snap.Outputs, rec.deflated = out.held, out.deflated
+	}
+	snap = rec.snap
+	if snap.State == RunSucceeded {
+		snap.Outputs = out.raw
 	}
 	done := rec.done
 	st.terminal++
 	st.pruneLocked()
-	return rec.snap, func() { close(done) }, true
+	return snap, func() { close(done) }, true
 }
 
 // pruneLocked evicts the oldest terminal runs past the retention cap. The
@@ -425,8 +450,8 @@ func (st *RunStore) cpuSeconds(tenantName string) float64 {
 // holds, so a compaction snapshot can re-execute it after a restart.
 func (st *RunStore) journalRuns(keep func(id string) bool) []runWire {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	var out []runWire
+	var packed []int // indexes into out of deflated outputs
 	for rec := st.order.next; rec != &st.order; rec = rec.next {
 		if !keep(rec.snap.ID) {
 			continue
@@ -435,7 +460,14 @@ func (st *RunStore) journalRuns(keep func(id string) bool) []runWire {
 		if rec.work != nil {
 			w.Source, w.Inputs = rec.work.source, rec.work.inputsJSON
 		}
+		if rec.deflated {
+			packed = append(packed, len(out))
+		}
 		out = append(out, w)
+	}
+	st.mu.Unlock()
+	for _, i := range packed {
+		out[i].Outputs = inflate(out[i].Outputs)
 	}
 	return out
 }

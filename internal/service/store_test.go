@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 // store must make exactly the same decisions.
 type refStore struct {
 	state    map[string]RunState
+	outputs  map[string][]byte      // the outputs JSON of each succeeded run
 	work     map[string]*pendingRun // present only on non-terminal runs created with one
 	started  map[string]bool
 	tenant   map[string]string
@@ -28,17 +30,18 @@ type refStore struct {
 
 func newRefStore(retain int) *refStore {
 	return &refStore{
-		state: map[string]RunState{}, work: map[string]*pendingRun{},
+		state: map[string]RunState{}, outputs: map[string][]byte{}, work: map[string]*pendingRun{},
 		started: map[string]bool{}, tenant: map[string]string{},
 		cpu: map[string]float64{}, retain: retain,
 	}
 }
 
-func (r *refStore) add(id string, s RunState, tenantName string, work *pendingRun, started bool) {
+func (r *refStore) add(id string, s RunState, tenantName string, work *pendingRun, started bool, outputs []byte) {
 	if _, ok := r.state[id]; ok {
 		return
 	}
 	r.state[id] = s
+	r.outputs[id] = outputs
 	r.tenant[id] = tenantName
 	r.started[id] = started
 	r.order = append(r.order, id)
@@ -61,12 +64,16 @@ func (r *refStore) start(id string) (*pendingRun, bool) {
 	return w, true
 }
 
-// finish reports whether Finish moves the run to s (and so may charge it).
-func (r *refStore) finish(id string, s RunState) bool {
+// finish reports whether Finish moves the run to s (and so may charge it);
+// only a succeeded run keeps outputs.
+func (r *refStore) finish(id string, s RunState, outputs []byte) bool {
 	if cur, ok := r.state[id]; !ok || cur.Terminal() {
 		return false
 	}
 	r.state[id] = s
+	if s == RunSucceeded {
+		r.outputs[id] = outputs
+	}
 	delete(r.work, id)
 	r.terminal++
 	r.prune()
@@ -78,6 +85,7 @@ func (r *refStore) delete(id string) {
 		return
 	}
 	delete(r.state, id)
+	delete(r.outputs, id)
 	delete(r.work, id)
 	for i, oid := range r.order {
 		if oid == id {
@@ -99,6 +107,7 @@ func (r *refStore) prune() {
 		}
 		if r.terminal > r.retain && s.Terminal() {
 			delete(r.state, id)
+			delete(r.outputs, id)
 			r.terminal--
 			r.evicted = append(r.evicted, id)
 			continue
@@ -110,11 +119,13 @@ func (r *refStore) prune() {
 
 // TestStoreMatchesReferenceModel drives seeded random interleavings of every
 // store mutation at small retention caps and checks, after each step, that
-// List, Get, the eviction sequence, the payloads the store holds and the CPU
-// ledger agree with the reference model: a payload lives only on a
-// non-terminal run created with one, Start hands it out only for a queued
-// run, and Finish charges a started run once — a second Finish charges
-// nothing.
+// List, Get, the eviction sequence, the payloads the store holds, the outputs
+// it returns and the CPU ledger agree with the reference model: a payload
+// lives only on a non-terminal run created with one, Start hands it out only
+// for a queued run, Finish charges a started run once — a second Finish
+// charges nothing — and a succeeded run's outputs, small (held raw) or large
+// (held deflated), read back byte-identical through Finish, Get, List and
+// journalRuns.
 func TestStoreMatchesReferenceModel(t *testing.T) {
 	for _, retain := range []int{0, 1, 2, 5} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -146,7 +157,23 @@ func checkStoreAgainstModel(t *testing.T, retain int, rng *rand.Rand, steps int)
 		}
 		return &pendingRun{source: fmt.Sprintf("source-%d", step)}
 	}
-	starts, charges := 0, 0
+	// outputs returns nil, small or (rarely, as every check reads every
+	// retained run) large outputs JSON unique to step.
+	outputs := func(step int) []byte {
+		switch n := rng.Intn(12); {
+		case n < 4:
+			return nil
+		case n < 11:
+			return []byte(fmt.Sprintf(`{"out":"small-%d"}`, step))
+		}
+		return scatterOutputs(t, 32, fmt.Sprintf("step-%d", step))
+	}
+	sameOutputs := func(step int, op, reader, id string, got []byte) {
+		if want := ref.outputs[id]; !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("step %d (%s): %s: outputs of %s = %.40q (%d B), model %.40q (%d B)", step, op, reader, id, got, len(got), want, len(want))
+		}
+	}
+	starts, charges, large := 0, 0, 0
 
 	for step := 0; step < steps; step++ {
 		var op string
@@ -154,7 +181,7 @@ func checkStoreAgainstModel(t *testing.T, retain int, rng *rand.Rand, steps int)
 		case n < 30:
 			tn, work := tenants[rng.Intn(len(tenants))], payload(step)
 			snap := st.Create(RunMeta{Class: "CommandLineTool", Tenant: tn}, work)
-			ref.add(snap.ID, RunQueued, tn, work, false)
+			ref.add(snap.ID, RunQueued, tn, work, false, nil)
 			known = append(known, snap.ID)
 			op = "create " + snap.ID
 		case n < 45:
@@ -175,8 +202,16 @@ func checkStoreAgainstModel(t *testing.T, retain int, rng *rand.Rand, steps int)
 			if s == RunFailed {
 				err = errors.New("boom")
 			}
-			snap, _, _ := st.Finish(id, nil, err, s == RunCanceled)
-			if ref.finish(id, s) && ref.started[id] {
+			raw := outputs(step)
+			snap, _, _ := st.Finish(id, packOutputs(raw), err, s == RunCanceled)
+			finished := ref.finish(id, s, raw)
+			if _, known := ref.state[id]; known {
+				sameOutputs(step, "finish", "Finish", id, snap.Outputs)
+			}
+			if finished && s == RunSucceeded && len(raw) >= packMin {
+				large++
+			}
+			if finished && ref.started[id] {
 				if snap.Started == nil {
 					t.Fatalf("step %d: finished started run %s has no start time", step, id)
 				}
@@ -198,13 +233,16 @@ func checkStoreAgainstModel(t *testing.T, retain int, rng *rand.Rand, steps int)
 			}
 			s := []RunState{RunQueued, RunRunning, RunSucceeded, RunFailed, RunCanceled}[rng.Intn(5)]
 			snap := RunSnapshot{ID: id, State: s, Tenant: tenants[rng.Intn(len(tenants))]}
+			if s == RunSucceeded {
+				snap.Outputs = outputs(step)
+			}
 			if s == RunRunning {
 				started := time.Now().Add(-time.Duration(rng.Intn(1000)) * time.Millisecond)
 				snap.Started = &started
 			}
 			work := payload(step)
 			st.Restore(snap, work)
-			ref.add(id, s, snap.Tenant, work, snap.Started != nil)
+			ref.add(id, s, snap.Tenant, work, snap.Started != nil, snap.Outputs)
 			known = append(known, id)
 			op = fmt.Sprintf("restore %s %v", id, s)
 		}
@@ -215,6 +253,7 @@ func checkStoreAgainstModel(t *testing.T, retain int, rng *rand.Rand, steps int)
 			if snap.State != ref.state[snap.ID] {
 				t.Fatalf("step %d (%s): List state of %s = %v, model %v", step, op, snap.ID, snap.State, ref.state[snap.ID])
 			}
+			sameOutputs(step, op, "List", snap.ID, snap.Outputs)
 		}
 		if fmt.Sprint(got) != fmt.Sprint(ref.order) {
 			t.Fatalf("step %d (%s): List = %v, model %v", step, op, got, ref.order)
@@ -228,6 +267,9 @@ func checkStoreAgainstModel(t *testing.T, retain int, rng *rand.Rand, steps int)
 			if ok != wantOK || (ok && snap.State != s) {
 				t.Fatalf("step %d (%s): Get(%s) = %v/%v, model %v/%v", step, op, id, snap.State, ok, s, wantOK)
 			}
+			if ok {
+				sameOutputs(step, op, "Get", id, snap.Outputs)
+			}
 		}
 		// The payload a compaction snapshot journals is the one the record
 		// holds.
@@ -239,6 +281,7 @@ func checkStoreAgainstModel(t *testing.T, retain int, rng *rand.Rand, steps int)
 			if w.Source != want {
 				t.Fatalf("step %d (%s): %s (%v) holds payload %q, model %q", step, op, w.ID, w.State, w.Source, want)
 			}
+			sameOutputs(step, op, "journalRuns", w.ID, w.Outputs)
 		}
 		if ledger := st.cpuLedger(); !reflect.DeepEqual(ledger, ref.cpu) {
 			t.Fatalf("step %d (%s): CPU ledger %v, model %v", step, op, ledger, ref.cpu)
@@ -247,8 +290,8 @@ func checkStoreAgainstModel(t *testing.T, retain int, rng *rand.Rand, steps int)
 	if len(ref.evicted) == 0 && retain > 0 {
 		t.Fatalf("retain=%d: the interleaving never evicted a run", retain)
 	}
-	if starts == 0 || charges == 0 {
-		t.Fatalf("the interleaving started %d runs and charged %d", starts, charges)
+	if starts == 0 || charges == 0 || large == 0 {
+		t.Fatalf("the interleaving started %d runs, charged %d and finished %d with large outputs", starts, charges, large)
 	}
 }
 
@@ -275,7 +318,7 @@ func TestStoreEvictionCostIndependentOfRetention(t *testing.T) {
 		st.SetOnEvict(func(string) { evictions++ })
 		cycle := func() {
 			snap := st.Create(RunMeta{Class: "CommandLineTool"}, nil)
-			st.Finish(snap.ID, nil, nil, false)
+			st.Finish(snap.ID, runOutputs{}, nil, false)
 		}
 		for i := 0; i < retain+64; i++ {
 			cycle()

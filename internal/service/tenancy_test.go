@@ -565,7 +565,7 @@ func TestTenantCPULedger(t *testing.T) {
 		started := time.Now().Add(-time.Duration(secs * float64(time.Second)))
 		id := fmt.Sprintf("ledger-%d", n)
 		s.store.Restore(RunSnapshot{ID: id, State: RunRunning, Tenant: tenantName, Started: &started}, nil)
-		_, release, ok := s.store.Finish(id, nil, nil, false)
+		_, release, ok := s.store.Finish(id, runOutputs{}, nil, false)
 		if !ok {
 			t.Fatalf("Finish(%s) found no run", id)
 		}

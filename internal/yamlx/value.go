@@ -17,6 +17,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Map is a YAML mapping that preserves key insertion order.
@@ -159,28 +160,99 @@ func (m *Map) String() string {
 	return string(b)
 }
 
-// MarshalJSON renders the mapping as a JSON object in insertion order.
+// MarshalJSON renders the mapping as a JSON object in insertion order, with
+// the bytes json.Marshal gives each key and value. It writes nested maps and
+// arrays in one pass — marshaling each value on its own would re-compact a
+// nested map once per level — and returns an exactly sized slice, since
+// callers such as the submission service retain it.
 func (m *Map) MarshalJSON() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte('{')
+	w := jsonWriters.Get().(*jsonWriter)
+	defer w.release()
+	if err := w.object(m); err != nil {
+		return nil, err
+	}
+	out := make([]byte, w.buf.Len())
+	copy(out, w.buf.Bytes())
+	return out, nil
+}
+
+// jsonWriter builds one JSON document in buf; enc writes its leaf values into
+// buf exactly as json.Marshal renders them.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	w := &jsonWriter{}
+	w.enc = json.NewEncoder(&w.buf)
+	return w
+}}
+
+// release returns w to the pool, unless one outsized document grew its
+// buffer past what a pool should pin.
+func (w *jsonWriter) release() {
+	if w.buf.Cap() > 64<<10 {
+		return
+	}
+	w.buf.Reset()
+	jsonWriters.Put(w)
+}
+
+func (w *jsonWriter) object(m *Map) error {
+	w.buf.WriteByte('{')
 	for i, k := range m.Keys() {
 		if i > 0 {
-			buf.WriteByte(',')
+			w.buf.WriteByte(',')
 		}
-		kb, err := json.Marshal(k)
-		if err != nil {
-			return nil, err
+		if err := w.leaf(k); err != nil {
+			return err
 		}
-		buf.Write(kb)
-		buf.WriteByte(':')
-		vb, err := json.Marshal(m.vals[k])
-		if err != nil {
-			return nil, err
+		w.buf.WriteByte(':')
+		if err := w.value(m.vals[k]); err != nil {
+			return err
 		}
-		buf.Write(vb)
 	}
-	buf.WriteByte('}')
-	return buf.Bytes(), nil
+	w.buf.WriteByte('}')
+	return nil
+}
+
+func (w *jsonWriter) value(v any) error {
+	switch x := v.(type) {
+	case *Map:
+		if x == nil {
+			w.buf.WriteString("null")
+			return nil
+		}
+		return w.object(x)
+	case []any:
+		if x == nil {
+			w.buf.WriteString("null")
+			return nil
+		}
+		w.buf.WriteByte('[')
+		for i, e := range x {
+			if i > 0 {
+				w.buf.WriteByte(',')
+			}
+			if err := w.value(e); err != nil {
+				return err
+			}
+		}
+		w.buf.WriteByte(']')
+		return nil
+	}
+	return w.leaf(v)
+}
+
+// leaf writes v as json.Marshal renders it: Encoder.Encode writes the same
+// bytes followed by a newline, which leaf drops.
+func (w *jsonWriter) leaf(v any) error {
+	if err := w.enc.Encode(v); err != nil {
+		return err
+	}
+	w.buf.Truncate(w.buf.Len() - 1)
+	return nil
 }
 
 // GetString returns the string value for key ("" when absent or non-string).
